@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-faults test-faults-gv5 explore explore-reclaim explore-tds bench bench-json bench-smoke bench-readpath bench-readpath-smoke bench-clock bench-reclaim bench-tds bench-tds-smoke bench-remote-smoke figures privtest run-stmd stress cover clean lint lint-json
+.PHONY: all build test race test-faults test-faults-gv5 explore explore-reclaim explore-tds bench bench-json bench-smoke bench-readpath bench-readpath-smoke bench-clock bench-reclaim bench-tds bench-tds-smoke bench-remote-smoke benchmark-smoke figures privtest run-stmd stress cover clean lint lint-json
 
 all: build test lint
 
@@ -161,14 +161,21 @@ figures:
 run-stmd:
 	$(GO) run ./cmd/stmd -addr :7077
 
-# End-to-end smoke for the network path: stmd on a scratch port with a
-# 4-worker pool and a write-set-capped tenant, ~200 connections of Zipf
+# End-to-end smoke for the network path: stmd on a scratch port with
+# four STM threads and a write-set-capped tenant, ~200 connections of Zipf
 # traffic from stmbench -remote, then SIGTERM. Asserts nonzero committed
 # transactions, quota aborts attributed to the capped tenant, zero
 # transport errors, and a clean drain (stmd exits nonzero if any reclaim
 # extents stay quarantined).
 bench-remote-smoke:
 	./scripts/remote_smoke.sh
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) is a module
+# of its own, so `go test ./...` does not reach it: run its tests, then every
+# workload and the layer ladder at tiny counts with all correctness checks.
+benchmark-smoke:
+	$(GO) test -C benchmark ./...
+	$(GO) run -C benchmark . -smoke
 
 privtest:
 	$(GO) run ./cmd/privtest -iters 500

@@ -1,6 +1,6 @@
 // stmd serves the transactional KV store over TCP (see internal/server for
 // the wire protocol). It runs until SIGTERM/SIGINT, then drains gracefully:
-// in-flight transactions finish, the worker pool's STM threads are closed
+// in-flight requests finish, the STM threads requests lease are closed
 // (flushing reclaim fronts), and the final reclaim drain is asserted empty.
 //
 //	stmd -addr :7077 -alg pvrStore -workers 8 -maxconns 4096 \
@@ -75,7 +75,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7077", "listen address")
 		algName     = flag.String("alg", "pvrStore", "STM algorithm (must be privatization-safe)")
-		workers     = flag.Int("workers", 8, "worker-pool size = STM thread count")
+		workers     = flag.Int("workers", 8, "STM threads leased per request: at most this many transactions run at once")
 		maxConns    = flag.Int("maxconns", 4096, "maximum concurrent connections")
 		deadline    = flag.Duration("deadline", 0, "default per-transaction deadline (0 = none)")
 		readSetCap  = flag.Int("readsetcap", 0, "default read-set cap per transaction (0 = none)")
@@ -141,7 +141,7 @@ func main() {
 		fail("%v", err)
 	default:
 	}
-	fmt.Fprintf(os.Stderr, "stmd: serving %s on %s (%d workers, %d max conns)\n",
+	fmt.Fprintf(os.Stderr, "stmd: serving %s on %s (%d STM threads, %d max conns)\n",
 		srv.Algorithm(), srv.Addr(), srv.Workers(), *maxConns)
 
 	sig := make(chan os.Signal, 1)

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 )
@@ -11,8 +13,8 @@ import (
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
-	buf  []byte // request scratch, reused across calls
+	req  []byte // request frame (length, opcode, body), reused across calls
+	resp []byte // response payload, reused across calls
 }
 
 // Dial connects to an stmd instance and announces tenant (empty string
@@ -23,10 +25,10 @@ func Dial(addr, tenant string) (*Client, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	req := append([]byte{OpHello}, byte(len(tenant)))
-	req = append(req, tenant...)
-	st, body, err := c.roundTrip(req)
+	c := &Client{conn: conn, r: bufio.NewReader(conn)}
+	c.opFrame(OpHello)
+	c.req = append(append(c.req, byte(len(tenant))), tenant...)
+	st, body, err := c.roundTrip()
 	if err != nil {
 		conn.Close()
 		return nil, "", err
@@ -43,39 +45,45 @@ func Dial(addr, tenant string) (*Client, string, error) {
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) roundTrip(payload []byte) (byte, []byte, error) {
-	if err := WriteFrame(c.w, payload); err != nil {
+// opFrame starts a request in c.req: room for the frame length, the opcode,
+// and the words.
+func (c *Client) opFrame(op byte, words ...uint64) {
+	c.req = append(c.req[:0], 0, 0, 0, 0, op)
+	c.words(words)
+}
+
+// words appends vals to the request.
+func (c *Client) words(vals []uint64) {
+	for _, v := range vals {
+		c.req = AppendU64(c.req, v)
+	}
+}
+
+// roundTrip sends the request in c.req with one write and returns the
+// response's status and body. The body aliases c.resp: decode or copy it
+// before the next call.
+func (c *Client) roundTrip() (byte, []byte, error) {
+	binary.BigEndian.PutUint32(c.req, uint32(len(c.req)-frameHeader))
+	if _, err := c.conn.Write(c.req); err != nil {
 		return 0, nil, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return 0, nil, err
-	}
-	resp, err := ReadFrame(c.r)
+	resp, err := readFrameInto(c.r, c.resp)
 	if err != nil {
 		return 0, nil, err
 	}
+	c.resp = resp
 	if len(resp) == 0 {
 		return 0, nil, fmt.Errorf("server: empty response frame")
 	}
 	return resp[0], resp[1:], nil
 }
 
-func (c *Client) opFrame(op byte, vals ...uint64) []byte {
-	c.buf = append(c.buf[:0], op)
-	for _, v := range vals {
-		c.buf = AppendU64(c.buf, v)
-	}
-	return c.buf
-}
-
 // Get looks keys up in one transaction; found[i] reports presence of
 // keys[i], vals[i] its value.
 func (c *Client) Get(keys []uint64) (found []bool, vals []uint64, status byte, err error) {
-	req := c.opFrame(OpGet, uint64(len(keys)))
-	for _, k := range keys {
-		req = AppendU64(req, k)
-	}
-	st, body, err := c.roundTrip(req)
+	c.opFrame(OpGet, uint64(len(keys)))
+	c.words(keys)
+	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, nil, st, err
 	}
@@ -100,11 +108,9 @@ func (c *Client) Put(pairs []uint64) (byte, error) {
 	if len(pairs)%2 != 0 {
 		return 0, fmt.Errorf("server: Put with odd pair slice")
 	}
-	req := c.opFrame(OpPut, uint64(len(pairs)/2))
-	for _, v := range pairs {
-		req = AppendU64(req, v)
-	}
-	st, _, err := c.roundTrip(req)
+	c.opFrame(OpPut, uint64(len(pairs)/2))
+	c.words(pairs)
+	st, _, err := c.roundTrip()
 	return st, err
 }
 
@@ -113,11 +119,9 @@ func (c *Client) CAS(triples []uint64) (swapped bool, status byte, err error) {
 	if len(triples)%3 != 0 {
 		return false, 0, fmt.Errorf("server: CAS with non-triple slice")
 	}
-	req := c.opFrame(OpCAS, uint64(len(triples)/3))
-	for _, v := range triples {
-		req = AppendU64(req, v)
-	}
-	st, body, err := c.roundTrip(req)
+	c.opFrame(OpCAS, uint64(len(triples)/3))
+	c.words(triples)
+	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return false, st, err
 	}
@@ -129,11 +133,9 @@ func (c *Client) CAS(triples []uint64) (swapped bool, status byte, err error) {
 // Delete removes keys in one transaction; existed[i] reports whether
 // keys[i] was present.
 func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) {
-	req := c.opFrame(OpDelete, uint64(len(keys)))
-	for _, k := range keys {
-		req = AppendU64(req, k)
-	}
-	st, body, err := c.roundTrip(req)
+	c.opFrame(OpDelete, uint64(len(keys)))
+	c.words(keys)
+	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, st, err
 	}
@@ -154,7 +156,8 @@ func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) 
 // bucket is detached transactionally, weak readers quiesced, and its
 // (key,value) pairs — removed from the map — returned.
 func (c *Client) Snapshot(b uint64) (pairs []uint64, status byte, err error) {
-	st, body, err := c.roundTrip(c.opFrame(OpSnapshot, b))
+	c.opFrame(OpSnapshot, b)
+	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, st, err
 	}
@@ -173,17 +176,16 @@ func (c *Client) Snapshot(b uint64) (pairs []uint64, status byte, err error) {
 
 // Push enqueues vals in one transaction.
 func (c *Client) Push(vals []uint64) (byte, error) {
-	req := c.opFrame(OpPush, uint64(len(vals)))
-	for _, v := range vals {
-		req = AppendU64(req, v)
-	}
-	st, _, err := c.roundTrip(req)
+	c.opFrame(OpPush, uint64(len(vals)))
+	c.words(vals)
+	st, _, err := c.roundTrip()
 	return st, err
 }
 
 // Pop dequeues up to n values in one transaction.
 func (c *Client) Pop(n uint64) (vals []uint64, status byte, err error) {
-	st, body, err := c.roundTrip(c.opFrame(OpPop, n))
+	c.opFrame(OpPop, n)
+	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, st, err
 	}
@@ -202,12 +204,13 @@ func (c *Client) Pop(n uint64) (vals []uint64, status byte, err error) {
 
 // Stats fetches the server's counter snapshot as raw JSON.
 func (c *Client) Stats() ([]byte, error) {
-	st, body, err := c.roundTrip([]byte{OpStats})
+	c.opFrame(OpStats)
+	st, body, err := c.roundTrip()
 	if err != nil {
 		return nil, err
 	}
 	if st != StatusOK {
 		return nil, fmt.Errorf("server: STATS status %d", st)
 	}
-	return body, nil
+	return bytes.Clone(body), nil
 }

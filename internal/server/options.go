@@ -49,9 +49,11 @@ func WithAlgorithm(a stm.Algorithm) Option {
 	}
 }
 
-// WithWorkers sets the STM worker-pool size. Every worker owns one STM
-// thread (a registry slot); connections multiplex onto the pool, so
-// thousands of connections cost a handful of slots. Default 8.
+// WithWorkers sets the number of STM threads (registry slots) the server
+// registers. A connection leases one for the length of each request and
+// returns it before it writes the response, so n bounds the transactions in
+// flight, thousands of connections cost a handful of slots, and requests
+// beyond n wait their turn in arrival order. Default 8.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -138,7 +140,7 @@ func WithBuckets(buckets, stripes int) Option {
 // WithSTMConfig supplies the underlying stm.Config template (clock mode,
 // contention manager, MaxAttempts escalation budget, heap size, …).
 // Algorithm and MaxThreads are managed by the server: set the algorithm
-// with WithAlgorithm; MaxThreads is derived from the worker-pool size.
+// with WithAlgorithm; MaxThreads is WithWorkers.
 func WithSTMConfig(cfg stm.Config) Option {
 	return func(c *config) error {
 		c.stmConfig = cfg
@@ -155,11 +157,4 @@ func defaultConfig() config {
 		buckets:   1024,
 		stripes:   256,
 	}
-}
-
-func (c *config) quotaFor(tenant string) Quota {
-	if q, ok := c.tenants[tenant]; ok {
-		return q
-	}
-	return c.defQuota
 }

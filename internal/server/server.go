@@ -1,13 +1,19 @@
 // Package server implements stmd: a TCP key-value service backed by the
 // privatization-safe STM through the internal/tds semantic containers.
 //
-// Architecture: every connection gets a cheap goroutine that only frames and
-// parses requests; transactions execute on a fixed pool of workers, each
-// owning one STM thread (a registry slot bounded by Config.MaxThreads), so
-// thousands of connections multiplex onto a handful of transactional
-// contexts. Workers acquire their threads with stm.STM.NewThread and release
-// them with Thread.Close on drain — the lifecycle path that returns registry
-// slots and flushes per-thread reclaim fronts.
+// Architecture: every connection gets one goroutine that frames, parses,
+// executes and answers its requests in order. To run a transaction it leases
+// one of a fixed set of STM threads (registry slots bounded by
+// Config.MaxThreads) for the length of that request, and hands it back
+// before it touches the socket again, so thousands of connections multiplex
+// onto a handful of transactional contexts and a slow peer never holds one.
+// A lease covers a whole request: SNAPSHOT privatizes a bucket, walks it
+// uninstrumented and retires its nodes on the same thread. The threads come
+// from stm.STM.NewThread at New and are released with Thread.Close on drain —
+// the lifecycle path that returns registry slots and flushes per-thread
+// reclaim fronts. Each connection reuses one request buffer and one response
+// buffer, reads a frame through a buffered reader and writes a response with
+// a single Write.
 //
 // Per-tenant quotas (read/write-set caps, transaction deadlines) are
 // enforced cooperatively inside transaction bodies via Tx.Cancel: a tenant
@@ -17,7 +23,9 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,6 +50,27 @@ var (
 // request is malformed, not a big transaction.
 const maxOpKeys = 4096
 
+const (
+	// connReadBuf sizes a connection's buffered reader: a whole 4-key
+	// request arrives in one read; larger payloads bypass it.
+	connReadBuf = 2 << 10
+	// retainBytes bounds each buffer a connection keeps between requests;
+	// a larger one is dropped after the exchange that needed it, so idle
+	// connections do not pin the memory of their largest request.
+	retainBytes = 4 << 10
+	// maxFreeTenants bounds the records kept for HELLO names that have no
+	// WithTenantQuota entry; later names share the overflow record.
+	maxFreeTenants = 1024
+	// overflowTenant is the STATS name of that shared record.
+	overflowTenant = "(other)"
+	// writeTimeout bounds one response write, so a peer that stops reading
+	// loses its connection instead of pinning a goroutine.
+	writeTimeout = 10 * time.Second
+	// respBody is where a response body starts in a connection's out
+	// buffer: behind the frame header and the status byte.
+	respBody = frameHeader + 1
+)
+
 // Server is one stmd instance. Create with New, start with Serve or
 // ListenAndServe, stop with Shutdown.
 type Server struct {
@@ -50,8 +79,12 @@ type Server struct {
 	m   *tds.Map
 	q   *tds.Queue
 
-	jobs     chan *job
-	workerWg sync.WaitGroup
+	// threads holds the STM threads not leased to a request: cfg.workers
+	// of them when the server is idle. Receiving leases one, and blocked
+	// receivers are served first come, first served.
+	threads chan *stm.Thread
+
+	writeTimeout time.Duration // the constant; tests shorten it
 
 	connWg   sync.WaitGroup
 	connMu   sync.Mutex
@@ -64,6 +97,7 @@ type Server struct {
 
 	tenantMu sync.Mutex
 	tenants  map[string]*tenant
+	overflow *tenant
 
 	committed      atomic.Uint64
 	cancelled      atomic.Uint64
@@ -79,22 +113,35 @@ type tenant struct {
 	quotaAborts atomic.Uint64
 }
 
-type job struct {
+// connState is what one connection keeps between requests: its tenant and
+// the buffers every request reuses.
+type connState struct {
 	ten  *tenant
-	op   byte
-	body []byte
-	resp chan response
+	in   []byte   // request payload
+	vals []uint64 // the request's decoded words
+	out  []byte   // response frame: length, status, body
 }
 
-type response struct {
-	status byte
-	body   []byte
+// fail makes the response a bare status.
+func (c *connState) fail(status byte) { c.out = append(c.out[:frameHeader], status) }
+
+// trim drops the buffers that grew past retainBytes.
+func (c *connState) trim() {
+	if cap(c.in) > retainBytes {
+		c.in = nil
+	}
+	if cap(c.vals)*8 > retainBytes {
+		c.vals = nil
+	}
+	if cap(c.out) > retainBytes {
+		c.out = nil
+	}
 }
 
-// New assembles a server and starts its worker pool (network listening
-// starts with Serve). The STM instance sizes MaxThreads to exactly the
-// worker count: the pool, not the connection count, is the transactional
-// footprint.
+// New assembles a server and registers its STM threads (network listening
+// starts with Serve). The STM instance sizes MaxThreads to exactly
+// WithWorkers: the leased threads, not the connections, are the
+// transactional footprint.
 func New(opts ...Option) (*Server, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -125,21 +172,25 @@ func New(opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	srv := &Server{
-		cfg:     cfg,
-		s:       s,
-		m:       m,
-		q:       q,
-		jobs:    make(chan *job, cfg.workers*2),
-		conns:   make(map[net.Conn]struct{}),
-		tenants: make(map[string]*tenant),
+		cfg:          cfg,
+		s:            s,
+		m:            m,
+		q:            q,
+		threads:      make(chan *stm.Thread, cfg.workers),
+		writeTimeout: writeTimeout,
+		conns:        make(map[net.Conn]struct{}),
+		tenants:      make(map[string]*tenant),
+		overflow:     &tenant{name: overflowTenant, quota: cfg.defQuota},
+	}
+	for name, q := range cfg.tenants {
+		srv.tenants[name] = &tenant{name: name, quota: q}
 	}
 	for i := 0; i < cfg.workers; i++ {
 		th, err := s.NewThread()
 		if err != nil {
-			return nil, fmt.Errorf("server: worker %d: %w", i, err)
+			return nil, fmt.Errorf("server: thread %d: %w", i, err)
 		}
-		srv.workerWg.Add(1)
-		go srv.worker(th)
+		srv.threads <- th
 	}
 	return srv, nil
 }
@@ -147,7 +198,7 @@ func New(opts ...Option) (*Server, error) {
 // Algorithm reports the engine serving traffic.
 func (srv *Server) Algorithm() stm.Algorithm { return srv.cfg.algorithm }
 
-// Workers reports the worker-pool size (== the STM thread count).
+// Workers reports the number of STM threads requests lease from.
 func (srv *Server) Workers() int { return srv.cfg.workers }
 
 // ReclaimStats exposes the underlying reclaimer's counters; after Shutdown
@@ -212,13 +263,20 @@ func (srv *Server) Addr() string {
 	return srv.ln.Addr().String()
 }
 
+// tenantFor returns the record HELLO name binds a connection to. Tenants
+// named in WithTenantQuota have theirs from New; the first maxFreeTenants
+// other names get one each, and every later name shares the overflow
+// record, so the map cannot grow with the names clients invent.
 func (srv *Server) tenantFor(name string) *tenant {
 	srv.tenantMu.Lock()
 	defer srv.tenantMu.Unlock()
 	if t, ok := srv.tenants[name]; ok {
 		return t
 	}
-	t := &tenant{name: name, quota: srv.cfg.quotaFor(name)}
+	if len(srv.tenants) >= len(srv.cfg.tenants)+maxFreeTenants {
+		return srv.overflow
+	}
+	t := &tenant{name: name, quota: srv.cfg.defQuota}
 	srv.tenants[name] = t
 	return t
 }
@@ -232,55 +290,66 @@ func (srv *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		srv.connWg.Done()
 	}()
-	ten := srv.tenantFor("") // until HELLO names one
-	resp := make(chan response, 1)
+	c := connState{ten: srv.tenantFor("")} // until HELLO names one
+	br := bufio.NewReaderSize(conn, connReadBuf)
 	for {
-		payload, err := ReadFrame(conn)
-		if err != nil {
+		var err error
+		if c.in, err = readFrameInto(br, c.in); err != nil {
 			// Read errors include the deadline pokes Shutdown uses to
 			// unblock idle connections — either way the conversation is
 			// over.
 			return
 		}
-		if len(payload) == 0 {
-			_ = WriteFrame(conn, []byte{StatusBadRequest})
-			continue
-		}
-		op, body := payload[0], payload[1:]
-		var r response
-		switch op {
-		case OpHello:
-			r = srv.hello(&ten, body)
-		case OpStats:
-			r = srv.statsResponse()
-		case OpGet, OpPut, OpCAS, OpDelete, OpSnapshot, OpPush, OpPop:
-			jb := &job{ten: ten, op: op, body: body, resp: resp}
-			srv.jobs <- jb
-			r = <-resp
-		default:
-			r = response{status: StatusUnsupported}
-		}
-		if err := WriteFrame(conn, append([]byte{r.status}, r.body...)); err != nil {
+		srv.respond(&c, c.in)
+		// No thread is leased here: a peer that stops reading costs this
+		// goroutine until the deadline, and nobody else anything.
+		_ = conn.SetWriteDeadline(time.Now().Add(srv.writeTimeout))
+		if _, err := conn.Write(c.out); err != nil {
 			return
 		}
+		c.trim()
 		if srv.draining.Load() {
 			return
 		}
 	}
 }
 
-func (srv *Server) hello(ten **tenant, body []byte) response {
+// respond builds the response frame for one request payload in c.out.
+func (srv *Server) respond(c *connState, payload []byte) {
+	c.out = append(c.out[:0], 0, 0, 0, 0, StatusOK)
+	if len(payload) == 0 {
+		c.fail(StatusBadRequest)
+	} else {
+		switch op, body := payload[0], payload[1:]; op {
+		case OpHello:
+			srv.hello(c, body)
+		case OpStats:
+			srv.statsResponse(c)
+		case OpGet, OpPut, OpCAS, OpDelete, OpSnapshot, OpPush, OpPop:
+			th := <-srv.threads
+			srv.execute(th, c, op, body)
+			srv.threads <- th
+		default:
+			c.fail(StatusUnsupported)
+		}
+	}
+	binary.BigEndian.PutUint32(c.out, uint32(len(c.out)-frameHeader))
+}
+
+func (srv *Server) hello(c *connState, body []byte) {
 	r := wireReader{b: body}
 	name, ok := r.str()
 	if !ok || !r.empty() {
-		return response{status: StatusBadRequest}
+		c.fail(StatusBadRequest)
+		return
 	}
-	*ten = srv.tenantFor(name)
-	out, err := AppendString(nil, srv.cfg.algorithm.String())
+	c.ten = srv.tenantFor(name)
+	out, err := AppendString(c.out, srv.cfg.algorithm.String())
 	if err != nil {
-		return response{status: StatusBadRequest}
+		c.fail(StatusBadRequest)
+		return
 	}
-	return response{status: StatusOK, body: out}
+	c.out = out
 }
 
 // StatsSnapshot is the JSON body of a STATS response.
@@ -312,35 +381,29 @@ func (srv *Server) Stats() StatsSnapshot {
 		RejectedConns:  srv.rejectedConns.Load(),
 	}
 	srv.tenantMu.Lock()
-	for name, t := range srv.tenants {
+	defer srv.tenantMu.Unlock()
+	add := func(t *tenant) {
 		if n := t.quotaAborts.Load(); n > 0 {
 			if ss.TenantQuota == nil {
 				ss.TenantQuota = make(map[string]uint64)
 			}
-			ss.TenantQuota[name] = n
+			ss.TenantQuota[t.name] += n // a client may have named itself overflowTenant
 		}
 	}
-	srv.tenantMu.Unlock()
+	for _, t := range srv.tenants {
+		add(t)
+	}
+	add(srv.overflow)
 	return ss
 }
 
-func (srv *Server) statsResponse() response {
+func (srv *Server) statsResponse(c *connState) {
 	b, err := json.Marshal(srv.Stats())
 	if err != nil {
-		return response{status: StatusCancelled}
+		c.fail(StatusCancelled)
+		return
 	}
-	return response{status: StatusOK, body: b}
-}
-
-// worker owns one STM thread for its lifetime and executes jobs until the
-// channel closes at drain, then releases the thread (flushing its reclaim
-// front and returning the registry slot).
-func (srv *Server) worker(th *stm.Thread) {
-	defer srv.workerWg.Done()
-	defer th.Close()
-	for jb := range srv.jobs {
-		jb.resp <- srv.execute(th, jb)
-	}
+	c.out = append(c.out, b...)
 }
 
 // enforce applies the tenant's quota inside a transaction body. Pure by
@@ -356,44 +419,51 @@ func enforce(tx *stm.Tx, q Quota) {
 	tx.CheckDeadline()
 }
 
-func (srv *Server) finish(ten *tenant, err error, body []byte) response {
+// finish completes an executed request: out is the OK response the
+// transaction built, err what Atomic returned.
+func (srv *Server) finish(c *connState, err error, out []byte) {
+	c.out = out
 	switch {
 	case err == nil:
 		srv.committed.Add(1)
-		return response{status: StatusOK, body: body}
 	case errors.Is(err, ErrReadQuota):
-		ten.quotaAborts.Add(1)
+		c.ten.quotaAborts.Add(1)
 		srv.quotaAborts.Add(1)
-		return response{status: StatusReadQuota}
+		c.fail(StatusReadQuota)
 	case errors.Is(err, ErrWriteQuota):
-		ten.quotaAborts.Add(1)
+		c.ten.quotaAborts.Add(1)
 		srv.quotaAborts.Add(1)
-		return response{status: StatusWriteQuota}
+		c.fail(StatusWriteQuota)
 	case errors.Is(err, stm.ErrDeadlineExceeded):
 		srv.deadlineAborts.Add(1)
-		return response{status: StatusDeadline}
+		c.fail(StatusDeadline)
 	default:
 		srv.cancelled.Add(1)
-		return response{status: StatusCancelled}
+		c.fail(StatusCancelled)
 	}
 }
 
-func (srv *Server) execute(th *stm.Thread, jb *job) response {
-	q := jb.ten.quota
+// execute runs one transactional request on the leased thread th and leaves
+// the response in c.out. Transaction bodies append the response behind the
+// header and status respond laid down, and cut back to respBody first, so a
+// retried attempt starts from a clean buffer.
+func (srv *Server) execute(th *stm.Thread, c *connState, op byte, body []byte) {
+	q := c.ten.quota
 	if q.TxnDeadline > 0 {
 		th.SetTxnDeadline(time.Now().Add(q.TxnDeadline))
 		defer th.SetTxnDeadline(time.Time{})
 	}
-	r := wireReader{b: jb.body}
-	switch jb.op {
+	r := wireReader{b: body}
+	out := c.out
+	switch op {
 	case OpGet:
-		keys, ok := readKeys(&r, 1)
+		keys, ok := c.readKeys(&r, 1)
 		if !ok {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
-		var out []byte
 		err := th.Atomic(func(tx *stm.Tx) {
-			out = AppendU64(out[:0], uint64(len(keys)))
+			out = AppendU64(out[:respBody], uint64(len(keys)))
 			for _, k := range keys {
 				v, found := srv.m.Get(tx, stm.Word(k))
 				var f uint64
@@ -404,11 +474,12 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, out)
+		srv.finish(c, err, out)
 	case OpPut:
-		pairs, ok := readKeys(&r, 2)
+		pairs, ok := c.readKeys(&r, 2)
 		if !ok {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
 		err := th.Atomic(func(tx *stm.Tx) {
 			for i := 0; i < len(pairs); i += 2 {
@@ -416,11 +487,12 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, nil)
+		srv.finish(c, err, out)
 	case OpCAS:
-		triples, ok := readKeys(&r, 3)
+		triples, ok := c.readKeys(&r, 3)
 		if !ok {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
 		var swapped uint64
 		err := th.Atomic(func(tx *stm.Tx) {
@@ -438,15 +510,15 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, AppendU64(nil, swapped))
+		srv.finish(c, err, AppendU64(out, swapped))
 	case OpDelete:
-		keys, ok := readKeys(&r, 1)
+		keys, ok := c.readKeys(&r, 1)
 		if !ok {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
-		var out []byte
 		err := th.Atomic(func(tx *stm.Tx) {
-			out = AppendU64(out[:0], uint64(len(keys)))
+			out = AppendU64(out[:respBody], uint64(len(keys)))
 			for _, k := range keys {
 				var e uint64
 				if srv.m.Delete(tx, stm.Word(k)) {
@@ -456,35 +528,39 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, out)
+		srv.finish(c, err, out)
 	case OpSnapshot:
 		b, ok := r.u64()
 		if !ok || !r.empty() {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
 		pl, err := srv.m.PrivateSnapshot(th, int(b%uint64(srv.m.Buckets())))
 		if err != nil {
 			if errors.Is(err, tds.ErrNotPrivatizationSafe) {
-				return response{status: StatusUnsupported}
+				c.fail(StatusUnsupported)
+				return
 			}
-			return srv.finish(jb.ten, err, nil)
+			srv.finish(c, err, out)
+			return
 		}
 		// The privatizing transaction committed and weak readers are
 		// quiesced: walk the detached chain uninstrumented, then retire
-		// the nodes through the epoch reclaimer.
-		out := AppendU64(nil, uint64(pl.Count))
+		// the nodes through the epoch reclaimer — all on the thread that
+		// privatized, which this request holds until it returns.
+		out = AppendU64(out, uint64(pl.Count))
 		pl.EachKV(func(k, v stm.Word) bool {
 			out = AppendU64(AppendU64(out, uint64(k)), uint64(v))
 			return true
 		})
 		pl.Retire(th)
 		srv.privatizeOps.Add(1)
-		srv.committed.Add(1)
-		return response{status: StatusOK, body: out}
+		srv.finish(c, nil, out)
 	case OpPush:
-		vals, ok := readKeys(&r, 1)
+		vals, ok := c.readKeys(&r, 1)
 		if !ok {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
 		err := th.Atomic(func(tx *stm.Tx) {
 			for _, v := range vals {
@@ -492,14 +568,14 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, nil)
+		srv.finish(c, err, out)
 	case OpPop:
 		n, ok := r.u64()
 		if !ok || !r.empty() || n == 0 || n > maxOpKeys {
-			return response{status: StatusBadRequest}
+			c.fail(StatusBadRequest)
+			return
 		}
-		var out []byte
-		var popped []uint64
+		popped := c.vals
 		err := th.Atomic(func(tx *stm.Tx) {
 			popped = popped[:0]
 			for i := uint64(0); i < n; i++ {
@@ -511,44 +587,38 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		if err == nil {
-			out = AppendU64(nil, uint64(len(popped)))
-			for _, v := range popped {
-				out = AppendU64(out, v)
-			}
+		c.vals = popped
+		out = AppendU64(out, uint64(len(popped)))
+		for _, v := range popped {
+			out = AppendU64(out, v)
 		}
-		return srv.finish(jb.ten, err, out)
+		srv.finish(c, err, out)
 	}
-	return response{status: StatusUnsupported}
 }
 
-// readKeys parses "count, count×group u64s" with the count bounded by
-// maxOpKeys and required to consume the body exactly.
-func readKeys(r *wireReader, group int) ([]uint64, bool) {
+// readKeys parses "count, count×group u64s" into c.vals, with the count
+// bounded by maxOpKeys and required to account for the body exactly.
+func (c *connState) readKeys(r *wireReader, group int) ([]uint64, bool) {
 	n, ok := r.u64()
-	if !ok || n > maxOpKeys {
+	if !ok || n > maxOpKeys || uint64(len(r.b)) != n*uint64(group)*8 {
 		return nil, false
 	}
-	vals := make([]uint64, 0, int(n)*group)
-	for i := 0; i < int(n)*group; i++ {
-		v, ok := r.u64()
-		if !ok {
-			return nil, false
-		}
+	vals := c.vals[:0]
+	for !r.empty() {
+		v, _ := r.u64()
 		vals = append(vals, v)
 	}
-	if !r.empty() {
-		return nil, false
-	}
+	c.vals = vals
 	return vals, true
 }
 
-// Shutdown drains the server: stop accepting, unblock idle connections and
-// let in-flight requests finish, retire the worker pool (each worker
-// Thread.Close()s, flushing reclaim fronts and returning registry slots),
-// then drain the epoch reclaimer. On a clean drain the reclaimer reports
-// zero quarantined extents. ctx bounds the wait; on expiry remaining
-// connections are closed forcibly and Shutdown reports the first error.
+// Shutdown drains the server: stop accepting, unblock idle and stalled
+// connections and let in-flight requests finish, collect every STM thread
+// from the lease pool and Thread.Close it (flushing reclaim fronts and
+// returning registry slots), then drain the epoch reclaimer. On a clean
+// drain the reclaimer reports zero quarantined extents. ctx bounds the wait;
+// on expiry remaining connections are closed forcibly and Shutdown reports
+// the first error.
 func (srv *Server) Shutdown(ctx context.Context) error {
 	if srv.draining.Swap(true) {
 		return errors.New("server: Shutdown twice")
@@ -559,8 +629,8 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 	}
 	srv.lnMu.Unlock()
 
-	// Poke blocked readers; handlers notice draining after their current
-	// request and exit.
+	// Poke blocked connections; handlers notice draining after their
+	// current request and exit.
 	srv.pokeConns()
 	done := make(chan struct{})
 	go func() { srv.connWg.Wait(); close(done) }()
@@ -577,8 +647,14 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	close(srv.jobs)
-	srv.workerWg.Wait()
+	// Every handler has exited, so every lease is back: a thread missing
+	// here would be a leaked lease.
+	for i := 0; i < srv.cfg.workers; i++ {
+		th := <-srv.threads
+		if err := th.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("server: thread %d: %w", i, err))
+		}
+	}
 
 	// All threads are closed; every retired extent is published. The final
 	// drain must clear the quarantine completely.
@@ -589,12 +665,14 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// pokeConns interrupts blocked ReadFrame calls so handlers observe the
-// draining flag.
+// pokeConns interrupts connections blocked reading a request or writing to
+// a peer that stopped reading, so handlers observe the draining flag. A
+// handler that is executing a request sets a fresh write deadline before it
+// answers, so in-flight requests still complete.
 func (srv *Server) pokeConns() {
 	srv.connMu.Lock()
 	defer srv.connMu.Unlock()
 	for c := range srv.conns {
-		_ = c.SetReadDeadline(time.Now())
+		_ = c.SetDeadline(time.Now())
 	}
 }

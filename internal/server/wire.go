@@ -75,19 +75,35 @@ const (
 // server).
 const MaxFrame = 1 << 20
 
+// frameHeader is the size of the big-endian length prefix.
+const frameHeader = 4
+
 var errFrameTooLarge = errors.New("server: frame exceeds MaxFrame")
 
-// ReadFrame reads one length-prefixed frame payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-prefixed frame payload into a fresh slice.
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one frame into buf's backing array, growing it only
+// when the payload does not fit, and returns the payload. The slice aliases
+// buf: it is valid until the next call with the same buffer. The length
+// prefix is staged in the buffer too, so a steady-state read allocates
+// nothing.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, errFrameTooLarge
 	}
-	buf := make([]byte, n)
+	if n > cap(buf) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end smoke for the stmd/stmbench remote path: start stmd on a
-# scratch port with a small worker pool and a quota-limited tenant, drive
-# it with many more connections than workers, then SIGTERM and require a
+# scratch port with four STM threads and a quota-limited tenant, drive
+# it with many more connections than threads, then SIGTERM and require a
 # clean drain (stmd exits nonzero if any reclaim extents stay quarantined).
 #
 # Env knobs: GO (toolchain), ADDR (listen address), CONNS, DUR, OUT (JSON).
@@ -64,4 +64,4 @@ grep -q '"noisy"' "$OUT" || {
     echo "remote-smoke: no quota aborts attributed to tenant noisy" >&2
     exit 1
 }
-echo "remote-smoke: OK ($CONNS conns on 4 workers, JSON in $OUT)"
+echo "remote-smoke: OK ($CONNS conns on 4 STM threads, JSON in $OUT)"
