@@ -26,6 +26,7 @@ lint:
 	$(GO) run ./cmd/stmlint -tags privstm_watermark_race -ratchet=false ./...
 	$(GO) run ./cmd/stmlint -tags privstm_reclaim_race -ratchet=false ./...
 	$(GO) run ./cmd/stmlint -tags privstm_semlock_race -ratchet=false ./...
+	$(GO) run ./cmd/stmlint -tags privstm_semrevalidate_race -ratchet=false ./...
 
 # Machine-readable findings for the CI artifact (default tag set).
 lint-json:
@@ -65,14 +66,19 @@ explore-reclaim:
 	$(GO) test -count=1 -run TestReclaimExplorationCorpus -v ./internal/reclaim
 	$(GO) test -count=1 -tags privstm_reclaim_race -run TestReclaimRaceCaught -v ./internal/reclaim
 
-# Semantic-lock rediscovery pair (CORRECTNESS.md §15): the abstract-lock
+# Semantic-lock rediscovery pairs (CORRECTNESS.md §15). The abstract-lock
 # micro-program's schedule corpus must pass clean on the production stripe
 # release, then with the release version bump compiled out
 # (-tags privstm_semlock_race) the explorer must FIND a committed torn read
-# and log a replayable trace.
+# and log a replayable trace. Likewise the privatizer-versus-Delete/Put
+# program must pass clean with the stripe samples re-validated after the
+# commit timestamp, and with that re-validation compiled out
+# (-tags privstm_semrevalidate_race) the explorer must FIND the mutator
+# committing into a chain the privatizer has already detached.
 explore-tds:
-	$(GO) test -count=1 -run TestSemLockExplorationCorpus -v ./internal/tds
+	$(GO) test -count=1 -run 'TestSemLockExplorationCorpus|TestPrivOvertakeExplorationCorpus' -v ./internal/tds
 	$(GO) test -count=1 -tags privstm_semlock_race -run TestSemLockRaceCaught -v ./internal/tds
+	$(GO) test -count=1 -tags privstm_semrevalidate_race -run TestPrivOvertakeCaught -v ./internal/tds
 
 # One testing.B benchmark per paper figure, plus the ablations.
 bench:

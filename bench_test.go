@@ -170,6 +170,49 @@ func BenchmarkAblationReadVisibility(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeWalk is the per-node rung of the read path outside
+// benchmark/: one transaction walks a 256-node list of two-word nodes the
+// way every list and hashtable here does — `key`, then `next` — and the
+// time is reported per node. It is where the block size shows: at
+// BlockWords 1 the two loads pay the visibility step, the consistent read
+// and the read-set probe twice; at the default 2 the node sits under one
+// orec and the second load takes the same-block memo path.
+func BenchmarkNodeWalk(b *testing.B) {
+	const nodes = 256
+	for _, alg := range []stm.Algorithm{stm.TL2, stm.PVRStore} {
+		for _, bw := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/block%d", alg, bw), func(b *testing.B) {
+				s := stm.MustNew(stm.Config{Algorithm: alg, BlockWords: bw, HeapWords: 1 << 12, MaxThreads: 2})
+				head := s.MustAlloc(1)
+				prev := head
+				for k := 1; k <= nodes; k++ {
+					n := s.MustAlloc(2) // [key, next]
+					s.DirectStore(n, stm.Word(k))
+					s.DirectStore(prev, stm.Word(n))
+					prev = n + 1
+				}
+				th := s.MustNewThread()
+				var sum stm.Word
+				walk := func(tx *stm.Tx) {
+					sum = 0
+					for n := tx.LoadAddr(head); n != stm.Nil; n = tx.LoadAddr(n + 1) {
+						sum += tx.Load(n)
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = th.Atomic(walk)
+				}
+				b.StopTimer()
+				if sum != nodes*(nodes+1)/2 {
+					b.Fatalf("walk summed %d", sum)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nodes, "ns/node")
+			})
+		}
+	}
+}
+
 // BenchmarkAblationWriteCommit measures a small read-modify-write
 // transaction: encounter-time undo-log engines vs commit-time redo-log
 // engines.

@@ -9,7 +9,9 @@ import (
 // programs (sequences of loads, stores, and occasional cancels over a
 // small heap) and runs each program single-threaded under every engine:
 // the final heap images must be identical — the engines may differ in
-// every concurrency mechanism, but never in sequential semantics.
+// every concurrency mechanism, but never in sequential semantics. Each
+// engine runs at the paper's one-word conflict granularity and at the
+// default block, whose same-block read memo and shared orecs must not show.
 func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 	const heapWords = 32
 	type step struct {
@@ -18,8 +20,8 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 		Kind   uint8 // %3: 0 load, 1 store, 2 store-accumulate
 		Cancel bool  // cancel the whole txn at this step (rare)
 	}
-	run := func(alg Algorithm, prog []step) []Word {
-		s := MustNew(Config{Algorithm: alg, HeapWords: heapWords + 8, OrecCount: 64, MaxThreads: 2})
+	run := func(alg Algorithm, blockWords int, prog []step) []Word {
+		s := MustNew(Config{Algorithm: alg, BlockWords: blockWords, HeapWords: heapWords + 8, OrecCount: 64, MaxThreads: 2})
 		base := s.MustAlloc(heapWords)
 		th := s.MustNewThread()
 		// Split the program into transactions of ≤5 steps.
@@ -56,16 +58,18 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 		if len(prog) > 60 {
 			prog = prog[:60]
 		}
-		ref := run(TL2, prog)
+		ref := run(TL2, 1, prog)
 		for _, alg := range allAlgorithms {
-			if alg == TL2 {
-				continue
-			}
-			got := run(alg, prog)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Logf("%v diverged from TL2 at word %d: %d vs %d", alg, i, got[i], ref[i])
-					return false
+			for _, bw := range []int{1, 0} { // 0: the default block
+				if alg == TL2 && bw == 1 {
+					continue
+				}
+				got := run(alg, bw, prog)
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Logf("%v (BlockWords %d) diverged from TL2 (BlockWords 1) at word %d: %d vs %d", alg, bw, i, got[i], ref[i])
+						return false
+					}
 				}
 			}
 		}

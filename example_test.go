@@ -96,6 +96,6 @@ func ExampleThread_EnableTrace() {
 	}
 	// Output:
 	// attempt #1
-	// write 1=7
+	// write 2=7
 	// commit
 }

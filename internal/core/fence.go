@@ -50,6 +50,18 @@ func (t *Thread) ReaderConflictScan(adaptGrace bool) (threshold uint64, conflict
 	return threshold, conflict
 }
 
+// CapFence applies Options.CapFenceAtCommit to the threshold a conflict scan
+// returned for a commit at wts: with the knob set, a threshold reaching the
+// commit time is cut to wts−1, so the fence waits for the transactions that
+// began before the commit's tick and for nothing else (the argument is on
+// the option; the §II-D future-work optimization).
+func (rt *Runtime) CapFence(threshold, wts uint64) uint64 {
+	if rt.CapFenceAtCommit && threshold >= wts {
+		return wts - 1
+	}
+	return threshold
+}
+
 // PrivatizationFence blocks the committing writer until every transaction
 // that may have read its write set has completed — concretely, until the
 // oldest incomplete transaction on the central list began after the fence
@@ -62,12 +74,12 @@ func (t *Thread) ReaderConflictScan(adaptGrace bool) (threshold uint64, conflict
 // than a silent hang.
 func (t *Thread) PrivatizationFence(threshold uint64) {
 	t.Stats.Fenced++
-	// Under the deferred clock modes the threshold can sit above the global
-	// clock (a commit-capped threshold is a deferred wts). Publish it before
-	// waiting: otherwise a steady stream of readers beginning at the stale
-	// global time could hold the fence open forever, since no new begin
-	// could ever exceed the threshold.
-	t.NoteFutureWTS(threshold)
+	// Under the deferred clock modes the global clock can sit at or below
+	// the threshold (a commit there does not advance it). Move it past the
+	// threshold before waiting: otherwise a steady stream of readers
+	// beginning at the stale global time could hold the fence open forever,
+	// since no new begin could ever exceed the threshold.
+	t.NoteFutureWTS(threshold + 1)
 	failpoint.Eval(failpoint.FenceEnter)
 	defer failpoint.Eval(failpoint.FenceExit)
 	var b spin.Backoff

@@ -48,7 +48,7 @@ func ParseOrecLayout(s string) (OrecLayout, error) { return orec.ParseLayout(s) 
 type Options struct {
 	HeapWords  int // capacity of the simulated heap
 	OrecCount  int // number of ownership records (rounded to a power of 2)
-	BlockWords int // conflict-detection granularity in words
+	BlockWords int // conflict-detection granularity and heap allocation quantum in words (0 ⇒ 2)
 	MaxThreads int // maximum concurrently registered threads
 
 	MaxGrace        uint64 // cap for adaptive grace periods (0 ⇒ DefaultMaxGrace)
@@ -79,10 +79,19 @@ type Options struct {
 	// attempting a timestamp extension (the pre-optimization behaviour,
 	// kept for ablations).
 	DisableExtension bool
-	// CapFenceAtCommit caps privatization-fence thresholds at the
-	// writer's commit time, eliminating the grace-period "extended
-	// delays" of §III-A (safe: a reader that began after the commit
-	// observes the committed state and cannot be doomed by it).
+	// CapFenceAtCommit caps privatization-fence thresholds just below the
+	// writer's commit time wts, eliminating the grace-period "extended
+	// delays" of §III-A: the fence then waits for oldest-begin > wts−1,
+	// i.e. for exactly the transactions that began before the commit's
+	// tick. That is enough: a transaction whose begin timestamp is wts (or
+	// later) sampled the clock after the writer's tick, and the writer
+	// owns its whole write set from before the tick until it releases it
+	// at wts — so such a reader finds each written block either owned (it
+	// aborts or defers) or released at wts ≤ its own begin, the committed
+	// state. It can neither have read a pre-commit value nor be doomed by
+	// this commit, which is the same test WeakQuiesce applies (≥). Capping
+	// at wts itself made an opted-in fence wait for begin > wts: for some
+	// other thread to tick the clock, not for its readers.
 	CapFenceAtCommit bool
 	// GraceStrategy selects the §III-A adaptation family (default:
 	// exponential, the paper's choice).
@@ -134,7 +143,10 @@ func (o *Options) fill() {
 		o.OrecCount = 1 << 16
 	}
 	if o.BlockWords == 0 {
-		o.BlockWords = 1
+		// 16 bytes: malloc's quantum and the smallest node any container
+		// here allocates. Larger, and neighbouring objects share an orec;
+		// smaller, and every object pays for at least two.
+		o.BlockWords = heap.DefaultQuantum
 	}
 	if o.MaxThreads == 0 {
 		o.MaxThreads = 64
@@ -224,7 +236,13 @@ func NewRuntime(opts Options) (*Runtime, error) {
 			opts.MaxThreads, orec.MaxTID)
 	}
 	rt := &Runtime{
-		Heap:             heap.New(opts.HeapWords),
+		// The heap allocates in whole conflict-detection blocks (both
+		// constructors round BlockWords up to the same power of two), so
+		// distinct extents never share an orec's block. It stays the first
+		// allocation: made after the 4 MB orec table, a 32 MB heap came back
+		// from the Go runtime already touched in four benchmark runs of six
+		// (serve_mixed peak RSS 21 → 52 MB).
+		Heap:             heap.NewQuantum(opts.HeapWords, opts.BlockWords),
 		Orecs:            orec.NewTableLayout(opts.OrecCount, opts.BlockWords, opts.OrecLayout),
 		OrderQ:           ticket.NewQueueLock(),
 		ClockMode:        opts.Clock,

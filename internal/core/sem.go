@@ -141,7 +141,8 @@ func (t *Thread) SemPendingDelta(a heap.Addr) heap.Word {
 
 // SemPreCommit acquires the transaction's abstract locks and validates its
 // stripe samples. Engines call it after the word-level write set is fully
-// acquired and before the commit timestamp is taken. It returns false —
+// acquired and before the commit timestamp is taken (and re-check the
+// samples after it: SemStillValid). It returns false —
 // with every stripe it touched restored — if any stripe is busy or any
 // sample went stale; the engine then aborts exactly as for a failed word
 // validation. On success the stripes stay owned until SemPostCommit (the
@@ -167,6 +168,21 @@ func (t *Thread) SemPreCommit() bool {
 		w.Prev = v
 		failpoint.Eval(failpoint.SemAcquired)
 	}
+	if !t.semSamplesValid() {
+		t.SemAbortRelease()
+		t.Stats.AbstractLockConflicts++
+		return false
+	}
+	failpoint.Eval(failpoint.SemValidated)
+	return true
+}
+
+// semSamplesValid reports whether every sampled stripe still carries the
+// word its sample observed — or is owned by this very commit, with that
+// word as its pre-acquisition value.
+func (t *Thread) semSamplesValid() bool {
+	sem := &t.Sem
+	own := semOwned(t.ID)
 	nr := sem.ReadsLen()
 	for i := 0; i < nr; i++ {
 		r := sem.ReadAt(i)
@@ -181,11 +197,31 @@ func (t *Thread) SemPreCommit() bool {
 				continue
 			}
 		}
-		t.SemAbortRelease()
-		t.Stats.AbstractLockConflicts++
 		return false
 	}
 	return true
+}
+
+// SemStillValid re-checks the stripe samples once the commit timestamp is
+// taken. Engines that take their timestamp after SemPreCommit and may then
+// skip read validation (SkipCommitValidation) call it right after
+// CommitTS, and fail the commit — SemAbortRelease plus their rollback —
+// when it reports false. SemPreCommit's check alone leaves a window: a
+// rival that write-acquires a stripe this transaction merely sampled (a
+// privatizer taking a bucket stripe) after that check, ticks first and
+// finds wts == ValidTS+1, commits without looking at the words this
+// transaction owns, and both commits stand — this one then unlinks from,
+// or inserts into, a chain the rival has privatized. Re-checking after
+// our own tick closes it: a sample that still holds was acquired, if at
+// all, after our tick, so the rival's timestamp is at least two past its
+// snapshot and it must validate its reads against the orecs we own
+// (CORRECTNESS.md §15).
+func (t *Thread) SemStillValid() bool {
+	if !semRevalidate || t.Sem.ReadsLen() == 0 || t.semSamplesValid() {
+		return true
+	}
+	t.Stats.AbstractLockConflicts++
+	return false
 }
 
 // SemPostCommit publishes the transaction's semantic effects. Engines call

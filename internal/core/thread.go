@@ -111,6 +111,19 @@ type Thread struct {
 	// vis word (soundness: CORRECTNESS.md §10). Flushed per transaction
 	// and — conservatively — whenever the snapshot is extended.
 	visCache logs.KeySet
+	// memoOrec and memoOwner are the same-block read memo: the orec of the
+	// block this transaction last read successfully, and the owner word that
+	// read was consistent with (an unowned wts ≤ ValidTS, or this thread's
+	// own ownership). The read has logged (memoOrec, wts) and — on the
+	// visible paths — established visibility on it, both stable for the rest
+	// of the transaction, so the next load of the same block with the owner
+	// word unchanged repeats only the consistent read itself (readMemo;
+	// CORRECTNESS.md §10). Cleared wherever visCache is.
+	memoOrec  *orec.Orec
+	memoOwner uint64
+	// noMemo keeps the memo disarmed; only the memo-equivalence property
+	// test sets it.
+	noMemo bool
 
 	// cm is the configured contention-management policy (cm.go), consulted
 	// by Run between attempts.
@@ -185,6 +198,7 @@ func (t *Thread) ResetTxnState() {
 	t.ExtendOK = false
 	t.VisPub.Reset()
 	t.visCache.Reset()
+	t.memoOrec = nil
 	t.Sem.Reset()
 	t.txnAllocCur = 0 // leftovers from an aborted attempt are re-handed out
 	t.commitRetires = t.commitRetires[:0]
@@ -300,9 +314,12 @@ func (t *Thread) ValidateBeforeUse() {
 // garbage, an application bug — propagates a descriptive panic (core.Run's
 // sandbox re-validates and lets it through).
 func (t *Thread) CheckAddr(a heap.Addr) {
-	if t.RT.Heap.Contains(a) {
-		return
+	if !t.RT.Heap.Contains(a) {
+		t.wildAddr(a) // outlined so the in-range check inlines into every read
 	}
+}
+
+func (t *Thread) wildAddr(a heap.Addr) {
 	t.ValidateBeforeUse()
 	panic(fmt.Sprintf("stm: wild heap address %d (heap cap %d words) in a consistent transaction", a, t.RT.Heap.Size()))
 }
@@ -376,8 +393,9 @@ func (t *Thread) TryExtend() bool {
 	// Flush the hint cache across the extension. Coverage decisions key
 	// off BeginTS, which extension does not move, so this is purely
 	// conservative — but it keeps the cache's lifetime argument local to
-	// "one validity interval" (CORRECTNESS.md §10) and costs O(1).
-	t.visCache.Reset()
+	// "one validity interval" (CORRECTNESS.md §10) and costs O(1). The
+	// read memo goes with it.
+	t.ForgetVisibility()
 	t.SetValidated(c)
 	return true
 }
@@ -416,9 +434,44 @@ func (t *Thread) PollValidate() {
 	if t.ExtendOK && !t.RT.NoExtension && c > t.ValidTS {
 		t.ValidTS = c
 		t.Stats.Extensions++
-		t.visCache.Reset() // conservative, as in TryExtend
+		t.ForgetVisibility() // conservative, as in TryExtend
 	}
 	t.SetValidated(c)
+}
+
+// ForgetVisibility drops what the thread remembers about reads it has
+// already made visible and logged — the hint cache and the same-block read
+// memo — so the next read of every block runs the full protocol again. The
+// snapshot-extension paths call it, and so do the engines' invisible →
+// visible transitions (the reads logged so far were never made visible).
+func (t *Thread) ForgetVisibility() {
+	t.visCache.Reset()
+	t.memoOrec = nil
+}
+
+// readMemo is the same-block fast path: o is the block this transaction
+// last read successfully and v, its owner word loaded just now, is the word
+// that read was consistent with. Everything the full protocol would add is
+// already in place and stable — the (o, wts) read-set entry (a re-Add would
+// dedup to nothing) and, on the visible paths, this transaction's
+// visibility on o (MakeVisible could only skip) — so what is left is the
+// consistent read itself: load the word and confirm the owner word did not
+// move under it. ok is false when it did; the caller falls back to the full
+// protocol.
+func (t *Thread) readMemo(o *orec.Orec, a heap.Addr, v uint64) (w heap.Word, ok bool) {
+	if o != t.memoOrec || v != t.memoOwner {
+		return 0, false
+	}
+	w = t.RT.Heap.AtomicLoad(a)
+	return w, o.Owner().Load() == v
+}
+
+// remember arms the same-block memo after a successful read of o that was
+// consistent with owner word v.
+func (t *Thread) remember(o *orec.Orec, v uint64) {
+	if !t.noMemo {
+		t.memoOrec, t.memoOwner = o, v
+	}
 }
 
 // ReadHeapConsistent performs the full consistent-read dance against
@@ -426,19 +479,55 @@ func (t *Thread) PollValidate() {
 // did not change in the interim (the standard race guard for in-place
 // writers), and log the read. Engines layer visibility and redo-lookup
 // around it. A word newer than the validity bound triggers a snapshot
-// extension attempt instead of an unconditional abort.
+// extension attempt instead of an unconditional abort. A second load of the
+// block just read takes the memo path and skips the read-set probe.
 func (t *Thread) ReadHeapConsistent(a heap.Addr) heap.Word {
 	// Sandbox bounds guard: an address computed from torn reads aborts the
 	// doomed attempt here instead of faulting into Run's recover.
 	t.CheckAddr(a)
 	o := t.RT.Orecs.For(a)
+	v := o.Owner().Load()
+	if w, ok := t.readMemo(o, a, v); ok {
+		return w
+	}
+	return t.readConsistent(o, a, v)
+}
+
+// ReadVisible is the partially visible read of the PVR engines and of the
+// hybrid's visible mode: publish (or confirm) this transaction's visibility
+// on a's orec, then do the timestamp-checked consistent read. Each thing is
+// done once per read — one bounds check, one hash, one owner load ahead of
+// the visibility step that also serves as the consistent read's pre-check —
+// and a second load of the block just read does none of it (readMemo),
+// counted as a skipped visibility update so Figure 4's percentages keep
+// their meaning.
+func (t *Thread) ReadVisible(a heap.Addr, useGrace bool, proto VisProto) heap.Word {
+	t.CheckAddr(a)
+	o := t.RT.Orecs.For(a)
+	v := o.Owner().Load()
+	if w, ok := t.readMemo(o, a, v); ok {
+		t.Stats.PVReads++
+		t.Stats.PVSkipped++
+		return w
+	}
+	// Reading our own in-place write needs no visibility hint: ownership
+	// already blocks every other reader and writer.
+	if !orec.IsOwned(v) || orec.OwnerTID(v) != t.ID {
+		t.MakeVisible(o, useGrace, proto)
+	}
+	return t.readConsistent(o, a, v)
+}
+
+// readConsistent is the consistent read of a under o; v1 is o's owner word
+// as the caller just loaded it (the pre-check of the first round).
+func (t *Thread) readConsistent(o *orec.Orec, a heap.Addr, v1 uint64) heap.Word {
 	//stmlint:ignore yieldsite obstruction-free double-check: the loop repeats only when a rival changed the orec (then we abort or extend) — it retries on interference, not on stillness, so it cannot spin while the world is idle
 	for {
-		v1 := o.Owner().Load()
 		if orec.IsOwned(v1) {
 			if orec.OwnerTID(v1) == t.ID {
 				// Reading my own in-place write.
 				t.Reads.Add(o, a, t.BeginTS)
+				t.remember(o, v1)
 				return t.RT.Heap.AtomicLoad(a)
 			}
 			t.ConflictAbort()
@@ -452,13 +541,15 @@ func (t *Thread) ReadHeapConsistent(a heap.Addr) heap.Word {
 			if !t.TryExtend() {
 				t.ConflictAbort()
 			}
-			continue // bound raised; re-examine the orec
+		} else {
+			w := t.RT.Heap.AtomicLoad(a)
+			if o.Owner().Load() == v1 {
+				t.Reads.Add(o, a, wts)
+				t.remember(o, v1)
+				return w
+			}
 		}
-		w := t.RT.Heap.AtomicLoad(a)
-		if o.Owner().Load() == v1 {
-			t.Reads.Add(o, a, wts)
-			return w
-		}
-		// The orec changed under us; retry the read.
+		// The bound was raised or the orec changed under us: re-examine it.
+		v1 = o.Owner().Load()
 	}
 }

@@ -145,6 +145,12 @@ const (
 	// Window: stripes must exclude every conflicting semantic commit for the
 	// whole acquire→release span, exactly like orecs.
 	SemAcquired = "core/sem/acquired"
+	// SemValidated fires at the end of a successful SemPreCommit of a
+	// transaction with semantic activity: stripes held, samples checked,
+	// commit timestamp not yet taken. Window: a rival may acquire a stripe
+	// this transaction only sampled, and commit, right here; the re-check
+	// after the timestamp (core.Thread.SemStillValid) must catch it.
+	SemValidated = "core/sem/validated"
 	// SemRelease fires before each abstract-lock stripe release or delta
 	// bump in SemPostCommit. Window: the version bump must be observable to
 	// any transaction that can observe the committed data (bump-before-

@@ -52,8 +52,7 @@ func (e *Engine) Read(t *core.Thread, a heap.Addr) heap.Word {
 		// Visible mode: writers fence for us, and commits still validate,
 		// so the per-read incremental validation — the very cost the
 		// mode switch exists to shed — is no longer needed.
-		t.MakeVisible(t.RT.Orecs.For(a), true, core.VisStore)
-		return t.ReadHeapConsistent(a)
+		return t.ReadVisible(a, true, core.VisStore)
 	}
 	w := t.ReadHeapConsistent(a)
 	t.PollValidate()
@@ -90,6 +89,7 @@ func (e *Engine) maybeGoVisible(t *core.Thread) {
 	failpoint.Eval(failpoint.BeginEnteredBeforePublish)
 	t.Visible = true
 	t.Stats.ModeSwitches++
+	t.ForgetVisibility() // the read memo was armed by invisible reads
 	n := t.Reads.Len()
 	for i := 0; i < n; i++ {
 		t.MakeVisible(t.Reads.At(i).Orec, true, core.VisStore)
@@ -152,9 +152,7 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		rt.Order.Wait(ticket)
 	}
 	threshold, conflict := t.ReaderConflictScan(true)
-	if conflict && rt.CapFenceAtCommit && threshold > wts {
-		threshold = wts // see pvr.Engine.Commit
-	}
+	threshold = rt.CapFence(threshold, wts)
 	t.Acq.ReleaseAll(wts)
 	rt.Order.Done(ticket)
 	if t.Visible {

@@ -14,14 +14,15 @@ func TestWritePathTriggersSwitch(t *testing.T) {
 	e := New(rt)
 	th, _ := rt.NewThread()
 	base := rt.Heap.MustAlloc(64)
+	stride := heap.Addr(rt.Orecs.BlockWords()) // one read-set entry per block
 	if err := core.Run(e, th, func() {
 		rt.Clock.Tick()
-		for i := 0; i < 20; i++ {
-			_ = e.Read(th, base+heap.Addr(i))
+		for i := heap.Addr(0); i < 20; i++ {
+			_ = e.Read(th, base+i*stride)
 		}
 		// The reads crossed the threshold with a moved clock; by now the
 		// transaction has switched. A write must find it visible.
-		e.Write(th, base+40, 1)
+		e.Write(th, base+60, 1)
 		if !th.Visible {
 			t.Error("transaction not visible after threshold + clock movement")
 		}
@@ -35,10 +36,11 @@ func TestCancelWhileVisible(t *testing.T) {
 	e := New(rt)
 	th, _ := rt.NewThread()
 	base := rt.Heap.MustAlloc(64)
+	stride := heap.Addr(rt.Orecs.BlockWords()) // one read-set entry per block
 	err := core.Run(e, th, func() {
 		rt.Clock.Tick()
-		for i := 0; i < 20; i++ {
-			_ = e.Read(th, base+heap.Addr(i))
+		for i := heap.Addr(0); i < 20; i++ {
+			_ = e.Read(th, base+i*stride)
 		}
 		if !th.Visible {
 			t.Fatal("expected visible mode")

@@ -16,7 +16,6 @@ import (
 	"privstm/internal/core"
 	"privstm/internal/failpoint"
 	"privstm/internal/heap"
-	"privstm/internal/orec"
 )
 
 // Engine is one configured PVR variant. Create with NewBase, NewCAS,
@@ -75,9 +74,9 @@ func (e *Engine) Begin(t *core.Thread) {
 }
 
 // Read performs a transactional load of a: publish partial visibility on
-// the covering orec, then do the timestamp-checked consistent read.
+// the covering orec, then do the timestamp-checked consistent read
+// (core.Thread.ReadVisible).
 func (e *Engine) Read(t *core.Thread, a heap.Addr) heap.Word {
-	o := t.RT.Orecs.For(a)
 	if e.writerOnly && !t.Visible {
 		// Invisible mode: consistent read plus incremental validation in
 		// place of visibility (§III-C: read-only transactions validate
@@ -86,14 +85,7 @@ func (e *Engine) Read(t *core.Thread, a heap.Addr) heap.Word {
 		t.PollValidate()
 		return w
 	}
-	// Reading our own in-place write needs no visibility hint: ownership
-	// already blocks every other reader and writer.
-	if own := o.Owner().Load(); orec.IsOwned(own) && orec.OwnerTID(own) == t.ID {
-		t.Reads.Add(o, a, t.BeginTS)
-		return t.RT.Heap.AtomicLoad(a)
-	}
-	t.MakeVisible(o, e.grace, e.proto)
-	return t.ReadHeapConsistent(a)
+	return t.ReadVisible(a, e.grace, e.proto)
 }
 
 // Write performs an in-place transactional store with undo logging,
@@ -139,6 +131,9 @@ func (e *Engine) goVisible(t *core.Thread) {
 	failpoint.Eval(failpoint.BeginEnteredBeforePublish)
 	t.Visible = true
 	t.Stats.ModeSwitches++
+	// The read memo was armed by invisible reads: disarm it before the
+	// first visible one.
+	t.ForgetVisibility()
 	n := t.Reads.Len()
 	for i := 0; i < n; i++ {
 		t.MakeVisible(t.Reads.At(i).Orec, e.grace, e.proto)
@@ -182,19 +177,13 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		return false
 	}
 	wts := t.CommitTS()
-	if !t.SkipCommitValidation(wts) && !t.ValidateReads() {
+	if !t.SemStillValid() || (!t.SkipCommitValidation(wts) && !t.ValidateReads()) {
 		t.SemAbortRelease()
 		e.rollback(t)
 		return false
 	}
 	threshold, conflict := t.ReaderConflictScan(e.grace)
-	if conflict && rt.CapFenceAtCommit && threshold > wts {
-		// Optional §II-D future-work optimization: readers that began
-		// after this commit observe the committed state and cannot be
-		// doomed by it, so grace-inflated thresholds beyond the commit
-		// time only add "extended delays" — cap them.
-		threshold = wts
-	}
+	threshold = rt.CapFence(threshold, wts)
 	t.SemPostCommit()
 	t.Acq.ReleaseAll(wts)
 	rt.Active.Leave(t)

@@ -3,8 +3,11 @@ package pvr
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"privstm/internal/core"
+	"privstm/internal/failpoint"
+	"privstm/internal/heap"
 )
 
 // TestWriterOnlyInvisibleDoomedRetries: a read-only-so-far transaction
@@ -145,5 +148,83 @@ func TestUndoEngineCommitValidationFails(t *testing.T) {
 	}
 	if r.Stats.Aborts != 1 {
 		t.Errorf("Aborts = %d", r.Stats.Aborts)
+	}
+}
+
+// TestCapFenceWaitsOnlyForOlderReaders: with CapFenceAtCommit a fencing
+// writer waits for the transactions that began before its commit's tick
+// and for nothing else — it returns as soon as the one older reader ends,
+// with no further commit, even while a reader that began at the commit
+// time itself is still running. (Capped at wts instead of wts−1, the fence
+// needed oldest-begin > wts: it sat there until that younger reader ended
+// or some other thread ticked the clock.)
+func TestCapFenceWaitsOnlyForOlderReaders(t *testing.T) {
+	for _, mk := range []func(*core.Runtime) *Engine{NewCAS, NewStore} {
+		rt, err := core.NewRuntime(core.Options{
+			HeapWords: 1 << 12, OrecCount: 1 << 8, MaxThreads: 8, CapFenceAtCommit: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := mk(rt)
+		older, younger, writer := thread(t, rt), thread(t, rt), thread(t, rt)
+		a := rt.Heap.MustAlloc(1)
+		b := rt.Heap.MustAlloc(1)
+		// A grace period in place: the older reader's hint, and with it the
+		// uncapped threshold, lands far beyond the writer's commit time.
+		rt.Orecs.For(a).Grace().Store(64)
+
+		var wg sync.WaitGroup
+		park := func(th *core.Thread, addr heap.Addr) (in, release chan struct{}) {
+			in, release = make(chan struct{}), make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = core.Run(e, th, func() {
+					_ = e.Read(th, addr)
+					close(in)
+					<-release
+				})
+			}()
+			<-in
+			return in, release
+		}
+		_, olderGo := park(older, a)
+
+		fencing := make(chan struct{})
+		var once sync.Once
+		failpoint.Set(failpoint.FencePrivWait, func(string) { once.Do(func() { close(fencing) }) })
+		committed := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = core.Run(e, writer, func() { e.Write(writer, a, 42) })
+			close(committed)
+		}()
+		<-fencing // the writer has ticked, released, and is waiting for `older`
+		failpoint.Reset()
+
+		_, youngerGo := park(younger, b)
+		if younger.BeginTS != writer.LastCommitTS {
+			t.Fatalf("%s: younger reader began at %d, want the writer's commit time %d", e.Name(), younger.BeginTS, writer.LastCommitTS)
+		}
+		select {
+		case <-committed:
+			t.Fatalf("%s: writer returned while the older reader was still live", e.Name())
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(olderGo)
+		select {
+		case <-committed:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: capped fence still waiting after the only older reader ended (clock %d, commit %d)",
+				e.Name(), rt.Clock.Now(), writer.LastCommitTS)
+		}
+		close(youngerGo)
+		<-committed
+		wg.Wait()
+		if writer.Stats.Fenced != 1 {
+			t.Errorf("%s: Fenced = %d, want 1", e.Name(), writer.Stats.Fenced)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	stm "privstm"
+	"privstm/internal/failpoint"
 )
 
 // TestMixedStress is the -race mixed workload: the 40/40/20 shape of the
@@ -112,6 +113,96 @@ func TestMixedStress(t *testing.T) {
 					t.Errorf("map increments = %d, want %d", sum, want)
 				}
 				tx.Cancel(errAudit) // audit only; roll the drain back
+			})
+		})
+	}
+}
+
+// TestPrivatizeOvertakeStress is the regression stress for the window
+// core.Thread.SemStillValid closes (CORRECTNESS.md §15): four threads
+// hammer a small map — 8 buckets, 256 keys — with Put/Delete/Get and one
+// PrivateSnapshot in ten. Every private walk must visit exactly the nodes
+// the privatizing transaction counted, in ascending key order with each
+// key's one value, and once the threads join Map.Len must equal the keys a
+// transactional scan finds. Before the fix a Delete or Put that had
+// checked its bucket-stripe sample could be overtaken by the snapshot and
+// still commit into the detached chain: a miscounted walk and a drifted
+// Len every few hundred thousand snapshots with two threads on two
+// processors. A yield armed on the SemValidated failpoint — between that
+// check and the commit timestamp — and more threads than processors, so
+// the yield really hands the processor to a rival, widen the window until
+// a run this short sees it: built with -tags privstm_semrevalidate_race,
+// which compiles the fix out, this test failed seven runs of ten.
+func TestPrivatizeOvertakeStress(t *testing.T) {
+	const (
+		workers = 4
+		buckets = 8
+		keys    = 256
+	)
+	iters := 20000
+	if testing.Short() {
+		iters = 4000
+	}
+	failpoint.Set(failpoint.SemValidated, failpoint.YieldN(2))
+	t.Cleanup(failpoint.Reset)
+	for _, alg := range []stm.Algorithm{stm.PVRStore, stm.Val} {
+		t.Run(alg.String(), func(t *testing.T) {
+			s := newSTM(t, alg)
+			m, err := NewMap(s, buckets, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				th := s.MustNewThread()
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					x := seed
+					for i := 0; i < iters; i++ {
+						x = x*6364136223846793005 + 1442695040888963407
+						k := stm.Word(x >> 33 % keys)
+						switch op := x >> 20 % 10; {
+						case op == 0:
+							pl, err := m.PrivateSnapshot(th, int(k%buckets))
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							n, last := 0, stm.Word(0)
+							pl.EachKV(func(k, v stm.Word) bool {
+								if v != k+1000 || (n > 0 && k <= last) {
+									t.Errorf("private walk: key %d value %d after key %d", k, v, last)
+								}
+								n, last = n+1, k
+								return true
+							})
+							if n != pl.Count {
+								t.Errorf("private walk visited %d nodes, the privatizing transaction counted %d", n, pl.Count)
+							}
+							pl.Retire(th)
+						case op < 4:
+							_ = th.Atomic(func(tx *stm.Tx) { m.Put(tx, k, k+1000) })
+						case op < 7:
+							_ = th.Atomic(func(tx *stm.Tx) { m.Delete(tx, k) })
+						default:
+							_ = th.Atomic(func(tx *stm.Tx) { m.Get(tx, k) })
+						}
+					}
+				}(uint64(w)*977 + 1)
+			}
+			wg.Wait()
+			th := s.MustNewThread()
+			_ = th.Atomic(func(tx *stm.Tx) {
+				found := 0
+				for k := stm.Word(0); k < keys; k++ {
+					if _, ok := m.Get(tx, k); ok {
+						found++
+					}
+				}
+				if size := m.Len(tx); size != found {
+					t.Errorf("Map.Len %d, transactional scan found %d keys", size, found)
+				}
 			})
 		})
 	}

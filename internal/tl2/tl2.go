@@ -81,7 +81,7 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		return false
 	}
 	wts := t.CommitTS()
-	if !t.SkipCommitValidation(wts) && !t.ValidateReads() {
+	if !t.SemStillValid() || (!t.SkipCommitValidation(wts) && !t.ValidateReads()) {
 		t.SemAbortRelease()
 		t.Acq.RestoreAll()
 		t.PublishInactive()

@@ -115,6 +115,14 @@ func TestDoomedReaderAbortsAtFence(t *testing.T) {
 	var wg sync.WaitGroup
 	if err := core.Run(e, r, func() {
 		attempts++
+		if attempts > 1 {
+			// The retry began at or after the writer's commit time, so the
+			// fence no longer waits for it. Let the writer release x before
+			// reading it: on a busy host the writer can lose the processor
+			// between its tick and its release, and every read of the
+			// still-owned x would be one more (legitimate) abort.
+			wg.Wait()
+		}
 		before := rt.Clock.Now()
 		_ = e.Read(r, x)
 		once.Do(func() {

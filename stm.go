@@ -137,7 +137,17 @@ type Config struct {
 	// OrecCount is the ownership-record table size (default 1<<16,
 	// rounded up to a power of two).
 	OrecCount int
-	// BlockWords is the conflict-detection granularity (default 1 word).
+	// BlockWords is the conflict-detection granularity — the paper's
+	// "small, contiguous, fixed-size blocks of memory" (§II-A) — and the
+	// heap's allocation quantum, in words (rounded up to a power of two;
+	// default 2 = 16 bytes, malloc's quantum and the smallest node any
+	// container here allocates). BlockWords consecutive words share one
+	// ownership record; Alloc starts every extent on a block boundary and
+	// sizes it up to whole blocks, so two extents never share a record and
+	// a two-word node pays for one. A larger block makes neighbouring words
+	// of one extent conflict falsely more often (only ever conservative: an
+	// abort, never a missed conflict) and wastes up to BlockWords−1 words
+	// per extent; 1 is the paper's word granularity, kept for ablations.
 	BlockWords int
 	// MaxThreads bounds concurrently registered threads (default 64).
 	MaxThreads int
@@ -161,9 +171,10 @@ type Config struct {
 	// begin time then aborts instead of revalidating and advancing its
 	// snapshot. Kept for ablations.
 	DisableSnapshotExtension bool
-	// CapFenceAtCommit bounds privatization-fence thresholds by the
-	// writer's commit time, eliminating the grace-period "extended
-	// delays" of §III-A (a §II-D future-work optimization).
+	// CapFenceAtCommit bounds privatization-fence thresholds just below
+	// the writer's commit time — the fence waits only for transactions that
+	// began before the commit's clock tick — eliminating the grace-period
+	// "extended delays" of §III-A (a §II-D future-work optimization).
 	CapFenceAtCommit bool
 	// GraceStrategy selects how grace periods adapt (§III-A): the
 	// default GraceExponential is the paper's choice; GraceLinear and
@@ -394,7 +405,10 @@ func MustNew(cfg Config) *STM {
 // Algorithm returns the configured algorithm.
 func (s *STM) Algorithm() Algorithm { return s.cfg.Algorithm }
 
-// Alloc reserves n contiguous zeroed words of transactional memory.
+// Alloc reserves n contiguous zeroed words of transactional memory. The
+// extent starts on a Config.BlockWords boundary and occupies whole blocks
+// (HeapStats counts the rounded size), so it shares no ownership record's
+// block with any other extent.
 func (s *STM) Alloc(n int) (Addr, error) { return s.rt.Heap.Alloc(n) }
 
 // MustAlloc is Alloc that panics on heap exhaustion.
