@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-faults test-faults-gv5 explore explore-reclaim explore-tds bench bench-json bench-smoke bench-readpath bench-readpath-smoke bench-clock bench-reclaim bench-tds bench-tds-smoke bench-remote-smoke benchmark-smoke figures privtest run-stmd stress cover clean lint lint-json
+.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-json bench-smoke bench-readpath bench-readpath-smoke bench-reclaim bench-tds bench-tds-smoke bench-remote-smoke benchmark-smoke figures privtest run-stmd stress cover clean lint lint-json
 
 all: build test lint
 
@@ -10,8 +10,15 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
+# The benchmark module (benchmark/) is a module of its own, so `./...` never
+# compiles it: build and vet it here too, so a change to an identifier it
+# uses fails in the ordinary test run rather than only in benchmark-smoke.
+# (-o /dev/null: the module is one main package, and a plain build would
+# leave its binary in benchmark/.)
 test:
 	$(GO) test ./...
+	$(GO) build -C benchmark -o /dev/null ./...
+	$(GO) vet -C benchmark ./...
 
 # STM-specific static checks (see internal/analysis and CORRECTNESS.md
 # "Static checks" / §12): atomic access discipline, metadata accessor
@@ -41,11 +48,6 @@ race:
 # policies — under the race detector, repeated to shake out interleavings.
 test-faults:
 	$(GO) test -race -count=3 -run 'Fault|Failpoint|Stall|Watchdog|Serial|CM|Karma' ./...
-
-# The same fault suite under the deferred GV5 clock (the -stm.clock flag
-# lives in the root package only; undo-log engines stay pinned to GV1).
-test-faults-gv5:
-	$(GO) test -race -count=2 -run 'Fault|Failpoint|Stall|Watchdog|Serial|CM|Karma' -stm.clock gv5 .
 
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and
 # bounded-DFS corpus over every engine family (serializability and
@@ -91,23 +93,9 @@ bench-json:
 	$(GO) run ./cmd/stmbench -fig 3e,3g,t1 -reps 3 -json BENCH_commitpath.json
 
 # Single-iteration pass over the hot-path benchmarks; catches bit-rot
-# without paying for a real measurement run (used by CI). The clock-mode
-# matrix drives a quick figure pass under each version-clock scheme and the
-# Ord commit batcher so none of those paths rot between measurement runs.
+# without paying for a real measurement run (used by CI).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./internal/bench ./internal/txnlist ./internal/sched
-	$(GO) run ./cmd/stmbench -fig 3b -threads 1,2 -txns 500 -algos TL2,Ord,Val,pvrHybrid -clock gv5
-	$(GO) run ./cmd/stmbench -fig 3b -threads 1,2 -txns 500 -algos TL2,Ord,Val,pvrHybrid -clock local
-	$(GO) run ./cmd/stmbench -fig 3b -threads 1,2 -txns 500 -algos Ord -clock gv5 -orderbatch 8
-
-# Clock-scalability baseline: the paired A/B sweep (every deferred-clock
-# variant interleaved with a same-seed GV1 run of the same engine) on the
-# write-heavy hashtable. Candidates land in BENCH_clock.json (with the
-# median-of-pairs deltas embedded), the GV1 sides in
-# BENCH_clock_baseline.json.
-bench-clock:
-	$(GO) run ./cmd/stmbench -clocksweep -threads 1,2,4 -pairs 5 -dur 150ms \
-		-json BENCH_clock.json -basejson BENCH_clock_baseline.json
 
 # Reclamation-overhead baseline: the paired A/B sweep (epoch reclaimer
 # interleaved with a same-seed legacy-pool run of the same engine) on the

@@ -58,6 +58,24 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Algorithm: PVRBase, MaxThreads: 1 << 30}); err == nil {
 		t.Error("absurd MaxThreads accepted")
 	}
+	// A negative thread count must be an error, not a makeslice panic; one
+	// past the slot tracker's capacity must be an error, not a silent
+	// switch to another tracker.
+	for _, n := range []int{-1, 65535} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("New with MaxThreads %d panicked: %v", n, r)
+				}
+			}()
+			if _, err := New(Config{Algorithm: PVRStore, MaxThreads: n}); err == nil {
+				t.Errorf("MaxThreads %d accepted", n)
+			}
+		}()
+	}
+	if _, err := New(Config{Algorithm: PVRStore, HeapWords: 64, MaxThreads: 65534}); err != nil {
+		t.Errorf("MaxThreads 65534 (the slot tracker's capacity) rejected: %v", err)
+	}
 }
 
 func TestThreadLimit(t *testing.T) {

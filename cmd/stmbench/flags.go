@@ -1,9 +1,8 @@
 // Flag cross-validation: stmbench grew many mode and modifier flags, and
 // inconsistent combinations used to be silently ignored or half-applied
-// (e.g. -orderbatch with a filter that excludes Ord, -zipf with the -aa
-// noise control, -remote with a local sweep). crossValidate rejects them
-// uniformly: exit 2 with a usage message on stderr, like the long-standing
-// -zipf range check.
+// (e.g. -remote with a local sweep, -pairs without one). crossValidate
+// rejects them uniformly: exit 2 with a usage message on stderr, like the
+// long-standing -zipf range check.
 package main
 
 import (
@@ -14,19 +13,14 @@ import (
 // flagValues carries the parsed values crossValidate needs beyond
 // mere is-this-flag-set membership.
 type flagValues struct {
-	remote     string // -remote addr ("" = off)
-	fig        string
-	compare    bool
-	tdscheck   bool
-	list       bool
-	clocksweep bool
-	reclaim    bool
-	tdssweep   bool
-	micro      bool
-	aa         bool
-	algos      string // -algos curve filter
-	orderBatch int
-	zipf       float64
+	remote   string // -remote addr ("" = off)
+	fig      string
+	compare  bool
+	tdscheck bool
+	list     bool
+	reclaim  bool
+	tdssweep bool
+	micro    bool
 }
 
 // modeNames maps each exclusive top-level mode to the flag that selects it.
@@ -43,9 +37,6 @@ func (v *flagValues) modes(set map[string]bool) []string {
 	}
 	if v.list {
 		ms = append(ms, "-list")
-	}
-	if v.clocksweep {
-		ms = append(ms, "-clocksweep")
 	}
 	if v.reclaim {
 		ms = append(ms, "-reclaimsweep")
@@ -64,24 +55,12 @@ func (v *flagValues) modes(set map[string]bool) []string {
 // configured when stmd started).
 var localOnlyWithRemote = []string{
 	"fig", "threads", "txns", "scale", "reps", "algos", "mix", "tracker",
-	"noextend", "cm", "oreclayout", "nohintcache", "clock", "orderbatch",
-	"tdsthreads", "tdsgain", "noreclaim", "nosandbox", "pairs", "aa",
-	"basejson", "maxattempts", "micro", "tolerance", "csv",
+	"cm", "nohintcache", "tdsthreads", "tdsgain", "noreclaim", "nosandbox",
+	"pairs", "basejson", "maxattempts", "micro", "tolerance", "csv",
 }
 
 // remoteOnly lists flags meaningful only with -remote.
 var remoteOnly = []string{"conns", "remotemix", "tenants", "keys", "batch"}
-
-// ordLabels are the -algos labels whose engines consult -orderbatch.
-func hasOrdAlgo(algos string) bool {
-	for _, name := range strings.Split(algos, ",") {
-		switch strings.TrimSpace(name) {
-		case "Ord", "OrdQueue":
-			return true
-		}
-	}
-	return false
-}
 
 // crossValidate checks flag *combinations* (each flag's own value range is
 // validated at its point of use). set holds the names explicitly passed on
@@ -105,18 +84,12 @@ func crossValidate(set map[string]bool, v flagValues) error {
 		}
 	}
 
-	anySweep := v.clocksweep || v.reclaim || v.tdssweep
+	anySweep := v.reclaim || v.tdssweep
 	if set["pairs"] && !anySweep {
-		return fmt.Errorf("-pairs only applies to the paired sweeps (-clocksweep, -reclaimsweep, -tdssweep)")
+		return fmt.Errorf("-pairs only applies to the paired sweeps (-reclaimsweep, -tdssweep)")
 	}
 	if set["basejson"] && !anySweep {
-		return fmt.Errorf("-basejson only applies to the paired sweeps (-clocksweep, -reclaimsweep, -tdssweep)")
-	}
-	if v.aa && !v.clocksweep {
-		return fmt.Errorf("-aa is the -clocksweep A/A noise control; it needs -clocksweep")
-	}
-	if v.aa && set["zipf"] {
-		return fmt.Errorf("-zipf cannot combine with -aa: the A/A control must run the baseline's exact configuration")
+		return fmt.Errorf("-basejson only applies to the paired sweeps (-reclaimsweep, -tdssweep)")
 	}
 	if set["mix"] && anySweep {
 		return fmt.Errorf("-mix only applies to figure runs, not the paired sweeps")
@@ -126,12 +99,6 @@ func crossValidate(set map[string]bool, v flagValues) error {
 	}
 	if set["tolerance"] && !v.compare {
 		return fmt.Errorf("-tolerance only applies to -compare")
-	}
-	if v.orderBatch > 0 && set["algos"] && !hasOrdAlgo(v.algos) {
-		return fmt.Errorf("-orderbatch %d has no effect: the -algos filter %q excludes Ord and OrdQueue", v.orderBatch, v.algos)
-	}
-	if set["algos"] && v.clocksweep {
-		return fmt.Errorf("-algos does not filter -clocksweep (the sweep fixes its own engine matrix)")
 	}
 	if v.micro && set["fig"] && v.fig == "" {
 		return fmt.Errorf("-fig \"\" with -micro: drop the empty -fig")

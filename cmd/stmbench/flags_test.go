@@ -23,21 +23,16 @@ func TestCrossValidateAccepts(t *testing.T) {
 	}{
 		{"no flags", set(), flagValues{}},
 		{"plain figure", set("fig"), flagValues{fig: "3a"}},
-		{"figure with mix and algos", set("fig", "mix", "algos"), flagValues{fig: "3a", algos: "TL2,pvrStore"}},
+		{"figure with mix and algos", set("fig", "mix", "algos"), flagValues{fig: "3a"}},
 		{"remote with its modifiers", set("remote", "conns", "keys", "batch", "remotemix", "tenants", "zipf", "json", "dur", "seed"),
-			flagValues{remote: ":7077", zipf: 0.8}},
-		{"clocksweep with pairs and aa", set("clocksweep", "pairs", "aa", "basejson"),
-			flagValues{clocksweep: true, aa: true}},
-		{"tdssweep with zipf", set("tdssweep", "zipf", "pairs"), flagValues{tdssweep: true, zipf: 0.6}},
+			flagValues{remote: ":7077"}},
+		{"reclaimsweep with pairs and basejson", set("reclaimsweep", "pairs", "basejson"),
+			flagValues{reclaim: true}},
+		{"tdssweep with zipf", set("tdssweep", "zipf", "pairs"), flagValues{tdssweep: true}},
 		{"compare with tolerance", set("compare", "tolerance"), flagValues{compare: true}},
 		{"tdscheck with knobs", set("tdscheck", "tdsthreads", "tdsgain"), flagValues{tdscheck: true}},
-		{"orderbatch with Ord in filter", set("fig", "orderbatch", "algos"),
-			flagValues{fig: "3a", orderBatch: 8, algos: "Ord,TL2"}},
-		{"orderbatch with OrdQueue in filter", set("fig", "orderbatch", "algos"),
-			flagValues{fig: "3b", orderBatch: 4, algos: "OrdQueue"}},
-		{"orderbatch without a filter", set("fig", "orderbatch"), flagValues{fig: "3a", orderBatch: 8}},
 		{"micro alone", set("micro"), flagValues{micro: true}},
-		{"zipf on a figure", set("fig", "zipf"), flagValues{fig: "3e", zipf: 0.9}},
+		{"zipf on a figure", set("fig", "zipf"), flagValues{fig: "3e"}},
 	}
 	for _, tc := range cases {
 		if err := crossValidate(tc.set, tc.v); err != nil {
@@ -53,8 +48,8 @@ func TestCrossValidateRejects(t *testing.T) {
 		v    flagValues
 		want string // substring of the error
 	}{
-		{"remote and clocksweep", set("remote", "clocksweep"),
-			flagValues{remote: ":7077", clocksweep: true}, "conflicting modes"},
+		{"remote and tdssweep", set("remote", "tdssweep"),
+			flagValues{remote: ":7077", tdssweep: true}, "conflicting modes"},
 		{"remote and fig", set("remote", "fig"),
 			flagValues{remote: ":7077", fig: "3a"}, "conflicting modes"},
 		{"compare and tdscheck", set("compare", "tdscheck"),
@@ -65,8 +60,8 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{remote: ":7077"}, "-tracker"},
 		{"remote with threads", set("remote", "threads"),
 			flagValues{remote: ":7077"}, "-threads"},
-		{"remote with clock", set("remote", "clock"),
-			flagValues{remote: ":7077"}, "-clock"},
+		{"remote with cm", set("remote", "cm"),
+			flagValues{remote: ":7077"}, "-cm"},
 		{"remote with csv", set("remote", "csv"),
 			flagValues{remote: ":7077"}, "-csv"},
 		{"conns without remote", set("fig", "conns"),
@@ -79,20 +74,12 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{fig: "3a"}, "-pairs"},
 		{"basejson without a sweep", set("fig", "basejson"),
 			flagValues{fig: "3a"}, "-basejson"},
-		{"aa without clocksweep", set("fig", "aa"),
-			flagValues{fig: "3a", aa: true}, "-aa"},
-		{"zipf with aa", set("clocksweep", "aa", "zipf"),
-			flagValues{clocksweep: true, aa: true, zipf: 0.5}, "-zipf"},
 		{"mix with a sweep", set("tdssweep", "mix"),
 			flagValues{tdssweep: true}, "-mix"},
 		{"tdsthreads without tdscheck", set("fig", "tdsthreads"),
 			flagValues{fig: "3a"}, "-tdsthreads"},
 		{"tolerance without compare", set("fig", "tolerance"),
 			flagValues{fig: "3a"}, "-tolerance"},
-		{"orderbatch with non-Ord filter", set("fig", "orderbatch", "algos"),
-			flagValues{fig: "3a", orderBatch: 8, algos: "TL2,pvrStore"}, "-orderbatch"},
-		{"algos with clocksweep", set("clocksweep", "algos"),
-			flagValues{clocksweep: true, algos: "Ord"}, "-algos"},
 	}
 	for _, tc := range cases {
 		err := crossValidate(tc.set, tc.v)
@@ -102,22 +89,6 @@ func TestCrossValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestHasOrdAlgo(t *testing.T) {
-	for spec, want := range map[string]bool{
-		"Ord":          true,
-		"OrdQueue":     true,
-		" Ord , TL2 ":  true,
-		"TL2,pvrStore": false,
-		"pvrHybrid":    false,
-		"ordqueue":     false, // labels are case-sensitive figure labels
-		"":             false,
-	} {
-		if got := hasOrdAlgo(spec); got != want {
-			t.Errorf("hasOrdAlgo(%q) = %v, want %v", spec, got, want)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 //	stmbench -fig all -scale 1       # the full evaluation at paper scale
 //	stmbench -fig 3e,3g,t1 -json out.json
 //	stmbench -fig 3c -threads 1,2,4,8,16,32 -txns 100000
-//	stmbench -fig 3e -tracker list -noextend   # pre-optimization ablation
+//	stmbench -fig 3e -tracker list   # the paper's central-list tracker
 //	stmbench -compare old.json new.json        # per-cell throughput deltas
 //	stmbench -remote :7077 -conns 1000 -dur 5s # drive a running stmd
 //	stmbench -list                   # show the experiment index
@@ -43,14 +43,9 @@ func main() {
 		jsonPath = flag.String("json", "", "also write raw measurements to this JSON file (for -compare)")
 		algos    = flag.String("algos", "", "comma-separated curve filter (figure labels, e.g. TL2,pvrStore)")
 		mix      = flag.String("mix", "", "override op mix as insert/delete/lookup (e.g. 20/20/60)")
-		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot, list, or scan")
-		noextend = flag.Bool("noextend", false, "disable snapshot extension (pre-optimization ablation)")
+		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot or list")
 		cmName   = flag.String("cm", "backoff", "contention manager: backoff, karma, or serialize")
-		layout   = flag.String("oreclayout", "aos", "orec-table memory layout: aos or soa")
 		nocache  = flag.Bool("nohintcache", false, "disable the thread-local orec hint cache (ablation)")
-		clockStr = flag.String("clock", "gv1", "version-clock scheme: gv1, gv5, or local")
-		obatch   = flag.Int("orderbatch", 0, "Ord flat-combining commit batch bound (0 = off)")
-		csweep   = flag.Bool("clocksweep", false, "run the paired clock-scalability sweep (fig clk); writes candidates to -json, gv1 baselines to -basejson")
 		rsweep   = flag.Bool("reclaimsweep", false, "run the paired reclamation-overhead sweep (fig rcl); writes reclaim cells to -json, pool baselines to -basejson")
 		tsweep   = flag.Bool("tdssweep", false, "run the paired semantic-structure sweep (fig tds); writes tds cells to -json, tlib baselines to -basejson")
 		tcheck   = flag.Bool("tdscheck", false, "check tds acceptance: stmbench -tdscheck [-tdsthreads N] [-tdsgain X] tds.json tds_baseline.json")
@@ -59,9 +54,8 @@ func main() {
 		zipf     = flag.Float64("zipf", 0, "key-distribution skew for every cell: 0 = uniform, (0,1) = YCSB Zipf theta")
 		noRecl   = flag.Bool("noreclaim", false, "recycle nodes through the legacy per-thread pool instead of the epoch reclaimer")
 		noSandbx = flag.Bool("nosandbox", false, "disable validate-before-dangerous-use sandbox checkpoints (ablation)")
-		pairs    = flag.Int("pairs", 3, "with -clocksweep: interleaved A/B pairs per cell")
-		aa       = flag.Bool("aa", false, "with -clocksweep: A/A noise control (candidate = baseline config)")
-		baseJSON = flag.String("basejson", "", "with -clocksweep: write the gv1 baseline cells to this JSON file")
+		pairs    = flag.Int("pairs", 3, "with a paired sweep: interleaved A/B pairs per cell")
+		baseJSON = flag.String("basejson", "", "with a paired sweep: write the baseline cells to this JSON file")
 		maxAtt   = flag.Int("maxattempts", 0, "abort budget before serialized-irrevocable escalation (0 = default, negative disables)")
 		micro    = flag.Bool("micro", false, "also run the read-path microbenchmarks (embedded in -json output)")
 		tol      = flag.Float64("tolerance", 0, "with -compare: exit nonzero if the worst delta is below -tolerance percent (0 = report only)")
@@ -81,19 +75,14 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if err := crossValidate(explicit, flagValues{
-		remote:     *remote,
-		fig:        *figID,
-		compare:    *compare,
-		tdscheck:   *tcheck,
-		list:       *list,
-		clocksweep: *csweep,
-		reclaim:    *rsweep,
-		tdssweep:   *tsweep,
-		micro:      *micro,
-		aa:         *aa,
-		algos:      *algos,
-		orderBatch: *obatch,
-		zipf:       *zipf,
+		remote:   *remote,
+		fig:      *figID,
+		compare:  *compare,
+		tdscheck: *tcheck,
+		list:     *list,
+		reclaim:  *rsweep,
+		tdssweep: *tsweep,
+		micro:    *micro,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "stmbench: %v\nstmbench: run with -h for flag usage\n", err)
 		os.Exit(2)
@@ -138,8 +127,8 @@ func main() {
 		}
 		return
 	}
-	if *figID == "" && !*micro && !*csweep && !*rsweep && !*tsweep && *remote == "" {
-		fmt.Fprintln(os.Stderr, "stmbench: -fig is required (try -list, -micro, -remote, -clocksweep, -reclaimsweep, or -tdssweep)")
+	if *figID == "" && !*micro && !*rsweep && !*tsweep && *remote == "" {
+		fmt.Fprintln(os.Stderr, "stmbench: -fig is required (try -list, -micro, -remote, -reclaimsweep, or -tdssweep)")
 		os.Exit(2)
 	}
 	if *zipf < 0 || *zipf >= 1 {
@@ -158,28 +147,14 @@ func main() {
 		trackerKind = stm.TrackerSlot
 	case "list":
 		trackerKind = stm.TrackerList
-	case "scan":
-		trackerKind = stm.TrackerScan
 	default:
-		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot, list, or scan)\n", *tracker)
+		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot or list)\n", *tracker)
 		os.Exit(2)
 	}
 
 	cmPolicy, err := stm.ParseCMPolicy(*cmName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stmbench: bad -cm %q (want backoff, karma, or serialize)\n", *cmName)
-		os.Exit(2)
-	}
-
-	orecLayout, err := stm.ParseOrecLayout(*layout)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stmbench: bad -oreclayout %q (want aos or soa)\n", *layout)
-		os.Exit(2)
-	}
-
-	clockMode, err := stm.ParseClockMode(*clockStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stmbench: bad -clock %q (want gv1, gv5, or local)\n", *clockStr)
 		os.Exit(2)
 	}
 
@@ -242,13 +217,9 @@ func main() {
 		Reps:             *reps,
 		Seed:             *seed,
 		Tracker:          trackerKind,
-		DisableExtension: *noextend,
 		CM:               cmPolicy,
 		MaxAttempts:      *maxAtt,
-		OrecLayout:       orecLayout,
 		DisableHintCache: *nocache,
-		Clock:            clockMode,
-		OrderBatch:       *obatch,
 		DisableSandbox:   *noSandbx,
 		ZipfTheta:        *zipf,
 	}
@@ -256,9 +227,9 @@ func main() {
 		hc.Free = bench.FreePool
 	}
 
-	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s extension=%s cm=%s maxattempts=%d oreclayout=%s hintcache=%s clock=%s orderbatch=%d reclaim=%s sandbox=%s zipf=%.2f\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, onOff(!*noextend), cmPolicy, *maxAtt,
-		orecLayout, onOff(!*nocache), clockMode, *obatch, onOff(!*noRecl), onOff(!*noSandbx), *zipf)
+	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s cm=%s maxattempts=%d hintcache=%s reclaim=%s sandbox=%s zipf=%.2f\n",
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, cmPolicy, *maxAtt,
+		onOff(!*nocache), onOff(!*noRecl), onOff(!*noSandbx), *zipf)
 	if runtime.NumCPU() < 8 {
 		fmt.Printf("# note: %d CPUs — thread counts beyond that timeshare; expect curves to flatten there\n", runtime.NumCPU())
 	}
@@ -308,24 +279,6 @@ func main() {
 		if *baseJSON != "" {
 			bench.SortMeasurements(base)
 			writeJSONTo(*baseJSON, label+" (tlib word-level baselines)", base)
-		}
-		return
-	}
-
-	if *csweep {
-		base, cand, err := bench.RunClockSweep(os.Stdout, hc, nil, *pairs, *aa)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		label := fmt.Sprintf("clocksweep pairs=%d aa=%v scale=1/%d", *pairs, *aa, *scale)
-		if *jsonPath != "" {
-			bench.SortMeasurements(cand)
-			writeJSONTo(*jsonPath, label+" (candidates)", cand)
-		}
-		if *baseJSON != "" {
-			bench.SortMeasurements(base)
-			writeJSONTo(*baseJSON, label+" (gv1 baselines)", base)
 		}
 		return
 	}
@@ -397,8 +350,8 @@ func main() {
 			os.Exit(1)
 		}
 		bench.SortMeasurements(allMs)
-		label := fmt.Sprintf("tracker=%s extension=%s scale=1/%d cm=%s oreclayout=%s hintcache=%s clock=%s orderbatch=%d",
-			*tracker, onOff(!*noextend), *scale, cmPolicy, orecLayout, onOff(!*nocache), clockMode, *obatch)
+		label := fmt.Sprintf("tracker=%s scale=1/%d cm=%s hintcache=%s",
+			*tracker, *scale, cmPolicy, onOff(!*nocache))
 		werr := bench.WriteJSONReport(out, label, allMs, micros)
 		if cerr := out.Close(); werr == nil {
 			werr = cerr

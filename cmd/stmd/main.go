@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -82,7 +83,6 @@ func main() {
 		writeSetCap = flag.Int("writesetcap", 0, "default write-set cap per transaction (0 = none)")
 		buckets     = flag.Int("buckets", 1024, "hash-map buckets")
 		stripes     = flag.Int("stripes", 256, "abstract-lock key stripes")
-		clockName   = flag.String("clock", "gv1", "version-clock scheme: gv1, gv5, local")
 		cmName      = flag.String("cm", "backoff", "contention manager: backoff, karma, serialize")
 		maxAttempts = flag.Int("maxattempts", 0, "abort budget before serialized escalation (0 = default)")
 		heapWords   = flag.Int("heapwords", 1<<22, "transactional heap capacity in words")
@@ -97,10 +97,6 @@ func main() {
 		os.Exit(2)
 	}
 	alg, err := stm.ParseAlgorithm(*algName)
-	if err != nil {
-		fail("%v", err)
-	}
-	clockMode, err := stm.ParseClockMode(*clockName)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -119,7 +115,6 @@ func main() {
 		server.WithBuckets(*buckets, *stripes),
 		server.WithSTMConfig(stm.Config{
 			HeapWords:         *heapWords,
-			Clock:             clockMode,
 			ContentionManager: cmPolicy,
 			MaxAttempts:       *maxAttempts,
 		}),
@@ -132,17 +127,16 @@ func main() {
 		fail("%v", err)
 	}
 
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(*addr) }()
-	// Give the listener a beat to bind so the startup line reports reality.
-	time.Sleep(50 * time.Millisecond)
-	select {
-	case err := <-done:
+	// Bind before announcing: the startup line means the port is bound, and a
+	// bad -addr fails here, before anything is printed.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fail("%v", err)
-	default:
 	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "stmd: serving %s on %s (%d STM threads, %d max conns)\n",
-		srv.Algorithm(), srv.Addr(), srv.Workers(), *maxConns)
+		srv.Algorithm(), ln.Addr(), srv.Workers(), *maxConns)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

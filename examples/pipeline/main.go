@@ -29,8 +29,8 @@ func main() {
 		Algorithm:  stm.PVRStore,
 		HeapWords:  1 << 18,
 		MaxThreads: workers + 2,
-		// Two of this repo's future-work extensions, on:
-		ScanTracker:      true,
+		// The lock-free slot tracker is the default; commit-capped fences
+		// are opt-in:
 		CapFenceAtCommit: true,
 	})
 

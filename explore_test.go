@@ -24,58 +24,6 @@ var schedReplay = flag.String("sched.replay", "",
 // variant, and the hybrid.
 var exploreAlgos = []Algorithm{Ord, Val, TL2, PVRBase, PVRStore, PVRHybrid}
 
-// exploreClock/exploreBatch select the clock variant the programs build
-// with. They are package state rather than parameters so the replay format
-// stays a flat string; TestExploreClockModes sets them around each subtest
-// (the corpus tests are not parallel) and encodes them in replay lines.
-var (
-	exploreClock = ClockGV1
-	exploreBatch = 0
-)
-
-// setExploreVariant installs a clock variant and returns the restore func.
-func setExploreVariant(mode ClockMode, batch int) func() {
-	prevC, prevB := exploreClock, exploreBatch
-	exploreClock, exploreBatch = mode, batch
-	return func() { exploreClock, exploreBatch = prevC, prevB }
-}
-
-// exploreVariantTag renders the current variant as the replay-string suffix
-// of the algorithm token: "" for the default, "@gv5", "@local+b8", …
-func exploreVariantTag() string {
-	if exploreClock == ClockGV1 && exploreBatch == 0 {
-		return ""
-	}
-	tag := "@" + exploreClock.String()
-	if exploreBatch > 0 {
-		tag += fmt.Sprintf("+b%d", exploreBatch)
-	}
-	return tag
-}
-
-// parseExploreAlgorithm parses an algorithm token with an optional variant
-// suffix ("ord", "ord@gv5", "ord@gv5+b8") and installs the variant.
-func parseExploreAlgorithm(tok string) (Algorithm, error) {
-	name, variant, _ := strings.Cut(tok, "@")
-	alg, err := ParseAlgorithm(name)
-	if err != nil || variant == "" {
-		return alg, err
-	}
-	modeStr, batchStr, hasBatch := strings.Cut(variant, "+b")
-	mode, err := ParseClockMode(modeStr)
-	if err != nil {
-		return alg, err
-	}
-	batch := 0
-	if hasBatch {
-		if _, err := fmt.Sscanf(batchStr, "%d", &batch); err != nil {
-			return alg, fmt.Errorf("bad batch suffix %q: %v", variant, err)
-		}
-	}
-	setExploreVariant(mode, batch)
-	return alg, nil
-}
-
 // mkExploreSTM builds a small instance for exploration: escalation is
 // disabled (MaxAttempts < 0) because the serialized-irrevocable fallback
 // drains rivals with no yield point between polls, which the explorer
@@ -84,7 +32,6 @@ func mkExploreSTM(alg Algorithm) *STM {
 	return MustNew(Config{
 		Algorithm: alg, HeapWords: 1 << 12, OrecCount: 1 << 8,
 		MaxThreads: 8, MaxAttempts: -1,
-		Clock: exploreClock, OrderBatch: exploreBatch,
 	})
 }
 
@@ -217,11 +164,9 @@ func findProgram(name string) *schedProgram {
 	return nil
 }
 
-// replayLine formats the reproduction command for a failing schedule,
-// including the active clock variant.
+// replayLine formats the reproduction command for a failing schedule.
 func replayLine(prog string, alg Algorithm, tr sched.Trace) string {
-	return fmt.Sprintf("go test -run TestSchedReplay -sched.replay '%s:%v%s:%s'",
-		prog, alg, exploreVariantTag(), tr)
+	return fmt.Sprintf("go test -run TestSchedReplay -sched.replay '%s:%v:%s'", prog, alg, tr)
 }
 
 // reportScheduleFailure is the shared failure path: the error, the seed,
@@ -345,7 +290,7 @@ func TestSchedReplay(t *testing.T) {
 	if prog == nil {
 		t.Fatalf("unknown program %q", parts[0])
 	}
-	alg, err := parseExploreAlgorithm(parts[1])
+	alg, err := ParseAlgorithm(parts[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,52 +304,4 @@ func TestSchedReplay(t *testing.T) {
 		t.Fatalf("schedule violation reproduced at trace %v:\n  %v", res.Trace, res.Err)
 	}
 	t.Logf("trace %v replayed clean", trace)
-}
-
-// TestExploreClockModes runs the rmw and priv corpora over the deferred
-// clock modes and the Ord commit batcher. This is the interleaving-level
-// vetting of the new commit paths: under GV5/local the clock no longer
-// announces commits, so the doomed-transaction polling rides the composite
-// commit signal — any schedule where that signal misses a commit shows up
-// here as a non-serializable history or a torn privatized read. The batcher
-// variant additionally exercises leader/follower hand-offs at the
-// ticket/combine/wait yield point.
-func TestExploreClockModes(t *testing.T) {
-	const runs = 8
-	variants := []struct {
-		mode  ClockMode
-		batch int
-	}{
-		{ClockGV5, 0},
-		{ClockLocal, 0},
-		{ClockGV5, 4},
-	}
-	algos := []Algorithm{Ord, Val, TL2, PVRHybrid}
-	for _, v := range variants {
-		for _, alg := range algos {
-			if v.batch > 0 && alg != Ord {
-				continue // the batcher only exists on the ticket-based Ord
-			}
-			restore := setExploreVariant(v.mode, v.batch)
-			name := fmt.Sprintf("%v%s", alg, exploreVariantTag())
-			t.Run(name, func(t *testing.T) {
-				res, n := sched.ExplorePCT(sched.Config{Seed: 1, Horizon: 256},
-					runs, func() (sched.Config, []func()) { return rmwProgram(alg) })
-				if res != nil {
-					reportScheduleFailure(t, "rmw", alg, res)
-				}
-				if n != runs {
-					t.Errorf("explored %d schedules, want %d", n, runs)
-				}
-				if alg.Safe() {
-					res, _ := sched.ExplorePCT(sched.Config{Seed: 1, Horizon: 256},
-						runs, func() (sched.Config, []func()) { return privProgram(alg) })
-					if res != nil {
-						reportScheduleFailure(t, "priv", alg, res)
-					}
-				}
-			})
-			restore()
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"flag"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,24 +19,6 @@ import (
 
 const faultWait = 30 * time.Second
 
-// faultClock selects the clock mode the fault suite runs under; CI's GV5
-// pass sets -stm.clock gv5. Undo-log engines are pinned to GV1 by stm.New,
-// so faultClockFor keeps them on the default regardless of the flag.
-var faultClock = flag.String("stm.clock", "", "clock mode for fault tests (gv1, gv5, local); undo-log engines stay on gv1")
-
-func faultClockFor(t *testing.T, alg Algorithm) ClockMode {
-	t.Helper()
-	mode, err := ParseClockMode(*faultClock)
-	if err != nil {
-		t.Fatalf("-stm.clock: %v", err)
-	}
-	switch alg {
-	case PVRBase, PVRCAS, PVRStore, PVRWriterOnly:
-		return ClockGV1
-	}
-	return mode
-}
-
 // TestFaultDelayedCleanupDetectedByStallWatchdog injects a forced abort
 // into a writer and stalls it mid-undo-rollback — the moment it still holds
 // orecs and is still on the central list. A rival writer whose commit must
@@ -54,7 +35,6 @@ func TestFaultDelayedCleanupDetectedByStallWatchdog(t *testing.T) {
 		OrecCount:      1 << 8,
 		StallThreshold: 4,
 		OnStall:        func(info StallInfo) { stalls <- info },
-		Clock:          faultClockFor(t, PVRStore),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +140,6 @@ func TestFaultStalledReaderWatchdog(t *testing.T) {
 		OrecCount:      1 << 8,
 		StallThreshold: 4,
 		OnStall:        func(info StallInfo) { stalls <- info },
-		Clock:          faultClockFor(t, Val),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +216,7 @@ func TestFaultStalledReaderWatchdog(t *testing.T) {
 // and Run must convert it into a retry instead of propagating it.
 func TestFaultDoomedReaderSandboxed(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
-	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8,
-		Clock: faultClockFor(t, PVRStore)})
+	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +295,6 @@ func TestFaultSerializedEscalationCommits(t *testing.T) {
 		HeapWords:   1 << 12,
 		OrecCount:   1 << 8,
 		MaxAttempts: 3,
-		Clock:       faultClockFor(t, PVRStore),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +392,6 @@ func TestFaultWatchdogSilentOnHealthyRun(t *testing.T) {
 				HeapWords: 1 << 12,
 				OrecCount: 1 << 8,
 				OnStall:   func(StallInfo) { fired.Add(1) },
-				Clock:     faultClockFor(t, alg),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -466,8 +442,7 @@ func TestFaultParkedReaderBlocksReclaim(t *testing.T) {
 	// writer touching words the parked reader never read commits without
 	// fencing, and the epoch check alone stands between the doomed reader
 	// and reuse.
-	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8,
-		Clock: faultClockFor(t, PVRStore)})
+	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +524,7 @@ func TestFaultParkedReaderBlocksReclaim(t *testing.T) {
 // cleanup completes and its retry commits.
 func TestFaultRetireDuringRollback(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
-	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8,
-		Clock: faultClockFor(t, PVRStore)})
+	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,8 +615,7 @@ func TestFaultRetireDuringRollback(t *testing.T) {
 // and the extent frees.
 func TestFaultCollectDuringFence(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
-	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8,
-		Clock: faultClockFor(t, PVRStore)})
+	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -737,7 +710,7 @@ func TestFaultCollectDuringFence(t *testing.T) {
 func TestSandboxDisabledAllocates0(t *testing.T) {
 	build := func(disable bool) (*STM, *Thread, func(*Tx)) {
 		s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8,
-			DisableSandboxChecks: disable, Clock: faultClockFor(t, PVRStore)})
+			DisableSandboxChecks: disable})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,21 +191,13 @@ type RunConfig struct {
 	Seed     uint64
 	// Tracker selects the incomplete-transaction tracker (ablations).
 	Tracker stm.TrackerKind
-	// DisableExtension turns off snapshot extension (ablations).
-	DisableExtension bool
 	// CM selects the contention-management policy (ablations).
 	CM stm.CMPolicy
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// OrecLayout selects the orec-table memory layout (ablations).
-	OrecLayout stm.OrecLayout
 	// DisableHintCache turns off the thread-local hint cache (ablations).
 	DisableHintCache bool
-	// Clock selects the version-clock scheme (gv1/gv5/local).
-	Clock stm.ClockMode
-	// OrderBatch enables the Ord flat-combining commit batcher (0 = off).
-	OrderBatch int
 	// Free selects the node-recycling policy (default FreeReclaim).
 	Free FreePolicy
 	// DisableSandbox turns off validate-before-dangerous-use checkpoints
@@ -234,13 +226,6 @@ type Measurement struct {
 	// was run more than once (runCell); WriteJSON derives the reported
 	// standard deviation from it.
 	RepThroughputs []float64
-	// Layout is the orec-table layout label ("aos"/"soa"); empty means
-	// the default.
-	Layout string
-	// Clock is the version-clock scheme label ("gv1"/"gv5"/"local").
-	Clock string
-	// OrderBatch is the Ord commit-batcher bound the cell ran with (0 = off).
-	OrderBatch int
 	// PairDeltas holds the per-pair throughput deltas (percent, this cell
 	// vs its paired baseline) when the cell was measured by RunPaired;
 	// WriteJSON reports their median.
@@ -294,19 +279,15 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		rc.Seed = defaultSeed
 	}
 	s, err := stm.New(stm.Config{
-		Algorithm:                rc.Algorithm,
-		HeapWords:                spec.HeapWords,
-		OrecCount:                spec.OrecCount,
-		MaxThreads:               rc.Threads,
-		Tracker:                  rc.Tracker,
-		DisableSnapshotExtension: rc.DisableExtension,
-		ContentionManager:        rc.CM,
-		MaxAttempts:              rc.MaxAttempts,
-		OrecLayout:               rc.OrecLayout,
-		DisableHintCache:         rc.DisableHintCache,
-		Clock:                    rc.Clock,
-		OrderBatch:               rc.OrderBatch,
-		DisableSandboxChecks:     rc.DisableSandbox,
+		Algorithm:            rc.Algorithm,
+		HeapWords:            spec.HeapWords,
+		OrecCount:            spec.OrecCount,
+		MaxThreads:           rc.Threads,
+		Tracker:              rc.Tracker,
+		ContentionManager:    rc.CM,
+		MaxAttempts:          rc.MaxAttempts,
+		DisableHintCache:     rc.DisableHintCache,
+		DisableSandboxChecks: rc.DisableSandbox,
 	})
 	if err != nil {
 		return nil, err
@@ -381,9 +362,6 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		Threads:         rc.Threads,
 		Mix:             rc.Mix,
 		Elapsed:         elapsed,
-		Layout:          rc.OrecLayout.String(),
-		Clock:           rc.Clock.String(),
-		OrderBatch:      rc.OrderBatch,
 		ZipfTheta:       rc.ZipfTheta,
 		ReclaimCollects: s.ReclaimStats().Collects,
 		Exhausted:       exhausted.Load(),

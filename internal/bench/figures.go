@@ -106,21 +106,13 @@ type HarnessConfig struct {
 	// Tracker selects the incomplete-transaction tracker for every cell
 	// (ablations; default is the slot tracker).
 	Tracker stm.TrackerKind
-	// DisableExtension turns off snapshot extension for every cell.
-	DisableExtension bool
 	// CM selects the contention-management policy for every cell.
 	CM stm.CMPolicy
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// OrecLayout selects the orec-table memory layout for every cell.
-	OrecLayout stm.OrecLayout
 	// DisableHintCache turns off the thread-local hint cache for every cell.
 	DisableHintCache bool
-	// Clock selects the version-clock scheme for every cell.
-	Clock stm.ClockMode
-	// OrderBatch enables the Ord flat-combining commit batcher (0 = off).
-	OrderBatch int
 	// Free selects the node-recycling policy for every cell (default
 	// FreeReclaim).
 	Free FreePolicy
@@ -144,6 +136,18 @@ func (hc *HarnessConfig) fill() {
 	}
 	if hc.Reps <= 0 {
 		hc.Reps = 1
+	}
+}
+
+// runConfig is the RunConfig of one (algorithm, threads, mix) cell under
+// the harness-wide settings.
+func (hc *HarnessConfig) runConfig(alg stm.Algorithm, threads int, mix Mix) RunConfig {
+	return RunConfig{
+		Algorithm: alg, Threads: threads, Mix: mix,
+		TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
+		Tracker: hc.Tracker, CM: hc.CM, MaxAttempts: hc.MaxAttempts,
+		DisableHintCache: hc.DisableHintCache, DisableSandbox: hc.DisableSandbox,
+		Free: hc.Free, ZipfTheta: hc.ZipfTheta,
 	}
 }
 
@@ -201,16 +205,7 @@ func runThroughput(w io.Writer, fig Figure, hc HarnessConfig) ([]*Measurement, e
 	for _, alg := range algos {
 		fmt.Fprintf(w, "%-14s", alg)
 		for _, th := range hc.Threads {
-			m, err := runCell(fig.Spec(hc.Scale), RunConfig{
-				Algorithm: alg, Threads: th, Mix: fig.Mix,
-				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
-				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
-				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
-				ZipfTheta: hc.ZipfTheta,
-			}, hc.Reps)
+			m, err := runCell(fig.Spec(hc.Scale), hc.runConfig(alg, th, fig.Mix), hc.Reps)
 			if err != nil {
 				return nil, err
 			}
@@ -240,16 +235,7 @@ func runFenceStats(w io.Writer, fig Figure, hc HarnessConfig) ([]*Measurement, e
 		for _, mix := range AllMixes {
 			r := row{label: fmt.Sprintf("%s (%d%% lookups)", alg, mix.LookupPct())}
 			for _, th := range hc.Threads {
-				m, err := runCell(fig.Spec(hc.Scale), RunConfig{
-					Algorithm: alg, Threads: th, Mix: mix,
-					TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-					Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
-					CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-					OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-					Clock: hc.Clock, OrderBatch: hc.OrderBatch,
-					Free: hc.Free, DisableSandbox: hc.DisableSandbox,
-					ZipfTheta: hc.ZipfTheta,
-				}, hc.Reps)
+				m, err := runCell(fig.Spec(hc.Scale), hc.runConfig(alg, th, mix), hc.Reps)
 				if err != nil {
 					return nil, err
 				}
@@ -301,16 +287,7 @@ func runOverhead(w io.Writer, hc HarnessConfig) ([]*Measurement, error) {
 	for _, alg := range StandardCurves {
 		row := make([]float64, len(specs))
 		for i, sp := range specs {
-			m, err := runCell(sp, RunConfig{
-				Algorithm: alg, Threads: 1, Mix: ReadMostly,
-				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
-				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
-				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
-				ZipfTheta: hc.ZipfTheta,
-			}, hc.Reps)
+			m, err := runCell(sp, hc.runConfig(alg, 1, ReadMostly), hc.Reps)
 			if err != nil {
 				return nil, err
 			}

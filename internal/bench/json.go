@@ -19,15 +19,6 @@ type jsonMeasurement struct {
 	Algorithm string `json:"algorithm"`
 	Threads   int    `json:"threads"`
 	Mix       string `json:"mix"`
-	// OrecLayout is the orec-table layout the cell ran under; empty and
-	// "aos" both mean the default array-of-structures layout (older
-	// baseline files predate the field).
-	OrecLayout string `json:"orec_layout,omitempty"`
-	// Clock is the version-clock scheme; empty and "gv1" both mean the
-	// default CAS-per-commit global clock (older files predate the field).
-	Clock string `json:"clock,omitempty"`
-	// OrderBatch is the Ord flat-combining bound the cell ran with (0 = off).
-	OrderBatch int `json:"order_batch,omitempty"`
 	// ZipfTheta is the key-distribution skew the cell ran with (0 = uniform,
 	// the default for all figures predating -zipf).
 	ZipfTheta  float64 `json:"zipf_theta,omitempty"`
@@ -49,11 +40,9 @@ type jsonMeasurement struct {
 	Extensions      uint64  `json:"extensions"`
 	Serialized      uint64  `json:"serialized"`
 	Stalls          uint64  `json:"fence_stalls"`
-	// ClockTicks counts commit-path global-clock RMWs: the quantity the
-	// deferred clock modes exist to eliminate (0 under gv5/local).
-	ClockTicks    uint64 `json:"clock_ticks,omitempty"`
-	ClockAdvances uint64 `json:"clock_advances,omitempty"`
-	Combined      uint64 `json:"combined,omitempty"`
+	// ClockTicks counts commit-path global-clock RMWs (one per writer
+	// commit).
+	ClockTicks uint64 `json:"clock_ticks,omitempty"`
 	// ReclaimCollects counts epoch-collection passes; 0 when the cell ran
 	// without the reclaimer (FreePool/FreeLeak, or older baseline files).
 	ReclaimCollects uint64 `json:"reclaim_collects,omitempty"`
@@ -111,24 +100,10 @@ type jsonFile struct {
 }
 
 // cellKey identifies a measurement across baseline and candidate files.
-// The orec layout participates only when it differs from the default, so
-// baseline files written before the field existed still match default-
-// layout candidate cells.
 func (jm *jsonMeasurement) cellKey() string {
 	k := fmt.Sprintf("%s|%s|%s|%d|%s", jm.Fig, jm.Workload, jm.Algorithm, jm.Threads, jm.Mix)
-	if jm.OrecLayout != "" && jm.OrecLayout != "aos" {
-		k += "|" + jm.OrecLayout
-	}
-	// The clock scheme and batcher bound participate the same way: only
-	// when non-default, so older baselines keep matching.
-	if jm.Clock != "" && jm.Clock != "gv1" {
-		k += "|" + jm.Clock
-	}
-	if jm.OrderBatch > 0 {
-		k += fmt.Sprintf("|b%d", jm.OrderBatch)
-	}
-	// Key skew distinguishes cells the same way: uniform (the historic
-	// default) adds nothing, so old baselines keep matching.
+	// Key skew participates only when non-uniform (the historic default), so
+	// baselines written before the field existed keep matching.
 	if jm.ZipfTheta > 0 {
 		k += fmt.Sprintf("|z%.2f", jm.ZipfTheta)
 	}
@@ -170,19 +145,12 @@ func WriteJSON(w io.Writer, label string, ms []*Measurement) error {
 func WriteJSONReport(w io.Writer, label string, ms []*Measurement, micro []MicroResult) error {
 	f := jsonFile{Label: label}
 	for _, m := range ms {
-		clk := m.Clock
-		if clk == "gv1" {
-			clk = "" // default scheme: keep old files byte-comparable
-		}
 		jm := jsonMeasurement{
 			Fig:                   m.Fig,
 			Workload:              m.Workload,
 			Algorithm:             m.Algorithm,
 			Threads:               m.Threads,
 			Mix:                   m.Mix.String(),
-			OrecLayout:            m.Layout,
-			Clock:                 clk,
-			OrderBatch:            m.OrderBatch,
 			Ops:                   m.Ops,
 			Seconds:               m.Elapsed.Seconds(),
 			Throughput:            m.Throughput,
@@ -196,8 +164,6 @@ func WriteJSONReport(w io.Writer, label string, ms []*Measurement, micro []Micro
 			Serialized:            m.Stats.Serialized,
 			Stalls:                m.Stats.FenceStalls,
 			ClockTicks:            m.Stats.ClockTicks,
-			ClockAdvances:         m.Stats.ClockAdvances,
-			Combined:              m.Stats.Combined,
 			ReclaimCollects:       m.ReclaimCollects,
 			SandboxValidations:    m.Stats.SandboxValidations,
 			SemanticSkips:         m.Stats.SemanticSkips,
@@ -261,7 +227,7 @@ func ReadJSON(path string) (label string, cells []jsonMeasurement, err error) {
 
 // Compare prints a per-cell throughput delta table between two WriteJSON
 // documents, matching cells by (fig, workload, algorithm, threads, mix,
-// non-default orec layout) and microbenchmarks by name. It returns the
+// non-uniform key skew) and microbenchmarks by name. It returns the
 // worst (most negative) percentage change over all matched cells and
 // micros; for micros the delta is expressed in throughput terms
 // (old ns/op vs new ns/op), so slower is negative, same as cells.
@@ -308,18 +274,8 @@ func Compare(w io.Writer, oldPath, newPath string) (worstPct float64, err error)
 			pct = 100 * (nc.Throughput - oc.Throughput) / oc.Throughput
 		}
 		note(pct)
-		layout := nc.Algorithm
-		if nc.OrecLayout != "" && nc.OrecLayout != "aos" {
-			layout += "/" + nc.OrecLayout
-		}
-		if nc.Clock != "" && nc.Clock != "gv1" {
-			layout += "@" + nc.Clock
-		}
-		if nc.OrderBatch > 0 {
-			layout += fmt.Sprintf("+b%d", nc.OrderBatch)
-		}
 		fmt.Fprintf(w, "%-4s %-22s %-14s %7d %9s  %12.0f %12.0f %+7.1f%%\n",
-			nc.Fig, nc.Workload, layout, nc.Threads, nc.Mix,
+			nc.Fig, nc.Workload, nc.Algorithm, nc.Threads, nc.Mix,
 			oc.Throughput, nc.Throughput, pct)
 		if nc.SemanticSkips > 0 || oc.SemanticSkips > 0 {
 			fmt.Fprintf(w, "     · semantic skips %d -> %d, abstract-lock conflicts %d -> %d\n",

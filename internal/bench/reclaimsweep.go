@@ -41,15 +41,8 @@ func RunReclaimSweep(w io.Writer, hc HarnessConfig, algos []stm.Algorithm, pairs
 	var cellMedians []float64
 	for _, alg := range algos {
 		for _, th := range hc.Threads {
-			rcBase := RunConfig{
-				Algorithm: alg, Threads: th, Mix: mix,
-				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
-				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
-				Free: FreePool, DisableSandbox: hc.DisableSandbox,
-			}
+			rcBase := hc.runConfig(alg, th, mix)
+			rcBase.Free = FreePool
 			rcCand := rcBase
 			rcCand.Free = FreeReclaim
 			pr, err := RunPaired(spec, rcBase, rcCand, pairs)

@@ -49,16 +49,7 @@ func RunTdsSweep(w io.Writer, hc HarnessConfig, algos []stm.Algorithm, pairs int
 
 	for _, alg := range algos {
 		for _, th := range hc.Threads {
-			rc := RunConfig{
-				Algorithm: alg, Threads: th, Mix: mix,
-				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
-				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
-				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
-				ZipfTheta: hc.ZipfTheta,
-			}
+			rc := hc.runConfig(alg, th, mix)
 			pr, err := RunPairedSpecs(specBase, rc, specCand, rc, pairs)
 			if err != nil {
 				return nil, nil, err

@@ -29,9 +29,8 @@ func (c *Clock) Now() uint64 { return c.now.Load() }
 // (wts): no other transaction can share it.
 func (c *Clock) Tick() uint64 { return c.now.Add(1) }
 
-// AdvanceTo raises the clock to at least t. It is used by engines that
-// derive timestamps externally (e.g. during recovery in tests). The clock
-// never moves backwards.
+// AdvanceTo raises the clock to at least t; tests use it to place the clock
+// at a chosen time. The clock never moves backwards.
 func (c *Clock) AdvanceTo(t uint64) {
 	for {
 		cur := c.now.Load()

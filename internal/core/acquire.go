@@ -20,12 +20,11 @@ func (t *Thread) AcquireOrec(o *orec.Orec) bool {
 		}
 		wts := orec.WTS(v)
 		if wts > t.ValidTS {
-			// Publish a deferred-mode future timestamp, then try to extend
-			// over the rival commit (redo engines acquire at commit time,
-			// where an extension is still sound: ValidateReads skips orecs
-			// we already own). If the snapshot cannot move, abort — the
-			// published timestamp guarantees the retry begins past it.
-			t.NoteFutureWTS(wts)
+			// Try to extend over the rival commit (redo engines acquire at
+			// commit time, where an extension is still sound: ValidateReads
+			// skips orecs we already own). If the snapshot cannot move,
+			// abort — the clock already reads wts, so the retry begins past
+			// it.
 			if !t.TryExtend() {
 				return false
 			}

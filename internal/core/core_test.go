@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"privstm/internal/orec"
+	"privstm/internal/txnlist"
 )
 
 func newTestRT(t *testing.T, maxThreads int) *Runtime {
@@ -37,8 +38,10 @@ func finish(rt *Runtime, th *Thread) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := NewRuntime(Options{MaxThreads: orec.MaxTID + 1}); err == nil {
-		t.Error("MaxThreads beyond TID range should be rejected")
+	for _, n := range []int{-1, txnlist.MaxSlots + 1, orec.MaxTID + 1} {
+		if _, err := NewRuntime(Options{MaxThreads: n}); err == nil {
+			t.Errorf("MaxThreads %d should be rejected", n)
+		}
 	}
 	rt := newTestRT(t, 2)
 	if _, err := rt.NewThread(); err != nil {

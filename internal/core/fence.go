@@ -74,12 +74,6 @@ func (rt *Runtime) CapFence(threshold, wts uint64) uint64 {
 // than a silent hang.
 func (t *Thread) PrivatizationFence(threshold uint64) {
 	t.Stats.Fenced++
-	// Under the deferred clock modes the global clock can sit at or below
-	// the threshold (a commit there does not advance it). Move it past the
-	// threshold before waiting: otherwise a steady stream of readers
-	// beginning at the stale global time could hold the fence open forever,
-	// since no new begin could ever exceed the threshold.
-	t.NoteFutureWTS(threshold + 1)
 	failpoint.Eval(failpoint.FenceEnter)
 	defer failpoint.Eval(failpoint.FenceExit)
 	var b spin.Backoff
@@ -113,13 +107,6 @@ func (t *Thread) PrivatizationFence(threshold uint64) {
 // restart counts as progress.
 func (t *Thread) ValidationFence(wts uint64) {
 	t.Stats.Fenced++
-	// Deferred clock modes: raise the global clock to the commit time
-	// before waiting. Concurrent readers' incremental polls fire on the
-	// movement and publish validations at ≥ wts (or die trying), which is
-	// the very condition this fence waits for — without the advance their
-	// polls would never trigger and the fence would spin until each
-	// reader's transaction ended.
-	t.NoteFutureWTS(wts)
 	failpoint.Eval(failpoint.FenceEnter)
 	defer failpoint.Eval(failpoint.FenceExit)
 	var b spin.Backoff

@@ -75,7 +75,6 @@ func Run(e Engine, t *Thread, body func()) error {
 			return err
 		}
 		t.Stats.Aborts++
-		t.abortClockBump() // GV5: the abort path, not the commit path, moves the clock
 		t.Attempts++
 		if limit > 0 && t.Attempts >= limit {
 			return runSerialized(e, t, body)
@@ -108,7 +107,6 @@ func runSerialized(e Engine, t *Thread, body func()) error {
 		}
 		// A gate-slipper got in ahead of the drain; re-drain and retry.
 		t.Stats.Aborts++
-		t.abortClockBump()
 		t.Attempts++
 	}
 }

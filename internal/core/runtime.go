@@ -31,54 +31,20 @@ const DefaultMaxGrace = 256
 // switches to partially visible reads (§IV: 16).
 const DefaultHybridThreshold = 16
 
-// OrecLayout re-exports the orec-table memory layout selector
-// (Options.OrecLayout).
-type OrecLayout = orec.Layout
-
-// The orec-table layouts.
-const (
-	OrecLayoutAoS = orec.LayoutAoS
-	OrecLayoutSoA = orec.LayoutSoA
-)
-
-// ParseOrecLayout maps a flag spelling ("aos", "soa") back to its layout.
-func ParseOrecLayout(s string) (OrecLayout, error) { return orec.ParseLayout(s) }
-
 // Options configures a Runtime.
 type Options struct {
 	HeapWords  int // capacity of the simulated heap
 	OrecCount  int // number of ownership records (rounded to a power of 2)
 	BlockWords int // conflict-detection granularity and heap allocation quantum in words (0 ⇒ 2)
-	MaxThreads int // maximum concurrently registered threads
+	MaxThreads int // maximum concurrently registered threads (1..txnlist.MaxSlots; 0 ⇒ 64)
 
 	MaxGrace        uint64 // cap for adaptive grace periods (0 ⇒ DefaultMaxGrace)
 	HybridThreshold int    // read-set size that flips pvrHybrid visible (0 ⇒ 16)
 
-	// Clock selects the version-clock scheme: ClockGV1 (default) CASes the
-	// global clock once per writer commit; ClockGV5 defers (commits take
-	// Now()+1 without advancing; readers propagate, aborts bump);
-	// ClockLocal merges a per-thread clock at commit time. See
-	// internal/clock and CORRECTNESS.md §13.
-	Clock ClockMode
-	// OrderBatch enables the Ord engine's flat-combining commit batcher:
-	// the committer currently served by the ticket lock performs up to
-	// OrderBatch successors' write-backs under one ticket hold. 0 disables
-	// combining; only Ord's ticket variant consults it.
-	OrderBatch int
-
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, is the O(1) cached-watermark slot array; TrackerList
-	// restores the paper's §II-C spin-locked central list (ablations);
-	// TrackerScan is the registry-scanning variant.
+	// restores the paper's §II-C spin-locked central list (ablations).
 	Tracker TrackerKind
-	// ScanTracker is the deprecated boolean form of Tracker: when set (and
-	// Tracker is left at its default) it selects TrackerScan.
-	ScanTracker bool
-	// DisableExtension turns off snapshot extension: redo-log transactions
-	// then abort on any read newer than their begin timestamp instead of
-	// attempting a timestamp extension (the pre-optimization behaviour,
-	// kept for ablations).
-	DisableExtension bool
 	// CapFenceAtCommit caps privatization-fence thresholds just below the
 	// writer's commit time wts, eliminating the grace-period "extended
 	// delays" of §III-A: the fence then waits for oldest-begin > wts−1,
@@ -96,11 +62,6 @@ type Options struct {
 	// GraceStrategy selects the §III-A adaptation family (default:
 	// exponential, the paper's choice).
 	GraceStrategy GraceStrategy
-	// OrecLayout selects the orec table's memory layout: OrecLayoutAoS
-	// (default; one padded line per record) or OrecLayoutSoA (parallel
-	// padded columns, separating writer owner-scan traffic from reader
-	// hint traffic).
-	OrecLayout OrecLayout
 	// DisableHintCache turns off the thread-local orec hint cache, making
 	// every MakeVisible re-run the full §II-E protocol (ablations and the
 	// cache-equivalence property test).
@@ -157,15 +118,6 @@ func (o *Options) fill() {
 	if o.HybridThreshold == 0 {
 		o.HybridThreshold = DefaultHybridThreshold
 	}
-	if o.ScanTracker && o.Tracker == TrackerSlot {
-		o.Tracker = TrackerScan
-	}
-	// The slot tracker's cached watermark packs the holder index next to
-	// the timestamp; configurations beyond its capacity (well past any
-	// practical thread count) degrade to the registry scan.
-	if o.Tracker == TrackerSlot && o.MaxThreads > txnlist.MaxSlots {
-		o.Tracker = TrackerScan
-	}
 }
 
 // Runtime is the shared state of one STM instance. All engines attached to
@@ -179,12 +131,6 @@ type Runtime struct {
 	Order  ticket.Lock   // strict-ordering ticket lock (§IV)
 	OrderQ *ticket.QueueLock
 
-	// ClockMode is the configured version-clock scheme (clockpath.go).
-	ClockMode ClockMode
-	// Combine is Ord's flat-combining commit batcher, non-nil when
-	// Options.OrderBatch > 0.
-	Combine *ticket.Combiner
-
 	// Reclaim is the epoch-based safe-reclamation subsystem: extents
 	// retired through Thread.Retire are quarantined until the oldest-begin
 	// watermark proves no incomplete transaction began before the retiring
@@ -194,7 +140,6 @@ type Runtime struct {
 	MaxGrace         uint64
 	HybridThreshold  int
 	CapFenceAtCommit bool
-	NoExtension      bool // snapshot extension disabled (ablation)
 	NoHintCache      bool // thread-local hint cache disabled (ablation)
 	NoSandboxChecks  bool // validate-before-use sandbox disabled (ablation)
 	GraceStrategy    GraceStrategy
@@ -231,9 +176,11 @@ type Runtime struct {
 // NewRuntime builds a runtime from opts.
 func NewRuntime(opts Options) (*Runtime, error) {
 	opts.fill()
-	if opts.MaxThreads > orec.MaxTID {
-		return nil, fmt.Errorf("core: MaxThreads %d exceeds representable TID limit %d",
-			opts.MaxThreads, orec.MaxTID)
+	// The slot tracker's cached watermark packs the holder index next to the
+	// timestamp, so MaxSlots (far below the vis word's TID limit) bounds the
+	// registry.
+	if opts.MaxThreads < 1 || opts.MaxThreads > txnlist.MaxSlots {
+		return nil, fmt.Errorf("core: MaxThreads %d outside [1, %d]", opts.MaxThreads, txnlist.MaxSlots)
 	}
 	rt := &Runtime{
 		// The heap allocates in whole conflict-detection blocks (both
@@ -243,13 +190,11 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		// from the Go runtime already touched in four benchmark runs of six
 		// (serve_mixed peak RSS 21 → 52 MB).
 		Heap:             heap.NewQuantum(opts.HeapWords, opts.BlockWords),
-		Orecs:            orec.NewTableLayout(opts.OrecCount, opts.BlockWords, opts.OrecLayout),
+		Orecs:            orec.NewTable(opts.OrecCount, opts.BlockWords),
 		OrderQ:           ticket.NewQueueLock(),
-		ClockMode:        opts.Clock,
 		MaxGrace:         opts.MaxGrace,
 		HybridThreshold:  opts.HybridThreshold,
 		CapFenceAtCommit: opts.CapFenceAtCommit,
-		NoExtension:      opts.DisableExtension,
 		NoHintCache:      opts.DisableHintCache,
 		NoSandboxChecks:  opts.DisableSandboxChecks,
 		GraceStrategy:    opts.GraceStrategy,
@@ -259,12 +204,9 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		OnStall:          opts.OnStall,
 		threads:          make([]atomic.Pointer[Thread], opts.MaxThreads),
 	}
-	switch opts.Tracker {
-	case TrackerScan:
-		rt.Active = NewScanTracker(rt)
-	case TrackerList:
+	if opts.Tracker == TrackerList {
 		rt.Active = NewListTracker(rt)
-	default:
+	} else {
 		rt.Active = NewSlotTracker(rt)
 	}
 	// Every tracker kind carries the schedule explorer's yield points
@@ -279,9 +221,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 			CollectEvery: opts.ReclaimCollectEvery,
 			Poison:       opts.ReclaimPoison,
 		})
-	if opts.OrderBatch > 0 {
-		rt.Combine = ticket.NewCombiner(opts.MaxThreads, opts.OrderBatch)
-	}
 	// Start time at 1 so that a zeroed vis word (rts = 0) can never read
 	// as a hint covering a live transaction: every begin timestamp is ≥ 1.
 	rt.Clock.Tick()

@@ -35,8 +35,7 @@ import (
 // atomic word packed exactly like an orec owner word: even = version<<1
 // (unowned), odd = tid<<1|1 (owned by a committing transaction). Versions
 // are self-contained monotone counters — each release adds 2 — and never
-// derived from the global clock, so duplicate commit timestamps under the
-// deferred clock modes cannot alias two distinct stripe states.
+// derived from the global clock.
 //
 // Containers choose their own key→stripe mapping; by convention stripe 0 is
 // reserved for commuting counters and structural version bumps and is never
@@ -319,10 +318,6 @@ func (t *Thread) ReadWeak(a heap.Addr) heap.Word {
 // "no one left to wait for".
 func (t *Thread) WeakQuiesce() {
 	threshold := t.LastCommitTS
-	// Deferred clock modes: publish the threshold so new begins start at or
-	// above it — otherwise a steady stream of readers beginning at a stale
-	// global time could hold the quiesce open forever.
-	t.NoteFutureWTS(threshold)
 	var b spin.Backoff
 	for {
 		oldest, any := t.RT.Active.OldestBegin()

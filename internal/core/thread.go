@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"privstm/internal/clock"
 	"privstm/internal/heap"
 	"privstm/internal/logs"
 	"privstm/internal/orec"
@@ -54,11 +53,6 @@ type Thread struct {
 	// plain word-level transactions.
 	Sem logs.SemLog
 
-	// Clk is the thread-local clock of ClockLocal mode: the high-water
-	// mark of this thread's own write timestamps, merged with the global
-	// clock at commit time (CommitTS). Unused in the other modes.
-	Clk clock.ThreadClock
-
 	Stats stats.Counters
 
 	// Wrote is set on the first transactional write.
@@ -66,15 +60,9 @@ type Thread struct {
 	// Visible is set while the transaction's reads are partially visible
 	// (it is on the central list).
 	Visible bool
-	// LastClockSeen is the commit signal (CommitSignal: the clock under
-	// GV1, clock + ordered-commit counts under the deferred modes) as of
-	// the last incremental validation (redo-log engines' doomed-
-	// transaction polling).
+	// LastClockSeen is the global clock as of the last incremental
+	// validation (redo-log engines' doomed-transaction polling).
 	LastClockSeen uint64
-	// BeginSignal is the commit signal sampled at transaction begin; the
-	// hybrid's mode-switch rule compares against it to ask "has any writer
-	// committed since I began?" (under GV1 it equals BeginTS).
-	BeginSignal uint64
 	// Attempts counts consecutive aborts of the current Run, for
 	// contention-management backoff.
 	Attempts int
@@ -94,11 +82,8 @@ type Thread struct {
 	// attempt unlinked, retired by FinishCommit iff the attempt commits.
 	commitRetires []TxnExtent
 	// LastCommitTS is the write timestamp of this thread's most recent
-	// writer commit (recorded by CommitTS). Under the deferred clock modes
-	// a commit does not advance the global clock, so Clock.Now() sampled
-	// after the commit can lag the commit timestamp; RetireStamp takes the
-	// max of the two so retire stamps never undershoot the unlinking
-	// commit (CORRECTNESS.md §14).
+	// writer commit (recorded by CommitTS): the threshold WeakQuiesce drains
+	// the tracker below, and the floor of RetireStamp (CORRECTNESS.md §14).
 	LastCommitTS uint64
 	// VisPub logs the (orec, rts) hints this transaction published; the
 	// writer-side self-test (ReaderConflictScan) only treats a hint as the
@@ -142,9 +127,6 @@ type Thread struct {
 	// lastValidated publishes the clock time of this thread's most recent
 	// successful full read-set validation, for the Val engine's fence.
 	lastValidated atomic.Uint64
-	// trackerTS is the ScanTracker's registration slot:
-	// beginTS<<1 | active.
-	trackerTS atomic.Uint64
 
 	// padding to keep descriptors from false-sharing in the registry.
 	_ [8]uint64
@@ -206,21 +188,33 @@ func (t *Thread) ResetTxnState() {
 
 // StartSnapshot records ts as the transaction's begin time and initializes
 // the validity interval to the degenerate [ts, ts]. Engines call it from
-// Begin after sampling the clock (or entering the tracker). ts must be a
-// *global*-clock sample even in ClockLocal mode: seeding the validity bound
-// from the thread-local clock would let validation accept a later rival's
-// same-or-lower-timestamped writes (CORRECTNESS.md §13).
+// Begin after sampling the clock (or entering the tracker).
 func (t *Thread) StartSnapshot(ts uint64) {
 	t.BeginTS = ts
 	t.ValidTS = ts
 	t.LastClockSeen = ts
-	t.BeginSignal = ts
-	if t.RT.ClockMode != clock.GV1 {
-		sig := t.RT.CommitSignal()
-		t.LastClockSeen = sig
-		t.BeginSignal = sig
-	}
 }
+
+// CommitTS ticks the global clock and returns the result as the write
+// timestamp of a committing writer that has already acquired its entire
+// write set. Acquire-before-tick is what makes the timestamp safe to
+// publish: the writer owns every orec it will release at wts from before
+// the clock could read wts, so a reader whose snapshot covers wts either
+// sees the ownership (and defers) or sees the fully committed state
+// (CORRECTNESS.md §13). The result is also recorded in LastCommitTS.
+func (t *Thread) CommitTS() uint64 {
+	t.Stats.ClockTicks++
+	wts := t.RT.Clock.Tick()
+	t.LastCommitTS = wts
+	return wts
+}
+
+// SkipCommitValidation reports whether a commit at wts may skip its final
+// read-set validation: the classic TL2 inference, sound because timestamps
+// are unique and totally ordered — wts == ValidTS+1 means the tick just
+// performed is the only one since the snapshot was last validated, so no
+// rival commit can have invalidated it.
+func (t *Thread) SkipCommitValidation(wts uint64) bool { return wts == t.ValidTS+1 }
 
 // ReaderMayBeLive reports whether the transaction that published a read at
 // timestamp rts under thread id tid may still be incomplete. A reader's
@@ -329,8 +323,6 @@ func (t *Thread) wildAddr(a heap.Addr) {
 // committed at LastCommitTS; any transaction beginning at or after the
 // stamp therefore observes the unlink, which is exactly what the
 // reclaimer's epoch check needs (internal/reclaim, CORRECTNESS.md §14).
-// Clock.Now() alone would be unsound under the deferred clock modes, where
-// the clock can lag the commit timestamp.
 func (t *Thread) RetireStamp() uint64 {
 	s := t.RT.Clock.Now()
 	if t.LastCommitTS > s {
@@ -373,22 +365,19 @@ func (t *Thread) FlushReclaim() {
 // false (leaving the snapshot untouched) if the engine opted out, nothing
 // has committed since the current bound, or validation fails.
 func (t *Thread) TryExtend() bool {
-	if !t.ExtendOK || t.RT.NoExtension {
+	if !t.ExtendOK {
 		return false
 	}
 	c := t.RT.Clock.Now()
 	if c == t.ValidTS {
 		return false
 	}
-	// Sample the commit signal before validating, like the clock: a commit
-	// the validation could have missed then still re-fires the next poll.
-	sig := t.RT.CommitSignal()
 	t.Stats.Validations++
 	if !t.ValidateReads() {
 		return false
 	}
 	t.ValidTS = c
-	t.LastClockSeen = sig
+	t.LastClockSeen = c
 	t.Stats.Extensions++
 	// Flush the hint cache across the extension. Coverage decisions key
 	// off BeginTS, which extension does not move, so this is purely
@@ -408,30 +397,22 @@ func (t *Thread) TryExtend() bool {
 // it is what catches doomed transactions before they act on state mutated
 // nontransactionally by a privatizer (§IV).
 //
-// With snapshot extension enabled the successful validation doubles as a
+// On the engines that set ExtendOK the successful validation doubles as a
 // timestamp extension: one O(R) pass per observed clock value both proves
 // the transaction is not doomed and moves its validity bound forward, so a
 // transaction whose read set is untouched stops aborting on (and stops
 // revalidating for) commits that do not conflict with it.
 func (t *Thread) PollValidate() {
-	// The trigger is the commit signal, not the bare clock: under the
-	// deferred clock modes writer commits move the ordering locks' served
-	// counters but not the clock, and the doomed-transaction protection
-	// must keep firing at GV1's cadence (clockpath.go).
 	c := t.RT.Clock.Now()
-	sig := c
-	if t.RT.ClockMode != clock.GV1 {
-		sig = t.RT.CommitSignal()
-	}
-	if sig == t.LastClockSeen {
+	if c == t.LastClockSeen {
 		return
 	}
 	t.Stats.Validations++
 	if !t.ValidateReads() {
 		t.ConflictAbort()
 	}
-	t.LastClockSeen = sig
-	if t.ExtendOK && !t.RT.NoExtension && c > t.ValidTS {
+	t.LastClockSeen = c
+	if t.ExtendOK && c > t.ValidTS {
 		t.ValidTS = c
 		t.Stats.Extensions++
 		t.ForgetVisibility() // conservative, as in TryExtend
@@ -534,10 +515,6 @@ func (t *Thread) readConsistent(o *orec.Orec, a heap.Addr, v1 uint64) heap.Word 
 		}
 		wts := orec.WTS(v1)
 		if wts > t.ValidTS {
-			// Deferred modes: publish the future timestamp first, so the
-			// extension below can reach it — and so that, if we abort
-			// instead, the retry's begin snapshot covers the commit.
-			t.NoteFutureWTS(wts)
 			if !t.TryExtend() {
 				t.ConflictAbort()
 			}

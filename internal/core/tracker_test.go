@@ -9,7 +9,6 @@ func trackers(t *testing.T) map[string]func(*Runtime) ActiveTracker {
 	t.Helper()
 	return map[string]func(*Runtime) ActiveTracker{
 		"list": func(rt *Runtime) ActiveTracker { return NewListTracker(rt) },
-		"scan": func(rt *Runtime) ActiveTracker { return NewScanTracker(rt) },
 		"slot": func(rt *Runtime) ActiveTracker { return NewSlotTracker(rt) },
 	}
 }
@@ -123,26 +122,18 @@ func TestTrackerLowerBoundUnderChurn(t *testing.T) {
 func TestRuntimeSelectsTracker(t *testing.T) {
 	// NewRuntime wraps every tracker in the yield-point decorator;
 	// UnwrapTracker exposes the selected concrete kind.
-	rt, err := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, ScanTracker: true})
+	rt, err := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rt.Active.(yieldTracker); !ok {
 		t.Errorf("runtime tracker not yield-decorated: %T", rt.Active)
 	}
-	if _, ok := UnwrapTracker(rt.Active).(*ScanTracker); !ok {
-		t.Errorf("deprecated ScanTracker option ignored: %T", UnwrapTracker(rt.Active))
+	if _, ok := UnwrapTracker(rt.Active).(*SlotTracker); !ok {
+		t.Errorf("default tracker should be the slot array: %T", UnwrapTracker(rt.Active))
 	}
-	rt2, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2})
-	if _, ok := UnwrapTracker(rt2.Active).(*SlotTracker); !ok {
-		t.Errorf("default tracker should be the slot array: %T", UnwrapTracker(rt2.Active))
-	}
-	rt3, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerList})
-	if _, ok := UnwrapTracker(rt3.Active).(*ListTracker); !ok {
-		t.Errorf("TrackerList option ignored: %T", UnwrapTracker(rt3.Active))
-	}
-	rt4, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerScan})
-	if _, ok := UnwrapTracker(rt4.Active).(*ScanTracker); !ok {
-		t.Errorf("TrackerScan option ignored: %T", UnwrapTracker(rt4.Active))
+	rt2, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerList})
+	if _, ok := UnwrapTracker(rt2.Active).(*ListTracker); !ok {
+		t.Errorf("TrackerList option ignored: %T", UnwrapTracker(rt2.Active))
 	}
 }

@@ -98,11 +98,6 @@ const (
 	// OrderWait fires once per poll of the §IV ordering locks' wait loops
 	// (ticket and CLH queue).
 	OrderWait = "ticket/order/wait"
-	// CombineWait fires once per poll of a flat-combining committer waiting
-	// to be served — by a leader (state → done) or by the ticket lock
-	// (self-service). A worker parked here needs the current leader (or the
-	// preceding ticket holders) to run.
-	CombineWait = "ticket/combine/wait"
 	// SlotsEnterAtLower fires inside txnlist.Slots.EnterAt between the
 	// joiner's slot store and the watermark-cache check.
 	SlotsEnterAtLower = "txnlist/watermark/enter-at-lower"
@@ -173,7 +168,6 @@ var waitSites = map[string]bool{
 	VisStoreWait:  true,
 	SpinMutexWait: true,
 	OrderWait:     true,
-	CombineWait:   true,
 	CMWait:        true,
 
 	SemQuiesceWait: true,

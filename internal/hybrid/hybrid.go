@@ -73,10 +73,7 @@ func (e *Engine) Write(t *core.Thread, a heap.Addr, w heap.Word) {
 // crossed the threshold and another writer has committed since we began
 // (the clock has moved past our begin time).
 func (e *Engine) maybeGoVisible(t *core.Thread) {
-	// "Another writer has committed since we began" is judged on the
-	// commit signal, not the bare clock, so the rule keeps firing under
-	// the deferred clock modes (core.CommitSignal).
-	if t.Reads.Len() <= e.rt.HybridThreshold || e.rt.CommitSignal() <= t.BeginSignal {
+	if t.Reads.Len() <= e.rt.HybridThreshold || e.rt.Clock.Now() <= t.BeginTS {
 		return
 	}
 	if t.EpochPinned {

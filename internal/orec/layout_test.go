@@ -7,99 +7,55 @@ import (
 	"privstm/internal/heap"
 )
 
-func TestParseLayoutRoundTrip(t *testing.T) {
-	for _, l := range []Layout{LayoutAoS, LayoutSoA} {
-		got, err := ParseLayout(l.String())
-		if err != nil || got != l {
-			t.Errorf("ParseLayout(%q) = %v, %v", l.String(), got, err)
-		}
-	}
-	if l, err := ParseLayout(""); err != nil || l != LayoutAoS {
-		t.Errorf("empty spelling should mean the default AoS, got %v, %v", l, err)
-	}
-	if _, err := ParseLayout("bogus"); err == nil {
-		t.Error("bogus layout accepted")
-	}
-}
-
-// TestLayoutsBehaveIdentically drives the handle API through both layouts:
+// TestRecordWordsDistinct drives the record API through a whole table:
 // For/At identity, store/load round trips through every metadata word, and
-// Index stability must not depend on where the words physically live.
-func TestLayoutsBehaveIdentically(t *testing.T) {
-	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-		tab := NewTableLayout(64, 1, layout)
-		if tab.Layout() != layout {
-			t.Fatalf("Layout() = %v, want %v", tab.Layout(), layout)
+// no word of one record aliasing a word of another.
+func TestRecordWordsDistinct(t *testing.T) {
+	tab := NewTable(64, 1)
+	for i := 0; i < tab.Len(); i++ {
+		o := tab.At(i)
+		if o.Index() != uint32(i) {
+			t.Fatalf("At(%d).Index() = %d", i, o.Index())
 		}
-		for i := 0; i < tab.Len(); i++ {
-			o := tab.At(i)
-			if o.Index() != uint32(i) {
-				t.Fatalf("%v: At(%d).Index() = %d", layout, i, o.Index())
-			}
-			o.Owner().Store(uint64(i) + 1)
-			o.Vis().Store(uint64(i) + 2)
-			o.Grace().Store(uint64(i) + 3)
-			o.CurrReader().Store(uint64(i) + 4)
+		o.Owner().Store(uint64(i) + 1)
+		o.Vis().Store(uint64(i) + 2)
+		o.Grace().Store(uint64(i) + 3)
+		o.CurrReader().Store(uint64(i) + 4)
+	}
+	for i := 0; i < tab.Len(); i++ {
+		o := tab.At(i)
+		if o.Owner().Load() != uint64(i)+1 || o.Vis().Load() != uint64(i)+2 ||
+			o.Grace().Load() != uint64(i)+3 || o.CurrReader().Load() != uint64(i)+4 {
+			t.Fatalf("record %d words aliased: owner=%d vis=%d grace=%d curr=%d",
+				i, o.Owner().Load(), o.Vis().Load(), o.Grace().Load(), o.CurrReader().Load())
 		}
-		// No word aliases another record's word in either layout.
-		for i := 0; i < tab.Len(); i++ {
-			o := tab.At(i)
-			if o.Owner().Load() != uint64(i)+1 || o.Vis().Load() != uint64(i)+2 ||
-				o.Grace().Load() != uint64(i)+3 || o.CurrReader().Load() != uint64(i)+4 {
-				t.Fatalf("%v: record %d words aliased: owner=%d vis=%d grace=%d curr=%d",
-					layout, i, o.Owner().Load(), o.Vis().Load(), o.Grace().Load(), o.CurrReader().Load())
-			}
-		}
-		// For and At agree on handle identity (pointer equality is what the
-		// read-set dedup and the acquired log rely on).
-		for a := heap.Addr(0); a < 256; a++ {
-			if tab.For(a) != tab.At(tab.Index(a)) {
-				t.Fatalf("%v: For/At disagree at addr %d", layout, a)
-			}
+	}
+	// For and At agree on record identity (pointer equality is what the
+	// read-set dedup and the acquired log rely on).
+	for a := heap.Addr(0); a < 256; a++ {
+		if tab.For(a) != tab.At(tab.Index(a)) {
+			t.Fatalf("For/At disagree at addr %d", a)
 		}
 	}
 }
 
-// TestLayoutPadding checks the false-sharing contracts the layouts exist
-// for: AoS keeps one record per 64-byte line; SoA pads every column element
-// to its own line so neighboring records in one column never share.
+// TestLayoutPadding checks the false-sharing contract: one record per
+// 64-byte line, all five fields on it.
 func TestLayoutPadding(t *testing.T) {
-	if s := unsafe.Sizeof(aosCell{}); s != 64 {
-		t.Errorf("aosCell size = %d, want 64", s)
+	if s := unsafe.Sizeof(Orec{}); s != 64 {
+		t.Errorf("Orec size = %d, want 64", s)
 	}
-	if s := unsafe.Sizeof(soaWord{}); s != 64 {
-		t.Errorf("soaWord size = %d, want 64", s)
-	}
-	if s := unsafe.Sizeof(Orec{}); s != 16 {
-		t.Errorf("Orec handle size = %d, want 16 (4 per cache line)", s)
-	}
-
-	aos := NewTableLayout(8, 1, LayoutAoS)
-	d := uintptr(unsafe.Pointer(aos.At(1).Owner())) - uintptr(unsafe.Pointer(aos.At(0).Owner()))
+	tab := NewTable(8, 1)
+	d := uintptr(unsafe.Pointer(tab.At(1).Owner())) - uintptr(unsafe.Pointer(tab.At(0).Owner()))
 	if d != 64 {
-		t.Errorf("AoS record stride = %d bytes, want 64", d)
+		t.Errorf("record stride = %d bytes, want 64", d)
 	}
-	// The AoS handle is embedded in its own cell: For → handle → word is
-	// one cache line, not a handle line plus a cell line.
-	for i := 0; i < aos.Len(); i++ {
-		o := aos.At(i)
-		hLine := uintptr(unsafe.Pointer(o)) / 64
-		wLine := uintptr(unsafe.Pointer(o.Owner())) / 64
-		if hLine != wLine {
-			t.Fatalf("AoS: record %d handle (line %d) not colocated with its words (line %d)", i, hLine, wLine)
+	for i := 0; i < tab.Len(); i++ {
+		o := tab.At(i)
+		first := uintptr(unsafe.Pointer(o.Owner()))
+		last := uintptr(unsafe.Pointer(&o.idx))
+		if last-first >= 64 {
+			t.Fatalf("record %d spans %d bytes, want one 64-byte line", i, last-first+4)
 		}
-	}
-
-	soa := NewTableLayout(8, 1, LayoutSoA)
-	d = uintptr(unsafe.Pointer(soa.At(1).Vis())) - uintptr(unsafe.Pointer(soa.At(0).Vis()))
-	if d != 64 {
-		t.Errorf("SoA column stride = %d bytes, want 64", d)
-	}
-	// In SoA a record's owner and vis words live on different lines (that
-	// separation is the point of the layout).
-	ownLine := uintptr(unsafe.Pointer(soa.At(0).Owner())) / 64
-	visLine := uintptr(unsafe.Pointer(soa.At(0).Vis())) / 64
-	if ownLine == visLine {
-		t.Error("SoA: a record's owner and vis words share a cache line")
 	}
 }

@@ -12,10 +12,7 @@
 // read and written "together in a single load/store" as §II-E requires.
 package orec
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "sync/atomic"
 
 // Field packing.
 //
@@ -76,63 +73,36 @@ func VisMulti(v uint64) bool { return v&1 == 1 }
 // thread 0 can be distinguished from "no reader".
 const NoReader uint64 = 0
 
-// Orec is a single ownership record, presented as a stable 16-byte
-// handle embedded in the owning Table's backing slab, HandleOff bytes
-// after the record's owner word (in both memory layouts). The accessors
-// reach the metadata words by offset arithmetic from the handle's own
-// address: Owner() costs no memory loads at all — exactly a plain
-// embedded-atomics struct — and the remaining words cost one load of the
-// (a, b) pair, which shares the owner word's cache line. Handles are
-// initialized once at table construction and never written afterwards;
-// all mutation goes through the atomic words themselves.
-//
-// Keeping the handle free of pointers matters twice over: a read-path
-// metadata access is For(addr) → handle → word, and with per-word
-// pointers the handle was a second dependent load (and, before it was
-// colocated, a second cold cache line) per distinct orec, which
-// measurably slowed every engine on long traversals; and a pointer-free
-// slab is opaque to the garbage collector.
+// Orec is a single ownership record: the five fields of Figure 2 plus the
+// record's table slot, padded to one 64-byte cache line. Records live in
+// their Table's backing array and never move, so a *Orec is a stable
+// identity (read-set dedup and the acquired log compare handles), and every
+// accessor is a constant offset from it: For(addr) → record → word touches
+// one cache line and performs no load beyond the word itself.
 //
 // Callers use the accessor methods as the record's fields (o.Vis().Load(),
 // o.Owner().CompareAndSwap(...)); the returned *atomic.Uint64 must not be
-// retained beyond the expression or loop using it. Handles are only valid
-// inside a Table's slab — the zero Orec has no words to point at.
+// retained beyond the expression or loop using it.
 type Orec struct {
-	// Word n (1 = vis, 2 = grace, 3 = curr_reader) sits a+n*b bytes
-	// past the owner word, within the same slab allocation (so the
-	// arithmetic below is within-object and legal). AoS cells use
-	// (16, 8); SoA columns use (0, 64*tableLen).
-	a, b uint32
+	owner, vis, grace, curr atomic.Uint64
 	// idx is the record's slot in its Table, fixed at construction.
 	idx uint32
-	_   uint32
-}
-
-// HandleOff is the byte distance from a record's owner word to its handle,
-// identical in both layouts.
-const HandleOff = 8
-
-// word returns the n-th metadata word of the record (0 = owner).
-func (o *Orec) word(n int) *atomic.Uint64 {
-	return (*atomic.Uint64)(unsafe.Add(unsafe.Pointer(o),
-		int(o.a)+n*int(o.b)-HandleOff))
+	_   [28]byte
 }
 
 // Owner is the wts-or-owning-txn word (Fig. 2a).
-func (o *Orec) Owner() *atomic.Uint64 {
-	return (*atomic.Uint64)(unsafe.Add(unsafe.Pointer(o), -HandleOff))
-}
+func (o *Orec) Owner() *atomic.Uint64 { return &o.owner }
 
 // Vis is the rts|tid|multi word (Fig. 2b,c).
-func (o *Orec) Vis() *atomic.Uint64 { return o.word(1) }
+func (o *Orec) Vis() *atomic.Uint64 { return &o.vis }
 
 // Grace is the grace period in clock steps (Fig. 2d).
-func (o *Orec) Grace() *atomic.Uint64 { return o.word(2) }
+func (o *Orec) Grace() *atomic.Uint64 { return &o.grace }
 
 // CurrReader is the store-protocol lock (Fig. 2e).
-func (o *Orec) CurrReader() *atomic.Uint64 { return o.word(3) }
+func (o *Orec) CurrReader() *atomic.Uint64 { return &o.curr }
 
 // Index returns the record's table slot. It is the canonical hash key for
 // per-transaction containers (read-set dedup, publication log, hint
-// cache): indices and handles are in bijection within one table.
+// cache): indices and records are in bijection within one table.
 func (o *Orec) Index() uint32 { return o.idx }

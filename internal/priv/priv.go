@@ -52,16 +52,11 @@ type Config struct {
 	// in the privatizer's private phase. Safe algorithms must stay clean
 	// even so; the TL2 baseline then exhibits violations much more often.
 	TornWindow bool
-	// Tracker, ScanTracker, DisableExtension and CapFenceAtCommit select
-	// the corresponding runtime variants; the safety assertions must hold
-	// regardless of which combination is configured.
+	// Tracker and CapFenceAtCommit select the corresponding runtime
+	// variants; the safety assertions must hold regardless of which
+	// combination is configured.
 	Tracker          stm.TrackerKind
-	ScanTracker      bool
-	DisableExtension bool
 	CapFenceAtCommit bool
-	// OrecLayout selects the orec-table memory layout; the safety
-	// assertions are layout-independent.
-	OrecLayout stm.OrecLayout
 	// DisableHintCache turns off the thread-local orec hint cache.
 	DisableHintCache bool
 	// AtomicPrivate makes the privatizer's "uninstrumented" accesses use
@@ -116,16 +111,13 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Iterations = 200
 	}
 	s, err := stm.New(stm.Config{
-		Algorithm:                cfg.Algorithm,
-		HeapWords:                1 << 16,
-		OrecCount:                1 << 10,
-		MaxThreads:               cfg.Readers + 1,
-		Tracker:                  cfg.Tracker,
-		ScanTracker:              cfg.ScanTracker,
-		DisableSnapshotExtension: cfg.DisableExtension,
-		CapFenceAtCommit:         cfg.CapFenceAtCommit,
-		OrecLayout:               cfg.OrecLayout,
-		DisableHintCache:         cfg.DisableHintCache,
+		Algorithm:        cfg.Algorithm,
+		HeapWords:        1 << 16,
+		OrecCount:        1 << 10,
+		MaxThreads:       cfg.Readers + 1,
+		Tracker:          cfg.Tracker,
+		CapFenceAtCommit: cfg.CapFenceAtCommit,
+		DisableHintCache: cfg.DisableHintCache,
 	})
 	if err != nil {
 		return nil, err

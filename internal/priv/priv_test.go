@@ -82,20 +82,18 @@ func TestTL2Baseline(t *testing.T) {
 }
 
 // TestPrivatizationSafeWithAblations re-runs the safety assertions under
-// the pre-optimization configuration — the paper's spin-locked central
-// list and snapshot extension disabled — so the commit-path optimizations
-// can be A/B-compared without losing the safety net on either side.
+// the paper's spin-locked central list instead of the slot tracker, so the
+// tracker can be A/B-compared without losing the safety net on either side.
 func TestPrivatizationSafeWithAblations(t *testing.T) {
 	run := func(alg stm.Algorithm, atomicPriv bool) {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := testCfg(alg, atomicPriv)
 			cfg.Tracker = stm.TrackerList
-			cfg.DisableExtension = true
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%v+list+noextend: %v", alg, res)
+			t.Logf("%v+list: %v", alg, res)
 			if !res.Clean() {
 				t.Errorf("privatization violation under %v with ablations: %v", alg, res)
 			}
@@ -110,59 +108,20 @@ func TestPrivatizationSafeWithAblations(t *testing.T) {
 }
 
 // TestPrivatizationSafeWithExtensions re-runs the safety assertions with
-// the two future-work extensions enabled: the lock-free scan tracker and
-// the commit-time fence-threshold cap. Both change *when* fences trigger
-// and wait, never whether a needed fence is skipped.
+// the future-work commit-time fence-threshold cap enabled. It changes *when*
+// fences wait, never whether a needed fence is skipped.
 func TestPrivatizationSafeWithExtensions(t *testing.T) {
-	for _, alg := range safePlain {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := testCfg(alg, false)
-			cfg.ScanTracker = true
-			cfg.CapFenceAtCommit = true
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%v+scan+cap: %v", alg, res)
-			if !res.Clean() {
-				t.Errorf("privatization violation under %v with extensions: %v", alg, res)
-			}
-		})
-	}
-	for _, alg := range safeAtomic {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := testCfg(alg, true)
-			cfg.ScanTracker = true
-			cfg.CapFenceAtCommit = true
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%v+scan+cap: %v", alg, res)
-			if !res.Clean() {
-				t.Errorf("privatization violation under %v with extensions: %v", alg, res)
-			}
-		})
-	}
-}
-
-// TestPrivatizationSafeWithSoALayout re-runs the safety assertions under
-// the structure-of-arrays orec layout (with the hint cache at its default,
-// on). The layout moves the metadata words to different cache lines but
-// must not change any protocol outcome, so every safe engine has to stay
-// clean under plain or atomic private access exactly as in the AoS runs.
-func TestPrivatizationSafeWithSoALayout(t *testing.T) {
 	run := func(alg stm.Algorithm, atomicPriv bool) {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := testCfg(alg, atomicPriv)
-			cfg.OrecLayout = stm.OrecLayoutSoA
+			cfg.CapFenceAtCommit = true
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%v+soa: %v", alg, res)
+			t.Logf("%v+cap: %v", alg, res)
 			if !res.Clean() {
-				t.Errorf("privatization violation under %v with SoA layout: %v", alg, res)
+				t.Errorf("privatization violation under %v with extensions: %v", alg, res)
 			}
 		})
 	}

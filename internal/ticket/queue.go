@@ -15,9 +15,6 @@ import (
 // counter.
 type QueueLock struct {
 	tail atomic.Pointer[QNode]
-	// served counts completed releases, mirroring Lock.ServedCount for the
-	// deferred clock modes' commit-progress polling (core.CommitSignal).
-	served atomic.Uint64
 }
 
 // QNode is one waiter's queue entry. Obtain via Enqueue.
@@ -64,10 +61,4 @@ func (l *QueueLock) Wait(n *QNode) {
 }
 
 // Done releases the caller's position, admitting the successor.
-func (l *QueueLock) Done(n *QNode) {
-	l.served.Add(1)
-	n.done.Store(true)
-}
-
-// ServedCount returns how many positions have been released.
-func (l *QueueLock) ServedCount() uint64 { return l.served.Load() }
+func (l *QueueLock) Done(n *QNode) { n.done.Store(true) }

@@ -65,15 +65,8 @@ func (l *Lock) Wait(t uint64) {
 //go:noinline
 func spinHot() {}
 
-// Done completes service of ticket t and admits the successor. Passing a
-// later ticket than the one taken admits past a whole served batch (the
-// flat-combining leader's hand-off, combine.go).
+// Done completes service of ticket t and admits the successor.
 func (l *Lock) Done(t uint64) { l.serving.Store(t + 1) }
-
-// ServedCount returns how many tickets have completed service. It is the
-// commit-progress signal the deferred clock modes poll (core.CommitSignal):
-// every ordered commit advances it even when the global clock stands still.
-func (l *Lock) ServedCount() uint64 { return l.serving.Load() }
 
 // Acquire is Take followed by Wait — plain mutual exclusion.
 func (l *Lock) Acquire() uint64 {

@@ -1,8 +1,7 @@
 // slots.go implements the "lighter weight implementation of the central
-// list" the paper leaves as future work (§II-C), taken further than the
-// registry-scanning tracker: a statically allocated, cache-line padded slot
-// array indexed by thread ID, plus a cached, monotonically advancing
-// oldest-begin watermark.
+// list" the paper leaves as future work (§II-C): a statically allocated,
+// cache-line padded slot array indexed by thread ID, plus a cached,
+// monotonically advancing oldest-begin watermark.
 //
 //   - Enter/Leave are single uncontended atomic stores into the thread's
 //     own padded slot — no lock, no shared cache line.
@@ -37,11 +36,12 @@
 // untouched, and even a version-stamped word can recur (ABA) once another
 // recompute reinstalls the same minimum, letting a stale scan publish a
 // watermark above a live joiner. A scan that misses a *concurrently
-// entering* (fresh-timestamp) transaction is sound for the same reason
-// the registry-scanning tracker is: registration completes before the
-// transaction publishes visibility hints or performs further reads, and
-// the engines revalidate after registering, so only fences that start
-// after registration must see it — and they do.
+// entering* (fresh-timestamp) transaction is sound because Enter samples
+// the begin timestamp after its slot is visible (see Enter): every holder
+// such a scan can cache began no later than the entrant, and registration
+// completes before the transaction publishes visibility hints or performs
+// further reads, so only fences that start after registration must see it
+// — and they do.
 //
 // Readers never take the lock: the fast path is two loads, and a reader
 // that loses the fast path acquires the lock only to scan-and-publish.
@@ -137,12 +137,24 @@ func (s *Slots) raiseHi(id int) {
 // returns it. Unlike the central list, no lock orders the clock sample
 // against other begins: the tracker does not need sortedness, only that a
 // transaction is visible with a timestamp no later than any datum it reads,
-// which a pre-publication Now() guarantees (the clock is monotonic, so a
-// fresh sample can never undercut a still-cached older holder).
+// which a pre-publication Now() guarantees.
+//
+// The begin timestamp is sampled only after the slot is visible: a
+// recompute whose scan runs before the slot store caches a holder whose
+// begin was sampled before that scan, and a begin sampled before the store
+// could be older than that holder — the cache would then sit above a live
+// registration until the holder left. So the slot is first stored with a
+// provisional timestamp (a scan that sees it caches something no later than
+// the final one, which is safe), and the final sample, taken after, is
+// re-stored only in the rare case the clock moved in between.
 func (s *Slots) Enter(id int, c *clock.Clock) uint64 {
 	s.raiseHi(id)
+	p := c.Now()
+	s.slots[id].v.Store(p<<1 | 1)
 	ts := c.Now()
-	s.slots[id].v.Store(ts<<1 | 1)
+	if ts != p {
+		s.slots[id].v.Store(ts<<1 | 1)
+	}
 	return ts
 }
 

@@ -1,9 +1,24 @@
 package stm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
+
+// configFieldBudget is the number of fields stm.Config may have. A new knob
+// is a hot-path branch, a test-matrix multiplier and a CORRECTNESS.md
+// paragraph; adding one means raising this budget where review sees it.
+const configFieldBudget = 18
+
+// TestConfigFieldBudget is the knob ratchet: Config must not grow past
+// configFieldBudget fields.
+func TestConfigFieldBudget(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n > configFieldBudget {
+		t.Errorf("stm.Config has %d fields, budget %d: ROADMAP item 3 (cull) asks that every knob earn its place — "+
+			"delete one, or raise configFieldBudget in the same change and say why", n, configFieldBudget)
+	}
+}
 
 // optionVariants are the runtime-option combinations (beyond the default)
 // that every algorithm must behave identically under.
@@ -11,9 +26,7 @@ var optionVariants = []struct {
 	name string
 	mut  func(*Config)
 }{
-	{"scanTracker", func(c *Config) { c.ScanTracker = true }},
 	{"capFence", func(c *Config) { c.CapFenceAtCommit = true }},
-	{"scan+cap", func(c *Config) { c.ScanTracker = true; c.CapFenceAtCommit = true }},
 	{"block4", func(c *Config) { c.BlockWords = 4 }},
 	{"smallOrecs", func(c *Config) { c.OrecCount = 16 }},
 	{"grace8", func(c *Config) { c.MaxGrace = 8 }},

@@ -149,7 +149,8 @@ type Config struct {
 	// abort, never a missed conflict) and wastes up to BlockWords−1 words
 	// per extent; 1 is the paper's word granularity, kept for ablations.
 	BlockWords int
-	// MaxThreads bounds concurrently registered threads (default 64).
+	// MaxThreads bounds concurrently registered threads (default 64; at
+	// most 65534, the slot tracker's capacity).
 	MaxThreads int
 	// MaxGrace caps adaptive grace periods (default 256, the paper's
 	// experimental setting).
@@ -160,17 +161,8 @@ type Config struct {
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, keeps a cached oldest-begin watermark over per-thread
 	// slots: begins, ends, and oldest-transaction queries are all O(1).
-	// TrackerList restores the paper's §II-C spin-locked central list;
-	// TrackerScan is the O(MaxThreads)-query registry scan.
+	// TrackerList restores the paper's §II-C spin-locked central list.
 	Tracker TrackerKind
-	// ScanTracker is the deprecated boolean form of Tracker: when set (and
-	// Tracker is left at its default) it selects TrackerScan.
-	ScanTracker bool
-	// DisableSnapshotExtension turns off timestamp extension on the
-	// redo-log algorithms: a transaction that reads data newer than its
-	// begin time then aborts instead of revalidating and advancing its
-	// snapshot. Kept for ablations.
-	DisableSnapshotExtension bool
 	// CapFenceAtCommit bounds privatization-fence thresholds just below
 	// the writer's commit time — the fence waits only for transactions that
 	// began before the commit's clock tick — eliminating the grace-period
@@ -180,31 +172,6 @@ type Config struct {
 	// default GraceExponential is the paper's choice; GraceLinear and
 	// GraceHybrid reproduce the alternatives the authors report trying.
 	GraceStrategy GraceStrategy
-	// OrecLayout selects the orec table's memory layout: OrecLayoutAoS
-	// (default) keeps each record's four metadata words on one padded
-	// cache line; OrecLayoutSoA splits them into four parallel padded
-	// column arrays so a committing writer's owner-word scan stops
-	// false-sharing with concurrent readers' visibility-hint stores (at
-	// 4x the metadata footprint).
-	OrecLayout OrecLayout
-	// Clock selects the version-clock scheme. ClockGV1 (default) CASes the
-	// global clock once per writer commit — the classic TL2 rule, with
-	// unique totally ordered timestamps. ClockGV5 defers: commits stamp
-	// Now()+1 without touching the clock, readers that trip over a future
-	// timestamp publish it (AdvanceTo) and extend, and aborts bump the
-	// clock — zero commit-path contention. ClockLocal gives each thread a
-	// local clock merged with the global at commit time. The undo-log PVR
-	// algorithms (PVRBase/CAS/Store/WriterOnly) require ClockGV1 — they
-	// never extend their snapshots and the privatization-fence proofs
-	// assume a monotone global commit order — which New enforces (see
-	// CORRECTNESS.md §13).
-	Clock ClockMode
-	// OrderBatch enables the Ord algorithm's flat-combining commit
-	// batcher: the committer currently served by the ticket lock performs
-	// up to OrderBatch successors' write-backs and releases under one
-	// ticket hold instead of handing the lock through N wakeups. 0
-	// disables; only Ord's ticket variant consults it.
-	OrderBatch int
 	// DisableHintCache turns off the thread-local orec hint cache on the
 	// partially-visible-read engines: every re-read then re-runs the full
 	// §II-E visibility protocol instead of skipping after the first
@@ -250,7 +217,6 @@ type TrackerKind = core.TrackerKind
 const (
 	TrackerSlot = core.TrackerSlot
 	TrackerList = core.TrackerList
-	TrackerScan = core.TrackerScan
 )
 
 // CMPolicy re-exports the contention-management policy selector.
@@ -290,36 +256,6 @@ const (
 	GraceHybrid      = core.GraceHybrid
 )
 
-// ClockMode re-exports the version-clock scheme selector.
-type ClockMode = core.ClockMode
-
-// The version-clock schemes (Config.Clock).
-const (
-	ClockGV1   = core.ClockGV1
-	ClockGV5   = core.ClockGV5
-	ClockLocal = core.ClockLocal
-)
-
-// ClockModes lists every clock scheme in flag order.
-var ClockModes = []ClockMode{ClockGV1, ClockGV5, ClockLocal}
-
-// ParseClockMode maps a flag spelling ("gv1", "gv5", "local") back to its
-// ClockMode.
-func ParseClockMode(s string) (ClockMode, error) { return core.ParseClockMode(s) }
-
-// OrecLayout re-exports the orec-table memory layout selector.
-type OrecLayout = core.OrecLayout
-
-// The orec-table layouts (Config.OrecLayout).
-const (
-	OrecLayoutAoS = core.OrecLayoutAoS
-	OrecLayoutSoA = core.OrecLayoutSoA
-)
-
-// ParseOrecLayout maps a flag spelling ("aos", "soa") back to its
-// OrecLayout.
-func ParseOrecLayout(s string) (OrecLayout, error) { return core.ParseOrecLayout(s) }
-
 // STM is one transactional memory instance: a heap, its metadata, and an
 // algorithm. Create with New; register worker threads with NewThread.
 type STM struct {
@@ -330,14 +266,6 @@ type STM struct {
 
 // New creates an STM instance.
 func New(cfg Config) (*STM, error) {
-	if cfg.Clock != ClockGV1 {
-		switch cfg.Algorithm {
-		case PVRBase, PVRCAS, PVRStore, PVRWriterOnly:
-			return nil, fmt.Errorf(
-				"stm: algorithm %v requires ClockGV1: the undo-log engines never extend their snapshots, and the privatization-fence proofs assume every writer commit advances the global clock (CORRECTNESS.md §13)",
-				cfg.Algorithm)
-		}
-	}
 	rt, err := core.NewRuntime(core.Options{
 		HeapWords:        cfg.HeapWords,
 		OrecCount:        cfg.OrecCount,
@@ -345,14 +273,9 @@ func New(cfg Config) (*STM, error) {
 		MaxThreads:       cfg.MaxThreads,
 		MaxGrace:         cfg.MaxGrace,
 		HybridThreshold:  cfg.HybridThreshold,
-		Clock:            cfg.Clock,
-		OrderBatch:       cfg.OrderBatch,
 		Tracker:          cfg.Tracker,
-		ScanTracker:      cfg.ScanTracker,
-		DisableExtension: cfg.DisableSnapshotExtension,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
 		GraceStrategy:    cfg.GraceStrategy,
-		OrecLayout:       cfg.OrecLayout,
 		DisableHintCache: cfg.DisableHintCache,
 		CM:               cfg.ContentionManager,
 		MaxAttempts:      cfg.MaxAttempts,
