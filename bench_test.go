@@ -236,13 +236,13 @@ func BenchmarkAblationWriteCommit(b *testing.B) {
 
 // BenchmarkCentralList isolates the §II-C incomplete-transaction tracker —
 // the bottleneck the paper identifies for short transactions — comparing
-// the paper's locked central list against the lock-free cached-watermark
-// slot tracker (the default).
+// the paper's locked central list against the lock-free registry-scan
+// tracker and the cached-watermark slot tracker (the default).
 func BenchmarkCentralList(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		tracker stm.TrackerKind
-	}{{"list", stm.TrackerList}, {"slot", stm.TrackerSlot}} {
+	}{{"list", stm.TrackerList}, {"scan", stm.TrackerScan}, {"slot", stm.TrackerSlot}} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := stm.MustNew(stm.Config{
 				Algorithm: stm.PVRBase, HeapWords: 1 << 10, OrecCount: 64,
@@ -382,7 +382,7 @@ func BenchmarkAblationGraceStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTrackerUnderLoad compares the two trackers on the
+// BenchmarkAblationTrackerUnderLoad compares the three trackers on the
 // paper's short-transaction workload (hashtable), where §V blames the
 // central list for pvr flattening.
 func BenchmarkAblationTrackerUnderLoad(b *testing.B) {
@@ -390,7 +390,7 @@ func BenchmarkAblationTrackerUnderLoad(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		tracker stm.TrackerKind
-	}{{"list", stm.TrackerList}, {"slot", stm.TrackerSlot}} {
+	}{{"list", stm.TrackerList}, {"scan", stm.TrackerScan}, {"slot", stm.TrackerSlot}} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := stm.MustNew(stm.Config{
 				Algorithm: stm.PVRStore, HeapWords: spec.HeapWords,

@@ -43,7 +43,7 @@ func main() {
 		jsonPath = flag.String("json", "", "also write raw measurements to this JSON file (for -compare)")
 		algos    = flag.String("algos", "", "comma-separated curve filter (figure labels, e.g. TL2,pvrStore)")
 		mix      = flag.String("mix", "", "override op mix as insert/delete/lookup (e.g. 20/20/60)")
-		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot or list")
+		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot, list, or scan")
 		cmName   = flag.String("cm", "backoff", "contention manager: backoff, karma, or serialize")
 		nocache  = flag.Bool("nohintcache", false, "disable the thread-local orec hint cache (ablation)")
 		rsweep   = flag.Bool("reclaimsweep", false, "run the paired reclamation-overhead sweep (fig rcl); writes reclaim cells to -json, pool baselines to -basejson")
@@ -147,8 +147,10 @@ func main() {
 		trackerKind = stm.TrackerSlot
 	case "list":
 		trackerKind = stm.TrackerList
+	case "scan":
+		trackerKind = stm.TrackerScan
 	default:
-		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot or list)\n", *tracker)
+		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot, list, or scan)\n", *tracker)
 		os.Exit(2)
 	}
 

@@ -43,7 +43,8 @@ type Options struct {
 
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, is the O(1) cached-watermark slot array; TrackerList
-	// restores the paper's §II-C spin-locked central list (ablations).
+	// restores the paper's §II-C spin-locked central list (ablations);
+	// TrackerScan is the registry-scanning variant.
 	Tracker TrackerKind
 	// CapFenceAtCommit caps privatization-fence thresholds just below the
 	// writer's commit time wts, eliminating the grace-period "extended
@@ -204,9 +205,12 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		OnStall:          opts.OnStall,
 		threads:          make([]atomic.Pointer[Thread], opts.MaxThreads),
 	}
-	if opts.Tracker == TrackerList {
+	switch opts.Tracker {
+	case TrackerList:
 		rt.Active = NewListTracker(rt)
-	} else {
+	case TrackerScan:
+		rt.Active = NewScanTracker(rt)
+	default:
 		rt.Active = NewSlotTracker(rt)
 	}
 	// Every tracker kind carries the schedule explorer's yield points

@@ -127,6 +127,9 @@ type Thread struct {
 	// lastValidated publishes the clock time of this thread's most recent
 	// successful full read-set validation, for the Val engine's fence.
 	lastValidated atomic.Uint64
+	// trackerTS is the ScanTracker's registration word:
+	// beginTS<<1 | active.
+	trackerTS atomic.Uint64
 
 	// padding to keep descriptors from false-sharing in the registry.
 	_ [8]uint64

@@ -9,6 +9,7 @@ func trackers(t *testing.T) map[string]func(*Runtime) ActiveTracker {
 	t.Helper()
 	return map[string]func(*Runtime) ActiveTracker{
 		"list": func(rt *Runtime) ActiveTracker { return NewListTracker(rt) },
+		"scan": func(rt *Runtime) ActiveTracker { return NewScanTracker(rt) },
 		"slot": func(rt *Runtime) ActiveTracker { return NewSlotTracker(rt) },
 	}
 }
@@ -76,7 +77,7 @@ func TestTrackerLateJoiner(t *testing.T) {
 }
 
 // TestTrackerLowerBoundUnderChurn verifies the fence-safety property for
-// both implementations: while a resident transaction is registered,
+// every implementation: while a resident transaction is registered,
 // OldestBegin never exceeds its begin timestamp.
 func TestTrackerLowerBoundUnderChurn(t *testing.T) {
 	for name, mk := range trackers(t) {
@@ -135,5 +136,9 @@ func TestRuntimeSelectsTracker(t *testing.T) {
 	rt2, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerList})
 	if _, ok := UnwrapTracker(rt2.Active).(*ListTracker); !ok {
 		t.Errorf("TrackerList option ignored: %T", UnwrapTracker(rt2.Active))
+	}
+	rt3, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerScan})
+	if _, ok := UnwrapTracker(rt3.Active).(*ScanTracker); !ok {
+		t.Errorf("TrackerScan option ignored: %T", UnwrapTracker(rt3.Active))
 	}
 }

@@ -108,18 +108,20 @@ func TestPrivatizationSafeWithAblations(t *testing.T) {
 }
 
 // TestPrivatizationSafeWithExtensions re-runs the safety assertions with
-// the future-work commit-time fence-threshold cap enabled. It changes *when*
-// fences wait, never whether a needed fence is skipped.
+// the two future-work extensions enabled: the lock-free registry-scan
+// tracker and the commit-time fence-threshold cap. Both change *when*
+// fences trigger and wait, never whether a needed fence is skipped.
 func TestPrivatizationSafeWithExtensions(t *testing.T) {
 	run := func(alg stm.Algorithm, atomicPriv bool) {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := testCfg(alg, atomicPriv)
+			cfg.Tracker = stm.TrackerScan
 			cfg.CapFenceAtCommit = true
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%v+cap: %v", alg, res)
+			t.Logf("%v+scan+cap: %v", alg, res)
 			if !res.Clean() {
 				t.Errorf("privatization violation under %v with extensions: %v", alg, res)
 			}

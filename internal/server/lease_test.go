@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -67,10 +69,31 @@ func stallPeer(t *testing.T, addr string) net.Conn {
 	t.Cleanup(func() { conn.Close() })
 	_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10) // fewer responses fill the path
 	req := frameOf(keysPayload(OpGet, maxOpKeys, 1))
-	for i := 0; i < 10_000; i++ {
-		_ = conn.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
-		if _, err := conn.Write(req); err != nil {
-			return conn
+	// One write deadline can expire while the whole process is descheduled,
+	// before the server had a chance to read, and it can leave half a request
+	// on the wire that a server which then drains the rest waits on forever.
+	// So a timed-out write resumes where it stopped, and only stallRounds
+	// consecutive deadlines without one byte accepted mean the server has
+	// stopped reading.
+	const stallRounds = 5
+	pending, idle := req, 0
+	for sent := 0; sent < 10_000; {
+		_ = conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+		n, err := conn.Write(pending)
+		if n > 0 {
+			idle = 0
+		}
+		if pending = pending[n:]; len(pending) == 0 {
+			pending, sent = req, sent+1
+		}
+		switch {
+		case err == nil:
+		case !errors.Is(err, os.ErrDeadlineExceeded):
+			return conn // the server hung up on the stalled peer
+		case n == 0:
+			if idle++; idle == stallRounds {
+				return conn
+			}
 		}
 	}
 	t.Fatal("server kept reading from a peer that never reads")

@@ -26,7 +26,9 @@ var optionVariants = []struct {
 	name string
 	mut  func(*Config)
 }{
+	{"scanTracker", func(c *Config) { c.Tracker = TrackerScan }},
 	{"capFence", func(c *Config) { c.CapFenceAtCommit = true }},
+	{"scan+cap", func(c *Config) { c.Tracker = TrackerScan; c.CapFenceAtCommit = true }},
 	{"block4", func(c *Config) { c.BlockWords = 4 }},
 	{"smallOrecs", func(c *Config) { c.OrecCount = 16 }},
 	{"grace8", func(c *Config) { c.MaxGrace = 8 }},

@@ -161,7 +161,8 @@ type Config struct {
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, keeps a cached oldest-begin watermark over per-thread
 	// slots: begins, ends, and oldest-transaction queries are all O(1).
-	// TrackerList restores the paper's §II-C spin-locked central list.
+	// TrackerList restores the paper's §II-C spin-locked central list;
+	// TrackerScan is the O(MaxThreads)-query registry scan.
 	Tracker TrackerKind
 	// CapFenceAtCommit bounds privatization-fence thresholds just below
 	// the writer's commit time — the fence waits only for transactions that
@@ -217,6 +218,7 @@ type TrackerKind = core.TrackerKind
 const (
 	TrackerSlot = core.TrackerSlot
 	TrackerList = core.TrackerList
+	TrackerScan = core.TrackerScan
 )
 
 // CMPolicy re-exports the contention-management policy selector.
