@@ -52,10 +52,12 @@ test-faults:
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and
 # bounded-DFS corpus over every engine family (serializability and
 # privatization-safety oracles; failures print a replayable trace), the
-# slot tracker's watermark program enumerated exhaustively on the
-# production write path, and the rediscovery control — with the historical
-# watermark fix reverted (-tags privstm_watermark_race) the same program
-# must FAIL: the explorer finds the race and logs the trace.
+# store-protocol coverage program (storeCoverProgram: the explorer must find
+# the open §III-B hole of CORRECTNESS.md §4 on pvrStore and pass clean on
+# the CAS engines), the slot tracker's watermark program enumerated
+# exhaustively on the production write path, and the rediscovery control —
+# with the historical watermark fix reverted (-tags privstm_watermark_race)
+# the same program must FAIL: the explorer finds the race and logs the trace.
 explore:
 	$(GO) test -count=1 -run 'TestExplore|TestSched|TestWatermark|TestPCT|TestDFS' . ./internal/sched ./internal/txnlist
 	$(GO) test -count=1 -tags privstm_watermark_race -run TestWatermarkRaceRediscovered -v ./internal/txnlist

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,6 +93,44 @@ func TestCrossValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestPolicedFlagsAreDefined keeps the cross-validation lists honest: every
+// flag name they police must still be defined in main.go, so deleting a flag
+// without deleting its entry fails here instead of leaving a dead check.
+func TestPolicedFlagsAreDefined(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				defined[name] = true
+			}
+		}
+		return true
+	})
+	if !defined["remote"] {
+		t.Fatal("found no flag definitions in main.go")
+	}
+	for _, name := range append(append([]string{}, localOnlyWithRemote...), remoteOnly...) {
+		if !defined[name] {
+			t.Errorf("-%s is policed by crossValidate but not defined in main.go", name)
 		}
 	}
 }

@@ -43,9 +43,8 @@ func main() {
 		jsonPath = flag.String("json", "", "also write raw measurements to this JSON file (for -compare)")
 		algos    = flag.String("algos", "", "comma-separated curve filter (figure labels, e.g. TL2,pvrStore)")
 		mix      = flag.String("mix", "", "override op mix as insert/delete/lookup (e.g. 20/20/60)")
-		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot, list, or scan")
+		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot or list")
 		cmName   = flag.String("cm", "backoff", "contention manager: backoff, karma, or serialize")
-		nocache  = flag.Bool("nohintcache", false, "disable the thread-local orec hint cache (ablation)")
 		rsweep   = flag.Bool("reclaimsweep", false, "run the paired reclamation-overhead sweep (fig rcl); writes reclaim cells to -json, pool baselines to -basejson")
 		tsweep   = flag.Bool("tdssweep", false, "run the paired semantic-structure sweep (fig tds); writes tds cells to -json, tlib baselines to -basejson")
 		tcheck   = flag.Bool("tdscheck", false, "check tds acceptance: stmbench -tdscheck [-tdsthreads N] [-tdsgain X] tds.json tds_baseline.json")
@@ -147,10 +146,8 @@ func main() {
 		trackerKind = stm.TrackerSlot
 	case "list":
 		trackerKind = stm.TrackerList
-	case "scan":
-		trackerKind = stm.TrackerScan
 	default:
-		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot, list, or scan)\n", *tracker)
+		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot or list)\n", *tracker)
 		os.Exit(2)
 	}
 
@@ -212,26 +209,25 @@ func main() {
 		os.Exit(2)
 	}
 	hc := bench.HarnessConfig{
-		Threads:          ths,
-		TxnsPerThread:    *txns,
-		Duration:         *dur,
-		Scale:            *scale,
-		Reps:             *reps,
-		Seed:             *seed,
-		Tracker:          trackerKind,
-		CM:               cmPolicy,
-		MaxAttempts:      *maxAtt,
-		DisableHintCache: *nocache,
-		DisableSandbox:   *noSandbx,
-		ZipfTheta:        *zipf,
+		Threads:        ths,
+		TxnsPerThread:  *txns,
+		Duration:       *dur,
+		Scale:          *scale,
+		Reps:           *reps,
+		Seed:           *seed,
+		Tracker:        trackerKind,
+		CM:             cmPolicy,
+		MaxAttempts:    *maxAtt,
+		DisableSandbox: *noSandbx,
+		ZipfTheta:      *zipf,
 	}
 	if *noRecl {
 		hc.Free = bench.FreePool
 	}
 
-	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s cm=%s maxattempts=%d hintcache=%s reclaim=%s sandbox=%s zipf=%.2f\n",
+	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s cm=%s maxattempts=%d reclaim=%s sandbox=%s zipf=%.2f\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, cmPolicy, *maxAtt,
-		onOff(!*nocache), onOff(!*noRecl), onOff(!*noSandbx), *zipf)
+		onOff(!*noRecl), onOff(!*noSandbx), *zipf)
 	if runtime.NumCPU() < 8 {
 		fmt.Printf("# note: %d CPUs — thread counts beyond that timeshare; expect curves to flatten there\n", runtime.NumCPU())
 	}
@@ -352,8 +348,7 @@ func main() {
 			os.Exit(1)
 		}
 		bench.SortMeasurements(allMs)
-		label := fmt.Sprintf("tracker=%s scale=1/%d cm=%s hintcache=%s",
-			*tracker, *scale, cmPolicy, onOff(!*nocache))
+		label := fmt.Sprintf("tracker=%s scale=1/%d cm=%s", *tracker, *scale, cmPolicy)
 		werr := bench.WriteJSONReport(out, label, allMs, micros)
 		if cerr := out.Close(); werr == nil {
 			werr = cerr

@@ -37,8 +37,9 @@ func mkExploreSTM(alg Algorithm) *STM {
 
 // exploreOracle is the OnStep invariant check shared by every program: the
 // slot tracker's watermark soundness (a cached oldest-begin may never sit
-// above a live transaction's begin) and each thread's hint-cache invariant
-// (CORRECTNESS.md §10). It runs with every worker suspended at a yield
+// above a live transaction's begin) and each live visible transaction's
+// coverage (every hint it published still reads rts ≥ its begin time;
+// CORRECTNESS.md §10). It runs with every worker suspended at a yield
 // point, so any violation it reports is a real reachable state.
 func exploreOracle(s *STM) func() error {
 	return func() error {
@@ -50,7 +51,7 @@ func exploreOracle(s *STM) func() error {
 		var err error
 		s.rt.ForEachThread(func(t *core.Thread) {
 			if err == nil {
-				err = t.CheckHintCache()
+				err = t.CheckCoverage()
 			}
 		})
 		return err
@@ -150,9 +151,56 @@ func privProgram(alg Algorithm) (sched.Config, []func()) {
 	return sched.Config{OnStep: exploreOracle(s)}, []func(){writer, privatizer}
 }
 
+// storeCoverProgram: two readers of one flag block and a writer that
+// privatizes the data block behind it, aimed at the §III-B store protocol
+// (CORRECTNESS.md §4). The writer first commits an unrelated word, so the
+// clock can move between the two readers' begin times; then it detaches the
+// data by setting the flag, and rewrites both data words uninstrumented.
+// Each reader reads the flag and, while the data is still shared, both data
+// words, recording a torn pair. If one reader's delayed store-protocol
+// update lowers the other's hint below its begin time, the writer's fence
+// skips that reader and it can observe the private rewrite half done; the
+// coverage oracle reports the lowered hint as soon as it happens.
+func storeCoverProgram(alg Algorithm) (sched.Config, []func()) {
+	s := mkExploreSTM(alg)
+	flagA := s.MustAlloc(1)
+	data := s.MustAlloc(2)
+	tick := s.MustAlloc(1)
+	wth := s.MustNewThread()
+	var torn error
+	reader := func() func() {
+		th := s.MustNewThread()
+		return func() {
+			_ = th.Atomic(func(tx *Tx) {
+				if tx.Load(flagA) != 0 {
+					return // privatized: hands off
+				}
+				a := tx.Load(data)
+				sched.Point("test/storecover/mid-read")
+				if b := tx.Load(data + 1); a != b && torn == nil {
+					torn = fmt.Errorf("privatization violation: a reader saw private data torn %d/%d", a, b)
+				}
+			})
+		}
+	}
+	writer := func() {
+		_ = wth.Atomic(func(tx *Tx) { tx.Store(tick, tx.Load(tick)+1) })
+		sched.Point("test/storecover/between-txns")
+		_ = wth.Atomic(func(tx *Tx) { tx.Store(flagA, 1) })
+		s.DirectStore(data, 1)
+		sched.Point("test/storecover/mid-private-write")
+		s.DirectStore(data+1, 1)
+	}
+	return sched.Config{
+		OnStep: exploreOracle(s),
+		AtEnd:  func() error { return torn },
+	}, []func(){reader(), writer, reader()}
+}
+
 var schedPrograms = []schedProgram{
 	{name: "rmw", mk: rmwProgram},
 	{name: "priv", mk: privProgram},
+	{name: "storecover", mk: storeCoverProgram},
 }
 
 func findProgram(name string) *schedProgram {
@@ -254,6 +302,82 @@ func TestExploreFindsTL2PrivatizationRace(t *testing.T) {
 	rep := sched.Replay(cfg, res.Trace, bodies...)
 	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "privatization violation") {
 		t.Fatalf("replay of the failing trace did not reproduce: %v", rep.Err)
+	}
+}
+
+// storeCoverPCT and storeCoverRuns are the PCT corpus over
+// storeCoverProgram. The lowered hint needs four well-placed preemptions —
+// the delayed reader held between its clock sample and its claim, the other
+// reader beginning after a commit, the claim overwritten, and the delayed
+// store landing after the overwriter succeeded — which a bounded DFS does
+// not reach (20,000 schedules clean) and PCT at depth 4 does (seed 196).
+var storeCoverPCT = sched.Config{Seed: 1, ChangePoints: 4, Horizon: 40}
+
+const storeCoverRuns = 400
+
+// storeCoverTornTrace is a hand-placed schedule of storeCoverProgram on
+// pvrStore (workers: 0 and 2 the readers, 1 the writer) that carries the
+// lowered hint through to what it costs: reader 0 samples the clock; the
+// writer commits its unrelated word; reader 2 begins, and the two readers'
+// store-protocol updates of the flag's hint interleave so that reader 0's
+// stale store lands last; reader 2 reads the flag and the first data word;
+// the writer's privatizing commit then finds no hint covering reader 2,
+// skips the fence, and rewrites the data while reader 2 is still live.
+const storeCoverTornTrace = "0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.2.2.2.2.0.0.2.2.2.2.2.2.2.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.2.2"
+
+// TestExploreFindsStoreProtocolCoverageLoss is a positive control for an
+// open hole in the §III-B store protocol (CORRECTNESS.md §4): a reader whose
+// claim on curr_reader was overwritten can still complete its vis store
+// after the overwriter's update succeeded, replacing the overwriter's hint
+// with one whose rts is below the overwriter's begin time; the retry only
+// ORs in the multi bit. The explorer must find the lowered hint through the
+// coverage oracle, the failing trace must replay, and the hand-placed
+// schedule must show the consequence — a doomed reader observing private
+// data mid-rewrite — with the oracle off, and the oracle on the same
+// schedule must stop it at the lowered hint first. The fix is separate
+// work; when it lands this test's expectations flip to a clean corpus.
+func TestExploreFindsStoreProtocolCoverageLoss(t *testing.T) {
+	mk := func() (sched.Config, []func()) { return storeCoverProgram(PVRStore) }
+	res, n := sched.ExplorePCT(storeCoverPCT, storeCoverRuns, mk)
+	if res == nil {
+		t.Fatalf("explorer missed the lowered hint in %d schedules", n)
+	}
+	if !strings.Contains(res.Err.Error(), "coverage:") {
+		t.Fatalf("found a different failure: %v", res.Err)
+	}
+	t.Logf("found in %d schedules (seed %d): %v\n  replay: %s", n, res.Seed, res.Err, replayLine("storecover", PVRStore, res.Trace))
+	cfg, bodies := mk()
+	if rep := sched.Replay(cfg, res.Trace, bodies...); rep.Err == nil || !strings.Contains(rep.Err.Error(), "coverage:") {
+		t.Fatalf("replay of the failing trace did not reproduce: %v", rep.Err)
+	}
+
+	torn, err := sched.ParseTrace(storeCoverTornTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, bodies = mk()
+	cfg.OnStep = nil
+	if rep := sched.Replay(cfg, torn, bodies...); rep.Err == nil || !strings.Contains(rep.Err.Error(), "privatization violation") {
+		t.Fatalf("the hand-placed schedule did not reach the torn private read: %v", rep.Err)
+	}
+	cfg, bodies = mk()
+	if rep := sched.Replay(cfg, torn, bodies...); rep.Err == nil || !strings.Contains(rep.Err.Error(), "coverage:") {
+		t.Fatalf("the coverage oracle did not stop the hand-placed schedule at the lowered hint: %v", rep.Err)
+	}
+}
+
+// TestExploreStoreCoverCAS runs the same corpus on the compare-and-swap
+// engines: a CAS update fails instead of landing stale, so every schedule
+// must keep every live reader covered and no reader may see torn data.
+func TestExploreStoreCoverCAS(t *testing.T) {
+	for _, alg := range []Algorithm{PVRBase, PVRCAS} {
+		t.Run(alg.String(), func(t *testing.T) {
+			res, _ := sched.ExplorePCT(storeCoverPCT, storeCoverRuns,
+				func() (sched.Config, []func()) { return storeCoverProgram(alg) })
+			if res != nil {
+				reportScheduleFailure(t, "storecover", alg, res)
+			}
+		})
 	}
 }
 

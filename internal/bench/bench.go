@@ -196,8 +196,6 @@ type RunConfig struct {
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// DisableHintCache turns off the thread-local hint cache (ablations).
-	DisableHintCache bool
 	// Free selects the node-recycling policy (default FreeReclaim).
 	Free FreePolicy
 	// DisableSandbox turns off validate-before-dangerous-use checkpoints
@@ -286,7 +284,6 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		Tracker:              rc.Tracker,
 		ContentionManager:    rc.CM,
 		MaxAttempts:          rc.MaxAttempts,
-		DisableHintCache:     rc.DisableHintCache,
 		DisableSandboxChecks: rc.DisableSandbox,
 	})
 	if err != nil {

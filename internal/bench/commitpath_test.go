@@ -13,8 +13,8 @@ import (
 )
 
 // TestRunConfigAblations drives the workload under the paper's central-list
-// tracker, the registry-scan tracker and the slot-tracker default, checking
-// each produces correct structures and full operation counts.
+// tracker and the slot-tracker default, checking each produces correct
+// structures and full operation counts.
 func TestRunConfigAblations(t *testing.T) {
 	spec := MultiList(16, 32)
 	for _, tc := range []struct {
@@ -23,7 +23,6 @@ func TestRunConfigAblations(t *testing.T) {
 	}{
 		{"slot+extend", RunConfig{}},
 		{"list+extend", RunConfig{Tracker: stm.TrackerList}},
-		{"scan+extend", RunConfig{Tracker: stm.TrackerScan}},
 	} {
 		for _, alg := range []stm.Algorithm{stm.Ord, stm.PVRStore, stm.PVRHybrid} {
 			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
@@ -133,7 +132,7 @@ func BenchmarkCommitPath(b *testing.B) {
 	for _, tr := range []struct {
 		name    string
 		tracker stm.TrackerKind
-	}{{"slot", stm.TrackerSlot}, {"list", stm.TrackerList}, {"scan", stm.TrackerScan}} {
+	}{{"slot", stm.TrackerSlot}, {"list", stm.TrackerList}} {
 		b.Run(tr.name, func(b *testing.B) {
 			s := stm.MustNew(stm.Config{
 				Algorithm: stm.PVRStore, HeapWords: spec.HeapWords,

@@ -111,8 +111,6 @@ type HarnessConfig struct {
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// DisableHintCache turns off the thread-local hint cache for every cell.
-	DisableHintCache bool
 	// Free selects the node-recycling policy for every cell (default
 	// FreeReclaim).
 	Free FreePolicy
@@ -146,8 +144,7 @@ func (hc *HarnessConfig) runConfig(alg stm.Algorithm, threads int, mix Mix) RunC
 		Algorithm: alg, Threads: threads, Mix: mix,
 		TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 		Tracker: hc.Tracker, CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-		DisableHintCache: hc.DisableHintCache, DisableSandbox: hc.DisableSandbox,
-		Free: hc.Free, ZipfTheta: hc.ZipfTheta,
+		DisableSandbox: hc.DisableSandbox, Free: hc.Free, ZipfTheta: hc.ZipfTheta,
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestReadMemoHit: the second load of the block just read does the
 // consistent read and nothing else — no read-set growth, no visibility
-// protocol (not even the hint-cache probe a stale vis word would otherwise
+// protocol (not even the republication a stale vis word would otherwise
 // cost) — and is counted as a skipped visibility update.
 func TestReadMemoHit(t *testing.T) {
 	rt := newTestRT(t, 4)
@@ -31,7 +31,7 @@ func TestReadMemoHit(t *testing.T) {
 		t.Fatalf("first read: PVReads=%d PVUpdates=%d reads=%d, want 1/1/1",
 			th.Stats.PVReads, th.Stats.PVUpdates, th.Reads.Len())
 	}
-	staleVis(o) // the full protocol would now republish or probe the cache
+	staleVis(o) // the full protocol would now republish
 	skipped := th.Stats.PVSkipped
 	for i := 0; i < 3; i++ {
 		if w := th.ReadVisible(a+1, false, VisCAS); w != 22 {
@@ -41,9 +41,9 @@ func TestReadMemoHit(t *testing.T) {
 	if th.Stats.PVReads != 4 || th.Stats.PVSkipped != skipped+3 {
 		t.Errorf("memo hits: PVReads=%d PVSkipped=%d, want 4/%d", th.Stats.PVReads, th.Stats.PVSkipped, skipped+3)
 	}
-	if th.Stats.PVUpdates != 1 || th.Stats.PVCacheHits != 0 || th.Reads.Len() != 1 || o.Vis().Load() != 0 {
-		t.Errorf("memo hit ran the protocol: PVUpdates=%d cacheHits=%d reads=%d vis=%#x",
-			th.Stats.PVUpdates, th.Stats.PVCacheHits, th.Reads.Len(), o.Vis().Load())
+	if th.Stats.PVUpdates != 1 || th.Reads.Len() != 1 || o.Vis().Load() != 0 {
+		t.Errorf("memo hit ran the protocol: PVUpdates=%d reads=%d vis=%#x",
+			th.Stats.PVUpdates, th.Reads.Len(), o.Vis().Load())
 	}
 
 	// Acquiring the block moves the owner word: the memo misses once, the
@@ -88,6 +88,85 @@ func TestReadMemoHit(t *testing.T) {
 	}
 	if th.memoOrec != nil {
 		t.Error("memo survived a snapshot extension")
+	}
+	th.PublishInactive()
+}
+
+// TestTryExtendFlushesReadMemo: a successful snapshot extension must drop
+// the read memo (its argument is scoped to one validity interval), so the
+// next load of the memoized block goes back through the full visibility
+// protocol, which then re-arms the memo for later loads.
+func TestTryExtendFlushesReadMemo(t *testing.T) {
+	rt := newTestRT(t, 4)
+	rt.Clock.Tick() // BeginTS > 0, so a zeroed vis word is not covering
+	a := rt.Heap.MustAlloc(2)
+	rt.Heap.Store(a, 11)
+	th := newActiveThread(t, rt)
+	th.ExtendOK = true
+	o := rt.Orecs.For(a)
+
+	th.ReadVisible(a, false, VisCAS) // publish, arm the memo
+	staleVis(o)
+	th.ReadVisible(a, false, VisCAS)
+	if th.Stats.PVUpdates != 1 || th.memoOrec != o {
+		t.Fatalf("pre-extension: PVUpdates=%d memo armed=%v, want 1/true",
+			th.Stats.PVUpdates, th.memoOrec == o)
+	}
+
+	rt.Clock.Tick() // something committed: extension has work to do
+	if !th.TryExtend() {
+		t.Fatal("TryExtend failed on an untouched read set")
+	}
+	if th.memoOrec != nil {
+		t.Fatal("memo survived a snapshot extension")
+	}
+
+	// The load after the extension must miss the memo and republish over
+	// the stale vis word...
+	if w := th.ReadVisible(a, false, VisCAS); w != 11 {
+		t.Fatalf("post-extension read = %d, want 11", w)
+	}
+	if th.Stats.PVUpdates != 2 {
+		t.Errorf("post-extension: PVUpdates=%d, want 2 (memo must be flushed)", th.Stats.PVUpdates)
+	}
+	// ...and re-arm the memo, so a later stale load skips the protocol.
+	staleVis(o)
+	skipped := th.Stats.PVSkipped
+	th.ReadVisible(a, false, VisCAS)
+	if th.Stats.PVUpdates != 2 || th.Stats.PVSkipped != skipped+1 {
+		t.Errorf("re-armed read: PVUpdates=%d PVSkipped=%d, want 2/%d",
+			th.Stats.PVUpdates, th.Stats.PVSkipped, skipped+1)
+	}
+	finish(rt, th)
+}
+
+// TestPollValidateExtensionFlushesReadMemo is the PollValidate twin of
+// TestTryExtendFlushesReadMemo: an incremental validation that extends the
+// snapshot drops the memo, and one with nothing to extend keeps it.
+func TestPollValidateExtensionFlushesReadMemo(t *testing.T) {
+	rt := newTestRT(t, 4)
+	rt.Clock.Tick()
+	a := rt.Heap.MustAlloc(2)
+	th, err := rt.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.ResetTxnState()
+	th.StartSnapshot(rt.Clock.Now())
+	th.ExtendOK = true
+	th.PublishActive(th.BeginTS)
+	_ = th.ReadHeapConsistent(a)
+	th.PollValidate() // the clock has not moved: nothing to validate
+	if th.memoOrec == nil {
+		t.Fatal("PollValidate without a commit dropped the memo")
+	}
+	rt.Clock.Tick()
+	th.PollValidate()
+	if th.ValidTS != rt.Clock.Now() {
+		t.Fatalf("PollValidate did not extend: ValidTS %d, clock %d", th.ValidTS, rt.Clock.Now())
+	}
+	if th.memoOrec != nil {
+		t.Error("memo survived a PollValidate extension")
 	}
 	th.PublishInactive()
 }

@@ -43,8 +43,7 @@ type Options struct {
 
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, is the O(1) cached-watermark slot array; TrackerList
-	// restores the paper's §II-C spin-locked central list (ablations);
-	// TrackerScan is the registry-scanning variant.
+	// restores the paper's §II-C spin-locked central list (ablations).
 	Tracker TrackerKind
 	// CapFenceAtCommit caps privatization-fence thresholds just below the
 	// writer's commit time wts, eliminating the grace-period "extended
@@ -63,10 +62,6 @@ type Options struct {
 	// GraceStrategy selects the §III-A adaptation family (default:
 	// exponential, the paper's choice).
 	GraceStrategy GraceStrategy
-	// DisableHintCache turns off the thread-local orec hint cache, making
-	// every MakeVisible re-run the full §II-E protocol (ablations and the
-	// cache-equivalence property test).
-	DisableHintCache bool
 	// DisableSandboxChecks turns off the validate-before-dangerous-use
 	// sandbox checkpoints (Thread.ValidateBeforeUse): doomed transactions
 	// then rely solely on commit-time validation and Run's panic sandbox,
@@ -141,7 +136,6 @@ type Runtime struct {
 	MaxGrace         uint64
 	HybridThreshold  int
 	CapFenceAtCommit bool
-	NoHintCache      bool // thread-local hint cache disabled (ablation)
 	NoSandboxChecks  bool // validate-before-use sandbox disabled (ablation)
 	GraceStrategy    GraceStrategy
 
@@ -196,7 +190,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		MaxGrace:         opts.MaxGrace,
 		HybridThreshold:  opts.HybridThreshold,
 		CapFenceAtCommit: opts.CapFenceAtCommit,
-		NoHintCache:      opts.DisableHintCache,
 		NoSandboxChecks:  opts.DisableSandboxChecks,
 		GraceStrategy:    opts.GraceStrategy,
 		CMKind:           opts.CM,
@@ -205,12 +198,9 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		OnStall:          opts.OnStall,
 		threads:          make([]atomic.Pointer[Thread], opts.MaxThreads),
 	}
-	switch opts.Tracker {
-	case TrackerList:
+	if opts.Tracker == TrackerList {
 		rt.Active = NewListTracker(rt)
-	case TrackerScan:
-		rt.Active = NewScanTracker(rt)
-	default:
+	} else {
 		rt.Active = NewSlotTracker(rt)
 	}
 	// Every tracker kind carries the schedule explorer's yield points

@@ -90,12 +90,6 @@ type Thread struct {
 	// writer's own if it appears here. Open-addressed and epoch-reset
 	// (logs.PubLog), so steady-state publication is alloc-free.
 	VisPub logs.PubLog
-	// visCache is the thread-local orec hint cache: the table indices of
-	// orecs on which the running transaction has already established its
-	// visibility. A hit lets MakeVisible return without loading the shared
-	// vis word (soundness: CORRECTNESS.md §10). Flushed per transaction
-	// and — conservatively — whenever the snapshot is extended.
-	visCache logs.KeySet
 	// memoOrec and memoOwner are the same-block read memo: the orec of the
 	// block this transaction last read successfully, and the owner word that
 	// read was consistent with (an unowned wts ≤ ValidTS, or this thread's
@@ -103,7 +97,8 @@ type Thread struct {
 	// visible paths — established visibility on it, both stable for the rest
 	// of the transaction, so the next load of the same block with the owner
 	// word unchanged repeats only the consistent read itself (readMemo;
-	// CORRECTNESS.md §10). Cleared wherever visCache is.
+	// CORRECTNESS.md §10). Cleared per transaction, on snapshot extension
+	// and on an invisible → visible switch (ForgetVisibility).
 	memoOrec  *orec.Orec
 	memoOwner uint64
 	// noMemo keeps the memo disarmed; only the memo-equivalence property
@@ -127,9 +122,6 @@ type Thread struct {
 	// lastValidated publishes the clock time of this thread's most recent
 	// successful full read-set validation, for the Val engine's fence.
 	lastValidated atomic.Uint64
-	// trackerTS is the ScanTracker's registration word:
-	// beginTS<<1 | active.
-	trackerTS atomic.Uint64
 
 	// padding to keep descriptors from false-sharing in the registry.
 	_ [8]uint64
@@ -182,7 +174,6 @@ func (t *Thread) ResetTxnState() {
 	t.Visible = false
 	t.ExtendOK = false
 	t.VisPub.Reset()
-	t.visCache.Reset()
 	t.memoOrec = nil
 	t.Sem.Reset()
 	t.txnAllocCur = 0 // leftovers from an aborted attempt are re-handed out
@@ -382,11 +373,8 @@ func (t *Thread) TryExtend() bool {
 	t.ValidTS = c
 	t.LastClockSeen = c
 	t.Stats.Extensions++
-	// Flush the hint cache across the extension. Coverage decisions key
-	// off BeginTS, which extension does not move, so this is purely
-	// conservative — but it keeps the cache's lifetime argument local to
-	// "one validity interval" (CORRECTNESS.md §10) and costs O(1). The
-	// read memo goes with it.
+	// Drop the read memo across the extension: it keeps the memo's lifetime
+	// argument local to "one validity interval" (CORRECTNESS.md §10).
 	t.ForgetVisibility()
 	t.SetValidated(c)
 	return true
@@ -423,15 +411,11 @@ func (t *Thread) PollValidate() {
 	t.SetValidated(c)
 }
 
-// ForgetVisibility drops what the thread remembers about reads it has
-// already made visible and logged — the hint cache and the same-block read
-// memo — so the next read of every block runs the full protocol again. The
-// snapshot-extension paths call it, and so do the engines' invisible →
-// visible transitions (the reads logged so far were never made visible).
-func (t *Thread) ForgetVisibility() {
-	t.visCache.Reset()
-	t.memoOrec = nil
-}
+// ForgetVisibility clears the same-block read memo, so the next read of
+// every block runs the full protocol again. The snapshot-extension paths
+// call it, and so do the engines' invisible → visible transitions (the
+// reads logged so far were never made visible).
+func (t *Thread) ForgetVisibility() { t.memoOrec = nil }
 
 // readMemo is the same-block fast path: o is the block this transaction
 // last read successfully and v, its owner word loaded just now, is the word

@@ -6,25 +6,20 @@ import (
 )
 
 // ActiveTracker abstracts "the set of incomplete transactions" that
-// privatization fences query. Three implementations are provided:
+// privatization fences query. Two implementations are provided:
 //
 //   - ListTracker wraps the paper's central sorted linked list (§II-C):
 //     O(1) oldest lookups, but every transaction begin/end takes a spin
 //     lock, which §V identifies as the bottleneck for short transactions.
 //
-//   - ScanTracker is the simplest "lighter weight implementation of the
-//     central list" the paper leaves as future work: transactions only
-//     publish (begin, active) in their own descriptor — one uncontended
-//     atomic store — and oldest lookups scan the thread registry. Begins
-//     and ends are contention-free; the cost moves to the (much rarer)
-//     writer-side conflict scans and fence polls, which become O(threads).
+//   - SlotTracker (the default) is a "lighter weight implementation of the
+//     central list", which the paper leaves as future work: each begin/end
+//     is one uncontended store into the thread's padded slot
+//     (txnlist.Slots), and oldest lookups read a cached, monotonically
+//     advancing watermark; the slot scan runs only when the cached holder
+//     exits.
 //
-//   - SlotTracker (the default) keeps ScanTracker's contention-free
-//     begins/ends but restores O(1) oldest lookups with a cached,
-//     monotonically advancing watermark over a padded slot array
-//     (txnlist.Slots); the scan runs only when the cached holder exits.
-//
-// Correctness requirement shared by all three: a transaction publishes
+// Correctness requirement shared by both: a transaction publishes
 // itself before its first read, so any writer whose commit-time scan runs
 // after a reader's visibility hint also observes that reader as incomplete.
 // TrackerKind selects the ActiveTracker implementation (Options.Tracker).
@@ -37,10 +32,6 @@ const (
 	// TrackerList is the paper's §II-C spin-locked central list, kept for
 	// ablations and for reproducing the paper's bottleneck analysis.
 	TrackerList
-	// TrackerScan is the registry-scanning tracker: O(1) begins/ends,
-	// O(threads) oldest lookups. It is the reference the slot tracker's
-	// watermark is measured against.
-	TrackerScan
 )
 
 type ActiveTracker interface {
@@ -194,63 +185,3 @@ func (st *SlotTracker) Count() int { return st.slots.Len() }
 // every worker suspended so a reported violation is a real state, not a
 // torn read.
 func (st *SlotTracker) CheckWatermark() error { return st.slots.CheckWatermark() }
-
-// ScanTracker derives everything from the (begin, active) word each thread
-// publishes in its descriptor. Enter/Leave are single atomic stores; oldest
-// queries scan the registry.
-type ScanTracker struct {
-	rt *Runtime
-}
-
-// NewScanTracker returns the registry-scanning tracker.
-func NewScanTracker(rt *Runtime) *ScanTracker { return &ScanTracker{rt: rt} }
-
-// Enter samples the clock and publishes. Unlike the list tracker, no lock
-// orders the clock sample against other begins — the scan does not need
-// sortedness, only that each transaction is visible with a timestamp no
-// later than any datum it reads.
-func (st *ScanTracker) Enter(t *Thread) uint64 {
-	ts := st.rt.Clock.Now()
-	t.trackerTS.Store(ts<<1 | 1)
-	return ts
-}
-
-// EnterAt publishes a late joiner under its original timestamp.
-func (st *ScanTracker) EnterAt(t *Thread, ts uint64) { t.trackerTS.Store(ts<<1 | 1) }
-
-// Leave clears the descriptor word.
-func (st *ScanTracker) Leave(t *Thread) { t.trackerTS.Store(0) }
-
-// OldestBegin scans all registered threads.
-func (st *ScanTracker) OldestBegin() (uint64, bool) { return st.scan(nil) }
-
-// OldestOtherBegin scans all registered threads except t.
-func (st *ScanTracker) OldestOtherBegin(t *Thread) (uint64, bool) { return st.scan(t) }
-
-func (st *ScanTracker) scan(skip *Thread) (uint64, bool) {
-	oldest, any := uint64(0), false
-	st.rt.ForEachThread(func(u *Thread) {
-		if u == skip {
-			return
-		}
-		v := u.trackerTS.Load()
-		if v&1 == 0 {
-			return
-		}
-		if ts := v >> 1; !any || ts < oldest {
-			oldest, any = ts, true
-		}
-	})
-	return oldest, any
-}
-
-// Count scans for registered transactions.
-func (st *ScanTracker) Count() int {
-	n := 0
-	st.rt.ForEachThread(func(u *Thread) {
-		if u.trackerTS.Load()&1 == 1 {
-			n++
-		}
-	})
-	return n
-}

@@ -9,7 +9,6 @@ func trackers(t *testing.T) map[string]func(*Runtime) ActiveTracker {
 	t.Helper()
 	return map[string]func(*Runtime) ActiveTracker{
 		"list": func(rt *Runtime) ActiveTracker { return NewListTracker(rt) },
-		"scan": func(rt *Runtime) ActiveTracker { return NewScanTracker(rt) },
 		"slot": func(rt *Runtime) ActiveTracker { return NewSlotTracker(rt) },
 	}
 }
@@ -136,9 +135,5 @@ func TestRuntimeSelectsTracker(t *testing.T) {
 	rt2, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerList})
 	if _, ok := UnwrapTracker(rt2.Active).(*ListTracker); !ok {
 		t.Errorf("TrackerList option ignored: %T", UnwrapTracker(rt2.Active))
-	}
-	rt3, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerScan})
-	if _, ok := UnwrapTracker(rt3.Active).(*ScanTracker); !ok {
-		t.Errorf("TrackerScan option ignored: %T", UnwrapTracker(rt3.Active))
 	}
 }

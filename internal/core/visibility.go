@@ -49,34 +49,14 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
 	rt := t.RT
 	t.Stats.PVReads++
 	mustMulti := false // set after a detected store-protocol race
-	probed := false    // hint cache consulted at most once per call
 	for {
 		v := o.Vis().Load()
 		rts, tid, multi := orec.UnpackVis(v)
 		covered := rts >= t.BeginTS
 
 		if covered && (multi || (!mustMulti && (tid == t.ID || !rt.ReaderMayBeLive(tid, rts)))) {
-			// The common fast path, deliberately ahead of the hint
-			// cache: a covered check is one shared load and a branch,
-			// cheaper than a cache probe, and most steady-state reads
-			// land here.
 			t.Stats.PVSkipped++
 			return
-		}
-
-		// Slow path: a multi-bit CAS or a full publication is coming.
-		// If this transaction already established its visibility on o,
-		// skip it — within one transaction that decision is stable, and
-		// re-running the protocol could only reach another skip
-		// (soundness: CORRECTNESS.md §10). The probe pays for itself
-		// here because what it elides is an atomic update, not a load.
-		if !probed && !rt.NoHintCache {
-			probed = true
-			if t.visCache.Has(o.Index()) {
-				t.Stats.PVSkipped++
-				t.Stats.PVCacheHits++
-				return
-			}
 		}
 
 		if covered {
@@ -85,14 +65,12 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
 			if proto == VisCAS {
 				if o.Vis().CompareAndSwap(v, nv) {
 					t.Stats.PVMultiSets++
-					t.cacheVisible(o.Index())
 					return
 				}
 				continue
 			}
 			if t.visStoreUpdate(o, v, nv) {
 				t.Stats.PVMultiSets++
-				t.cacheVisible(o.Index())
 				return
 			}
 			mustMulti = true
@@ -110,6 +88,7 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
 		oldB, anyActive := rt.Active.OldestBegin()
 		carry := mustMulti || (anyActive && oldB <= rts)
 		nv := orec.PackVis(now+g, t.ID, carry)
+		failpoint.Eval(failpoint.VisSampled)
 		var done bool
 		if proto == VisCAS {
 			done = o.Vis().CompareAndSwap(v, nv)
@@ -124,7 +103,6 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
 		}
 		t.Stats.PVUpdates++
 		t.VisPub.Add(o, orec.VisRTS(nv))
-		t.cacheVisible(o.Index())
 		if useGrace {
 			t.Stats.GraceRaces += raiseGrace(o, rt.GraceStrategy, rt.MaxGrace)
 		}
@@ -132,61 +110,34 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
 	}
 }
 
-// cacheVisible records in the thread-local hint cache that the running
-// transaction has established its visibility on the orec at table index
-// key by updating shared state (a multi-bit set or a full publication);
-// later MakeVisible calls on the same orec that would otherwise re-enter
-// the slow path return without re-running the update protocol. The cache
-// is flushed at transaction reset and (conservatively) on snapshot
-// extension.
-func (t *Thread) cacheVisible(key uint32) {
-	if !t.RT.NoHintCache {
-		t.visCache.Add(key)
-	}
-}
-
-// CheckHintCache audits the thread-local hint cache against CORRECTNESS.md
-// §10's invariant, for the schedule explorer's oracles: while the caching
-// transaction is live, re-running MakeVisible on any cached orec could only
-// take another skip. Concretely, every cached index's vis word must (a)
-// still cover the transaction (rts ≥ BeginTS — coverage, once observed, is
-// irrevocable under a monotonic clock) and (b) not be a foreign
-// possibly-live single-reader hint (the multi bit is preserved by every
-// update that can overwrite a hint covering a live reader). A violation
-// means the cache would elide a *required* shared-state update and a writer
-// could skip a fence a live reader depends on.
+// CheckCoverage is the schedule explorer's coverage oracle (CORRECTNESS.md
+// §10): a hint this live transaction published must keep covering it —
+// every (orec, rts) in VisPub must still read a vis rts ≥ BeginTS — because
+// writers fence only for transactions that began at or before the rts they
+// find. It is a necessary condition of the observational privatization-
+// safety criterion (Khyzha et al., PAPERS.md): a reader whose coverage was
+// lowered is one a privatizing writer may skip.
 //
 // Call with the thread quiescent — the explorer runs it with every worker
-// suspended at a yield point. Threads without a live transaction vacuously
-// pass (gate: the published-active bit, cleared by PublishInactive at
-// transaction end — NOT t.Visible, which survives until the next Begin's
-// ResetTxnState; between those two points the cache is stale but harmless,
-// since every hint-cache probe happens inside a live transaction).
-func (t *Thread) CheckHintCache() error {
-	if t.RT.NoHintCache || !t.Visible {
+// suspended at a yield point. Threads without a live visible transaction
+// vacuously pass (gate: the published-active bit, cleared by
+// PublishInactive at transaction end — VisPub itself survives until the
+// next Begin's ResetTxnState).
+func (t *Thread) CheckCoverage() error {
+	if !t.Visible {
 		return nil
 	}
 	if _, active := t.Published(); !active {
 		return nil
 	}
-	var err error
-	t.visCache.ForEach(func(key uint32) {
-		if err != nil {
-			return
+	for i := 0; i < t.VisPub.Len(); i++ {
+		e := t.VisPub.At(i)
+		if now := orec.VisRTS(e.Orec.Vis().Load()); now < t.BeginTS {
+			return fmt.Errorf("coverage: thread %d published rts %d on orec %d, which now reads rts %d < BeginTS %d",
+				t.ID, e.RTS, e.Orec.Index(), now, t.BeginTS)
 		}
-		o := t.RT.Orecs.At(int(key))
-		rts, tid, multi := orec.UnpackVis(o.Vis().Load())
-		if rts < t.BeginTS {
-			err = fmt.Errorf("hint cache: thread %d caches orec %d but vis rts %d < BeginTS %d (coverage revoked)",
-				t.ID, key, rts, t.BeginTS)
-			return
-		}
-		if !multi && tid != t.ID && t.RT.ReaderMayBeLive(tid, rts) {
-			err = fmt.Errorf("hint cache: thread %d caches orec %d held by possibly-live foreign reader %d (rts %d, multi clear)",
-				t.ID, key, tid, rts)
-		}
-	})
-	return err
+	}
+	return nil
 }
 
 // visStoreUpdate runs one attempt of the §III-B store-only protocol:
@@ -209,6 +160,7 @@ func (t *Thread) visStoreUpdate(o *orec.Orec, expected, newv uint64) bool {
 		failpoint.Eval(failpoint.VisStoreWait)
 		b.Wait()
 	}
+	failpoint.Eval(failpoint.VisStoreClaim)
 	id := t.ID + 1 // offset so thread 0 is distinguishable from NoReader
 	o.CurrReader().Store(id)
 	if o.Vis().Load() != expected {
@@ -221,6 +173,7 @@ func (t *Thread) visStoreUpdate(o *orec.Orec, expected, newv uint64) bool {
 		t.Stats.StoreRaces++
 		return false
 	}
+	failpoint.Eval(failpoint.VisStorePublish)
 	o.Vis().Store(newv)
 	if o.CurrReader().Load() == id {
 		o.CurrReader().Store(orec.NoReader)

@@ -20,9 +20,11 @@ import (
 // far beyond any healthy fence dwell, but fast enough for tests.
 const DefaultStallThreshold = 64
 
-// stallSleepCap bounds the fence backoff's sleep phase once a stall has
-// been detected, so the fence polls the blocker at diagnostic frequency
-// instead of parking for the full 1024µs default between checks.
+// stallSleepCap bounds the fence backoff's sleep requests once a stall has
+// been detected, so the fence asks to poll the blocker every 64µs instead of
+// every 1024µs. It is a request: where the host timer rounds every sleep up
+// to about a millisecond (spin's package comment), the poll interval stays
+// at that floor and the cap changes nothing.
 const stallSleepCap = 64 * time.Microsecond
 
 // Fence names reported in StallInfo.Fence.

@@ -91,6 +91,19 @@ const (
 	// VisStoreWait fires once per poll of the §III-B store protocol's
 	// curr_reader wait loop.
 	VisStoreWait = "core/vis/store-wait"
+	// VisSampled fires in MakeVisible's full update after the clock has been
+	// sampled and the new hint built, before the update is attempted (CAS or
+	// store protocol). Window: the hint's rts can fall behind transactions
+	// that begin while the reader is delayed here.
+	VisSampled = "core/vis/sampled"
+	// VisStoreClaim fires in the store protocol after the curr_reader wait
+	// and before the claim (steps 1–2), so two readers can both pass the
+	// wait before either claims.
+	VisStoreClaim = "core/vis/store-claim"
+	// VisStorePublish fires in the store protocol between the vis re-check
+	// and the vis store (steps 3–4). Window: a racer that overwrote our
+	// claim can complete its whole update before our store lands.
+	VisStorePublish = "core/vis/store-publish"
 	// SpinMutexWait fires once per contended iteration of spin.Mutex.Lock,
 	// so a worker waiting on a spin lock yields to the explorer instead of
 	// spinning against a suspended holder.

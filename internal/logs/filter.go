@@ -1,7 +1,7 @@
 package logs
 
 // filter is the open-addressed, epoch-stamped index shared by the
-// per-transaction containers (ReadSet, Redo, PubLog, KeySet). It maps a
+// per-transaction containers (ReadSet, Redo, PubLog). It maps a
 // 32-bit key to the index of an entry in the container's backing slice;
 // collision resolution is linear probing over a power-of-two table kept
 // below 3/4 load.

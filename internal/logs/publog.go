@@ -77,72 +77,3 @@ func (p *PubLog) Reset() {
 	p.entries = p.entries[:0]
 	p.f.reset()
 }
-
-// KeySet is a small set of 32-bit keys with alloc-free steady-state
-// insertion and O(1) epoch reset. core.Thread uses one as the thread-local
-// orec hint cache: the table indices of orecs on which the running
-// transaction has already established its visibility, so re-reads skip the
-// shared vis-word load entirely (CORRECTNESS.md §10).
-type KeySet struct {
-	keys []uint32
-	f    filter
-}
-
-func (k *KeySet) keyAt(i int) uint32 { return k.keys[i] }
-
-// Add inserts key (idempotent).
-func (k *KeySet) Add(key uint32) {
-	if k.f.needGrow(len(k.keys)) {
-		k.f.grow(32, len(k.keys), k.keyAt)
-	}
-	s := k.f.start(key)
-	for {
-		i := k.f.at(s)
-		if i < 0 {
-			k.f.put(s, len(k.keys))
-			k.keys = append(k.keys, key)
-			return
-		}
-		if k.keys[i] == key {
-			return
-		}
-		s = k.f.next(s)
-	}
-}
-
-// Has reports whether key is in the set.
-func (k *KeySet) Has(key uint32) bool {
-	if len(k.keys) == 0 {
-		return false
-	}
-	s := k.f.start(key)
-	for {
-		i := k.f.at(s)
-		if i < 0 {
-			return false
-		}
-		if k.keys[i] == key {
-			return true
-		}
-		s = k.f.next(s)
-	}
-}
-
-// Len returns the set's size.
-func (k *KeySet) Len() int { return len(k.keys) }
-
-// ForEach calls fn for every key in the set, in insertion order. The
-// schedule explorer's hint-cache oracle (core.Thread.CheckHintCache) uses
-// it to audit every cached index against the shared vis words.
-func (k *KeySet) ForEach(fn func(key uint32)) {
-	for _, key := range k.keys {
-		fn(key)
-	}
-}
-
-// Reset empties the set, retaining capacity; O(1) via the filter's epoch
-// bump.
-func (k *KeySet) Reset() {
-	k.keys = k.keys[:0]
-	k.f.reset()
-}

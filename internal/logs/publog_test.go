@@ -85,73 +85,3 @@ func TestPubLogAllocFree(t *testing.T) {
 		t.Errorf("steady-state PubLog.Add allocates %.1f per transaction", n)
 	}
 }
-
-func TestKeySetBasics(t *testing.T) {
-	var k KeySet
-	if k.Has(3) {
-		t.Fatal("empty set claims a key")
-	}
-	k.Add(3)
-	k.Add(9)
-	k.Add(3) // idempotent
-	if k.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", k.Len())
-	}
-	if !k.Has(3) || !k.Has(9) || k.Has(4) {
-		t.Error("membership wrong after Adds")
-	}
-	k.Reset()
-	if k.Len() != 0 || k.Has(3) {
-		t.Error("Reset left keys findable")
-	}
-	k.Add(5)
-	if !k.Has(5) || k.Has(3) {
-		t.Error("post-reset state wrong")
-	}
-}
-
-func TestKeySetGrowAndEpochReset(t *testing.T) {
-	var k KeySet
-	for i := uint32(0); i < 200; i++ {
-		k.Add(i)
-	}
-	if k.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", k.Len())
-	}
-	for i := uint32(0); i < 200; i++ {
-		if !k.Has(i) {
-			t.Fatalf("key %d lost after grows", i)
-		}
-	}
-	for txn := 0; txn < 3; txn++ {
-		k.Reset()
-		if k.Has(7) {
-			t.Fatalf("txn %d: stale filter word satisfied Has", txn)
-		}
-		k.Add(7)
-		if !k.Has(7) || k.Len() != 1 {
-			t.Fatalf("txn %d: post-reset Add broken", txn)
-		}
-	}
-}
-
-// TestKeySetAllocFree pins the hint cache at zero steady-state allocations:
-// it is consulted on every partially visible read.
-func TestKeySetAllocFree(t *testing.T) {
-	var k KeySet
-	fill := func() {
-		for i := uint32(0); i < 128; i++ {
-			k.Add(i)
-			if !k.Has(i) {
-				t.Fatal("Has lost a key")
-			}
-		}
-	}
-	fill()
-	if n := testing.AllocsPerRun(100, func() {
-		k.Reset()
-		fill()
-	}); n != 0 {
-		t.Errorf("steady-state KeySet.Add allocates %.1f per transaction", n)
-	}
-}

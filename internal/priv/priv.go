@@ -57,8 +57,6 @@ type Config struct {
 	// combination is configured.
 	Tracker          stm.TrackerKind
 	CapFenceAtCommit bool
-	// DisableHintCache turns off the thread-local orec hint cache.
-	DisableHintCache bool
 	// AtomicPrivate makes the privatizer's "uninstrumented" accesses use
 	// atomic loads/stores. The fence-based algorithms are race-free with
 	// plain accesses (the interesting property!); the TL2 baseline and the
@@ -117,7 +115,6 @@ func Run(cfg Config) (*Result, error) {
 		MaxThreads:       cfg.Readers + 1,
 		Tracker:          cfg.Tracker,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
-		DisableHintCache: cfg.DisableHintCache,
 	})
 	if err != nil {
 		return nil, err

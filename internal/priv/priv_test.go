@@ -108,49 +108,21 @@ func TestPrivatizationSafeWithAblations(t *testing.T) {
 }
 
 // TestPrivatizationSafeWithExtensions re-runs the safety assertions with
-// the two future-work extensions enabled: the lock-free registry-scan
-// tracker and the commit-time fence-threshold cap. Both change *when*
-// fences trigger and wait, never whether a needed fence is skipped.
+// the future-work fence extension enabled: the commit-time fence-threshold
+// cap. It changes *when* fences wait, never whether a needed fence is
+// skipped.
 func TestPrivatizationSafeWithExtensions(t *testing.T) {
 	run := func(alg stm.Algorithm, atomicPriv bool) {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := testCfg(alg, atomicPriv)
-			cfg.Tracker = stm.TrackerScan
 			cfg.CapFenceAtCommit = true
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%v+scan+cap: %v", alg, res)
+			t.Logf("%v+cap: %v", alg, res)
 			if !res.Clean() {
 				t.Errorf("privatization violation under %v with extensions: %v", alg, res)
-			}
-		})
-	}
-	for _, alg := range safePlain {
-		run(alg, false)
-	}
-	for _, alg := range safeAtomic {
-		run(alg, true)
-	}
-}
-
-// TestPrivatizationSafeWithoutHintCache is the hint-cache ablation: the
-// cache only elides provably redundant updates, so turning it off must not
-// change safety either (and a violation *with* the cache but not without it
-// would point straight at an unsound elision).
-func TestPrivatizationSafeWithoutHintCache(t *testing.T) {
-	run := func(alg stm.Algorithm, atomicPriv bool) {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := testCfg(alg, atomicPriv)
-			cfg.DisableHintCache = true
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%v+nohintcache: %v", alg, res)
-			if !res.Clean() {
-				t.Errorf("privatization violation under %v without hint cache: %v", alg, res)
 			}
 		})
 	}

@@ -6,6 +6,14 @@
 // without yielding can starve the very transaction it is waiting for, so
 // every wait loop in this repository uses Backoff: brief busy spinning,
 // then cooperative yielding, then exponentially growing sleeps.
+//
+// The sleep schedule (1µs doubling to 1024µs) is a request, not a cost:
+// time.Sleep returns no earlier than asked, and the host's timer decides how
+// much later. On the 2-CPU Xeon EXPERIMENTS.md records, every request from
+// 64µs up took 1.06–1.11 ms and the 1µs first step 0.01–0.65 ms, so a wait
+// that reaches the sleep phase (attempt 24, after about 2µs of spinning and
+// yielding there) pays up to a millisecond per step whatever it requested.
+// BenchmarkBackoffSleepStep measures the floor on the host at hand.
 package spin
 
 import (
@@ -19,9 +27,9 @@ type Backoff struct {
 	attempts int
 
 	// sleepCap encodes the sleep-phase policy: 0 is the default 1024µs
-	// cap, a positive value bounds individual sleeps to it (SetSleepCap —
-	// fence watchdogs lower it once a stall is detected so the wait loop
-	// keeps polling at diagnostic frequency), and a negative value means
+	// cap, a positive value bounds individual sleep requests to it
+	// (SetSleepCap — fence watchdogs lower it once a stall is detected, to
+	// poll as often as the host timer allows), and a negative value means
 	// sleeping is disabled entirely (DisableSleep — the sleep phase
 	// degrades to cooperative yielding). The three meanings have distinct
 	// constructors so "no sleeping" and "default schedule" cannot be
@@ -35,7 +43,7 @@ const sleepDisabled time.Duration = -1
 const (
 	busySpins  = 8    // iterations of pure spinning before yielding
 	yieldSpins = 16   // iterations of Gosched before sleeping
-	maxSleepUS = 1024 // cap for the sleep phase, microseconds
+	maxSleepUS = 1024 // cap for a sleep-phase request, microseconds
 )
 
 // Phase identifies which backoff regime the next Wait call will use.
@@ -83,7 +91,9 @@ func (b *Backoff) Wait() {
 	b.attempts++
 }
 
-// sleep computes the next sleep-phase duration, honouring the cap.
+// sleep computes the next sleep-phase request, honouring the cap. The
+// request is a lower bound on the step's cost, not its duration (see the
+// package comment).
 func (b *Backoff) sleep() time.Duration {
 	exp := b.attempts - busySpins - yieldSpins
 	us := 1 << uint(min(exp, 10))
@@ -97,7 +107,7 @@ func (b *Backoff) sleep() time.Duration {
 	return d
 }
 
-// SetSleepCap bounds individual sleep-phase waits to d. d must be positive:
+// SetSleepCap bounds individual sleep-phase requests to d. d must be positive:
 // to restore the default 1024µs cap call ResetSleepCap, and to forbid
 // sleeping entirely call DisableSleep — a non-positive d is treated as
 // ResetSleepCap so legacy SetSleepCap(0) callers keep the behavior they had,

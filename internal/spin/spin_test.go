@@ -196,3 +196,36 @@ func TestUnlockOfUnlockedPanics(t *testing.T) {
 	var m Mutex
 	m.Unlock()
 }
+
+// BenchmarkBackoffSleepStep reports the wall time of one sleep-phase step
+// (ns/op) next to the duration the schedule requests for it: the first
+// step (attempt 24, 1µs), a step capped at the fence watchdog's 64µs stall
+// cap, and a step at the default 1024µs cap. The request is only a lower
+// bound; the host's timer sets the floor (EXPERIMENTS.md records it).
+//
+//	go test -run '^$' -bench BackoffSleepStep -benchtime 200x ./internal/spin
+func BenchmarkBackoffSleepStep(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		skip int           // attempts already made when the step runs
+		cap  time.Duration // SetSleepCap argument (0 = default cap)
+	}{
+		{"first", busySpins + yieldSpins, 0},
+		{"capped64us", busySpins + yieldSpins + 10, 64 * time.Microsecond},
+		{"default1024us", busySpins + yieldSpins + 10, 0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var bo Backoff
+			bo.SetSleepCap(tc.cap)
+			bo.Skip(tc.skip)
+			requested := bo.sleep()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bo.Reset()
+				bo.Skip(tc.skip)
+				bo.Wait()
+			}
+			b.ReportMetric(float64(requested)/float64(time.Microsecond), "requested-µs")
+		})
+	}
+}

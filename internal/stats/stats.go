@@ -22,7 +22,6 @@ type Counters struct {
 	PVReads               uint64 // transactional reads executed in partially visible mode
 	PVUpdates             uint64 // partial-visibility metadata updates performed
 	PVSkipped             uint64 // partial-visibility updates skipped (read was covered)
-	PVCacheHits           uint64 // skips resolved by the thread-local hint cache (no vis load)
 	PVMultiSets           uint64 // updates that only set the multiple-readers bit
 	Validations           uint64 // full read-set validations
 	Extensions            uint64 // successful snapshot (timestamp) extensions
@@ -51,7 +50,6 @@ func (c *Counters) Add(o *Counters) {
 	c.PVReads += o.PVReads
 	c.PVUpdates += o.PVUpdates
 	c.PVSkipped += o.PVSkipped
-	c.PVCacheHits += o.PVCacheHits
 	c.PVMultiSets += o.PVMultiSets
 	c.Validations += o.Validations
 	c.Extensions += o.Extensions

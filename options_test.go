@@ -9,7 +9,7 @@ import (
 // configFieldBudget is the number of fields stm.Config may have. A new knob
 // is a hot-path branch, a test-matrix multiplier and a CORRECTNESS.md
 // paragraph; adding one means raising this budget where review sees it.
-const configFieldBudget = 18
+const configFieldBudget = 17
 
 // TestConfigFieldBudget is the knob ratchet: Config must not grow past
 // configFieldBudget fields.
@@ -26,9 +26,7 @@ var optionVariants = []struct {
 	name string
 	mut  func(*Config)
 }{
-	{"scanTracker", func(c *Config) { c.Tracker = TrackerScan }},
 	{"capFence", func(c *Config) { c.CapFenceAtCommit = true }},
-	{"scan+cap", func(c *Config) { c.Tracker = TrackerScan; c.CapFenceAtCommit = true }},
 	{"block4", func(c *Config) { c.BlockWords = 4 }},
 	{"smallOrecs", func(c *Config) { c.OrecCount = 16 }},
 	{"grace8", func(c *Config) { c.MaxGrace = 8 }},

@@ -161,8 +161,7 @@ type Config struct {
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, keeps a cached oldest-begin watermark over per-thread
 	// slots: begins, ends, and oldest-transaction queries are all O(1).
-	// TrackerList restores the paper's §II-C spin-locked central list;
-	// TrackerScan is the O(MaxThreads)-query registry scan.
+	// TrackerList restores the paper's §II-C spin-locked central list.
 	Tracker TrackerKind
 	// CapFenceAtCommit bounds privatization-fence thresholds just below
 	// the writer's commit time — the fence waits only for transactions that
@@ -173,11 +172,6 @@ type Config struct {
 	// default GraceExponential is the paper's choice; GraceLinear and
 	// GraceHybrid reproduce the alternatives the authors report trying.
 	GraceStrategy GraceStrategy
-	// DisableHintCache turns off the thread-local orec hint cache on the
-	// partially-visible-read engines: every re-read then re-runs the full
-	// §II-E visibility protocol instead of skipping after the first
-	// covered observation. Kept for ablations.
-	DisableHintCache bool
 	// ContentionManager selects the policy applied between retry attempts
 	// of an aborted transaction: CMBackoff (default), CMKarma, or
 	// CMSerialize.
@@ -218,7 +212,6 @@ type TrackerKind = core.TrackerKind
 const (
 	TrackerSlot = core.TrackerSlot
 	TrackerList = core.TrackerList
-	TrackerScan = core.TrackerScan
 )
 
 // CMPolicy re-exports the contention-management policy selector.
@@ -278,7 +271,6 @@ func New(cfg Config) (*STM, error) {
 		Tracker:          cfg.Tracker,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
 		GraceStrategy:    cfg.GraceStrategy,
-		DisableHintCache: cfg.DisableHintCache,
 		CM:               cfg.ContentionManager,
 		MaxAttempts:      cfg.MaxAttempts,
 		StallThreshold:   cfg.StallThreshold,
