@@ -34,6 +34,7 @@ lint:
 	$(GO) run ./cmd/stmlint -tags privstm_reclaim_race -ratchet=false ./...
 	$(GO) run ./cmd/stmlint -tags privstm_semlock_race -ratchet=false ./...
 	$(GO) run ./cmd/stmlint -tags privstm_semrevalidate_race -ratchet=false ./...
+	$(GO) run ./cmd/stmlint -tags privstm_storevis_race -ratchet=false ./...
 
 # Machine-readable findings for the CI artifact (default tag set).
 lint-json:
@@ -52,15 +53,17 @@ test-faults:
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and
 # bounded-DFS corpus over every engine family (serializability and
 # privatization-safety oracles; failures print a replayable trace), the
-# store-protocol coverage program (storeCoverProgram: the explorer must find
-# the open §III-B hole of CORRECTNESS.md §4 on pvrStore and pass clean on
-# the CAS engines), the slot tracker's watermark program enumerated
-# exhaustively on the production write path, and the rediscovery control —
-# with the historical watermark fix reverted (-tags privstm_watermark_race)
-# the same program must FAIL: the explorer finds the race and logs the trace.
+# store-cover program (storeCoverProgram: clean on every visible engine),
+# the slot tracker's watermark program enumerated exhaustively on the
+# production write path, and two rediscovery controls that must FAIL, the
+# explorer finding the race and logging the trace: the watermark program
+# with the historical fix reverted (-tags privstm_watermark_race), and the
+# store-cover program with the closed §III-B store-protocol hole of
+# CORRECTNESS.md §4 restored (-tags privstm_storevis_race).
 explore:
-	$(GO) test -count=1 -run 'TestExplore|TestSched|TestWatermark|TestPCT|TestDFS' . ./internal/sched ./internal/txnlist
+	$(GO) test -count=1 -run 'TestExplore|TestStoreCover|TestSched|TestWatermark|TestPCT|TestDFS' . ./internal/sched ./internal/txnlist
 	$(GO) test -count=1 -tags privstm_watermark_race -run TestWatermarkRaceRediscovered -v ./internal/txnlist
+	$(GO) test -count=1 -tags privstm_storevis_race -run TestExploreFindsStoreProtocolCoverageLoss -v .
 
 # Reclamation rediscovery pair (CORRECTNESS.md §14): the retire→collect→
 # reuse program enumerated exhaustively on the production epoch check, then

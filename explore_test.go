@@ -20,19 +20,21 @@ var schedReplay = flag.String("sched.replay", "",
 
 // exploreAlgos are the engine families the exploration corpus covers: the
 // two ordering-based schemes, the validation-fence scheme, the TL2
-// baseline, an in-place (undo-log) PVR engine, the store-protocol PVR
-// variant, and the hybrid.
+// baseline, two in-place (undo-log) PVR engines (without and with grace
+// periods), and the hybrid.
 var exploreAlgos = []Algorithm{Ord, Val, TL2, PVRBase, PVRStore, PVRHybrid}
 
-// mkExploreSTM builds a small instance for exploration: escalation is
+func mkExploreSTM(alg Algorithm) *STM { return MustNew(exploreConfig(alg)) }
+
+// exploreConfig configures a small instance for exploration: escalation is
 // disabled (MaxAttempts < 0) because the serialized-irrevocable fallback
 // drains rivals with no yield point between polls, which the explorer
 // would report as a stuck step.
-func mkExploreSTM(alg Algorithm) *STM {
-	return MustNew(Config{
+func exploreConfig(alg Algorithm) Config {
+	return Config{
 		Algorithm: alg, HeapWords: 1 << 12, OrecCount: 1 << 8,
 		MaxThreads: 8, MaxAttempts: -1,
-	})
+	}
 }
 
 // exploreOracle is the OnStep invariant check shared by every program: the
@@ -152,26 +154,47 @@ func privProgram(alg Algorithm) (sched.Config, []func()) {
 }
 
 // storeCoverProgram: two readers of one flag block and a writer that
-// privatizes the data block behind it, aimed at the §III-B store protocol
-// (CORRECTNESS.md §4). The writer first commits an unrelated word, so the
-// clock can move between the two readers' begin times; then it detaches the
-// data by setting the flag, and rewrites both data words uninstrumented.
-// Each reader reads the flag and, while the data is still shared, both data
-// words, recording a torn pair. If one reader's delayed store-protocol
+// privatizes the data block behind it, aimed at concurrent visibility
+// updates of one orec (CORRECTNESS.md §4: the §III-B store protocol loses a
+// live reader's hint here). The writer first commits an unrelated word, so
+// the clock can move between the two readers' begin times; then it
+// detaches the data by setting the flag, and rewrites both data words
+// uninstrumented. Each reader reads the flag and, while the data is still
+// shared, both data words, recording a torn pair. If one reader's delayed
 // update lowers the other's hint below its begin time, the writer's fence
 // skips that reader and it can observe the private rewrite half done; the
 // coverage oracle reports the lowered hint as soon as it happens.
+//
+// Two engines need help to make the readers' reads visible: on
+// pvrWriterOnly each reader first stores to a word of its own (the §III-C
+// transition), and pvrHybrid runs with HybridThreshold 1, so a reader that
+// sees the clock move after its first read switches to visible mode.
 func storeCoverProgram(alg Algorithm) (sched.Config, []func()) {
-	s := mkExploreSTM(alg)
+	cfg, bodies, _ := storeCover(alg)
+	return cfg, bodies
+}
+
+// storeCover builds storeCoverProgram and also returns its two reader
+// threads (workers 0 and 2).
+func storeCover(alg Algorithm) (sched.Config, []func(), [2]*Thread) {
+	c := exploreConfig(alg)
+	c.HybridThreshold = 1
+	s := MustNew(c)
 	flagA := s.MustAlloc(1)
 	data := s.MustAlloc(2)
 	tick := s.MustAlloc(1)
 	wth := s.MustNewThread()
 	var torn error
-	reader := func() func() {
+	var readers [2]*Thread
+	reader := func(i int) func() {
 		th := s.MustNewThread()
+		readers[i] = th
+		own := s.MustAlloc(1)
 		return func() {
 			_ = th.Atomic(func(tx *Tx) {
+				if alg == PVRWriterOnly {
+					tx.Store(own, 1)
+				}
 				if tx.Load(flagA) != 0 {
 					return // privatized: hands off
 				}
@@ -194,7 +217,7 @@ func storeCoverProgram(alg Algorithm) (sched.Config, []func()) {
 	return sched.Config{
 		OnStep: exploreOracle(s),
 		AtEnd:  func() error { return torn },
-	}, []func(){reader(), writer, reader()}
+	}, []func(){reader(0), writer, reader(1)}, readers
 }
 
 var schedPrograms = []schedProgram{
@@ -306,77 +329,62 @@ func TestExploreFindsTL2PrivatizationRace(t *testing.T) {
 }
 
 // storeCoverPCT and storeCoverRuns are the PCT corpus over
-// storeCoverProgram. The lowered hint needs four well-placed preemptions —
-// the delayed reader held between its clock sample and its claim, the other
-// reader beginning after a commit, the claim overwritten, and the delayed
-// store landing after the overwriter succeeded — which a bounded DFS does
-// not reach (20,000 schedules clean) and PCT at depth 4 does (seed 196).
+// storeCoverProgram. Under the store protocol the lowered hint needs four
+// well-placed preemptions — the delayed reader held between its clock
+// sample and its claim, the other reader beginning after a commit, the
+// claim overwritten, and the delayed store landing after the overwriter
+// succeeded — which a bounded DFS does not reach (20,000 schedules clean)
+// and PCT at depth 4 does (explore_storevis_race_test.go).
 var storeCoverPCT = sched.Config{Seed: 1, ChangePoints: 4, Horizon: 40}
 
 const storeCoverRuns = 400
 
-// storeCoverTornTrace is a hand-placed schedule of storeCoverProgram on
-// pvrStore (workers: 0 and 2 the readers, 1 the writer) that carries the
-// lowered hint through to what it costs: reader 0 samples the clock; the
-// writer commits its unrelated word; reader 2 begins, and the two readers'
-// store-protocol updates of the flag's hint interleave so that reader 0's
-// stale store lands last; reader 2 reads the flag and the first data word;
-// the writer's privatizing commit then finds no hint covering reader 2,
-// skips the fence, and rewrites the data while reader 2 is still live.
-const storeCoverTornTrace = "0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.2.2.2.2.0.0.2.2.2.2.2.2.2.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.2.2"
+// storeCoverAlgos are the engines whose readers publish visibility hints.
+var storeCoverAlgos = []Algorithm{PVRBase, PVRCAS, PVRStore, PVRWriterOnly, PVRHybrid}
 
-// TestExploreFindsStoreProtocolCoverageLoss is a positive control for an
-// open hole in the §III-B store protocol (CORRECTNESS.md §4): a reader whose
-// claim on curr_reader was overwritten can still complete its vis store
-// after the overwriter's update succeeded, replacing the overwriter's hint
-// with one whose rts is below the overwriter's begin time; the retry only
-// ORs in the multi bit. The explorer must find the lowered hint through the
-// coverage oracle, the failing trace must replay, and the hand-placed
-// schedule must show the consequence — a doomed reader observing private
-// data mid-rewrite — with the oracle off, and the oracle on the same
-// schedule must stop it at the lowered hint first. The fix is separate
-// work; when it lands this test's expectations flip to a clean corpus.
-func TestExploreFindsStoreProtocolCoverageLoss(t *testing.T) {
-	mk := func() (sched.Config, []func()) { return storeCoverProgram(PVRStore) }
-	res, n := sched.ExplorePCT(storeCoverPCT, storeCoverRuns, mk)
-	if res == nil {
-		t.Fatalf("explorer missed the lowered hint in %d schedules", n)
-	}
-	if !strings.Contains(res.Err.Error(), "coverage:") {
-		t.Fatalf("found a different failure: %v", res.Err)
-	}
-	t.Logf("found in %d schedules (seed %d): %v\n  replay: %s", n, res.Seed, res.Err, replayLine("storecover", PVRStore, res.Trace))
-	cfg, bodies := mk()
-	if rep := sched.Replay(cfg, res.Trace, bodies...); rep.Err == nil || !strings.Contains(rep.Err.Error(), "coverage:") {
-		t.Fatalf("replay of the failing trace did not reproduce: %v", rep.Err)
-	}
-
-	torn, err := sched.ParseTrace(storeCoverTornTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, bodies = mk()
-	cfg.OnStep = nil
-	if rep := sched.Replay(cfg, torn, bodies...); rep.Err == nil || !strings.Contains(rep.Err.Error(), "privatization violation") {
-		t.Fatalf("the hand-placed schedule did not reach the torn private read: %v", rep.Err)
-	}
-	cfg, bodies = mk()
-	if rep := sched.Replay(cfg, torn, bodies...); rep.Err == nil || !strings.Contains(rep.Err.Error(), "coverage:") {
-		t.Fatalf("the coverage oracle did not stop the hand-placed schedule at the lowered hint: %v", rep.Err)
-	}
-}
-
-// TestExploreStoreCoverCAS runs the same corpus on the compare-and-swap
-// engines: a CAS update fails instead of landing stale, so every schedule
-// must keep every live reader covered and no reader may see torn data.
-func TestExploreStoreCoverCAS(t *testing.T) {
-	for _, alg := range []Algorithm{PVRBase, PVRCAS} {
+// TestExploreStoreCover runs the store-cover corpus on every visible
+// engine: each visibility update is a compare-and-swap, which fails
+// instead of landing stale, so every schedule must keep every live reader
+// covered and no reader may see torn data. Built with
+// -tags privstm_storevis_race the engines publish with the §III-B store
+// protocol instead, and this corpus fails.
+func TestExploreStoreCover(t *testing.T) {
+	for _, alg := range storeCoverAlgos {
 		t.Run(alg.String(), func(t *testing.T) {
 			res, _ := sched.ExplorePCT(storeCoverPCT, storeCoverRuns,
 				func() (sched.Config, []func()) { return storeCoverProgram(alg) })
 			if res != nil {
 				reportScheduleFailure(t, "storecover", alg, res)
 			}
+		})
+	}
+}
+
+// TestStoreCoverReadersVisible checks that the store-cover corpus tests
+// what it is for on every engine it covers: each reader takes the
+// partially visible read path (PVReads > 0) in some schedule of the
+// corpus's own seeds. Only pvrHybrid needs more than the first seed, as
+// its readers switch mode only when the writer commits mid-transaction.
+func TestStoreCoverReadersVisible(t *testing.T) {
+	for _, alg := range storeCoverAlgos {
+		t.Run(alg.String(), func(t *testing.T) {
+			var seen [2]bool
+			runs := 0
+			for ; runs < storeCoverRuns && !(seen[0] && seen[1]); runs++ {
+				cfg, bodies, readers := storeCover(alg)
+				cfg.Seed = storeCoverPCT.Seed + uint64(runs)
+				cfg.ChangePoints, cfg.Horizon = storeCoverPCT.ChangePoints, storeCoverPCT.Horizon
+				if res := sched.Run(cfg, bodies...); res.Failed() {
+					t.Fatalf("seed %d: %v", cfg.Seed, res.Err)
+				}
+				for i, r := range readers {
+					seen[i] = seen[i] || r.Stats().PVReads > 0
+				}
+			}
+			if !seen[0] || !seen[1] {
+				t.Fatalf("readers took the visible path (reader 0, reader 1) = %v in %d schedules", seen, runs)
+			}
+			t.Logf("both readers visible within %d schedules", runs)
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // package *name* (not path) so the rule also applies to the test fixtures
 // and to any future relocation of the packages.
 var defaultProtectedPkgs = map[string]bool{
-	"orec":    true, // ownership records: owner word, vis word, grace, curr_reader
+	"orec":    true, // ownership records: owner word, vis word, grace
 	"clock":   true, // the global version clock
 	"txnlist": true, // the central list of incomplete transactions
 	"spin":    true, // spin locks guarding the above

@@ -10,7 +10,7 @@ import (
 
 // Read-barrier microbenchmarks. These measure the two MakeVisible paths in
 // isolation — the covered re-read (the common case §II-E optimizes for) and
-// the full hint publication — for both visibility protocols. They back the
+// the full hint publication through the §II-E compare-and-swap. They back the
 // BENCH_readpath baseline: macrobenchmarks tell us whether the read path
 // scales, these tell us *why* (cycles and allocations per barrier).
 //
@@ -26,16 +26,6 @@ type MicroResult struct {
 	NsPerOp     float64
 	AllocsPerOp float64
 	BytesPerOp  float64
-}
-
-// microProtos pairs the protocol labels used in benchmark names with the
-// core selector.
-var microProtos = []struct {
-	Name  string
-	Proto core.VisProto
-}{
-	{"CAS", core.VisCAS},
-	{"Store", core.VisStore},
 }
 
 // newMicroThread builds a runtime with a single registered, active thread,
@@ -59,7 +49,7 @@ func newMicroThread() (*core.Runtime, *core.Thread, error) {
 // benchMakeVisibleCovered measures the re-read barrier: the thread has
 // already published a hint on the orec, so every MakeVisible call takes the
 // covered fast path.
-func benchMakeVisibleCovered(b *testing.B, proto core.VisProto) {
+func benchMakeVisibleCovered(b *testing.B) {
 	b.ReportAllocs()
 	rt, t, err := newMicroThread()
 	if err != nil {
@@ -67,10 +57,10 @@ func benchMakeVisibleCovered(b *testing.B, proto core.VisProto) {
 	}
 	_ = rt
 	o := rt.Orecs.At(0)
-	t.MakeVisible(o, false, proto) // publish once; the loop re-reads
+	t.MakeVisible(o, false) // publish once; the loop re-reads
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.MakeVisible(o, false, proto)
+		t.MakeVisible(o, false)
 	}
 }
 
@@ -78,7 +68,7 @@ func benchMakeVisibleCovered(b *testing.B, proto core.VisProto) {
 // word is cleared and the transaction state reset each iteration, so every
 // MakeVisible call publishes a fresh hint (plus the per-transaction reset
 // cost, which is part of the path's steady-state price).
-func benchMakeVisiblePublish(b *testing.B, proto core.VisProto) {
+func benchMakeVisiblePublish(b *testing.B) {
 	b.ReportAllocs()
 	rt, t, err := newMicroThread()
 	if err != nil {
@@ -91,24 +81,17 @@ func benchMakeVisiblePublish(b *testing.B, proto core.VisProto) {
 		o.Vis().Store(0)
 		t.ResetTxnState()
 		t.StartSnapshot(ts)
-		t.MakeVisible(o, false, proto)
+		t.MakeVisible(o, false)
 	}
 }
 
 // ReadPathMicros runs every read-path microbenchmark once through
 // testing.Benchmark and returns the results.
 func ReadPathMicros() []MicroResult {
-	var out []MicroResult
-	for _, p := range microProtos {
-		proto := p.Proto
-		out = append(out, runMicro("MakeVisibleCovered/"+p.Name, func(b *testing.B) {
-			benchMakeVisibleCovered(b, proto)
-		}))
-		out = append(out, runMicro("MakeVisiblePublish/"+p.Name, func(b *testing.B) {
-			benchMakeVisiblePublish(b, proto)
-		}))
+	return []MicroResult{
+		runMicro("MakeVisibleCovered/CAS", benchMakeVisibleCovered),
+		runMicro("MakeVisiblePublish/CAS", benchMakeVisiblePublish),
 	}
-	return out
 }
 
 func runMicro(name string, fn func(*testing.B)) MicroResult {

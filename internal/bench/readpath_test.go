@@ -10,17 +10,9 @@ import (
 // go test -bench wrappers over the readpath.go benchmark bodies (which
 // stmbench -micro also runs via testing.Benchmark).
 
-func BenchmarkMakeVisibleCovered(b *testing.B) {
-	for _, p := range microProtos {
-		b.Run(p.Name, func(b *testing.B) { benchMakeVisibleCovered(b, p.Proto) })
-	}
-}
+func BenchmarkMakeVisibleCovered(b *testing.B) { benchMakeVisibleCovered(b) }
 
-func BenchmarkMakeVisiblePublish(b *testing.B) {
-	for _, p := range microProtos {
-		b.Run(p.Name, func(b *testing.B) { benchMakeVisiblePublish(b, p.Proto) })
-	}
-}
+func BenchmarkMakeVisiblePublish(b *testing.B) { benchMakeVisiblePublish(b) }
 
 // BenchmarkReadPathTraversal is the end-to-end read-barrier canary: a
 // single-thread Fig. 3g long-list traversal on an engine with no partial

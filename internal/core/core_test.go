@@ -74,72 +74,68 @@ func TestReaderMayBeLive(t *testing.T) {
 }
 
 func TestMakeVisibleFreshUpdate(t *testing.T) {
-	for _, proto := range []VisProto{VisCAS, VisStore} {
-		rt := newTestRT(t, 4)
-		th := newActiveThread(t, rt)
-		o := rt.Orecs.At(0)
-		th.MakeVisible(o, false, proto)
-		rts, tid, multi := orec.UnpackVis(o.Vis().Load())
-		if rts < th.BeginTS || tid != th.ID || multi {
-			t.Errorf("proto %v: vis = (%d,%d,%v), want rts ≥ %d, tid %d, no multi",
-				proto, rts, tid, multi, th.BeginTS, th.ID)
-		}
-		if th.Stats.PVUpdates != 1 || th.Stats.PVSkipped != 0 {
-			t.Errorf("proto %v: stats = %+v", proto, th.Stats)
-		}
-		if !th.publishedHere(o, rts) {
-			t.Errorf("proto %v: publication log missing the hint", proto)
-		}
-		// A second read of the same orec in the same transaction skips.
-		th.MakeVisible(o, false, proto)
-		if th.Stats.PVSkipped != 1 {
-			t.Errorf("proto %v: second read did not skip (stats %+v)", proto, th.Stats)
-		}
-		finish(rt, th)
+	rt := newTestRT(t, 4)
+	th := newActiveThread(t, rt)
+	o := rt.Orecs.At(0)
+	th.MakeVisible(o, false)
+	rts, tid, multi := orec.UnpackVis(o.Vis().Load())
+	if rts < th.BeginTS || tid != th.ID || multi {
+		t.Errorf("vis = (%d,%d,%v), want rts ≥ %d, tid %d, no multi",
+			rts, tid, multi, th.BeginTS, th.ID)
 	}
+	if th.Stats.PVUpdates != 1 || th.Stats.PVSkipped != 0 {
+		t.Errorf("stats = %+v", th.Stats)
+	}
+	if !th.publishedHere(o, rts) {
+		t.Error("publication log missing the hint")
+	}
+	// A second read of the same orec in the same transaction skips.
+	th.MakeVisible(o, false)
+	if th.Stats.PVSkipped != 1 {
+		t.Errorf("second read did not skip (stats %+v)", th.Stats)
+	}
+	finish(rt, th)
 }
 
 func TestMakeVisibleSecondReaderSetsMulti(t *testing.T) {
-	for _, proto := range []VisProto{VisCAS, VisStore} {
-		rt := newTestRT(t, 4)
-		r1 := newActiveThread(t, rt)
-		r2 := newActiveThread(t, rt)
-		o := rt.Orecs.At(0)
-		r1.MakeVisible(o, false, proto)
-		// r2 began after r1's hint was published at r1's begin… ensure
-		// coverage: r2.BeginTS ≥ r1's rts only if no clock movement; the
-		// hint's rts = clock at publish = r2's begin here, so r2 is
-		// covered and must set the multi bit (r1 may still be live).
-		r2.MakeVisible(o, false, proto)
-		_, _, multi := orec.UnpackVis(o.Vis().Load())
-		if !multi {
-			t.Errorf("proto %v: second concurrent reader did not set multi", proto)
-		}
-		if r2.Stats.PVMultiSets != 1 {
-			t.Errorf("proto %v: r2 stats = %+v", proto, r2.Stats)
-		}
-		// A third reader now skips outright.
-		r3 := newActiveThread(t, rt)
-		r3.MakeVisible(o, false, proto)
-		if r3.Stats.PVSkipped != 1 {
-			t.Errorf("proto %v: third reader did not skip (stats %+v)", proto, r3.Stats)
-		}
-		finish(rt, r1)
-		finish(rt, r2)
-		finish(rt, r3)
+	rt := newTestRT(t, 4)
+	r1 := newActiveThread(t, rt)
+	r2 := newActiveThread(t, rt)
+	o := rt.Orecs.At(0)
+	r1.MakeVisible(o, false)
+	// r2 began after r1's hint was published at r1's begin… ensure
+	// coverage: r2.BeginTS ≥ r1's rts only if no clock movement; the
+	// hint's rts = clock at publish = r2's begin here, so r2 is
+	// covered and must set the multi bit (r1 may still be live).
+	r2.MakeVisible(o, false)
+	_, _, multi := orec.UnpackVis(o.Vis().Load())
+	if !multi {
+		t.Error("second concurrent reader did not set multi")
 	}
+	if r2.Stats.PVMultiSets != 1 {
+		t.Errorf("r2 stats = %+v", r2.Stats)
+	}
+	// A third reader now skips outright.
+	r3 := newActiveThread(t, rt)
+	r3.MakeVisible(o, false)
+	if r3.Stats.PVSkipped != 1 {
+		t.Errorf("third reader did not skip (stats %+v)", r3.Stats)
+	}
+	finish(rt, r1)
+	finish(rt, r2)
+	finish(rt, r3)
 }
 
 func TestMakeVisibleDeadHintSkipped(t *testing.T) {
 	rt := newTestRT(t, 4)
 	r1 := newActiveThread(t, rt)
 	o := rt.Orecs.At(0)
-	r1.MakeVisible(o, false, VisCAS)
+	r1.MakeVisible(o, false)
 	finish(rt, r1) // r1's hint is now dead
 	r2 := newActiveThread(t, rt)
 	// r2 is covered (clock unchanged) and the hint's owner has finished:
 	// no update is needed at all.
-	r2.MakeVisible(o, false, VisCAS)
+	r2.MakeVisible(o, false)
 	if r2.Stats.PVSkipped != 1 || r2.Stats.PVMultiSets != 0 {
 		t.Errorf("dead hint not skipped: %+v", r2.Stats)
 	}
@@ -154,12 +150,12 @@ func TestMakeVisibleUncoveredOverwrites(t *testing.T) {
 	rt := newTestRT(t, 4)
 	r1 := newActiveThread(t, rt)
 	o := rt.Orecs.At(0)
-	r1.MakeVisible(o, false, VisCAS)
+	r1.MakeVisible(o, false)
 	old := orec.VisRTS(o.Vis().Load())
 	finish(rt, r1)
 	rt.Clock.Tick() // move time forward so the next reader is not covered
 	r2 := newActiveThread(t, rt)
-	r2.MakeVisible(o, false, VisCAS)
+	r2.MakeVisible(o, false)
 	rts, tid, multi := orec.UnpackVis(o.Vis().Load())
 	if rts <= old || tid != r2.ID {
 		t.Errorf("uncovered read did not refresh hint: rts %d (old %d) tid %d", rts, old, tid)
@@ -177,10 +173,10 @@ func TestMakeVisibleCarriesMultiForLiveElder(t *testing.T) {
 	rt := newTestRT(t, 4)
 	elder := newActiveThread(t, rt)
 	o := rt.Orecs.At(0)
-	elder.MakeVisible(o, false, VisCAS)
+	elder.MakeVisible(o, false)
 	rt.Clock.Tick()
 	young := newActiveThread(t, rt) // begins after the hint's rts
-	young.MakeVisible(o, false, VisCAS)
+	young.MakeVisible(o, false)
 	_, tid, multi := orec.UnpackVis(o.Vis().Load())
 	if tid != young.ID {
 		t.Fatalf("hint tid = %d, want %d", tid, young.ID)
@@ -225,7 +221,7 @@ func TestGraceExtendsCoverage(t *testing.T) {
 	o := rt.Orecs.At(0)
 	o.Grace().Store(16)
 	r1 := newActiveThread(t, rt)
-	r1.MakeVisible(o, true, VisCAS)
+	r1.MakeVisible(o, true)
 	rts := orec.VisRTS(o.Vis().Load())
 	if rts != r1.RT.Clock.Now()+16 {
 		t.Errorf("rts = %d, want now+16 = %d", rts, r1.RT.Clock.Now()+16)
@@ -239,7 +235,7 @@ func TestGraceExtendsCoverage(t *testing.T) {
 		rt.Clock.Tick()
 	}
 	r2 := newActiveThread(t, rt)
-	r2.MakeVisible(o, true, VisCAS)
+	r2.MakeVisible(o, true)
 	if r2.Stats.PVSkipped != 1 {
 		t.Errorf("read within grace window did not skip: %+v", r2.Stats)
 	}
@@ -253,7 +249,7 @@ func TestReaderConflictScanSelfOnly(t *testing.T) {
 	w := newActiveThread(t, rt)
 	other := newActiveThread(t, rt) // some unrelated concurrent txn
 	o := rt.Orecs.At(0)
-	w.MakeVisible(o, false, VisCAS)
+	w.MakeVisible(o, false)
 	if !w.AcquireOrec(o) {
 		t.Fatal("acquire failed")
 	}
@@ -269,7 +265,7 @@ func TestReaderConflictScanForeignReader(t *testing.T) {
 	r := newActiveThread(t, rt)
 	w := newActiveThread(t, rt)
 	o := rt.Orecs.At(0)
-	r.MakeVisible(o, false, VisCAS)
+	r.MakeVisible(o, false)
 	if !w.AcquireOrec(o) {
 		t.Fatal("acquire failed")
 	}
@@ -294,13 +290,13 @@ func TestReaderConflictScanStaleSelfHint(t *testing.T) {
 	rt := newTestRT(t, 4)
 	w := newActiveThread(t, rt)
 	o := rt.Orecs.At(0)
-	w.MakeVisible(o, false, VisCAS)
+	w.MakeVisible(o, false)
 	finish(rt, w)
 
 	// Another reader starts and is covered by w's old hint (clock has not
 	// moved), so it may skip; w then starts a new transaction and writes o.
 	r := newActiveThread(t, rt)
-	r.MakeVisible(o, false, VisCAS)
+	r.MakeVisible(o, false)
 
 	w.ResetTxnState()
 	w.StartSnapshot(rt.Active.Enter(w))
@@ -382,56 +378,11 @@ func TestValidationFence(t *testing.T) {
 	finish(rt, r)
 }
 
-func TestVisStoreProtocolStress(t *testing.T) {
-	// Hammer one orec with concurrent store-protocol updates and verify
-	// the two core guarantees: per-orec rts never decreases, and after a
-	// reader's MakeVisible returns the orec covers it (rts ≥ its begin).
-	rt := newTestRT(t, 16)
-	o := rt.Orecs.At(0)
-	const workers = 8
-	const iters = 2000
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	maxSeen := uint64(0)
-	for i := 0; i < workers; i++ {
-		th, err := rt.NewThread()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(th *Thread) {
-			defer wg.Done()
-			for j := 0; j < iters; j++ {
-				th.ResetTxnState()
-				th.StartSnapshot(rt.Active.Enter(th))
-				th.Visible = true
-				th.PublishActive(th.BeginTS)
-				th.MakeVisible(o, j%2 == 0, VisStore)
-				if rts := orec.VisRTS(o.Vis().Load()); rts < th.BeginTS {
-					t.Errorf("after MakeVisible, rts %d < begin %d", rts, th.BeginTS)
-				}
-				mu.Lock()
-				if rts := orec.VisRTS(o.Vis().Load()); rts >= maxSeen {
-					maxSeen = rts
-				}
-				mu.Unlock()
-				finish(rt, th)
-				if j%16 == 0 {
-					rt.Clock.Tick()
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
-	if o.CurrReader().Load() != orec.NoReader {
-		t.Error("curr_reader left claimed after all updates completed")
-	}
-}
-
-// TestVisCASProtocolStress mirrors TestVisStoreProtocolStress for the
-// CAS-based update path, including grace periods, and additionally checks
-// per-orec rts monotonicity across the run.
-func TestVisCASProtocolStress(t *testing.T) {
+// TestMakeVisibleStress hammers one orec with concurrent visibility
+// updates, with and without grace periods, and checks the two core
+// guarantees: after a reader's MakeVisible returns the orec covers it
+// (rts ≥ its begin), and per-orec rts never decreases.
+func TestMakeVisibleStress(t *testing.T) {
 	rt := newTestRT(t, 16)
 	o := rt.Orecs.At(1)
 	const workers = 8
@@ -451,7 +402,7 @@ func TestVisCASProtocolStress(t *testing.T) {
 				th.StartSnapshot(rt.Active.Enter(th))
 				th.Visible = true
 				th.PublishActive(th.BeginTS)
-				th.MakeVisible(o, j%2 == 0, VisCAS)
+				th.MakeVisible(o, j%2 == 0)
 				rts := orec.VisRTS(o.Vis().Load())
 				if rts < th.BeginTS {
 					t.Errorf("after MakeVisible, rts %d < begin %d", rts, th.BeginTS)
@@ -486,7 +437,7 @@ func TestConflictScanWithGraceAdaptation(t *testing.T) {
 	o2 := rt.Orecs.At(1)
 	o1.Grace().Store(32)
 	o2.Grace().Store(32)
-	r.MakeVisible(o1, true, VisCAS) // raises o1's grace to 64
+	r.MakeVisible(o1, true) // raises o1's grace to 64
 	if !w.AcquireOrec(o1) || !w.AcquireOrec(o2) {
 		t.Fatal("acquire failed")
 	}

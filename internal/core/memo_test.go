@@ -24,7 +24,7 @@ func TestReadMemoHit(t *testing.T) {
 		t.Fatal("the two words of a default-size extent do not share an orec")
 	}
 
-	if w := th.ReadVisible(a, false, VisCAS); w != 11 {
+	if w := th.ReadVisible(a, false); w != 11 {
 		t.Fatalf("first read = %d, want 11", w)
 	}
 	if th.Stats.PVReads != 1 || th.Stats.PVUpdates != 1 || th.Reads.Len() != 1 {
@@ -34,7 +34,7 @@ func TestReadMemoHit(t *testing.T) {
 	staleVis(o) // the full protocol would now republish
 	skipped := th.Stats.PVSkipped
 	for i := 0; i < 3; i++ {
-		if w := th.ReadVisible(a+1, false, VisCAS); w != 22 {
+		if w := th.ReadVisible(a+1, false); w != 22 {
 			t.Fatalf("memo read = %d, want 22", w)
 		}
 	}
@@ -53,13 +53,13 @@ func TestReadMemoHit(t *testing.T) {
 	}
 	rt.Heap.AtomicStore(a+1, 33)
 	pv := th.Stats.PVReads
-	if w := th.ReadVisible(a+1, false, VisCAS); w != 33 {
+	if w := th.ReadVisible(a+1, false); w != 33 {
 		t.Fatalf("read of own write = %d, want 33", w)
 	}
 	if th.Stats.PVReads != pv {
 		t.Error("reading an own in-place write ran the visibility protocol")
 	}
-	if w := th.ReadVisible(a, false, VisCAS); w != 11 || th.Stats.PVReads != pv+1 {
+	if w := th.ReadVisible(a, false); w != 11 || th.Stats.PVReads != pv+1 {
 		t.Errorf("memo on the owned block: read %d PVReads %d, want 11/%d", w, th.Stats.PVReads, pv+1)
 	}
 	th.Acq.RestoreAll()
@@ -105,9 +105,9 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 	th.ExtendOK = true
 	o := rt.Orecs.For(a)
 
-	th.ReadVisible(a, false, VisCAS) // publish, arm the memo
+	th.ReadVisible(a, false) // publish, arm the memo
 	staleVis(o)
-	th.ReadVisible(a, false, VisCAS)
+	th.ReadVisible(a, false)
 	if th.Stats.PVUpdates != 1 || th.memoOrec != o {
 		t.Fatalf("pre-extension: PVUpdates=%d memo armed=%v, want 1/true",
 			th.Stats.PVUpdates, th.memoOrec == o)
@@ -123,7 +123,7 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 
 	// The load after the extension must miss the memo and republish over
 	// the stale vis word...
-	if w := th.ReadVisible(a, false, VisCAS); w != 11 {
+	if w := th.ReadVisible(a, false); w != 11 {
 		t.Fatalf("post-extension read = %d, want 11", w)
 	}
 	if th.Stats.PVUpdates != 2 {
@@ -132,7 +132,7 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 	// ...and re-arm the memo, so a later stale load skips the protocol.
 	staleVis(o)
 	skipped := th.Stats.PVSkipped
-	th.ReadVisible(a, false, VisCAS)
+	th.ReadVisible(a, false)
 	if th.Stats.PVUpdates != 2 || th.Stats.PVSkipped != skipped+1 {
 		t.Errorf("re-armed read: PVUpdates=%d PVSkipped=%d, want 2/%d",
 			th.Stats.PVUpdates, th.Stats.PVSkipped, skipped+1)
@@ -215,7 +215,7 @@ func TestReadMemoNeverChangesTheLog(t *testing.T) {
 		switch st.Kind % 8 {
 		case 0, 1, 2, 3, 4:
 			if visible {
-				_ = w.th.ReadVisible(a, true, VisStore)
+				_ = w.th.ReadVisible(a, true)
 			} else {
 				_ = w.th.ReadHeapConsistent(a)
 			}
@@ -287,11 +287,11 @@ func TestReadMemoAllocates0(t *testing.T) {
 	rt.Clock.Tick()
 	a := rt.Heap.MustAlloc(2)
 	th := newActiveThread(t, rt)
-	_ = th.ReadVisible(a, true, VisStore)
+	_ = th.ReadVisible(a, true)
 	hits := th.Stats.PVSkipped
 	if n := testing.AllocsPerRun(200, func() {
-		_ = th.ReadVisible(a+1, true, VisStore)
-		_ = th.ReadVisible(a, true, VisStore)
+		_ = th.ReadVisible(a+1, true)
+		_ = th.ReadVisible(a, true)
 		_ = th.ReadHeapConsistent(a + 1)
 	}); n != 0 {
 		t.Errorf("memo path allocates %v per run, want 0", n)

@@ -469,7 +469,7 @@ func (t *Thread) ReadHeapConsistent(a heap.Addr) heap.Word {
 // and a second load of the block just read does none of it (readMemo),
 // counted as a skipped visibility update so Figure 4's percentages keep
 // their meaning.
-func (t *Thread) ReadVisible(a heap.Addr, useGrace bool, proto VisProto) heap.Word {
+func (t *Thread) ReadVisible(a heap.Addr, useGrace bool) heap.Word {
 	t.CheckAddr(a)
 	o := t.RT.Orecs.For(a)
 	v := o.Owner().Load()
@@ -481,7 +481,7 @@ func (t *Thread) ReadVisible(a heap.Addr, useGrace bool, proto VisProto) heap.Wo
 	// Reading our own in-place write needs no visibility hint: ownership
 	// already blocks every other reader and writer.
 	if !orec.IsOwned(v) || orec.OwnerTID(v) != t.ID {
-		t.MakeVisible(o, useGrace, proto)
+		t.MakeVisible(o, useGrace)
 	}
 	return t.readConsistent(o, a, v)
 }

@@ -5,18 +5,6 @@ import (
 
 	"privstm/internal/failpoint"
 	"privstm/internal/orec"
-	"privstm/internal/spin"
-)
-
-// VisProto selects how partial-visibility metadata is updated.
-type VisProto int
-
-const (
-	// VisCAS updates the (rts, tid) word with compare-and-swap (§II-E).
-	VisCAS VisProto = iota
-	// VisStore updates it with the Lamport-style curr_reader store
-	// protocol of §III-B, avoiding atomic read-modify-write instructions.
-	VisStore
 )
 
 // Partial visibility — reader side (§II-B, §II-E, §III-A).
@@ -41,39 +29,31 @@ const (
 //
 //   - We are not covered: publish (now+G, us) and conservatively carry the
 //     multi bit whenever a live transaction may have been covered by the
-//     hint we overwrite. This is safe because a temporarily lost or stale
-//     hint only matters for transactions still on the central list, and the
-//     carried bit makes writers fence for them (§III-B's staleness
-//     argument).
-func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
+//     hint we overwrite, so writers keep fencing for it.
+//
+// The update itself is visUpdater's (visupdate.go): a compare-and-swap,
+// or, in the privstm_storevis_race build, the §III-B store protocol that
+// survives there as the schedule explorer's positive control.
+func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool) {
 	rt := t.RT
 	t.Stats.PVReads++
-	mustMulti := false // set after a detected store-protocol race
+	var u visUpdater
 	for {
 		v := o.Vis().Load()
 		rts, tid, multi := orec.UnpackVis(v)
 		covered := rts >= t.BeginTS
 
-		if covered && (multi || (!mustMulti && (tid == t.ID || !rt.ReaderMayBeLive(tid, rts)))) {
+		if covered && (multi || (!u.raced() && (tid == t.ID || !rt.ReaderMayBeLive(tid, rts)))) {
 			t.Stats.PVSkipped++
 			return
 		}
 
 		if covered {
 			// Set only the multiple-readers bit.
-			nv := v | 1
-			if proto == VisCAS {
-				if o.Vis().CompareAndSwap(v, nv) {
-					t.Stats.PVMultiSets++
-					return
-				}
-				continue
-			}
-			if t.visStoreUpdate(o, v, nv) {
+			if u.update(t, o, v, v|1) {
 				t.Stats.PVMultiSets++
 				return
 			}
-			mustMulti = true
 			continue
 		}
 
@@ -86,19 +66,9 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool, proto VisProto) {
 		// Carry the multi bit if any live transaction may be covered by
 		// the hint we are about to overwrite (its begin would be ≤ rts).
 		oldB, anyActive := rt.Active.OldestBegin()
-		carry := mustMulti || (anyActive && oldB <= rts)
-		nv := orec.PackVis(now+g, t.ID, carry)
+		nv := orec.PackVis(now+g, t.ID, u.raced() || (anyActive && oldB <= rts))
 		failpoint.Eval(failpoint.VisSampled)
-		var done bool
-		if proto == VisCAS {
-			done = o.Vis().CompareAndSwap(v, nv)
-		} else {
-			done = t.visStoreUpdate(o, v, nv)
-		}
-		if !done {
-			if proto == VisStore {
-				mustMulti = true
-			}
+		if !u.update(t, o, v, nv) {
 			continue
 		}
 		t.Stats.PVUpdates++
@@ -138,49 +108,6 @@ func (t *Thread) CheckCoverage() error {
 		}
 	}
 	return nil
-}
-
-// visStoreUpdate runs one attempt of the §III-B store-only protocol:
-//
-//  1. wait for curr_reader to be clear;
-//  2. claim it with a plain store of our ID;
-//  3. re-check that the vis word still holds the expected value — if not, a
-//     concurrent reader raced us: report failure so the caller retries with
-//     the multi bit;
-//  4. store the new vis value;
-//  5. re-check curr_reader — if it no longer holds our ID, a racer
-//     overlapped us and our update may be stale: report failure.
-//
-// All accesses are individual atomic loads and stores (Go atomics are
-// sequentially consistent, satisfying the paper's ordering requirement); no
-// compare-and-swap is involved, which is the protocol's entire purpose.
-func (t *Thread) visStoreUpdate(o *orec.Orec, expected, newv uint64) bool {
-	var b spin.Backoff
-	for o.CurrReader().Load() != orec.NoReader {
-		failpoint.Eval(failpoint.VisStoreWait)
-		b.Wait()
-	}
-	failpoint.Eval(failpoint.VisStoreClaim)
-	id := t.ID + 1 // offset so thread 0 is distinguishable from NoReader
-	o.CurrReader().Store(id)
-	if o.Vis().Load() != expected {
-		// Raced before our update: withdraw (only if the slot is still
-		// ours; overwriting a racer's claim would be repaired by the
-		// racer's own step-5 check).
-		if o.CurrReader().Load() == id {
-			o.CurrReader().Store(orec.NoReader)
-		}
-		t.Stats.StoreRaces++
-		return false
-	}
-	failpoint.Eval(failpoint.VisStorePublish)
-	o.Vis().Store(newv)
-	if o.CurrReader().Load() == id {
-		o.CurrReader().Store(orec.NoReader)
-		return true
-	}
-	t.Stats.StoreRaces++
-	return false
 }
 
 // publishedHere reports whether (o, rts) is a hint published by the current

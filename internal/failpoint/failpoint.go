@@ -88,17 +88,21 @@ const (
 	// adapters (reader-side raise, writer-side lower).
 	GraceRaise = "core/grace/raise"
 	GraceLower = "core/grace/lower"
-	// VisStoreWait fires once per poll of the §III-B store protocol's
-	// curr_reader wait loop.
-	VisStoreWait = "core/vis/store-wait"
 	// VisSampled fires in MakeVisible's full update after the clock has been
-	// sampled and the new hint built, before the update is attempted (CAS or
-	// store protocol). Window: the hint's rts can fall behind transactions
-	// that begin while the reader is delayed here.
+	// sampled and the new hint built, before the update is attempted.
+	// Window: the hint's rts can fall behind transactions that begin while
+	// the reader is delayed here.
 	VisSampled = "core/vis/sampled"
-	// VisStoreClaim fires in the store protocol after the curr_reader wait
-	// and before the claim (steps 1–2), so two readers can both pass the
-	// wait before either claims.
+	// VisStoreWait, VisStoreClaim and VisStorePublish are the §III-B store
+	// protocol's points. Only the privstm_storevis_race build fires them:
+	// the protocol survives there as the explorer's positive control
+	// (CORRECTNESS.md §4).
+	//
+	// VisStoreWait fires once per poll of the curr_reader wait loop.
+	VisStoreWait = "core/vis/store-wait"
+	// VisStoreClaim fires after the curr_reader wait and before the claim
+	// (steps 1–2), so two readers can both pass the wait before either
+	// claims.
 	VisStoreClaim = "core/vis/store-claim"
 	// VisStorePublish fires in the store protocol between the vis re-check
 	// and the vis store (steps 3–4). Window: a racer that overwrote our

@@ -52,7 +52,7 @@ func (e *Engine) Read(t *core.Thread, a heap.Addr) heap.Word {
 		// Visible mode: writers fence for us, and commits still validate,
 		// so the per-read incremental validation — the very cost the
 		// mode switch exists to shed — is no longer needed.
-		return t.ReadVisible(a, true, core.VisStore)
+		return t.ReadVisible(a, true)
 	}
 	w := t.ReadHeapConsistent(a)
 	t.PollValidate()
@@ -89,7 +89,7 @@ func (e *Engine) maybeGoVisible(t *core.Thread) {
 	t.ForgetVisibility() // the read memo was armed by invisible reads
 	n := t.Reads.Len()
 	for i := 0; i < n; i++ {
-		t.MakeVisible(t.Reads.At(i).Orec, true, core.VisStore)
+		t.MakeVisible(t.Reads.At(i).Orec, true)
 	}
 	// Revalidate after publishing hints: a writer whose conflict scan
 	// preceded them will not fence for us, so we must be provably

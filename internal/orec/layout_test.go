@@ -20,14 +20,13 @@ func TestRecordWordsDistinct(t *testing.T) {
 		o.Owner().Store(uint64(i) + 1)
 		o.Vis().Store(uint64(i) + 2)
 		o.Grace().Store(uint64(i) + 3)
-		o.CurrReader().Store(uint64(i) + 4)
 	}
 	for i := 0; i < tab.Len(); i++ {
 		o := tab.At(i)
 		if o.Owner().Load() != uint64(i)+1 || o.Vis().Load() != uint64(i)+2 ||
-			o.Grace().Load() != uint64(i)+3 || o.CurrReader().Load() != uint64(i)+4 {
-			t.Fatalf("record %d words aliased: owner=%d vis=%d grace=%d curr=%d",
-				i, o.Owner().Load(), o.Vis().Load(), o.Grace().Load(), o.CurrReader().Load())
+			o.Grace().Load() != uint64(i)+3 {
+			t.Fatalf("record %d words aliased: owner=%d vis=%d grace=%d",
+				i, o.Owner().Load(), o.Vis().Load(), o.Grace().Load())
 		}
 	}
 	// For and At agree on record identity (pointer equality is what the
@@ -40,7 +39,7 @@ func TestRecordWordsDistinct(t *testing.T) {
 }
 
 // TestLayoutPadding checks the false-sharing contract: one record per
-// 64-byte line, all five fields on it.
+// 64-byte line, all four fields on it.
 func TestLayoutPadding(t *testing.T) {
 	if s := unsafe.Sizeof(Orec{}); s != 64 {
 		t.Errorf("Orec size = %d, want 64", s)

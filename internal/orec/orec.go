@@ -6,7 +6,6 @@
 //	(b) read timestamp (rts)
 //	(c) last-reader transaction ID (tid) + multiple-readers bit
 //	(d) per-orec grace period
-//	(e) curr_reader lock for the store-only visibility protocol
 //
 // The rts and tid fields live in one 64-bit word so that they are always
 // read and written "together in a single load/store" as §II-E requires.
@@ -68,13 +67,8 @@ func VisTID(v uint64) uint64 { return (v >> 1) & MaxTID }
 // VisMulti extracts the multiple-readers bit.
 func VisMulti(v uint64) bool { return v&1 == 1 }
 
-// NoReader is the value of curr_reader when no visibility update is in
-// progress. Thread IDs stored in curr_reader are offset by one so that
-// thread 0 can be distinguished from "no reader".
-const NoReader uint64 = 0
-
-// Orec is a single ownership record: the five fields of Figure 2 plus the
-// record's table slot, padded to one 64-byte cache line. Records live in
+// Orec is a single ownership record: the fields (a)–(d) of Figure 2 plus
+// the record's table slot, padded to one 64-byte cache line. Records live in
 // their Table's backing array and never move, so a *Orec is a stable
 // identity (read-set dedup and the acquired log compare handles), and every
 // accessor is a constant offset from it: For(addr) → record → word touches
@@ -84,10 +78,10 @@ const NoReader uint64 = 0
 // o.Owner().CompareAndSwap(...)); the returned *atomic.Uint64 must not be
 // retained beyond the expression or loop using it.
 type Orec struct {
-	owner, vis, grace, curr atomic.Uint64
+	owner, vis, grace atomic.Uint64
 	// idx is the record's slot in its Table, fixed at construction.
 	idx uint32
-	_   [28]byte
+	_   [36]byte
 }
 
 // Owner is the wts-or-owning-txn word (Fig. 2a).
@@ -99,10 +93,7 @@ func (o *Orec) Vis() *atomic.Uint64 { return &o.vis }
 // Grace is the grace period in clock steps (Fig. 2d).
 func (o *Orec) Grace() *atomic.Uint64 { return &o.grace }
 
-// CurrReader is the store-protocol lock (Fig. 2e).
-func (o *Orec) CurrReader() *atomic.Uint64 { return &o.curr }
-
 // Index returns the record's table slot. It is the canonical hash key for
-// per-transaction containers (read-set dedup, publication log, hint
-// cache): indices and records are in bijection within one table.
+// per-transaction containers (read-set dedup, publication log): indices and
+// records are in bijection within one table.
 func (o *Orec) Index() uint32 { return o.idx }

@@ -4,7 +4,7 @@
 //
 //	pvrBase       — CAS visibility updates, no grace periods (§II)
 //	pvrCAS        — adds adaptive per-orec grace periods (§III-A)
-//	pvrStore      — replaces the CAS with the store-only protocol (§III-B)
+//	pvrStore      — the §III-B cell; runs pvrCAS (CORRECTNESS.md §4)
 //	pvrWriterOnly — adds the read-only transaction optimization (§III-C)
 //
 // Writes are performed in place with per-location undo logging; readers
@@ -23,32 +23,34 @@ import (
 type Engine struct {
 	rt         *core.Runtime
 	name       string
-	grace      bool          // adaptive grace periods (§III-A)
-	proto      core.VisProto // CAS or store-only visibility updates
-	writerOnly bool          // read-only transaction optimization (§III-C)
+	grace      bool // adaptive grace periods (§III-A)
+	writerOnly bool // read-only transaction optimization (§III-C)
 }
 
 // NewBase returns the basic scheme of §II: CAS updates, G = 0.
 func NewBase(rt *core.Runtime) *Engine {
-	return &Engine{rt: rt, name: "pvrBase", proto: core.VisCAS}
+	return &Engine{rt: rt, name: "pvrBase"}
 }
 
 // NewCAS returns pvrBase augmented with adaptive grace periods (§III-A).
 func NewCAS(rt *core.Runtime) *Engine {
-	return &Engine{rt: rt, name: "pvrCAS", grace: true, proto: core.VisCAS}
+	return &Engine{rt: rt, name: "pvrCAS", grace: true}
 }
 
-// NewStore returns pvrCAS with the CAS-free visibility update of §III-B.
+// NewStore returns the pvrStore figure cell. The paper's §III-B replaces
+// pvrCAS's visibility compare-and-swap with a store-only protocol; as
+// implemented that protocol can lower a live reader's hint (CORRECTNESS.md
+// §4), so the cell runs pvrCAS's configuration under its own name.
 func NewStore(rt *core.Runtime) *Engine {
-	return &Engine{rt: rt, name: "pvrStore", grace: true, proto: core.VisStore}
+	return &Engine{rt: rt, name: "pvrStore", grace: true}
 }
 
-// NewWriterOnly returns pvrStore plus the read-only optimization of §III-C:
+// NewWriterOnly returns pvrCAS plus the read-only optimization of §III-C:
 // transactions run with invisible, incrementally validated reads until their
 // first write, at which point they join the central list and make every
 // prior read partially visible.
 func NewWriterOnly(rt *core.Runtime) *Engine {
-	return &Engine{rt: rt, name: "pvrWriterOnly", grace: true, proto: core.VisStore, writerOnly: true}
+	return &Engine{rt: rt, name: "pvrWriterOnly", grace: true, writerOnly: true}
 }
 
 // Name returns the figure label of the variant.
@@ -85,7 +87,7 @@ func (e *Engine) Read(t *core.Thread, a heap.Addr) heap.Word {
 		t.PollValidate()
 		return w
 	}
-	return t.ReadVisible(a, e.grace, e.proto)
+	return t.ReadVisible(a, e.grace)
 }
 
 // Write performs an in-place transactional store with undo logging,
@@ -136,7 +138,7 @@ func (e *Engine) goVisible(t *core.Thread) {
 	t.ForgetVisibility()
 	n := t.Reads.Len()
 	for i := 0; i < n; i++ {
-		t.MakeVisible(t.Reads.At(i).Orec, e.grace, e.proto)
+		t.MakeVisible(t.Reads.At(i).Orec, e.grace)
 	}
 	if !t.ValidateReads() {
 		t.ConflictAbort()

@@ -26,7 +26,6 @@ type Counters struct {
 	Validations           uint64 // full read-set validations
 	Extensions            uint64 // successful snapshot (timestamp) extensions
 	OrderWaits            uint64 // commits that waited for strict-ordering turns
-	StoreRaces            uint64 // retries of the store-only visibility protocol
 	GraceRaces            uint64 // grace-adaptation CAS attempts lost to concurrent adapters
 	ModeSwitches          uint64 // hybrid/writer-only transitions to visible mode
 	Serialized            uint64 // commits via the serialized-irrevocable fallback
@@ -54,7 +53,6 @@ func (c *Counters) Add(o *Counters) {
 	c.Validations += o.Validations
 	c.Extensions += o.Extensions
 	c.OrderWaits += o.OrderWaits
-	c.StoreRaces += o.StoreRaces
 	c.GraceRaces += o.GraceRaces
 	c.ModeSwitches += o.ModeSwitches
 	c.Serialized += o.Serialized

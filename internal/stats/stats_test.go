@@ -31,16 +31,16 @@ func TestPercentages(t *testing.T) {
 func TestAddAccumulatesEveryField(t *testing.T) {
 	// quick cannot synthesize Counters directly (blank padding field), so
 	// build them from generated slices.
-	mk := func(v [18]uint64) Counters {
+	mk := func(v [17]uint64) Counters {
 		return Counters{
 			Commits: v[0], Aborts: v[1], WriterCommits: v[2], ReadOnlyCommits: v[3],
 			Fenced: v[4], FenceSpins: v[5], PVReads: v[6], PVUpdates: v[7],
 			PVSkipped: v[8], PVMultiSets: v[9], Validations: v[10], Extensions: v[11],
-			OrderWaits: v[12], StoreRaces: v[13], ModeSwitches: v[14],
-			Serialized: v[15], FenceStalls: v[16], Ops: v[17],
+			OrderWaits: v[12], ModeSwitches: v[13],
+			Serialized: v[14], FenceStalls: v[15], Ops: v[16],
 		}
 	}
-	prop := func(av, bv [18]uint64) bool {
+	prop := func(av, bv [17]uint64) bool {
 		a, b := mk(av), mk(bv)
 		sum := a
 		sum.Add(&b)
@@ -57,7 +57,6 @@ func TestAddAccumulatesEveryField(t *testing.T) {
 			sum.Validations == a.Validations+b.Validations &&
 			sum.Extensions == a.Extensions+b.Extensions &&
 			sum.OrderWaits == a.OrderWaits+b.OrderWaits &&
-			sum.StoreRaces == a.StoreRaces+b.StoreRaces &&
 			sum.ModeSwitches == a.ModeSwitches+b.ModeSwitches &&
 			sum.Serialized == a.Serialized+b.Serialized &&
 			sum.FenceStalls == a.FenceStalls+b.FenceStalls &&

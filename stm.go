@@ -73,8 +73,9 @@ const (
 	PVRBase
 	// PVRCAS adds adaptive grace periods (§III-A).
 	PVRCAS
-	// PVRStore replaces the visibility CAS with the store-only protocol
-	// (§III-B).
+	// PVRStore is the paper's §III-B cell (store-only visibility updates).
+	// That protocol can lower a live reader's hint as implemented, so the
+	// cell runs PVRCAS's protocol under this name (CORRECTNESS.md §4).
 	PVRStore
 	// PVRWriterOnly adds the read-only transaction optimization (§III-C).
 	PVRWriterOnly
