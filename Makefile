@@ -25,9 +25,9 @@ test:
 # discipline, transaction-body purity, lock-copy freedom, privatization
 # safety (privaccess), wait-loop yield discipline (yieldsite). Runs the
 # build-tag matrix: the default file set carries the committed baseline
-# and its shrink-only ratchet; the watermark-race set re-lints the
-# historical variant the loader used to skip (ratchet off there — a
-# default-set baseline entry would read as stale under other tags).
+# and its shrink-only ratchet; each *_race set re-lints its tagged
+# variant (ratchet off there — a default-set baseline entry would read as
+# stale under other tags).
 lint:
 	$(GO) run ./cmd/stmlint -baseline stmlint.baseline ./...
 	$(GO) run ./cmd/stmlint -tags privstm_watermark_race -ratchet=false ./...
@@ -35,6 +35,7 @@ lint:
 	$(GO) run ./cmd/stmlint -tags privstm_semlock_race -ratchet=false ./...
 	$(GO) run ./cmd/stmlint -tags privstm_semrevalidate_race -ratchet=false ./...
 	$(GO) run ./cmd/stmlint -tags privstm_storevis_race -ratchet=false ./...
+	$(GO) run ./cmd/stmlint -tags privstm_undoaba_race -ratchet=false ./...
 
 # Machine-readable findings for the CI artifact (default tag set).
 lint-json:
@@ -55,15 +56,20 @@ test-faults:
 # privatization-safety oracles; failures print a replayable trace), the
 # store-cover program (storeCoverProgram: clean on every visible engine),
 # the slot tracker's watermark program enumerated exhaustively on the
-# production write path, and two rediscovery controls that must FAIL, the
-# explorer finding the race and logging the trace: the watermark program
-# with the historical fix reverted (-tags privstm_watermark_race), and the
-# store-cover program with the closed §III-B store-protocol hole of
-# CORRECTNESS.md §4 restored (-tags privstm_storevis_race).
+# production write path, the aborted-write read of CORRECTNESS.md §2 (a
+# hand-placed schedule, the rmw corpus on the undo engines, a stress), and
+# three rediscovery controls that must FAIL, the explorer finding the race
+# and logging the trace: the watermark program with the historical fix
+# reverted (-tags privstm_watermark_race), the store-cover program with the
+# closed §III-B store-protocol hole of CORRECTNESS.md §4 restored (-tags
+# privstm_storevis_race), and an abort that restores the exact
+# pre-acquisition owner word (-tags privstm_undoaba_race; its stress runs
+# under the race detector, which widens the window it needs).
 explore:
-	$(GO) test -count=1 -run 'TestExplore|TestStoreCover|TestSched|TestWatermark|TestPCT|TestDFS' . ./internal/sched ./internal/txnlist
+	$(GO) test -count=1 -run 'TestExplore|TestStoreCover|TestSched|TestWatermark|TestPCT|TestDFS|TestUndoABA|TestAbortedWrite' . ./internal/sched ./internal/txnlist
 	$(GO) test -count=1 -tags privstm_watermark_race -run TestWatermarkRaceRediscovered -v ./internal/txnlist
 	$(GO) test -count=1 -tags privstm_storevis_race -run TestExploreFindsStoreProtocolCoverageLoss -v .
+	$(GO) test -count=1 -race -tags privstm_undoaba_race -run 'TestUndoABAScheduleFindsHole|TestExploreFindsUndoABA|TestAbortedWriteStressFindsHole' -v .
 
 # Reclamation rediscovery pair (CORRECTNESS.md §14): the retire→collect→
 # reuse program enumerated exhaustively on the production epoch check, then

@@ -1,12 +1,17 @@
 package stm
 
-import "testing"
+import (
+	"testing"
+
+	"privstm/internal/failpoint"
+)
 
 // TestClockTickPerWriterCommit pins the global version clock's contract
-// (§II-A): every writer commit performs exactly one clock RMW and nothing
-// else does, so write timestamps are unique and totally ordered — the
-// premise of SkipCommitValidation and of the privatization-fence proofs
-// (CORRECTNESS.md §13).
+// (§II-A): every writer commit performs exactly one clock RMW, so write
+// timestamps are unique and totally ordered — the premise of
+// SkipCommitValidation and of the privatization-fence proofs. The only
+// other RMW is the release of an aborted attempt's orecs, one per attempt
+// that acquired any; a reader abort ticks nothing (CORRECTNESS.md §13).
 func TestClockTickPerWriterCommit(t *testing.T) {
 	const txns = 50
 	forEachAlgorithm(t, func(t *testing.T, alg Algorithm) {
@@ -30,6 +35,36 @@ func TestClockTickPerWriterCommit(t *testing.T) {
 		}
 		if st.ClockTicks != txns {
 			t.Errorf("ClockTicks = %d, want %d (one per writer commit)", st.ClockTicks, txns)
+		}
+
+		// A writer forced to abort right after acquiring its orec (at the
+		// write on the undo engines, at commit on the redo engines) ticks
+		// once to release it, and its retry once to commit.
+		t.Cleanup(failpoint.Reset)
+		failpoint.Set(failpoint.AcquiredBeforeWriteback, failpoint.Times(1, failpoint.ForceAbort()))
+		if err := th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) }); err != nil {
+			t.Fatal(err)
+		}
+		prev := st
+		st = s.Stats()
+		if st.Aborts-prev.Aborts != 1 || st.ClockTicks-prev.ClockTicks != 2 {
+			t.Errorf("acquiring writer abort + commit: %d aborts, %d ticks, want 1 and 2",
+				st.Aborts-prev.Aborts, st.ClockTicks-prev.ClockTicks)
+		}
+
+		// A reader abort owns nothing and ticks nothing.
+		failpoint.Set("test/reader-abort", failpoint.Times(1, failpoint.ForceAbort()))
+		if err := th.Atomic(func(tx *Tx) {
+			_ = tx.Load(a)
+			failpoint.Eval("test/reader-abort")
+		}); err != nil {
+			t.Fatal(err)
+		}
+		prev = st
+		st = s.Stats()
+		if st.Aborts-prev.Aborts != 1 || st.ClockTicks != prev.ClockTicks {
+			t.Errorf("reader abort + read-only commit: %d aborts, %d ticks, want 1 and 0",
+				st.Aborts-prev.Aborts, st.ClockTicks-prev.ClockTicks)
 		}
 	})
 }

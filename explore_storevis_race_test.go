@@ -17,7 +17,7 @@ import (
 // stale store lands last; reader 2 reads the flag and the first data word;
 // the writer's privatizing commit then finds no hint covering reader 2,
 // skips the fence, and rewrites the data while reader 2 is still live.
-const storeCoverTornTrace = "0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.2.2.2.2.0.0.2.2.2.2.2.2.2.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.2.2"
+const storeCoverTornTrace = "0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.1.1.2.2.2.2.0.0.2.2.2.2.2.2.2.2.2.2.2.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.2.2"
 
 // TestExploreFindsStoreProtocolCoverageLoss is the positive control of the
 // store-cover corpus (TestExploreStoreCover). This build tag substitutes

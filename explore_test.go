@@ -70,27 +70,36 @@ type schedProgram struct {
 }
 
 // rmwProgram: three workers run read-modify-write transactions on two
-// shared registers, recording the history; at the end the offline
-// serializability checker (internal/serial) must accept it. Values are
-// globally unique so the checker can reconstruct version orders.
+// shared registers, each in a block of its own, recording the history; at
+// the end the offline serializability checker (internal/serial) must
+// accept it. Each transaction reads and overwrites one register, then
+// reads the other, so a transaction can abort after its in-place write
+// when the other register moved. Written values are unique per attempt, so
+// a committed read of an aborted write names a value with no writer.
 func rmwProgram(alg Algorithm) (sched.Config, []func()) {
 	s := mkExploreSTM(alg)
-	base := s.MustAlloc(2)
+	regs := [2]Addr{s.MustAlloc(1), s.MustAlloc(1)}
 	hist := &serial.History{}
 	var bodies []func()
 	for w := 0; w < 3; w++ {
 		th := s.MustNewThread()
 		tid := uint64(w + 1)
+		attempt := uint64(0)
 		bodies = append(bodies, func() {
 			for i := 0; i < 2; i++ {
 				var rec serial.Txn
 				err := th.Atomic(func(tx *Tx) {
+					attempt++
 					rec = serial.Txn{ID: int(tid)<<8 | i}
-					a := base + Addr((int(tid)+i)%2)
+					k := (int(tid) + i) % 2
+					a, other := regs[k], regs[1-k]
 					v := tx.Load(a)
-					rec.Reads = []serial.Op{{Addr: uint64(a), Val: uint64(v)}}
-					nv := tid<<32 | uint64(i+1)
+					nv := tid<<32 | attempt
 					tx.Store(a, Word(nv))
+					rec.Reads = []serial.Op{
+						{Addr: uint64(a), Val: uint64(v)},
+						{Addr: uint64(other), Val: uint64(tx.Load(other))},
+					}
 					rec.Writes = []serial.Op{{Addr: uint64(a), Val: nv}}
 				})
 				if err == nil {
@@ -334,8 +343,12 @@ func TestExploreFindsTL2PrivatizationRace(t *testing.T) {
 // sample and its claim, the other reader beginning after a commit, the
 // claim overwritten, and the delayed store landing after the overwriter
 // succeeded — which a bounded DFS does not reach (20,000 schedules clean)
-// and PCT at depth 4 does (explore_storevis_race_test.go).
-var storeCoverPCT = sched.Config{Seed: 1, ChangePoints: 4, Horizon: 40}
+// and PCT does (explore_storevis_race_test.go). The horizon is the
+// program's mean schedule length. The two yield sites of the consistent
+// read (core/read/before-load and before-postcheck) raised it from 38 to
+// 48 steps, and with them depth 4 missed the hole in 4,000 schedules;
+// depth 5 finds it at seed 318.
+var storeCoverPCT = sched.Config{Seed: 1, ChangePoints: 5, Horizon: 48}
 
 const storeCoverRuns = 400
 
@@ -385,6 +398,35 @@ func TestStoreCoverReadersVisible(t *testing.T) {
 				t.Fatalf("readers took the visible path (reader 0, reader 1) = %v in %d schedules", seen, runs)
 			}
 			t.Logf("both readers visible within %d schedules", runs)
+		})
+	}
+}
+
+// undoABAPCT and undoABARuns are the PCT corpus of rmwProgram on the
+// undo-log engines aimed at the aborted-write read (CORRECTNESS.md §2): a
+// reader pauses between its pre-check and its load and again before its
+// post-check, while a writer stores in place and aborts on its read of the
+// other register. The hole needs four preemptions in a short horizon.
+var undoABAPCT = sched.Config{Seed: 1, ChangePoints: 4, Horizon: 40}
+
+const undoABARuns = 100
+
+// undoAlgos are the engines that write in place under an undo log.
+var undoAlgos = []Algorithm{PVRBase, PVRCAS, PVRStore, PVRWriterOnly}
+
+// TestExploreRMWAbortedWrite runs the aborted-write corpus on every undo
+// engine: an abort releases its orecs at a fresh clock tick, so no
+// schedule lets a committed transaction read an aborted write. Built with
+// -tags privstm_undoaba_race an abort restores the pre-acquisition owner
+// word instead, and this corpus fails.
+func TestExploreRMWAbortedWrite(t *testing.T) {
+	for _, alg := range undoAlgos {
+		t.Run(alg.String(), func(t *testing.T) {
+			res, _ := sched.ExplorePCT(undoABAPCT, undoABARuns,
+				func() (sched.Config, []func()) { return rmwProgram(alg) })
+			if res != nil {
+				reportScheduleFailure(t, "rmw", alg, res)
+			}
 		})
 	}
 }

@@ -40,8 +40,8 @@ type jsonMeasurement struct {
 	Extensions      uint64  `json:"extensions"`
 	Serialized      uint64  `json:"serialized"`
 	Stalls          uint64  `json:"fence_stalls"`
-	// ClockTicks counts commit-path global-clock RMWs (one per writer
-	// commit).
+	// ClockTicks counts global-clock RMWs: one per writer commit, and one
+	// per aborted attempt that owned orecs (released at a fresh tick).
 	ClockTicks uint64 `json:"clock_ticks,omitempty"`
 	// ReclaimCollects counts epoch-collection passes; 0 when the cell ran
 	// without the reclaimer (FreePool/FreeLeak, or older baseline files).

@@ -31,7 +31,8 @@ func (t *Thread) AcquireOrec(o *orec.Orec) bool {
 			continue // bound raised; re-examine the orec
 		}
 		if o.Owner().CompareAndSwap(v, orec.PackOwned(t.ID)) {
-			t.Acq.Add(o, wts)
+			noteAcquired(o, v)
+			t.Acq.Add(o)
 			failpoint.Eval(failpoint.OrecAcquired)
 			return true
 		}
@@ -40,15 +41,12 @@ func (t *Thread) AcquireOrec(o *orec.Orec) bool {
 }
 
 // AcquireWriteSet acquires the orecs guarding every address in the redo
-// log (commit-time locking, §IV). On failure it restores the orecs already
-// taken and reports false.
+// log (commit-time locking, §IV). On failure it reports false and keeps the
+// orecs already taken: the commit fails, and Run's abort releases them.
 func (t *Thread) AcquireWriteSet() bool {
 	n := t.Redo.Len()
 	for i := 0; i < n; i++ {
-		o := t.RT.Orecs.For(t.Redo.At(i).Addr)
-		if !t.AcquireOrec(o) {
-			t.Acq.RestoreAll()
-			t.Acq.Reset()
+		if !t.AcquireOrec(t.RT.Orecs.For(t.Redo.At(i).Addr)) {
 			return false
 		}
 	}

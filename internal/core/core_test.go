@@ -33,8 +33,7 @@ func newActiveThread(t *testing.T, rt *Runtime) *Thread {
 }
 
 func finish(rt *Runtime, th *Thread) {
-	rt.Active.Leave(th)
-	th.PublishInactive()
+	th.PublishInactive() // leaves rt.Active: th is visible
 }
 
 func TestOptionsValidation(t *testing.T) {

@@ -31,7 +31,7 @@ func (t *Thread) ReaderConflictScan(adaptGrace bool) (threshold uint64, conflict
 	}
 	n := t.Acq.Len()
 	for i := 0; i < n; i++ {
-		o := t.Acq.At(i).Orec
+		o := t.Acq.At(i)
 		rts, tid, multi := orec.UnpackVis(o.Vis().Load())
 		if tid == t.ID && !multi && t.publishedHere(o, rts) {
 			continue // our own read, and provably nobody else's

@@ -62,8 +62,7 @@ func TestReadMemoHit(t *testing.T) {
 	if w := th.ReadVisible(a, false); w != 11 || th.Stats.PVReads != pv+1 {
 		t.Errorf("memo on the owned block: read %d PVReads %d, want 11/%d", w, th.Stats.PVReads, pv+1)
 	}
-	th.Acq.RestoreAll()
-	finish(rt, th)
+	th.abort() // releases o at a fresh tick and leaves the tracker
 
 	// A new transaction does not inherit the memo; neither does a snapshot
 	// extension.

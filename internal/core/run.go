@@ -8,8 +8,10 @@ import (
 // Engine is the interface every STM implementation provides. Read and
 // Write abort the running transaction by panicking with the internal
 // conflict signal (unwound inside Run); Commit returns false if the commit
-// attempt aborted. Both abort paths must leave the descriptor fully cleaned
-// up (undo rolled back, orecs released, central list departed).
+// attempt aborted. Either way Run ends the attempt with Thread.abort, which
+// undoes the in-place writes, releases the orecs, leaves the tracker and
+// publishes the thread inactive. A failing Commit releases only what the
+// engine alone holds (the abstract-lock stripes, the commit ticket).
 type Engine interface {
 	// Name returns the curve label used in the paper's figures
 	// (e.g. "pvrStore").
@@ -20,11 +22,9 @@ type Engine interface {
 	Read(t *Thread, a heap.Addr) heap.Word
 	// Write performs a transactional store.
 	Write(t *Thread, a heap.Addr, w heap.Word)
-	// Commit attempts to commit, reporting success. On failure the
-	// transaction has been rolled back and may be retried.
+	// Commit attempts to commit, reporting success. On failure Run aborts
+	// the attempt and may retry it.
 	Commit(t *Thread) bool
-	// Cancel rolls back an in-flight transaction (conflict or user abort).
-	Cancel(t *Thread)
 }
 
 // conflictSignal is the panic value used to unwind a doomed transaction.
@@ -118,33 +118,44 @@ func runOnce(e Engine, t *Thread, body func()) (done bool, err error) {
 			return
 		}
 		switch s := r.(type) {
-		case conflictSignal:
-			e.Cancel(t)
-			done = false
+		case conflictSignal, failpoint.Abort:
+			// A conflict, or an injected abort regardless of read-set
+			// validity: retry.
 		case cancelSignal:
-			e.Cancel(t)
 			done, err = true, s.err
-		case failpoint.Abort:
-			// Injected abort: clean up and retry, regardless of read-set
-			// validity.
-			e.Cancel(t)
-			done = false
 		default:
-			if !t.ValidateReads() {
-				// Doomed transaction: the panic came from inconsistent
-				// reads. Abort and retry.
-				e.Cancel(t)
-				done = false
-				return
+			// With a valid read set the panic is a bug in the body: abort,
+			// then propagate it. (Validate before abort releases our orecs,
+			// which ValidateReads passes over while we own them.) Otherwise
+			// the attempt was doomed and the panic came from inconsistent
+			// reads: abort and retry.
+			if t.ValidateReads() {
+				t.abort()
+				panic(r)
 			}
-			e.Cancel(t)
-			panic(r)
 		}
+		t.abort()
 	}()
 	body()
 	if e.Commit(t) {
 		t.FinishCommit() // apply RetireOnCommit + settle txn allocations
 		return true, nil
 	}
+	t.abort()
 	return false, nil
+}
+
+// abort ends an aborted attempt, whatever its cause, on every engine. The
+// order is §II-C's: the in-place writes are undone while their orecs are
+// still owned; the orecs are released at a fresh clock tick, so an owner
+// word never returns to a value a reader sampled before the acquisition
+// (CORRECTNESS.md §2); and only then does PublishInactive take the
+// transaction off the tracker, so fences wait for it until its cleanup is
+// complete. Aborted transactions never fence.
+func (t *Thread) abort() {
+	t.Undo.Rollback(t.RT.Heap)
+	if t.Acq.Len() > 0 {
+		t.releaseAborted()
+	}
+	t.PublishInactive()
 }

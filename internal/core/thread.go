@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"privstm/internal/failpoint"
 	"privstm/internal/heap"
 	"privstm/internal/logs"
 	"privstm/internal/orec"
@@ -115,9 +116,9 @@ type Thread struct {
 	pub atomic.Uint64
 	// pubSeq counts PublishActive calls. The stall watchdog uses it to
 	// distinguish successive transactions that begin at the same clock
-	// value (the clock only ticks on writer commits), so a thread that
-	// completes and restarts counts as progress even when its new begin
-	// timestamp is unchanged.
+	// value (the clock ticks only when a writer commits or aborts), so a
+	// thread that completes and restarts counts as progress even when its
+	// new begin timestamp is unchanged.
 	pubSeq atomic.Uint64
 	// lastValidated publishes the clock time of this thread's most recent
 	// successful full read-set validation, for the Val engine's fence.
@@ -140,13 +141,15 @@ func (t *Thread) PublishActive(ts uint64) {
 func (t *Thread) BeginSeq() uint64 { return t.pubSeq.Load() }
 
 // PublishInactive announces that this thread has no live transaction. It is
-// the universal transaction-end path (every engine's commit and abort
-// protocol runs it), so it also releases the weak-read epoch pin: a pinned
-// transaction leaves the active tracker here, unblocking reclamation.
+// the universal transaction-end path — every engine's commit runs it last,
+// and so does Thread.abort — so it also takes the transaction off the
+// active tracker if it is on it: a visible transaction, or one pinned there
+// by its weak reads (unblocking reclamation). No transaction therefore
+// leaves the tracker before its commit or cleanup is complete (§II-C).
 func (t *Thread) PublishInactive() {
-	if t.EpochPinned {
+	if t.Visible || t.EpochPinned {
 		t.RT.Active.Leave(t)
-		t.EpochPinned = false
+		t.Visible, t.EpochPinned = false, false
 	}
 	t.pub.Store(0)
 }
@@ -242,12 +245,13 @@ func (t *Thread) CheckConsistent(o *orec.Orec) (wts uint64, ok bool) {
 
 // ValidateReads re-runs the consistency test over the whole read set: each
 // logged orec must be unowned (or owned by this transaction) and must
-// still carry the write timestamp observed at read time. Per-orec
-// unowned timestamps are monotonic (commits tick the clock; aborts restore
-// the pre-acquisition value), so "wts ≤ logged" is exactly "unchanged
-// since my read", which stays sound after the snapshot has been extended
-// past BeginTS. It is the commit-time validation of the redo/undo engines
-// and the body of the incremental validation used by the §IV systems.
+// still carry the write timestamp observed at read time. An orec's unowned
+// timestamp strictly increases with every ownership episode (a commit
+// releases at its commit tick, an abort at a fresh tick), so "wts ≤
+// logged" is exactly "not acquired since my read", which stays sound after
+// the snapshot has been extended past BeginTS. It is the commit-time
+// validation of the redo/undo engines and the body of the incremental
+// validation used by the §IV systems.
 func (t *Thread) ValidateReads() bool {
 	n := t.Reads.Len()
 	for i := 0; i < n; i++ {
@@ -382,11 +386,12 @@ func (t *Thread) TryExtend() bool {
 
 // PollValidate is the incremental-validation hook of the redo-log engines
 // (Ord, Val, pvrHybrid): whenever the global clock has moved since the last
-// check — some writer committed — the full read set is revalidated before
-// the transaction consumes any further values. This is the Microsoft
-// system's incremental validation / RingSTM's commit-counter polling, and
-// it is what catches doomed transactions before they act on state mutated
-// nontransactionally by a privatizer (§IV).
+// check — some writer committed, or aborted after acquiring — the full
+// read set is revalidated before the transaction consumes any further
+// values. This is the Microsoft system's incremental validation /
+// RingSTM's commit-counter polling, and it is what catches doomed
+// transactions before they act on state mutated nontransactionally by a
+// privatizer (§IV).
 //
 // On the engines that set ExtendOK the successful validation doubles as a
 // timestamp extension: one O(R) pass per observed clock value both proves
@@ -506,7 +511,9 @@ func (t *Thread) readConsistent(o *orec.Orec, a heap.Addr, v1 uint64) heap.Word 
 				t.ConflictAbort()
 			}
 		} else {
+			failpoint.Eval(failpoint.ReadBeforeLoad)
 			w := t.RT.Heap.AtomicLoad(a)
+			failpoint.Eval(failpoint.ReadBeforePostcheck)
 			if o.Owner().Load() == v1 {
 				t.Reads.Add(o, a, wts)
 				t.remember(o, v1)

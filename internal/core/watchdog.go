@@ -84,9 +84,9 @@ func (rt *Runtime) notifyStall(info StallInfo) {
 // stallWatch tracks one fence wait's blocker identity across backoff
 // rounds. A blocker is identified by (thread ID, publication sequence,
 // begin timestamp): the sequence number disambiguates successive
-// transactions that begin at the same clock value (the clock only ticks on
-// writer commits), so a thread that finishes and immediately starts a new
-// same-timestamp transaction counts as progress. An unidentified blocker
+// transactions that begin at the same clock value (the clock ticks only
+// when a writer commits or aborts), so a thread that finishes and
+// immediately starts a new same-timestamp transaction counts as progress. An unidentified blocker
 // (id -1) is tracked by timestamp alone — conservative in the firing
 // direction only.
 type stallWatch struct {

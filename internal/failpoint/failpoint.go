@@ -68,9 +68,16 @@ const (
 	// OrecAcquired fires immediately after a writer wins ownership of an
 	// orec, before any data write under that ownership.
 	OrecAcquired = "core/orec/acquired"
-	// OrecRelease fires before each orec ownership release or restore
-	// (commit-time ReleaseAll, abort-time RestoreAll).
+	// OrecRelease fires before each orec ownership release, at the commit
+	// timestamp or, on abort, at a fresh clock tick (logs.Acquired.ReleaseAll).
 	OrecRelease = "core/orec/release"
+	// ReadBeforeLoad and ReadBeforePostcheck bracket the data load of the
+	// full consistent read (core.Thread.readConsistent, not the memo path).
+	// Window: an in-place writer can acquire, store and abort between the
+	// reader's pre-check and post-check, and the post-check must see it
+	// (CORRECTNESS.md §2); the reader has to pause at both sites.
+	ReadBeforeLoad      = "core/read/before-load"
+	ReadBeforePostcheck = "core/read/before-postcheck"
 	// RedoWriteBackWord fires before each word of a redo-log write-back,
 	// exposing the partially-written window of the buffered-update engines.
 	RedoWriteBackWord = "core/commit/writeback-word"
@@ -199,9 +206,9 @@ func IsWaitSite(name string) bool { return waitSites[name] }
 type Func func(name string)
 
 // Abort is the panic value raised by ForceAbort hooks. core.Run recognizes
-// it and converts the unwind into an ordinary abort-and-retry (the engine's
-// Cancel cleans up), so tests can force a transaction to lose any number of
-// attempts without fabricating real conflicts.
+// it and converts the unwind into an ordinary abort-and-retry (core's one
+// abort path cleans up), so tests can force a transaction to lose any
+// number of attempts without fabricating real conflicts.
 type Abort struct {
 	// Point is the name of the failpoint that raised the abort.
 	Point string

@@ -111,25 +111,18 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	rt := e.rt
 	if !t.Wrote {
 		if !t.SemPreCommit() {
-			e.cleanupAbort(t)
 			return false
 		}
 		t.SemPostCommit()
-		if t.Visible {
-			rt.Active.Leave(t)
-		}
 		t.PublishInactive()
 		t.Stats.ReadOnlyCommits++
 		return true
 	}
 	if !t.AcquireWriteSet() {
-		e.cleanupAbort(t)
 		return false
 	}
 	failpoint.Eval(failpoint.AcquiredBeforeWriteback)
 	if !t.SemPreCommit() {
-		t.Acq.RestoreAll()
-		e.cleanupAbort(t)
 		return false
 	}
 	ticket := rt.Order.Take()
@@ -137,8 +130,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		t.SemAbortRelease()
 		rt.Order.Wait(ticket)
 		rt.Order.Done(ticket)
-		t.Acq.RestoreAll()
-		e.cleanupAbort(t)
 		return false
 	}
 	wts := t.CommitTS()
@@ -152,9 +143,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	threshold = rt.CapFence(threshold, wts)
 	t.Acq.ReleaseAll(wts)
 	rt.Order.Done(ticket)
-	if t.Visible {
-		rt.Active.Leave(t)
-	}
 	t.PublishInactive()
 	t.Stats.WriterCommits++
 	failpoint.Eval(failpoint.CommitBeforeFence)
@@ -162,17 +150,4 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		t.PrivatizationFence(threshold)
 	}
 	return true
-}
-
-// Cancel aborts an in-flight transaction, leaving the central list if the
-// transaction had gone visible.
-func (e *Engine) Cancel(t *core.Thread) {
-	e.cleanupAbort(t)
-}
-
-func (e *Engine) cleanupAbort(t *core.Thread) {
-	if t.Visible {
-		e.rt.Active.Leave(t)
-	}
-	t.PublishInactive()
 }

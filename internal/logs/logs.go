@@ -202,48 +202,31 @@ func (r *Redo) Reset() {
 	r.f.reset()
 }
 
-// AcquiredEntry records ownership of one orec and the owner-word value it
-// held before acquisition, needed to restore it on abort.
-type AcquiredEntry struct {
-	Orec    *orec.Orec
-	PrevWTS uint64 // write timestamp the orec carried before we owned it
-}
-
 // Acquired is the set of orecs a writer owns.
 type Acquired struct {
-	entries []AcquiredEntry
+	orecs []*orec.Orec
 }
 
-// Add records ownership of o, which previously carried prevWTS.
-func (ac *Acquired) Add(o *orec.Orec, prevWTS uint64) {
-	ac.entries = append(ac.entries, AcquiredEntry{Orec: o, PrevWTS: prevWTS})
-}
+// Add records ownership of o.
+func (ac *Acquired) Add(o *orec.Orec) { ac.orecs = append(ac.orecs, o) }
 
 // Len returns the number of owned orecs.
-func (ac *Acquired) Len() int { return len(ac.entries) }
+func (ac *Acquired) Len() int { return len(ac.orecs) }
 
-// At returns the i-th entry.
-func (ac *Acquired) At(i int) *AcquiredEntry { return &ac.entries[i] }
+// At returns the i-th owned orec.
+func (ac *Acquired) At(i int) *orec.Orec { return ac.orecs[i] }
 
-// ReleaseAll stores wts into every owned orec, making the updates visible
-// at that timestamp (commit path). Per-orec yield point: a schedule may
-// interleave other workers between individual releases.
+// ReleaseAll stores wts into every owned orec. A commit releases at its
+// commit timestamp, making the updates visible there; an abort releases at
+// a fresh clock tick (core.Thread.abort). Per-orec yield point: a schedule
+// may interleave other workers between individual releases.
 func (ac *Acquired) ReleaseAll(wts uint64) {
 	packed := orec.PackUnowned(wts)
-	for i := range ac.entries {
+	for _, o := range ac.orecs {
 		failpoint.Eval(failpoint.OrecRelease)
-		ac.entries[i].Orec.Owner().Store(packed)
-	}
-}
-
-// RestoreAll puts each orec's previous write timestamp back (abort path).
-func (ac *Acquired) RestoreAll() {
-	for i := range ac.entries {
-		failpoint.Eval(failpoint.OrecRelease)
-		e := &ac.entries[i]
-		e.Orec.Owner().Store(orec.PackUnowned(e.PrevWTS))
+		o.Owner().Store(packed)
 	}
 }
 
 // Reset empties the set, retaining capacity.
-func (ac *Acquired) Reset() { ac.entries = ac.entries[:0] }
+func (ac *Acquired) Reset() { ac.orecs = ac.orecs[:0] }

@@ -87,7 +87,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	rt := e.rt
 	if !t.Wrote {
 		if !t.SemPreCommit() {
-			t.PublishInactive()
 			return false
 		}
 		t.SemPostCommit()
@@ -96,13 +95,10 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		return true
 	}
 	if !t.AcquireWriteSet() {
-		t.PublishInactive()
 		return false
 	}
 	failpoint.Eval(failpoint.AcquiredBeforeWriteback)
 	if !t.SemPreCommit() {
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	if e.useQueue {
@@ -113,8 +109,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		t.SemAbortRelease()
 		rt.Order.Wait(ticket)
 		rt.Order.Done(ticket)
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	wts := t.CommitTS()
@@ -138,8 +132,6 @@ func (e *Engine) commitQueue(t *core.Thread) bool {
 		t.SemAbortRelease()
 		rt.OrderQ.Wait(n)
 		rt.OrderQ.Done(n)
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	wts := t.CommitTS()
@@ -152,10 +144,4 @@ func (e *Engine) commitQueue(t *core.Thread) bool {
 	t.PublishInactive()
 	t.Stats.WriterCommits++
 	return true
-}
-
-// Cancel aborts an in-flight transaction; nothing global is held before
-// Commit, so only the descriptor needs resetting.
-func (e *Engine) Cancel(t *core.Thread) {
-	t.PublishInactive()
 }

@@ -219,7 +219,7 @@ func TestOrdCommitAcquireFailure(t *testing.T) {
 	}()
 	go func() {
 		<-release
-		holder.Acq.RestoreAll()
+		holder.Acq.ReleaseAll(rt.Clock.Tick())
 		holder.PublishInactive()
 	}()
 	close(release)

@@ -160,35 +160,25 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	rt := e.rt
 	if !t.Wrote {
 		if !t.SemPreCommit() {
-			if t.Visible {
-				rt.Active.Leave(t)
-			}
-			t.PublishInactive()
 			return false
 		}
 		t.SemPostCommit()
-		if t.Visible {
-			rt.Active.Leave(t)
-		}
 		t.PublishInactive()
 		t.Stats.ReadOnlyCommits++
 		return true
 	}
 	if !t.SemPreCommit() {
-		e.rollback(t)
 		return false
 	}
 	wts := t.CommitTS()
 	if !t.SemStillValid() || (!t.SkipCommitValidation(wts) && !t.ValidateReads()) {
 		t.SemAbortRelease()
-		e.rollback(t)
 		return false
 	}
 	threshold, conflict := t.ReaderConflictScan(e.grace)
 	threshold = rt.CapFence(threshold, wts)
 	t.SemPostCommit()
 	t.Acq.ReleaseAll(wts)
-	rt.Active.Leave(t)
 	t.PublishInactive()
 	t.Stats.WriterCommits++
 	failpoint.Eval(failpoint.CommitBeforeFence)
@@ -196,28 +186,4 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		t.PrivatizationFence(threshold)
 	}
 	return true
-}
-
-// Cancel rolls back an in-flight transaction: undo the in-place writes,
-// restore orec ownership, and only then leave the central list — aborted
-// transactions must remain visible to fences until their cleanup completes
-// (§II-C). Aborted transactions never fence.
-func (e *Engine) Cancel(t *core.Thread) {
-	if t.Wrote {
-		e.rollback(t)
-		return
-	}
-	if t.Visible {
-		e.rt.Active.Leave(t)
-	}
-	t.PublishInactive()
-}
-
-func (e *Engine) rollback(t *core.Thread) {
-	t.Undo.Rollback(e.rt.Heap)
-	t.Acq.RestoreAll()
-	if t.Visible {
-		e.rt.Active.Leave(t)
-	}
-	t.PublishInactive()
 }

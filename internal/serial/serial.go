@@ -49,7 +49,9 @@ type History struct {
 // Check verifies conflict-serializability. It returns nil if the history
 // is serializable, and otherwise an error describing the violation: a
 // malformed history (duplicate written values, a write without a read, two
-// writers claiming the same predecessor) or a precedence cycle.
+// writers claiming the same predecessor), a read of a value no transaction
+// in the history wrote, or a precedence cycle, named transaction by
+// transaction with each edge's address and value.
 func Check(h *History) error {
 	const initial = -1 // pseudo-transaction that wrote every initial value
 
@@ -83,6 +85,7 @@ func Check(h *History) error {
 	// successor maps (addr, value) -> the txn that overwrote it; derived
 	// from each writer's own read. Also validates the RMW discipline.
 	succ := map[av]int{}
+	over := map[av]uint64{} // (addr, value) -> the value that overwrote it
 	for i, t := range h.Txns {
 		for _, w := range t.Writes {
 			rv, ok := readVal[i][w.Addr]
@@ -95,16 +98,17 @@ func Check(h *History) error {
 				return fmt.Errorf("serial: txns %d and %d both overwrote value %d@%d (lost update)",
 					h.Txns[prev].ID, t.ID, rv, w.Addr)
 			}
-			succ[k] = i
+			succ[k], over[k] = i, w.Val
 		}
 	}
 
-	// Build the precedence graph.
+	// Build the precedence graph. Each edge keeps the access that made it,
+	// so a cycle can be reported edge by edge.
 	n := len(h.Txns)
-	adj := make([][]int, n)
-	addEdge := func(from, to int) {
-		if from != to && from != initial {
-			adj[from] = append(adj[from], to)
+	adj := make([][]edge, n)
+	addEdge := func(from int, e edge) {
+		if from != e.to && from != initial {
+			adj[from] = append(adj[from], e)
 		}
 	}
 	writerOrInitial := func(a, v uint64) (int, error) {
@@ -125,37 +129,46 @@ func Check(h *History) error {
 			}
 			// write-read: w precedes i (also covers write-write, since a
 			// writer's own read names its version predecessor).
-			addEdge(w, i)
+			addEdge(w, edge{to: i, addr: a, val: v})
 			// read-write (anti-dependency): i precedes whoever overwrote v —
 			// unless i overwrote it itself.
 			if s, ok := succ[av{a, v}]; ok && s != i {
-				addEdge(i, s)
+				addEdge(i, edge{to: s, addr: a, val: v, over: over[av{a, v}]})
 			}
 		}
 	}
 
-	// Cycle detection (iterative three-color DFS).
+	// Cycle detection (iterative three-color DFS). The stack is the grey
+	// path from the root, as the edges that reached each node, so an edge
+	// back to a grey node closes a cycle through the stack's tail.
 	color := make([]byte, n) // 0 white, 1 grey, 2 black
-	var stack []int
+	var stack []edge
 	for start := 0; start < n; start++ {
 		if color[start] != 0 {
 			continue
 		}
-		stack = append(stack[:0], start)
+		stack = append(stack[:0], edge{to: start})
 		for len(stack) > 0 {
-			u := stack[len(stack)-1]
+			u := stack[len(stack)-1].to
 			if color[u] == 0 {
 				color[u] = 1
 			}
 			advanced := false
-			for _, v := range adj[u] {
-				switch color[v] {
+			for _, e := range adj[u] {
+				switch color[e.to] {
 				case 0:
-					stack = append(stack, v)
+					stack = append(stack, e)
 					advanced = true
 				case 1:
-					return fmt.Errorf("serial: precedence cycle through txns %d and %d",
-						h.Txns[u].ID, h.Txns[v].ID)
+					k := len(stack) - 1
+					for stack[k].to != e.to {
+						k--
+					}
+					cycle := fmt.Sprintf("txn %d", h.Txns[e.to].ID)
+					for _, f := range append(stack[k+1:], e) {
+						cycle += fmt.Sprintf(" %v txn %d", f, h.Txns[f.to].ID)
+					}
+					return fmt.Errorf("serial: precedence cycle: %s", cycle)
 				}
 				if advanced {
 					break
@@ -168,6 +181,23 @@ func Check(h *History) error {
 		}
 	}
 	return nil
+}
+
+// edge is one precedence edge into transaction to. Either the source wrote
+// val at addr and the target read it (write-read, which also covers
+// write-write), or, when over is set, the source read val at addr and the
+// target overwrote it with over (read-write).
+type edge struct {
+	to              int
+	addr, val, over uint64
+}
+
+// String renders the edge as an arrow for a cycle report.
+func (e edge) String() string {
+	if e.over != 0 {
+		return fmt.Sprintf("-[read %d@%d, overwritten with %d by]->", e.val, e.addr, e.over)
+	}
+	return fmt.Sprintf("-[wrote %d@%d, read by]->", e.val, e.addr)
 }
 
 // SortByID orders the history deterministically for reproducible error

@@ -87,9 +87,14 @@ func TestThreeCycleRejected(t *testing.T) {
 		{ID: 2, Reads: []Op{{2, 0}, {3, 0}}, Writes: []Op{{2, 12}}},
 		{ID: 3, Reads: []Op{{3, 0}, {1, 0}}, Writes: []Op{{3, 13}}},
 	}}
-	err := Check(h)
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("err = %v, want cycle", err)
+	// The report names every transaction of the cycle, and each edge's
+	// address, the value read, and the value that overwrote it.
+	const want = "serial: precedence cycle: txn 1" +
+		" -[read 0@2, overwritten with 12 by]-> txn 2" +
+		" -[read 0@3, overwritten with 13 by]-> txn 3" +
+		" -[read 0@1, overwritten with 11 by]-> txn 1"
+	if err := Check(h); err == nil || err.Error() != want {
+		t.Errorf("err = %v\nwant %s", err, want)
 	}
 }
 

@@ -30,7 +30,7 @@ type Counters struct {
 	ModeSwitches          uint64 // hybrid/writer-only transitions to visible mode
 	Serialized            uint64 // commits via the serialized-irrevocable fallback
 	FenceStalls           uint64 // stall-watchdog firings inside fences
-	ClockTicks            uint64 // commit-path global-clock RMWs (one per writer commit)
+	ClockTicks            uint64 // global-clock RMWs: one per writer commit, one per abort that owned orecs
 	SandboxValidations    uint64 // validate-before-dangerous-use checkpoints executed
 	SemanticSkips         uint64 // commuting (delta) updates applied without validation (internal/tds)
 	AbstractLockConflicts uint64 // commit-time abstract-lock acquisitions or validations that failed

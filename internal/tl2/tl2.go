@@ -62,7 +62,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	rt := e.rt
 	if !t.Wrote {
 		if !t.SemPreCommit() {
-			t.PublishInactive()
 			return false
 		}
 		t.SemPostCommit()
@@ -71,20 +70,15 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		return true
 	}
 	if !t.AcquireWriteSet() {
-		t.PublishInactive()
 		return false
 	}
 	failpoint.Eval(failpoint.AcquiredBeforeWriteback)
 	if !t.SemPreCommit() {
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	wts := t.CommitTS()
 	if !t.SemStillValid() || (!t.SkipCommitValidation(wts) && !t.ValidateReads()) {
 		t.SemAbortRelease()
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	t.SemPostCommit()
@@ -93,10 +87,4 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	t.PublishInactive()
 	t.Stats.WriterCommits++
 	return true
-}
-
-// Cancel aborts an in-flight transaction. TL2 holds no global state during
-// execution, so only the descriptor needs resetting.
-func (e *Engine) Cancel(t *core.Thread) {
-	t.PublishInactive()
 }

@@ -70,7 +70,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	rt := e.rt
 	if !t.Wrote {
 		if !t.SemPreCommit() {
-			t.PublishInactive()
 			return false
 		}
 		t.SemPostCommit()
@@ -79,20 +78,15 @@ func (e *Engine) Commit(t *core.Thread) bool {
 		return true
 	}
 	if !t.AcquireWriteSet() {
-		t.PublishInactive()
 		return false
 	}
 	failpoint.Eval(failpoint.AcquiredBeforeWriteback)
 	if !t.SemPreCommit() {
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	wts := t.CommitTS()
 	if !t.SemStillValid() || (!t.SkipCommitValidation(wts) && !t.ValidateReads()) {
 		t.SemAbortRelease()
-		t.Acq.RestoreAll()
-		t.PublishInactive()
 		return false
 	}
 	t.SemPostCommit()
@@ -103,9 +97,4 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	failpoint.Eval(failpoint.CommitBeforeFence)
 	t.ValidationFence(wts)
 	return true
-}
-
-// Cancel aborts an in-flight transaction.
-func (e *Engine) Cancel(t *core.Thread) {
-	t.PublishInactive()
 }

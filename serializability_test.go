@@ -11,9 +11,10 @@ import (
 // the public API and feeds them to the offline conflict-serializability
 // checker (internal/serial) — an end-to-end verification of the engine's
 // isolation that trusts nothing inside the runtime. Every transaction reads
-// then overwrites 1–3 registers with globally unique values; the checker
-// reconstructs version orders from the history alone and rejects any
-// precedence cycle.
+// then overwrites 1–3 registers with values unique to the attempt, so a
+// committed read of an aborted attempt's write names a value no committed
+// transaction wrote; the checker reconstructs version orders from the
+// history alone and rejects that, and any precedence cycle.
 func serializabilityRun(t *testing.T, s *STM, threads, txns, registers int) {
 	t.Helper()
 	base := s.MustAlloc(registers)
@@ -28,15 +29,17 @@ func serializabilityRun(t *testing.T, s *STM, threads, txns, registers int) {
 			defer wg.Done()
 			x := tid * 0x9e3779b97f4a7c15
 			local := make([]serial.Txn, 0, txns)
+			attempt := uint64(0)
 			for i := 0; i < txns; i++ {
-				// Unique value per (thread, txn, register-slot).
+				// Unique value per (thread, attempt, register-slot).
 				mk := func(slot int) uint64 {
-					return tid<<48 | uint64(i+1)<<8 | uint64(slot)
+					return tid<<48 | attempt<<8 | uint64(slot)
 				}
 				x = x*6364136223846793005 + 1442695040888963407
 				nops := 1 + int(x>>61)%3
 				var rec serial.Txn
 				err := th.Atomic(func(tx *Tx) {
+					attempt++
 					rec = serial.Txn{ID: int(tid)<<32 | i}
 					y := x
 					seen := map[Addr]bool{}
