@@ -5,11 +5,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"privstm/internal/core"
 )
 
 func TestAlgorithmStrings(t *testing.T) {
 	want := map[Algorithm]string{
-		TL2: "TL2", Ord: "Ord", OrdQueue: "OrdQueue", Val: "Val",
+		TL2: "TL2", Ord: "Ord", Val: "Val",
 		PVRBase: "pvrBase", PVRCAS: "pvrCAS", PVRStore: "pvrStore",
 		PVRWriterOnly: "pvrWriterOnly", PVRHybrid: "pvrHybrid",
 	}
@@ -30,8 +32,51 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 }
 
+// TestAlgorithmPolicies pins each algorithm to its tuple of engine choices
+// (README.md's algorithm table), and pvrStore to pvrCAS in everything but the
+// label.
+func TestAlgorithmPolicies(t *testing.T) {
+	const (
+		redo, undo = core.LogRedo, core.LogUndo
+		never      = core.VisibleNever
+		atBegin    = core.VisibleAtBegin
+		firstWrite = core.VisibleAtFirstWrite
+		threshold  = core.VisiblePastThreshold
+		none       = core.PostNone
+		valFence   = core.PostValidationFence
+		privFence  = core.PostPrivatizationFence
+	)
+	want := map[Algorithm]core.Policy{
+		TL2:           {Label: "TL2", Log: redo, Visible: never, Post: none},
+		Ord:           {Label: "Ord", Log: redo, Visible: never, Poll: true, Ordered: true, Post: none},
+		Val:           {Label: "Val", Log: redo, Visible: never, Poll: true, Post: valFence},
+		PVRBase:       {Label: "pvrBase", Log: undo, Visible: atBegin, Post: privFence},
+		PVRCAS:        {Label: "pvrCAS", Log: undo, Visible: atBegin, Grace: true, Post: privFence},
+		PVRStore:      {Label: "pvrStore", Log: undo, Visible: atBegin, Grace: true, Post: privFence},
+		PVRWriterOnly: {Label: "pvrWriterOnly", Log: undo, Visible: firstWrite, Grace: true, Poll: true, Post: privFence},
+		PVRHybrid:     {Label: "pvrHybrid", Log: redo, Visible: threshold, Grace: true, Poll: true, Ordered: true, Post: privFence},
+	}
+	if len(want) != len(Algorithms) {
+		t.Fatalf("%d algorithms, %d tuples", len(Algorithms), len(want))
+	}
+	for _, alg := range Algorithms {
+		s := MustNew(Config{Algorithm: alg, HeapWords: 1 << 10, OrecCount: 1 << 6})
+		if s.engine != want[alg] {
+			t.Errorf("%v runs %+v, want %+v", alg, s.engine, want[alg])
+		}
+		if s.engine.Name() != alg.String() {
+			t.Errorf("%v runs under the label %q", alg, s.engine.Name())
+		}
+	}
+	store, cas := want[PVRStore], want[PVRCAS]
+	store.Label = cas.Label
+	if store != cas {
+		t.Errorf("pvrStore %+v differs from pvrCAS %+v beyond the label", want[PVRStore], cas)
+	}
+}
+
 func TestSafeClassification(t *testing.T) {
-	for _, alg := range allAlgorithms {
+	for _, alg := range Algorithms {
 		want := alg != TL2
 		if alg.Safe() != want {
 			t.Errorf("%v.Safe() = %v, want %v", alg, alg.Safe(), want)

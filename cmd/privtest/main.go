@@ -31,7 +31,7 @@ func main() {
 	)
 	flag.Parse()
 
-	algos := append([]stm.Algorithm{stm.OrdQueue}, stm.Algorithms...)
+	algos := stm.Algorithms
 	if *algo != "all" {
 		a, err := stm.ParseAlgorithm(*algo)
 		if err != nil {
@@ -51,7 +51,7 @@ func main() {
 			TornWindow: *torn,
 			// Plain private access only where the algorithm's fences make
 			// it genuinely race-free; see internal/priv for the rationale.
-			AtomicPrivate: a == stm.TL2 || a == stm.Ord || a == stm.OrdQueue ||
+			AtomicPrivate: a == stm.TL2 || a == stm.Ord ||
 				a == stm.PVRWriterOnly || a == stm.PVRHybrid,
 		})
 		if err != nil {

@@ -29,7 +29,7 @@ func main() {
 	)
 	flag.Parse()
 
-	algos := append([]stm.Algorithm{stm.OrdQueue}, stm.Algorithms...)
+	algos := stm.Algorithms
 	if *algo != "all" {
 		a, err := stm.ParseAlgorithm(*algo)
 		if err != nil {

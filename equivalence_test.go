@@ -59,7 +59,7 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 			prog = prog[:60]
 		}
 		ref := run(TL2, 1, prog)
-		for _, alg := range allAlgorithms {
+		for _, alg := range Algorithms {
 			for _, bw := range []int{1, 0} { // 0: the default block
 				if alg == TL2 && bw == 1 {
 					continue

@@ -24,7 +24,7 @@ const (
 
 func main() {
 	fmt.Printf("%-14s %12s %10s %12s\n", "algorithm", "transfers/s", "aborts%", "total-ok")
-	for _, alg := range append([]stm.Algorithm{stm.OrdQueue}, stm.Algorithms...) {
+	for _, alg := range stm.Algorithms {
 		run(alg)
 	}
 }

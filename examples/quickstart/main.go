@@ -11,8 +11,9 @@ import (
 )
 
 func main() {
-	// Pick any algorithm; pvrStore is the paper's best-performing
-	// privatization-safe PVR variant (§III-B).
+	// Pick any algorithm but TL2 for privatization safety. pvrStore is the
+	// paper's §III-B cell; here it runs pvrCAS's protocol under its own name
+	// (CORRECTNESS.md §4).
 	s := stm.MustNew(stm.Config{
 		Algorithm:  stm.PVRStore,
 		HeapWords:  1 << 16,

@@ -19,7 +19,7 @@ var schedReplay = flag.String("sched.replay", "",
 	"replay a recorded exploration failure: program:algorithm:trace")
 
 // exploreAlgos are the engine families the exploration corpus covers: the
-// two ordering-based schemes, the validation-fence scheme, the TL2
+// ordering-based scheme, the validation-fence scheme, the TL2
 // baseline, two in-place (undo-log) PVR engines (without and with grace
 // periods), and the hybrid.
 var exploreAlgos = []Algorithm{Ord, Val, TL2, PVRBase, PVRStore, PVRHybrid}

@@ -358,15 +358,20 @@ func TestFaultSerializedEscalationCommits(t *testing.T) {
 	record(rec)
 	wg.Wait()
 
-	if attempts != 4 {
-		t.Errorf("victim body ran %d times, want 4 (3 forced aborts + serialized run)", attempts)
-	}
+	// Every attempt but the committing one aborted. The first three are the
+	// forced aborts; each later one is a serialized run aborted by a
+	// gate-slipper, after which runSerialized re-drains (CORRECTNESS.md
+	// §9). A rival slips the gate at most once per token hold, so there
+	// are at most 1 + rivals serialized runs.
 	vs := victim.Stats()
+	if uint64(attempts) != vs.Aborts+1 {
+		t.Errorf("victim body ran %d times with %d aborts, want aborts+1", attempts, vs.Aborts)
+	}
+	if attempts < 4 || attempts > 3+1+rivals {
+		t.Errorf("victim body ran %d times, want 3 forced aborts plus 1 to %d serialized runs", attempts, 1+rivals)
+	}
 	if vs.Serialized != 1 {
 		t.Errorf("victim Serialized = %d, want 1", vs.Serialized)
-	}
-	if vs.Aborts < 3 {
-		t.Errorf("victim Aborts = %d, want >= 3", vs.Aborts)
 	}
 	if vs.Commits != 1 {
 		t.Errorf("victim Commits = %d, want 1", vs.Commits)

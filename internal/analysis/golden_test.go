@@ -81,6 +81,25 @@ func TestYieldSiteGolden(t *testing.T) {
 	checkGolden(t, "yieldsite", runFixture(t, YieldSite(), "yieldsite/..."))
 }
 
+// TestYieldScopeNamesModulePackages keeps the yieldsite scope from going
+// stale: every package name in it must name a package of the module, so a
+// deleted or renamed runtime package cannot linger there unnoticed.
+func TestYieldScopeNamesModulePackages(t *testing.T) {
+	prog, err := Load(filepath.Join("..", ".."), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, pkg := range prog.Pkgs {
+		names[pkg.Name] = true
+	}
+	for name := range defaultYieldScope {
+		if !names[name] {
+			t.Errorf("yieldsite scope names %q, which is no package of the module", name)
+		}
+	}
+}
+
 // TestYieldSiteRediscoversCMWait is the rediscovery control: the retryloop
 // fixture copies core.Run's retry loop as it stood before PR 5 added the
 // core/retry/cm-wait yield, and the analyzer must flag exactly that loop

@@ -51,8 +51,7 @@ import (
 var defaultYieldScope = map[string]bool{
 	"stm": true, "core": true, "spin": true, "ticket": true,
 	"txnlist": true, "orec": true, "clock": true, "heap": true,
-	"logs": true, "tl2": true, "hybrid": true, "pvr": true,
-	"ord": true, "val": true,
+	"logs": true,
 }
 
 // YieldSite returns the yieldsite analyzer over the default runtime scope.

@@ -9,10 +9,10 @@ import (
 
 // TestEnginesAgreeSequentially drives every engine with the same
 // deterministic single-threaded operation stream on each structure and
-// requires the final key sets to be identical: all nine engines implement
+// requires the final key sets to be identical: all eight engines implement
 // the same sequential semantics, whatever their concurrency machinery.
 func TestEnginesAgreeSequentially(t *testing.T) {
-	engines := append([]stm.Algorithm{stm.OrdQueue}, stm.Algorithms...)
+	engines := stm.Algorithms
 	specs := []Spec{
 		Hashtable(8, 64),
 		BST(256),

@@ -5,14 +5,14 @@ import (
 	"privstm/internal/orec"
 )
 
-// AcquireOrec attempts to take ownership of o for this transaction
+// acquireOrec attempts to take ownership of o for this transaction
 // (§II-A): the orec must be consistent — unowned, with a write timestamp no
 // newer than our snapshot's validity bound — and is then atomically marked
 // owned. It
 // reports success; on failure the transaction must abort (both readers and
 // writers defer to prior concurrent writers). Re-acquiring an orec we
 // already own succeeds without a second log entry.
-func (t *Thread) AcquireOrec(o *orec.Orec) bool {
+func (t *Thread) acquireOrec(o *orec.Orec) bool {
 	for {
 		v := o.Owner().Load()
 		if orec.IsOwned(v) {
@@ -40,13 +40,13 @@ func (t *Thread) AcquireOrec(o *orec.Orec) bool {
 	}
 }
 
-// AcquireWriteSet acquires the orecs guarding every address in the redo
+// acquireWriteSet acquires the orecs guarding every address in the redo
 // log (commit-time locking, §IV). On failure it reports false and keeps the
 // orecs already taken: the commit fails, and Run's abort releases them.
-func (t *Thread) AcquireWriteSet() bool {
+func (t *Thread) acquireWriteSet() bool {
 	n := t.Redo.Len()
 	for i := 0; i < n; i++ {
-		if !t.AcquireOrec(t.RT.Orecs.For(t.Redo.At(i).Addr)) {
+		if !t.acquireOrec(t.RT.Orecs.For(t.Redo.At(i).Addr)) {
 			return false
 		}
 	}

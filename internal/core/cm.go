@@ -135,7 +135,7 @@ func (rt *Runtime) attemptLimit() int {
 
 // serialToken is the global irrevocability token. The mutex serializes
 // escalated transactions against each other; the holder word is what every
-// Begin checks (GateSerialized) so that no new transaction starts while an
+// Begin checks (gateSerialized) so that no new transaction starts while an
 // irrevocable one runs.
 type serialToken struct {
 	mu     spin.Mutex
@@ -152,11 +152,11 @@ func (s *serialToken) release(t *Thread) {
 	s.mu.Unlock()
 }
 
-// GateSerialized blocks while another thread holds the irrevocability
-// token. Every engine calls it as the first statement of Begin, so once the
-// token holder has drained the already-running transactions it executes
-// alone. The fast path is one atomic load.
-func (t *Thread) GateSerialized() {
+// gateSerialized blocks while another thread holds the irrevocability
+// token. Policy.Begin calls it first, so once the token holder has drained
+// the already-running transactions it executes alone. The fast path is one
+// atomic load.
+func (t *Thread) gateSerialized() {
 	tok := &t.RT.serialTok
 	if tok.holder.Load() == 0 {
 		return

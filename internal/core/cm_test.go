@@ -151,18 +151,18 @@ func TestGateSerializedBlocksWhileTokenHeld(t *testing.T) {
 	rt.serialTok.acquire(holder)
 	passed := make(chan struct{})
 	go func() {
-		other.GateSerialized()
+		other.gateSerialized()
 		close(passed)
 	}()
 	select {
 	case <-passed:
-		t.Fatal("GateSerialized passed while the token was held")
+		t.Fatal("gateSerialized passed while the token was held")
 	case <-time.After(10 * time.Millisecond):
 	}
 	// The holder itself is never blocked by its own token.
 	done := make(chan struct{})
 	go func() {
-		holder.GateSerialized()
+		holder.gateSerialized()
 		close(done)
 	}()
 	select {
@@ -174,7 +174,7 @@ func TestGateSerializedBlocksWhileTokenHeld(t *testing.T) {
 	select {
 	case <-passed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("GateSerialized never unblocked after release")
+		t.Fatal("gateSerialized never unblocked after release")
 	}
 }
 

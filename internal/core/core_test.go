@@ -249,10 +249,10 @@ func TestReaderConflictScanSelfOnly(t *testing.T) {
 	other := newActiveThread(t, rt) // some unrelated concurrent txn
 	o := rt.Orecs.At(0)
 	w.MakeVisible(o, false)
-	if !w.AcquireOrec(o) {
+	if !w.acquireOrec(o) {
 		t.Fatal("acquire failed")
 	}
-	if _, conflict := w.ReaderConflictScan(false); conflict {
+	if _, conflict := w.readerConflictScan(false); conflict {
 		t.Error("self-only hint caused a conflict")
 	}
 	finish(rt, other)
@@ -265,10 +265,10 @@ func TestReaderConflictScanForeignReader(t *testing.T) {
 	w := newActiveThread(t, rt)
 	o := rt.Orecs.At(0)
 	r.MakeVisible(o, false)
-	if !w.AcquireOrec(o) {
+	if !w.acquireOrec(o) {
 		t.Fatal("acquire failed")
 	}
-	threshold, conflict := w.ReaderConflictScan(false)
+	threshold, conflict := w.readerConflictScan(false)
 	if !conflict {
 		t.Fatal("live foreign reader not detected")
 	}
@@ -277,7 +277,7 @@ func TestReaderConflictScanForeignReader(t *testing.T) {
 	}
 	// Once the reader finishes, the same hint no longer conflicts.
 	finish(rt, r)
-	if _, conflict := w.ReaderConflictScan(false); conflict {
+	if _, conflict := w.readerConflictScan(false); conflict {
 		t.Error("completed reader still causes conflicts")
 	}
 	finish(rt, w)
@@ -301,10 +301,10 @@ func TestReaderConflictScanStaleSelfHint(t *testing.T) {
 	w.StartSnapshot(rt.Active.Enter(w))
 	w.Visible = true
 	w.PublishActive(w.BeginTS)
-	if !w.AcquireOrec(o) {
+	if !w.acquireOrec(o) {
 		t.Fatal("acquire failed")
 	}
-	if _, conflict := w.ReaderConflictScan(false); !conflict {
+	if _, conflict := w.readerConflictScan(false); !conflict {
 		t.Error("stale self hint was claimed as self-only; covered reader lost")
 	}
 	finish(rt, r)
@@ -320,7 +320,7 @@ func TestPrivatizationFenceWaitsForReaderGeneration(t *testing.T) {
 
 	released := make(chan struct{})
 	go func() {
-		w.PrivatizationFence(threshold)
+		w.privatizationFence(threshold)
 		close(released)
 	}()
 	select {
@@ -348,7 +348,7 @@ func TestPrivatizationFenceIgnoresYoungerTxns(t *testing.T) {
 	finish(rt, w)
 	done := make(chan struct{})
 	go func() {
-		w.PrivatizationFence(threshold)
+		w.privatizationFence(threshold)
 		close(done)
 	}()
 	<-done // must not block on the younger transaction
@@ -363,7 +363,7 @@ func TestValidationFence(t *testing.T) {
 
 	released := make(chan struct{})
 	go func() {
-		w.ValidationFence(wts)
+		w.validationFence(wts)
 		close(released)
 	}()
 	select {
@@ -372,7 +372,7 @@ func TestValidationFence(t *testing.T) {
 	default:
 	}
 	// The reader publishes a validation at ≥ wts: the fence must release.
-	r.SetValidated(wts)
+	r.setValidated(wts)
 	<-released
 	finish(rt, r)
 }
@@ -437,10 +437,10 @@ func TestConflictScanWithGraceAdaptation(t *testing.T) {
 	o1.Grace().Store(32)
 	o2.Grace().Store(32)
 	r.MakeVisible(o1, true) // raises o1's grace to 64
-	if !w.AcquireOrec(o1) || !w.AcquireOrec(o2) {
+	if !w.acquireOrec(o1) || !w.acquireOrec(o2) {
 		t.Fatal("acquire failed")
 	}
-	if _, conflict := w.ReaderConflictScan(true); !conflict {
+	if _, conflict := w.readerConflictScan(true); !conflict {
 		t.Fatal("conflict not detected")
 	}
 	if got := o1.Grace().Load(); got != 32 {

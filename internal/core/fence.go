@@ -6,7 +6,7 @@ import (
 	"privstm/internal/spin"
 )
 
-// ReaderConflictScan is the writer-side half of partial visibility
+// readerConflictScan is the writer-side half of partial visibility
 // (§II-C, §II-E). For every orec the committing writer owns, it inspects
 // the (rts, tid, multi) hint and decides whether a concurrent reader may
 // have read the block:
@@ -24,7 +24,7 @@ import (
 // It returns the fence threshold t = max(conflicting rts) and whether any
 // conflict was found. When adaptGrace is set, each conflicting orec's grace
 // period is halved (§III-A's exponential decrease).
-func (t *Thread) ReaderConflictScan(adaptGrace bool) (threshold uint64, conflict bool) {
+func (t *Thread) readerConflictScan(adaptGrace bool) (threshold uint64, conflict bool) {
 	oldestOther, anyOther := t.RT.Active.OldestOtherBegin(t)
 	if !anyOther {
 		return 0, false
@@ -50,19 +50,19 @@ func (t *Thread) ReaderConflictScan(adaptGrace bool) (threshold uint64, conflict
 	return threshold, conflict
 }
 
-// CapFence applies Options.CapFenceAtCommit to the threshold a conflict scan
+// capFence applies Options.CapFenceAtCommit to the threshold a conflict scan
 // returned for a commit at wts: with the knob set, a threshold reaching the
 // commit time is cut to wts−1, so the fence waits for the transactions that
 // began before the commit's tick and for nothing else (the argument is on
 // the option; the §II-D future-work optimization).
-func (rt *Runtime) CapFence(threshold, wts uint64) uint64 {
+func (rt *Runtime) capFence(threshold, wts uint64) uint64 {
 	if rt.CapFenceAtCommit && threshold >= wts {
 		return wts - 1
 	}
 	return threshold
 }
 
-// PrivatizationFence blocks the committing writer until every transaction
+// privatizationFence blocks the committing writer until every transaction
 // that may have read its write set has completed — concretely, until the
 // oldest incomplete transaction on the central list began after the fence
 // threshold (§II-D). The caller must have removed itself from the list
@@ -72,7 +72,7 @@ func (rt *Runtime) CapFence(threshold, wts uint64) uint64 {
 // progress watchdog (watchdog.go) counts and reports blockers that stop
 // moving, so a stalled or dead reader turns into a diagnosed event rather
 // than a silent hang.
-func (t *Thread) PrivatizationFence(threshold uint64) {
+func (t *Thread) privatizationFence(threshold uint64) {
 	t.Stats.Fenced++
 	failpoint.Eval(failpoint.FenceEnter)
 	defer failpoint.Eval(failpoint.FenceExit)
@@ -95,7 +95,7 @@ func (t *Thread) PrivatizationFence(threshold uint64) {
 	}
 }
 
-// ValidationFence is the every-transaction fence of the Val system
+// validationFence is the every-transaction fence of the Val system
 // (TR-915, compared in §V): after its write-back completes at commit time
 // wts, the writer waits until every other registered thread has reached a
 // clean point with respect to that commit — it has no live transaction, or
@@ -105,7 +105,7 @@ func (t *Thread) PrivatizationFence(threshold uint64) {
 // Like the privatization fence it carries a stall watchdog: per blocking
 // thread, keyed on that thread's publication sequence so a same-timestamp
 // restart counts as progress.
-func (t *Thread) ValidationFence(wts uint64) {
+func (t *Thread) validationFence(wts uint64) {
 	t.Stats.Fenced++
 	failpoint.Eval(failpoint.FenceEnter)
 	defer failpoint.Eval(failpoint.FenceExit)

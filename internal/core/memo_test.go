@@ -24,7 +24,7 @@ func TestReadMemoHit(t *testing.T) {
 		t.Fatal("the two words of a default-size extent do not share an orec")
 	}
 
-	if w := th.ReadVisible(a, false); w != 11 {
+	if w := th.readVisible(a, false); w != 11 {
 		t.Fatalf("first read = %d, want 11", w)
 	}
 	if th.Stats.PVReads != 1 || th.Stats.PVUpdates != 1 || th.Reads.Len() != 1 {
@@ -34,7 +34,7 @@ func TestReadMemoHit(t *testing.T) {
 	staleVis(o) // the full protocol would now republish
 	skipped := th.Stats.PVSkipped
 	for i := 0; i < 3; i++ {
-		if w := th.ReadVisible(a+1, false); w != 22 {
+		if w := th.readVisible(a+1, false); w != 22 {
 			t.Fatalf("memo read = %d, want 22", w)
 		}
 	}
@@ -48,18 +48,18 @@ func TestReadMemoHit(t *testing.T) {
 
 	// Acquiring the block moves the owner word: the memo misses once, the
 	// own-write path re-arms it on the owned word, and later loads hit.
-	if !th.AcquireOrec(o) {
-		t.Fatal("AcquireOrec failed")
+	if !th.acquireOrec(o) {
+		t.Fatal("acquireOrec failed")
 	}
 	rt.Heap.AtomicStore(a+1, 33)
 	pv := th.Stats.PVReads
-	if w := th.ReadVisible(a+1, false); w != 33 {
+	if w := th.readVisible(a+1, false); w != 33 {
 		t.Fatalf("read of own write = %d, want 33", w)
 	}
 	if th.Stats.PVReads != pv {
 		t.Error("reading an own in-place write ran the visibility protocol")
 	}
-	if w := th.ReadVisible(a, false); w != 11 || th.Stats.PVReads != pv+1 {
+	if w := th.readVisible(a, false); w != 11 || th.Stats.PVReads != pv+1 {
 		t.Errorf("memo on the owned block: read %d PVReads %d, want 11/%d", w, th.Stats.PVReads, pv+1)
 	}
 	th.abort() // releases o at a fresh tick and leaves the tracker
@@ -73,12 +73,12 @@ func TestReadMemoHit(t *testing.T) {
 	th.StartSnapshot(rt.Clock.Now())
 	th.ExtendOK = true
 	th.PublishActive(th.BeginTS)
-	_ = th.ReadHeapConsistent(a)
+	_ = th.readHeapConsistent(a)
 	if th.memoOrec != o {
 		t.Fatal("invisible read did not arm the memo")
 	}
 	n := th.Reads.Len()
-	if w := th.ReadHeapConsistent(a + 1); w != 33 || th.Reads.Len() != n {
+	if w := th.readHeapConsistent(a + 1); w != 33 || th.Reads.Len() != n {
 		t.Errorf("invisible memo read = %d with %d entries, want 33 with %d", w, th.Reads.Len(), n)
 	}
 	rt.Clock.Tick()
@@ -104,9 +104,9 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 	th.ExtendOK = true
 	o := rt.Orecs.For(a)
 
-	th.ReadVisible(a, false) // publish, arm the memo
+	th.readVisible(a, false) // publish, arm the memo
 	staleVis(o)
-	th.ReadVisible(a, false)
+	th.readVisible(a, false)
 	if th.Stats.PVUpdates != 1 || th.memoOrec != o {
 		t.Fatalf("pre-extension: PVUpdates=%d memo armed=%v, want 1/true",
 			th.Stats.PVUpdates, th.memoOrec == o)
@@ -122,7 +122,7 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 
 	// The load after the extension must miss the memo and republish over
 	// the stale vis word...
-	if w := th.ReadVisible(a, false); w != 11 {
+	if w := th.readVisible(a, false); w != 11 {
 		t.Fatalf("post-extension read = %d, want 11", w)
 	}
 	if th.Stats.PVUpdates != 2 {
@@ -131,7 +131,7 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 	// ...and re-arm the memo, so a later stale load skips the protocol.
 	staleVis(o)
 	skipped := th.Stats.PVSkipped
-	th.ReadVisible(a, false)
+	th.readVisible(a, false)
 	if th.Stats.PVUpdates != 2 || th.Stats.PVSkipped != skipped+1 {
 		t.Errorf("re-armed read: PVUpdates=%d PVSkipped=%d, want 2/%d",
 			th.Stats.PVUpdates, th.Stats.PVSkipped, skipped+1)
@@ -139,7 +139,7 @@ func TestTryExtendFlushesReadMemo(t *testing.T) {
 	finish(rt, th)
 }
 
-// TestPollValidateExtensionFlushesReadMemo is the PollValidate twin of
+// TestPollValidateExtensionFlushesReadMemo is the pollValidate twin of
 // TestTryExtendFlushesReadMemo: an incremental validation that extends the
 // snapshot drops the memo, and one with nothing to extend keeps it.
 func TestPollValidateExtensionFlushesReadMemo(t *testing.T) {
@@ -154,18 +154,18 @@ func TestPollValidateExtensionFlushesReadMemo(t *testing.T) {
 	th.StartSnapshot(rt.Clock.Now())
 	th.ExtendOK = true
 	th.PublishActive(th.BeginTS)
-	_ = th.ReadHeapConsistent(a)
-	th.PollValidate() // the clock has not moved: nothing to validate
+	_ = th.readHeapConsistent(a)
+	th.pollValidate() // the clock has not moved: nothing to validate
 	if th.memoOrec == nil {
-		t.Fatal("PollValidate without a commit dropped the memo")
+		t.Fatal("pollValidate without a commit dropped the memo")
 	}
 	rt.Clock.Tick()
-	th.PollValidate()
+	th.pollValidate()
 	if th.ValidTS != rt.Clock.Now() {
-		t.Fatalf("PollValidate did not extend: ValidTS %d, clock %d", th.ValidTS, rt.Clock.Now())
+		t.Fatalf("pollValidate did not extend: ValidTS %d, clock %d", th.ValidTS, rt.Clock.Now())
 	}
 	if th.memoOrec != nil {
-		t.Error("memo survived a PollValidate extension")
+		t.Error("memo survived a pollValidate extension")
 	}
 	th.PublishInactive()
 }
@@ -214,14 +214,14 @@ func TestReadMemoNeverChangesTheLog(t *testing.T) {
 		switch st.Kind % 8 {
 		case 0, 1, 2, 3, 4:
 			if visible {
-				_ = w.th.ReadVisible(a, true)
+				_ = w.th.readVisible(a, true)
 			} else {
-				_ = w.th.ReadHeapConsistent(a)
+				_ = w.th.readHeapConsistent(a)
 			}
 		case 5, 6:
-			if visible { // in-place write, as pvr.Engine.Write does it
-				if !w.th.AcquireOrec(w.rt.Orecs.For(a)) {
-					t.Fatal("AcquireOrec failed with no rival")
+			if visible { // in-place write, as an undo-log Policy.Write does it
+				if !w.th.acquireOrec(w.rt.Orecs.For(a)) {
+					t.Fatal("acquireOrec failed with no rival")
 				}
 				w.th.Undo.Add(a, w.rt.Heap.AtomicLoad(a))
 				w.rt.Heap.AtomicStore(a, heap.Word(st.Addr))
@@ -286,12 +286,12 @@ func TestReadMemoAllocates0(t *testing.T) {
 	rt.Clock.Tick()
 	a := rt.Heap.MustAlloc(2)
 	th := newActiveThread(t, rt)
-	_ = th.ReadVisible(a, true)
+	_ = th.readVisible(a, true)
 	hits := th.Stats.PVSkipped
 	if n := testing.AllocsPerRun(200, func() {
-		_ = th.ReadVisible(a+1, true)
-		_ = th.ReadVisible(a, true)
-		_ = th.ReadHeapConsistent(a + 1)
+		_ = th.readVisible(a+1, true)
+		_ = th.readVisible(a, true)
+		_ = th.readHeapConsistent(a + 1)
 	}); n != 0 {
 		t.Errorf("memo path allocates %v per run, want 0", n)
 	}

@@ -5,13 +5,14 @@ import (
 	"privstm/internal/heap"
 )
 
-// Engine is the interface every STM implementation provides. Read and
-// Write abort the running transaction by panicking with the internal
-// conflict signal (unwound inside Run); Commit returns false if the commit
-// attempt aborted. Either way Run ends the attempt with Thread.abort, which
-// undoes the in-place writes, releases the orecs, leaves the tracker and
-// publishes the thread inactive. A failing Commit releases only what the
-// engine alone holds (the abstract-lock stripes, the commit ticket).
+// Engine is what Run drives: Policy (engine.go) is the one implementation
+// outside tests. Read and Write abort the running transaction by panicking
+// with the internal conflict signal (unwound inside Run); Commit returns
+// false if the commit attempt aborted. Either way Run ends the attempt with
+// Thread.abort, which undoes the in-place writes, releases the orecs,
+// leaves the tracker and publishes the thread inactive. A failing Commit
+// releases only what the commit alone holds (the abstract-lock stripes,
+// the commit ticket).
 type Engine interface {
 	// Name returns the curve label used in the paper's figures
 	// (e.g. "pvrStore").

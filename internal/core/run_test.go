@@ -28,21 +28,21 @@ func (f *fakeEngine) Begin(t *Thread) {
 	t.Visible = true
 	t.PublishActive(t.BeginTS)
 }
-func (f *fakeEngine) Read(t *Thread, a heap.Addr) heap.Word { return t.ReadHeapConsistent(a) }
+func (f *fakeEngine) Read(t *Thread, a heap.Addr) heap.Word { return t.readHeapConsistent(a) }
 func (f *fakeEngine) Write(t *Thread, a heap.Addr, w heap.Word) {
 	t.Wrote = true
 	if f.redo {
 		t.Redo.Put(a, w)
 		return
 	}
-	if !t.AcquireOrec(f.rt.Orecs.For(a)) {
+	if !t.acquireOrec(f.rt.Orecs.For(a)) {
 		t.ConflictAbort()
 	}
 	t.Undo.Add(a, f.rt.Heap.AtomicLoad(a))
 	f.rt.Heap.AtomicStore(a, w)
 }
 func (f *fakeEngine) Commit(t *Thread) bool {
-	if f.redo && !t.AcquireWriteSet() {
+	if f.redo && !t.acquireWriteSet() {
 		return false
 	}
 	if !f.commitOK {
@@ -50,7 +50,7 @@ func (f *fakeEngine) Commit(t *Thread) bool {
 		return false
 	}
 	if t.Wrote {
-		wts := t.CommitTS()
+		wts := t.commitTS()
 		t.Redo.WriteBack(f.rt.Heap)
 		t.Acq.ReleaseAll(wts)
 	}
@@ -213,7 +213,7 @@ func TestReadHeapConsistentAbortsOnForeignOwner(t *testing.T) {
 	owner := newActiveThread(t, rt)
 	reader := newActiveThread(t, rt)
 	a := rt.Heap.MustAlloc(1)
-	if !owner.AcquireOrec(rt.Orecs.For(a)) {
+	if !owner.acquireOrec(rt.Orecs.For(a)) {
 		t.Fatal("acquire failed")
 	}
 	aborted := false
@@ -223,7 +223,7 @@ func TestReadHeapConsistentAbortsOnForeignOwner(t *testing.T) {
 				aborted = true
 			}
 		}()
-		reader.ReadHeapConsistent(a)
+		reader.readHeapConsistent(a)
 	}()
 	if !aborted {
 		t.Error("read of a foreign-owned orec did not abort")
@@ -244,7 +244,7 @@ func TestReadHeapConsistentAbortsOnNewerTimestamp(t *testing.T) {
 				aborted = true
 			}
 		}()
-		reader.ReadHeapConsistent(a)
+		reader.readHeapConsistent(a)
 	}()
 	if !aborted {
 		t.Error("read of a too-new orec did not abort")
@@ -263,7 +263,7 @@ func TestAcquireWriteSetRollsBackOnFailure(t *testing.T) {
 	}
 	// holder owns b's orec; w wants both a and b, in that order, so its
 	// commit takes a and fails on b.
-	if !holder.AcquireOrec(rt.Orecs.For(b + 512)) {
+	if !holder.acquireOrec(rt.Orecs.For(b + 512)) {
 		t.Fatal("setup acquire failed")
 	}
 	e := &fakeEngine{rt: rt, commitOK: true, redo: true}
@@ -277,7 +277,7 @@ func TestAcquireWriteSetRollsBackOnFailure(t *testing.T) {
 			t.Errorf("failed acquisition kept %d orecs, want a's for abort to release", w.Acq.Len())
 		}
 		checkAborted(t, rt, a, 0, clock)
-		holder.Acq.ReleaseAll(holder.CommitTS())
+		holder.Acq.ReleaseAll(holder.commitTS())
 		finish(rt, holder)
 	})
 	t.Cleanup(failpoint.Reset)
@@ -296,12 +296,12 @@ func TestPollValidateOnlyOnClockChange(t *testing.T) {
 	rt := newTestRT(t, 2)
 	th := newActiveThread(t, rt)
 	th.LastClockSeen = rt.Clock.Now()
-	th.PollValidate()
+	th.pollValidate()
 	if th.Stats.Validations != 0 {
 		t.Error("validated although the clock did not move")
 	}
 	rt.Clock.Tick()
-	th.PollValidate()
+	th.pollValidate()
 	if th.Stats.Validations != 1 {
 		t.Errorf("Validations = %d, want 1", th.Stats.Validations)
 	}
@@ -316,7 +316,7 @@ func TestPollValidateAbortsOnInvalidReadSet(t *testing.T) {
 	rt := newTestRT(t, 2)
 	th := newActiveThread(t, rt)
 	a := rt.Heap.MustAlloc(1)
-	_ = th.ReadHeapConsistent(a)
+	_ = th.readHeapConsistent(a)
 	rt.Orecs.For(a).Owner().Store(orec.PackUnowned(rt.Clock.Tick()))
 	aborted := false
 	func() {
@@ -325,10 +325,10 @@ func TestPollValidateAbortsOnInvalidReadSet(t *testing.T) {
 				aborted = true
 			}
 		}()
-		th.PollValidate()
+		th.pollValidate()
 	}()
 	if !aborted {
-		t.Error("stale read set survived PollValidate")
+		t.Error("stale read set survived pollValidate")
 	}
 	finish(rt, th)
 }

@@ -1,13 +1,13 @@
-// Package core contains the machinery shared by every STM engine in this
-// repository: the runtime (heap, orec table, global clock, central
-// transaction list, ordering locks), the per-thread transaction descriptor,
-// the retry loop, read-set validation, the partial-visibility protocols of
-// §II–III, and the privatization/validation fences.
+// Package core is the STM: the runtime (heap, orec table, global clock,
+// central transaction list, ordering lock), the per-thread transaction
+// descriptor, the retry loop, read-set validation, the partial-visibility
+// protocols of §II–III, and the privatization/validation fences.
 //
 // The paper's primary contribution — partially visible reads — lives here
-// (visibility.go, fence.go); the engine packages (internal/pvr, internal/ord,
-// internal/val, internal/hybrid, internal/tl2) compose these pieces into the
-// eight systems evaluated in §V.
+// (visibility.go, fence.go). The eight systems evaluated in §V are Policy
+// values (engine.go): one Begin, Read, Write and Commit, parameterised by
+// the log discipline, when reads turn visible, grace periods, incremental
+// validation, ticket order, and the post-commit fence.
 package core
 
 import (
@@ -125,7 +125,6 @@ type Runtime struct {
 	Clock  clock.Clock
 	Active ActiveTracker // incomplete-transaction tracker (§II-C)
 	Order  ticket.Lock   // strict-ordering ticket lock (§IV)
-	OrderQ *ticket.QueueLock
 
 	// Reclaim is the epoch-based safe-reclamation subsystem: extents
 	// retired through Thread.Retire are quarantined until the oldest-begin
@@ -186,7 +185,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		// (serve_mixed peak RSS 21 → 52 MB).
 		Heap:             heap.NewQuantum(opts.HeapWords, opts.BlockWords),
 		Orecs:            orec.NewTable(opts.OrecCount, opts.BlockWords),
-		OrderQ:           ticket.NewQueueLock(),
 		MaxGrace:         opts.MaxGrace,
 		HybridThreshold:  opts.HybridThreshold,
 		CapFenceAtCommit: opts.CapFenceAtCommit,

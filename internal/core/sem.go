@@ -26,7 +26,7 @@ import (
 // word-level orec, no validation, counted in stats.SemanticSkips.
 //
 // Locking discipline: stripes are acquired only inside Commit, between
-// SemPreCommit and SemPostCommit/SemAbortRelease, strictly after the
+// semPreCommit and semPostCommit/semAbortRelease, strictly after the
 // word-level write set is acquired; acquisition never waits (a busy stripe
 // fails the commit), so the global no-deadlock argument of the contention
 // managers is untouched.
@@ -84,16 +84,6 @@ func (st *SemTable) key(i uint32) uint32 { return st.id*0x85ebca6b ^ (i & st.mas
 // semOwned packs the owned stripe word for thread tid.
 func semOwned(tid uint64) uint64 { return tid<<1 | 1 }
 
-// SemCommitter is the capability marker an engine implements to declare
-// that its Commit runs the abstract-lock hooks (SemPreCommit /
-// SemPostCommit / SemAbortRelease) at the documented points. The semantic
-// containers (internal/tds) refuse to run on an engine without it: on such
-// an engine the semantic log would be populated but never validated, which
-// is silently unsound rather than merely slow.
-type SemCommitter interface {
-	SemanticCommitCapable()
-}
-
 // SemSample records a read-side sample of stripe i: the transaction's
 // observations under that abstract lock are valid iff the stripe is
 // unchanged at commit time. A stripe currently owned by a committing rival
@@ -138,15 +128,15 @@ func (t *Thread) SemPendingDelta(a heap.Addr) heap.Word {
 	return t.Sem.PendingDelta(a)
 }
 
-// SemPreCommit acquires the transaction's abstract locks and validates its
-// stripe samples. Engines call it after the word-level write set is fully
-// acquired and before the commit timestamp is taken (and re-check the
-// samples after it: SemStillValid). It returns false —
-// with every stripe it touched restored — if any stripe is busy or any
-// sample went stale; the engine then aborts exactly as for a failed word
-// validation. On success the stripes stay owned until SemPostCommit (the
-// commit succeeded) or SemAbortRelease (a later commit step failed).
-func (t *Thread) SemPreCommit() bool {
+// semPreCommit acquires the transaction's abstract locks and validates its
+// stripe samples. Policy.Commit calls it after the word-level write set is
+// fully acquired and before the commit timestamp is taken (and re-checks
+// the samples after it: semStillValid). It returns false — with every
+// stripe it touched restored — if any stripe is busy or any sample went
+// stale; the commit then fails exactly as for a failed word validation.
+// On success the stripes stay owned until semPostCommit (the commit
+// succeeded) or semAbortRelease (a later commit step failed).
+func (t *Thread) semPreCommit() bool {
 	sem := &t.Sem
 	if sem.Empty() {
 		return true
@@ -168,7 +158,7 @@ func (t *Thread) SemPreCommit() bool {
 		failpoint.Eval(failpoint.SemAcquired)
 	}
 	if !t.semSamplesValid() {
-		t.SemAbortRelease()
+		t.semAbortRelease()
 		t.Stats.AbstractLockConflicts++
 		return false
 	}
@@ -201,21 +191,19 @@ func (t *Thread) semSamplesValid() bool {
 	return true
 }
 
-// SemStillValid re-checks the stripe samples once the commit timestamp is
-// taken. Engines that take their timestamp after SemPreCommit and may then
-// skip read validation (SkipCommitValidation) call it right after
-// CommitTS, and fail the commit — SemAbortRelease plus their rollback —
-// when it reports false. SemPreCommit's check alone leaves a window: a
-// rival that write-acquires a stripe this transaction merely sampled (a
-// privatizer taking a bucket stripe) after that check, ticks first and
-// finds wts == ValidTS+1, commits without looking at the words this
-// transaction owns, and both commits stand — this one then unlinks from,
-// or inserts into, a chain the rival has privatized. Re-checking after
-// our own tick closes it: a sample that still holds was acquired, if at
-// all, after our tick, so the rival's timestamp is at least two past its
+// semStillValid re-checks the stripe samples once the commit timestamp is
+// taken; commitValidate runs it first, and a false result fails the commit
+// (semAbortRelease, then Run's abort). semPreCommit's check alone leaves a
+// window: a rival that write-acquires a stripe this transaction merely
+// sampled (a privatizer taking a bucket stripe) after that check, ticks
+// first and finds wts == ValidTS+1, commits without looking at the words
+// this transaction owns, and both commits stand — this one then unlinks
+// from, or inserts into, a chain the rival has privatized. Re-checking
+// after our own tick closes it: a sample that still holds was acquired, if
+// at all, after our tick, so the rival's timestamp is at least two past its
 // snapshot and it must validate its reads against the orecs we own
 // (CORRECTNESS.md §15).
-func (t *Thread) SemStillValid() bool {
+func (t *Thread) semStillValid() bool {
 	if !semRevalidate || t.Sem.ReadsLen() == 0 || t.semSamplesValid() {
 		return true
 	}
@@ -223,14 +211,14 @@ func (t *Thread) SemStillValid() bool {
 	return false
 }
 
-// SemPostCommit publishes the transaction's semantic effects. Engines call
-// it on the success path *before* releasing (and, for redo engines, before
-// writing back) the word-level write set: the stripe version bumps must be
+// semPostCommit publishes the transaction's semantic effects. Policy.Commit
+// calls it on the success path *before* releasing (and, for a redo log,
+// before writing back) the word-level write set: the stripe version bumps must be
 // in place before any rival can observe the new data, so a sampler that
 // reads a post-commit value is guaranteed to fail its stripe validation.
 // Within the call the ordering is bump-then-apply for the same reason:
 // delta stripes move before the counter words do.
-func (t *Thread) SemPostCommit() {
+func (t *Thread) semPostCommit() {
 	sem := &t.Sem
 	if sem.Empty() {
 		return
@@ -253,10 +241,10 @@ func (t *Thread) SemPostCommit() {
 	t.Stats.SemanticSkips += uint64(nd)
 }
 
-// SemAbortRelease restores every acquired stripe to its pre-acquisition
-// word. Engines call it when a commit step *after* a successful
-// SemPreCommit fails (word validation, ordered-commit revalidation).
-func (t *Thread) SemAbortRelease() {
+// semAbortRelease restores every acquired stripe to its pre-acquisition
+// word. Policy.Commit calls it when commitValidate fails after a successful
+// semPreCommit.
+func (t *Thread) semAbortRelease() {
 	sem := &t.Sem
 	nw := sem.WritesLen()
 	for i := 0; i < nw; i++ {
@@ -267,7 +255,7 @@ func (t *Thread) SemAbortRelease() {
 }
 
 // ReadWeak performs an unlogged read covered by an abstract lock: the word
-// is loaded consistently (orec double-check, as in ReadHeapConsistent) but
+// is loaded consistently (orec double-check, as in readHeapConsistent) but
 // never enters the read set, so word-level validation ignores it — the
 // stripe the container sampled is what certifies it at commit. The first
 // weak read of a transaction pins the thread on the active tracker at its

@@ -2,7 +2,7 @@
 
 package core
 
-// semRevalidate enables SemStillValid, the re-check of the stripe samples
+// semRevalidate enables semStillValid, the re-check of the stripe samples
 // after the commit timestamp. The privstm_semrevalidate_race build compiles
 // it out, recreating the historical hole (samples validated before the
 // timestamp and never again) for the schedule explorer's positive control:

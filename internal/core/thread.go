@@ -38,7 +38,7 @@ type Thread struct {
 	// extension): every logged read is known consistent with a snapshot at
 	// this clock time, so reads accept data with wts ≤ ValidTS. It starts
 	// at BeginTS and advances only through a successful full read-set
-	// validation (TryExtend/PollValidate) on engines that set ExtendOK.
+	// validation (TryExtend/pollValidate) on engines that set ExtendOK.
 	ValidTS uint64
 	// ExtendOK is set by the redo-log engines (Ord, Val, TL2, pvrHybrid)
 	// whose snapshots may be extended; the in-place PVR engines keep
@@ -83,11 +83,11 @@ type Thread struct {
 	// attempt unlinked, retired by FinishCommit iff the attempt commits.
 	commitRetires []TxnExtent
 	// LastCommitTS is the write timestamp of this thread's most recent
-	// writer commit (recorded by CommitTS): the threshold WeakQuiesce drains
+	// writer commit (recorded by commitTS): the threshold WeakQuiesce drains
 	// the tracker below, and the floor of RetireStamp (CORRECTNESS.md §14).
 	LastCommitTS uint64
 	// VisPub logs the (orec, rts) hints this transaction published; the
-	// writer-side self-test (ReaderConflictScan) only treats a hint as the
+	// writer-side self-test (readerConflictScan) only treats a hint as the
 	// writer's own if it appears here. Open-addressed and epoch-reset
 	// (logs.PubLog), so steady-state publication is alloc-free.
 	VisPub logs.PubLog
@@ -99,7 +99,7 @@ type Thread struct {
 	// of the transaction, so the next load of the same block with the owner
 	// word unchanged repeats only the consistent read itself (readMemo;
 	// CORRECTNESS.md §10). Cleared per transaction, on snapshot extension
-	// and on an invisible → visible switch (ForgetVisibility).
+	// and on an invisible → visible switch (forgetVisibility).
 	memoOrec  *orec.Orec
 	memoOwner uint64
 	// noMemo keeps the memo disarmed; only the memo-equivalence property
@@ -160,8 +160,8 @@ func (t *Thread) Published() (beginTS uint64, active bool) {
 	return v >> 1, v&1 == 1
 }
 
-// SetValidated publishes a successful validation at clock time ts.
-func (t *Thread) SetValidated(ts uint64) { t.lastValidated.Store(ts) }
+// setValidated publishes a successful validation at clock time ts.
+func (t *Thread) setValidated(ts uint64) { t.lastValidated.Store(ts) }
 
 // ValidatedAt returns the clock time of the last published validation.
 func (t *Thread) ValidatedAt() uint64 { return t.lastValidated.Load() }
@@ -192,26 +192,19 @@ func (t *Thread) StartSnapshot(ts uint64) {
 	t.LastClockSeen = ts
 }
 
-// CommitTS ticks the global clock and returns the result as the write
+// commitTS ticks the global clock and returns the result as the write
 // timestamp of a committing writer that has already acquired its entire
 // write set. Acquire-before-tick is what makes the timestamp safe to
 // publish: the writer owns every orec it will release at wts from before
 // the clock could read wts, so a reader whose snapshot covers wts either
 // sees the ownership (and defers) or sees the fully committed state
 // (CORRECTNESS.md §13). The result is also recorded in LastCommitTS.
-func (t *Thread) CommitTS() uint64 {
+func (t *Thread) commitTS() uint64 {
 	t.Stats.ClockTicks++
 	wts := t.RT.Clock.Tick()
 	t.LastCommitTS = wts
 	return wts
 }
-
-// SkipCommitValidation reports whether a commit at wts may skip its final
-// read-set validation: the classic TL2 inference, sound because timestamps
-// are unique and totally ordered — wts == ValidTS+1 means the tick just
-// performed is the only one since the snapshot was last validated, so no
-// rival commit can have invalidated it.
-func (t *Thread) SkipCommitValidation(wts uint64) bool { return wts == t.ValidTS+1 }
 
 // ReaderMayBeLive reports whether the transaction that published a read at
 // timestamp rts under thread id tid may still be incomplete. A reader's
@@ -379,16 +372,16 @@ func (t *Thread) TryExtend() bool {
 	t.Stats.Extensions++
 	// Drop the read memo across the extension: it keeps the memo's lifetime
 	// argument local to "one validity interval" (CORRECTNESS.md §10).
-	t.ForgetVisibility()
-	t.SetValidated(c)
+	t.forgetVisibility()
+	t.setValidated(c)
 	return true
 }
 
-// PollValidate is the incremental-validation hook of the redo-log engines
-// (Ord, Val, pvrHybrid): whenever the global clock has moved since the last
-// check — some writer committed, or aborted after acquiring — the full
-// read set is revalidated before the transaction consumes any further
-// values. This is the Microsoft system's incremental validation /
+// pollValidate is the incremental-validation hook of the polling policies
+// (Ord, Val, and pvrWriterOnly and pvrHybrid while invisible): whenever the
+// global clock has moved since the last check — some writer committed, or
+// aborted after acquiring — the full read set is revalidated before the
+// transaction consumes any further values. This is the Microsoft system's incremental validation /
 // RingSTM's commit-counter polling, and it is what catches doomed
 // transactions before they act on state mutated nontransactionally by a
 // privatizer (§IV).
@@ -398,7 +391,7 @@ func (t *Thread) TryExtend() bool {
 // the transaction is not doomed and moves its validity bound forward, so a
 // transaction whose read set is untouched stops aborting on (and stops
 // revalidating for) commits that do not conflict with it.
-func (t *Thread) PollValidate() {
+func (t *Thread) pollValidate() {
 	c := t.RT.Clock.Now()
 	if c == t.LastClockSeen {
 		return
@@ -411,16 +404,16 @@ func (t *Thread) PollValidate() {
 	if t.ExtendOK && c > t.ValidTS {
 		t.ValidTS = c
 		t.Stats.Extensions++
-		t.ForgetVisibility() // conservative, as in TryExtend
+		t.forgetVisibility() // conservative, as in TryExtend
 	}
-	t.SetValidated(c)
+	t.setValidated(c)
 }
 
-// ForgetVisibility clears the same-block read memo, so the next read of
+// forgetVisibility clears the same-block read memo, so the next read of
 // every block runs the full protocol again. The snapshot-extension paths
 // call it, and so do the engines' invisible → visible transitions (the
 // reads logged so far were never made visible).
-func (t *Thread) ForgetVisibility() { t.memoOrec = nil }
+func (t *Thread) forgetVisibility() { t.memoOrec = nil }
 
 // readMemo is the same-block fast path: o is the block this transaction
 // last read successfully and v, its owner word loaded just now, is the word
@@ -447,14 +440,14 @@ func (t *Thread) remember(o *orec.Orec, v uint64) {
 	}
 }
 
-// ReadHeapConsistent performs the full consistent-read dance against
+// readHeapConsistent performs the full consistent-read dance against
 // location a: pre-check the orec, load the word, post-check that the orec
 // did not change in the interim (the standard race guard for in-place
 // writers), and log the read. Engines layer visibility and redo-lookup
 // around it. A word newer than the validity bound triggers a snapshot
 // extension attempt instead of an unconditional abort. A second load of the
 // block just read takes the memo path and skips the read-set probe.
-func (t *Thread) ReadHeapConsistent(a heap.Addr) heap.Word {
+func (t *Thread) readHeapConsistent(a heap.Addr) heap.Word {
 	// Sandbox bounds guard: an address computed from torn reads aborts the
 	// doomed attempt here instead of faulting into Run's recover.
 	t.CheckAddr(a)
@@ -466,7 +459,7 @@ func (t *Thread) ReadHeapConsistent(a heap.Addr) heap.Word {
 	return t.readConsistent(o, a, v)
 }
 
-// ReadVisible is the partially visible read of the PVR engines and of the
+// readVisible is the partially visible read of the PVR engines and of the
 // hybrid's visible mode: publish (or confirm) this transaction's visibility
 // on a's orec, then do the timestamp-checked consistent read. Each thing is
 // done once per read — one bounds check, one hash, one owner load ahead of
@@ -474,7 +467,7 @@ func (t *Thread) ReadHeapConsistent(a heap.Addr) heap.Word {
 // and a second load of the block just read does none of it (readMemo),
 // counted as a skipped visibility update so Figure 4's percentages keep
 // their meaning.
-func (t *Thread) ReadVisible(a heap.Addr, useGrace bool) heap.Word {
+func (t *Thread) readVisible(a heap.Addr, useGrace bool) heap.Word {
 	t.CheckAddr(a)
 	o := t.RT.Orecs.For(a)
 	v := o.Owner().Load()

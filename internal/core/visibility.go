@@ -19,7 +19,7 @@ import (
 //     because we remain on the central list with begin ≤ rts, and a hint
 //     whose publishing transaction has completed can never be claimed by a
 //     writer as "only my own read" (see the self-test in
-//     ReaderConflictScan, which accepts a hint only if the writer itself
+//     readerConflictScan, which accepts a hint only if the writer itself
 //     published it in its *current* transaction).
 //
 //   - We are covered but the hint belongs to a possibly-live foreign

@@ -37,7 +37,7 @@ func TestPrivatizationFenceWatchdogDetectsStalledReader(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		writer.PrivatizationFence(begin) // threshold ≥ begin: must wait
+		writer.privatizationFence(begin) // threshold ≥ begin: must wait
 		close(done)
 	}()
 
@@ -97,7 +97,7 @@ func TestValidationFenceWatchdogDetectsStalledReader(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		writer.ValidationFence(wts)
+		writer.validationFence(wts)
 		close(done)
 	}()
 
@@ -112,7 +112,7 @@ func TestValidationFenceWatchdogDetectsStalledReader(t *testing.T) {
 	}
 
 	// Publishing a validation at ≥ wts is the reader's clean point.
-	reader.SetValidated(wts)
+	reader.setValidated(wts)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

@@ -32,13 +32,13 @@ import (
 const (
 	// BeginEnteredBeforePublish fires between central-list registration and
 	// the publication that makes the transaction observable (activity word,
-	// visibility hints): pvr.Begin, pvr.goVisible, hybrid.maybeGoVisible.
+	// visibility hints): core.Policy.Begin and core.Thread.goVisible.
 	// Window: fences must already cover a transaction whose registration is
 	// complete even though its hints are not yet visible.
 	BeginEnteredBeforePublish = "core/begin/entered-before-publish"
 	// AcquiredBeforeWriteback fires between ownership acquisition and the
-	// data write: the in-place store of pvr.Write, and the redo-log
-	// write-back of the tl2/ord/val/hybrid commits. Window: ownership must
+	// data write: the in-place store of an undo-log Policy.Write, and the
+	// redo-log write-back of Policy.Commit. Window: ownership must
 	// exclude every conflicting access for the whole acquire→write span.
 	AcquiredBeforeWriteback = "core/commit/acquired-before-writeback"
 	// CommitBeforeFence fires after a writer's commit point (clock tick,
@@ -119,8 +119,7 @@ const (
 	// so a worker waiting on a spin lock yields to the explorer instead of
 	// spinning against a suspended holder.
 	SpinMutexWait = "spin/mutex/wait"
-	// OrderWait fires once per poll of the §IV ordering locks' wait loops
-	// (ticket and CLH queue).
+	// OrderWait fires once per poll of the §IV ticket lock's wait loop.
 	OrderWait = "ticket/order/wait"
 	// SlotsEnterAtLower fires inside txnlist.Slots.EnterAt between the
 	// joiner's slot store and the watermark-cache check.
@@ -164,16 +163,16 @@ const (
 	// Window: stripes must exclude every conflicting semantic commit for the
 	// whole acquire→release span, exactly like orecs.
 	SemAcquired = "core/sem/acquired"
-	// SemValidated fires at the end of a successful SemPreCommit of a
+	// SemValidated fires at the end of a successful semPreCommit of a
 	// transaction with semantic activity: stripes held, samples checked,
 	// commit timestamp not yet taken. Window: a rival may acquire a stripe
 	// this transaction only sampled, and commit, right here; the re-check
-	// after the timestamp (core.Thread.SemStillValid) must catch it.
+	// after the timestamp (core.Thread.semStillValid) must catch it.
 	SemValidated = "core/sem/validated"
 	// SemRelease fires before each abstract-lock stripe release or delta
-	// bump in SemPostCommit. Window: the version bump must be observable to
+	// bump in semPostCommit. Window: the version bump must be observable to
 	// any transaction that can observe the committed data (bump-before-
-	// visibility: SemPostCommit runs while the word orecs are still owned).
+	// visibility: semPostCommit runs while the word orecs are still owned).
 	SemRelease = "core/sem/release"
 	// SemQuiesceWait fires once per poll of the weak-reader quiescence wait
 	// (Thread.WeakQuiesce): the privatizing thread is waiting for every

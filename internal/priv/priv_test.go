@@ -21,7 +21,7 @@ var safePlain = []stm.Algorithm{
 // small-read-set transactions. Their checkers use atomic private access to
 // keep the race detector out of the experiment; the logical invariants
 // still must hold.
-var safeAtomic = []stm.Algorithm{stm.Ord, stm.OrdQueue, stm.PVRWriterOnly, stm.PVRHybrid}
+var safeAtomic = []stm.Algorithm{stm.Ord, stm.PVRWriterOnly, stm.PVRHybrid}
 
 func testCfg(alg stm.Algorithm, atomicPriv bool) Config {
 	return Config{

@@ -12,8 +12,7 @@ import (
 // *un*-publish half of each cycle is itself a privatization, so this also
 // stresses fences from a second angle.
 func TestPublicationByStore(t *testing.T) {
-	safe := append([]stm.Algorithm{stm.OrdQueue},
-		stm.Ord, stm.Val, stm.PVRBase, stm.PVRCAS, stm.PVRStore, stm.PVRWriterOnly, stm.PVRHybrid)
+	safe := []stm.Algorithm{stm.Ord, stm.Val, stm.PVRBase, stm.PVRCAS, stm.PVRStore, stm.PVRWriterOnly, stm.PVRHybrid}
 	for _, alg := range safe {
 		t.Run(alg.String(), func(t *testing.T) {
 			res, err := RunPublication(PubConfig{
@@ -21,7 +20,7 @@ func TestPublicationByStore(t *testing.T) {
 				Publishers: 2,
 				Readers:    2,
 				Iterations: 300,
-				AtomicPrivate: alg == stm.Ord || alg == stm.OrdQueue ||
+				AtomicPrivate: alg == stm.Ord ||
 					alg == stm.PVRWriterOnly || alg == stm.PVRHybrid,
 			})
 			if err != nil {

@@ -16,9 +16,8 @@ import (
 // has detached. The in-place engine runs the whole PCT corpus the other
 // half — TestPrivOvertakeCaught, built with
 // -tags privstm_semrevalidate_race — must FAIL on; the other engine
-// families (pvrWriterOnly and Val take their timestamp after SemPreCommit
-// like it, Ord and pvrHybrid order their commits) run its head, and a
-// bounded DFS covers the schedules nearest the sequential ones.
+// families (pvrWriterOnly, Val, and the ordered Ord and pvrHybrid) run its
+// head, and a bounded DFS covers the schedules nearest the sequential ones.
 func TestPrivOvertakeExplorationCorpus(t *testing.T) {
 	for _, put := range []bool{false, true} {
 		name := "delete"

@@ -8,7 +8,7 @@ import (
 )
 
 // privOvertakeProgram is the schedule-exploration micro-program for the
-// post-timestamp stripe re-validation (core.Thread.SemStillValid,
+// post-timestamp stripe re-validation (core.Thread.semStillValid,
 // CORRECTNESS.md §15). One bucket holding keys 10, 20, 30; two workers:
 //
 //   - "privatizer" detaches the bucket with PrivateSnapshot and walks the

@@ -21,7 +21,7 @@ import (
 //     release.
 //
 // On the production release (sem_release.go: version += 2) no schedule may
-// let the reader commit v1 != v2: either the second sample or SemPreCommit
+// let the reader commit v1 != v2: either the second sample or semPreCommit
 // catches the moved stripe. With -tags privstm_semlock_race the bump is
 // compiled out (release restores the pre-acquisition word) and the explorer
 // must find the violation — the positive control proving the corpus can

@@ -39,9 +39,6 @@ const mapNodeWords = 3
 // (both rounded up to ≥1). More key stripes mean fewer same-stripe false
 // conflicts between distinct keys; nbkt+nstr+1 stripes are allocated.
 func NewMap(s *stm.STM, buckets, stripes int) (*Map, error) {
-	if !s.SemanticCommitSupported() {
-		return nil, ErrNoSemanticCommit
-	}
 	if buckets < 1 {
 		buckets = 1
 	}

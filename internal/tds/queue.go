@@ -22,9 +22,6 @@ const queueNodeWords = 2
 
 // NewQueue allocates an empty queue.
 func NewQueue(s *stm.STM) (*Queue, error) {
-	if !s.SemanticCommitSupported() {
-		return nil, ErrNoSemanticCommit
-	}
 	m, err := s.Alloc(3)
 	if err != nil {
 		return nil, err

@@ -119,7 +119,7 @@ func TestMixedStress(t *testing.T) {
 }
 
 // TestPrivatizeOvertakeStress is the regression stress for the window
-// core.Thread.SemStillValid closes (CORRECTNESS.md §15): four threads
+// core.Thread.semStillValid closes (CORRECTNESS.md §15): four threads
 // hammer a small map — 8 buckets, 256 keys — with Put/Delete/Get and one
 // PrivateSnapshot in ten. Every private walk must visit exactly the nodes
 // the privatizing transaction counted, in ascending key order with each

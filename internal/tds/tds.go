@@ -26,9 +26,8 @@
 // obligation the weak reads introduce, discharged by Thread.WeakQuiesce
 // (CORRECTNESS.md §15).
 //
-// All containers require an algorithm whose commit runs the abstract-lock
-// hooks (stm.STM.SemanticCommitSupported — all eight built-ins do); the
-// escape hatch additionally requires a privatization-safe algorithm
+// Every algorithm's commit runs the abstract-lock hooks (core.Policy.Commit);
+// the escape hatch additionally requires a privatization-safe algorithm
 // (everything but TL2).
 package tds
 
@@ -37,10 +36,6 @@ import (
 
 	stm "privstm"
 )
-
-// ErrNoSemanticCommit is returned by the constructors when the configured
-// algorithm's commit protocol does not run the abstract-lock hooks.
-var ErrNoSemanticCommit = errors.New("tds: algorithm does not support semantic commit hooks")
 
 // ErrNotPrivatizationSafe is returned by the escape-hatch operations under
 // the TL2 baseline: handing out privatized extents for uninstrumented

@@ -16,12 +16,10 @@ func newSTM(t testing.TB, alg stm.Algorithm) *stm.STM {
 	return s
 }
 
-var engines = append([]stm.Algorithm{stm.OrdQueue}, stm.Algorithms...)
-
 // TestMapModel checks the map against a Go map under random op sequences,
 // one run per engine family (the semantic commit hooks run on all of them).
 func TestMapModel(t *testing.T) {
-	for _, alg := range engines {
+	for _, alg := range stm.Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			s := newSTM(t, alg)
 			th := s.MustNewThread()
@@ -195,7 +193,7 @@ func TestAbortRollsBack(t *testing.T) {
 }
 
 // TestSemanticSkips checks the commuting-delta accounting: size updates
-// ride SemPostCommit and are counted in stats.SemanticSkips instead of
+// ride semPostCommit and are counted in stats.SemanticSkips instead of
 // entering any validated set.
 func TestSemanticSkips(t *testing.T) {
 	s := newSTM(t, stm.Ord)

@@ -1,9 +1,9 @@
-// Package ticket provides the global ordering locks used by the strict
-// in-order commit schemes of §IV: a ticket/bakery lock (the variant whose
-// results the paper reports) and a CLH-style queue lock (which the paper
-// found performed equally well).
+// Package ticket provides the global ordering lock used by the strict
+// in-order commit schemes of §IV: a ticket/bakery lock, the variant whose
+// results the paper reports (§IV found a CLH queue lock performed equally
+// well).
 //
-// Both locks support *split* acquisition: a committing writer takes its
+// The lock supports *split* acquisition: a committing writer takes its
 // place in line early ("requests a global ticket lock, i.e., takes a
 // ticket"), performs validation and write-back, and only then waits for its
 // turn before handing the lock to its successor. That split is what lets

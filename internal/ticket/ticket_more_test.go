@@ -38,29 +38,6 @@ func TestTicketDistantWaiterSleeps(t *testing.T) {
 	}
 }
 
-// TestQueueLockDeepWait exercises the gosched and sleep phases of the CLH
-// wait loop with a slow predecessor.
-func TestQueueLockDeepWait(t *testing.T) {
-	l := NewQueueLock()
-	a := l.Enqueue()
-	b := l.Enqueue()
-	done := make(chan struct{})
-	go func() {
-		l.Wait(b) // spins → yields → sleeps while a holds
-		close(done)
-	}()
-	l.Wait(a)
-	time.Sleep(5 * time.Millisecond) // force b into the sleep phase
-	select {
-	case <-done:
-		t.Fatal("b admitted while a held the lock")
-	default:
-	}
-	l.Done(a)
-	<-done
-	l.Done(b)
-}
-
 func TestTicketServed(t *testing.T) {
 	var l Lock
 	a := l.Take()

@@ -78,52 +78,3 @@ func TestTicketSplitAcquisition(t *testing.T) {
 	<-done
 	l.Done(b)
 }
-
-func TestQueueLockOrder(t *testing.T) {
-	l := NewQueueLock()
-	a := l.Enqueue()
-	b := l.Enqueue()
-	done := make(chan struct{})
-	go func() {
-		l.Wait(b)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("queue admitted b before a released")
-	default:
-	}
-	l.Wait(a) // sentinel released: immediate
-	l.Done(a)
-	<-done
-	l.Done(b)
-}
-
-func TestQueueLockMutualExclusion(t *testing.T) {
-	l := NewQueueLock()
-	const workers = 8
-	const iters = 500
-	var inside atomic.Int32
-	var count atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				n := l.Enqueue()
-				l.Wait(n)
-				if inside.Add(1) != 1 {
-					t.Error("queue lock mutual exclusion violated")
-				}
-				count.Add(1)
-				inside.Add(-1)
-				l.Done(n)
-			}
-		}()
-	}
-	wg.Wait()
-	if count.Load() != workers*iters {
-		t.Errorf("count = %d", count.Load())
-	}
-}

@@ -262,7 +262,7 @@ func TestSlotsEnterAtEmptyCacheKeepsOlderEntrant(t *testing.T) {
 // joiner then registers via EnterAt and finds the (pre-publish) cache
 // already at or below its timestamp, and the scan publishes a minimum
 // computed without the joiner. The published watermark would then exceed
-// the live joiner's begin — exactly what PrivatizationFence must never
+// the live joiner's begin — exactly what privatizationFence must never
 // observe. The shape maximizes the scan window: the joiner sits in slot 0
 // (visited first, so the scan has the whole remaining array still to walk),
 // a long-lived resident in the last slot keeps the scans long and supplies

@@ -33,13 +33,8 @@ import (
 
 	"privstm/internal/core"
 	"privstm/internal/heap"
-	"privstm/internal/hybrid"
-	"privstm/internal/ord"
-	"privstm/internal/pvr"
 	"privstm/internal/reclaim"
 	"privstm/internal/stats"
-	"privstm/internal/tl2"
-	"privstm/internal/val"
 )
 
 // Addr is the address of one word of transactional memory. The zero Addr
@@ -64,8 +59,6 @@ const (
 	TL2 Algorithm = iota
 	// Ord is the strict in-order commit scheme (Detlefs et al. style).
 	Ord
-	// OrdQueue is Ord with a CLH queue lock instead of a ticket lock.
-	OrdQueue
 	// Val executes a validation fence at the end of every writer
 	// transaction.
 	Val
@@ -95,8 +88,6 @@ func (a Algorithm) String() string {
 		return "TL2"
 	case Ord:
 		return "Ord"
-	case OrdQueue:
-		return "OrdQueue"
 	case Val:
 		return "Val"
 	case PVRBase:
@@ -117,7 +108,7 @@ func (a Algorithm) String() string {
 // ParseAlgorithm maps a figure label (case-sensitive, e.g. "pvrStore")
 // back to its Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range append([]Algorithm{OrdQueue}, Algorithms...) {
+	for _, a := range Algorithms {
 		if a.String() == s {
 			return a, nil
 		}
@@ -255,9 +246,11 @@ const (
 // STM is one transactional memory instance: a heap, its metadata, and an
 // algorithm. Create with New; register worker threads with NewThread.
 type STM struct {
-	cfg    Config
-	rt     *core.Runtime
-	engine core.Engine
+	cfg Config
+	rt  *core.Runtime
+	// engine is the algorithm's policy, held by value so Tx.Load and
+	// Tx.Store call its methods statically.
+	engine core.Policy
 }
 
 // New creates an STM instance.
@@ -287,23 +280,21 @@ func New(cfg Config) (*STM, error) {
 	s := &STM{cfg: cfg, rt: rt}
 	switch cfg.Algorithm {
 	case TL2:
-		s.engine = tl2.New(rt)
+		s.engine = core.TL2
 	case Ord:
-		s.engine = ord.New(rt)
-	case OrdQueue:
-		s.engine = ord.NewQueue(rt)
+		s.engine = core.Ord
 	case Val:
-		s.engine = val.New(rt)
+		s.engine = core.Val
 	case PVRBase:
-		s.engine = pvr.NewBase(rt)
+		s.engine = core.PVRBase
 	case PVRCAS:
-		s.engine = pvr.NewCAS(rt)
+		s.engine = core.PVRCAS
 	case PVRStore:
-		s.engine = pvr.NewStore(rt)
+		s.engine = core.PVRStore
 	case PVRWriterOnly:
-		s.engine = pvr.NewWriterOnly(rt)
+		s.engine = core.PVRWriterOnly
 	case PVRHybrid:
-		s.engine = hybrid.New(rt)
+		s.engine = core.PVRHybrid
 	default:
 		return nil, fmt.Errorf("stm: unknown algorithm %v", cfg.Algorithm)
 	}
@@ -500,10 +491,10 @@ func (th *Thread) Atomic(body func(tx *Tx)) error {
 		panic("stm: Atomic on closed Thread")
 	}
 	if th.trace.Load() == nil {
-		return core.Run(th.s.engine, th.t, func() { body(&th.tx) })
+		return core.Run(&th.s.engine, th.t, func() { body(&th.tx) })
 	}
 	attempt := Word(0)
-	err := core.Run(th.s.engine, th.t, func() {
+	err := core.Run(&th.s.engine, th.t, func() {
 		attempt++
 		if tr := th.trace.Load(); tr != nil {
 			tr.add(TraceEvent{Kind: TraceAttempt, Val: attempt})
@@ -632,15 +623,6 @@ type SemTable = core.SemTable
 // (rounded up to a power of two). By convention stripe 0 is reserved for
 // commuting counters (Tx.SemDelta) and is never write-acquired.
 func NewSemTable(n int) *SemTable { return core.NewSemTable(n) }
-
-// SemanticCommitSupported reports whether the configured algorithm's commit
-// protocol runs the abstract-lock hooks. All eight built-in algorithms
-// support it; the check exists so semantic containers fail fast on an
-// engine that would silently skip stripe validation.
-func (s *STM) SemanticCommitSupported() bool {
-	_, ok := s.engine.(core.SemCommitter)
-	return ok
-}
 
 // SemSample records a read-side sample of stripe i of st: everything the
 // transaction observes under that abstract lock is valid iff the stripe is

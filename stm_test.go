@@ -7,13 +7,9 @@ import (
 	"testing"
 )
 
-// allAlgorithms includes the queue-lock Ord variant on top of the paper's
-// eight curves.
-var allAlgorithms = append([]Algorithm{OrdQueue}, Algorithms...)
-
 func forEachAlgorithm(t *testing.T, fn func(t *testing.T, alg Algorithm)) {
 	t.Helper()
-	for _, alg := range allAlgorithms {
+	for _, alg := range Algorithms {
 		t.Run(alg.String(), func(t *testing.T) { fn(t, alg) })
 	}
 }

@@ -18,8 +18,6 @@ func newSTM(t testing.TB, alg stm.Algorithm) *stm.STM {
 	return s
 }
 
-var engines = append([]stm.Algorithm{stm.OrdQueue}, stm.Algorithms...)
-
 func TestQueueFIFO(t *testing.T) {
 	s := newSTM(t, stm.PVRStore)
 	th := s.MustNewThread()
@@ -280,7 +278,7 @@ func TestRing(t *testing.T) {
 // TestComposition moves elements between structures atomically: the sum of
 // queue+stack contents is invariant under concurrent transfers.
 func TestComposition(t *testing.T) {
-	for _, alg := range engines {
+	for _, alg := range stm.Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			s := newSTM(t, alg)
 			q, _ := NewQueue(s, 64)
