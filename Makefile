@@ -21,9 +21,9 @@ test:
 	$(GO) vet -C benchmark ./...
 
 # STM-specific static checks (see internal/analysis and CORRECTNESS.md
-# "Static checks" / §12): atomic access discipline, metadata accessor
-# discipline, transaction-body purity, lock-copy freedom, privatization
-# safety (privaccess), wait-loop yield discipline (yieldsite). Runs the
+# "Static checks" / §12): atomic access discipline, transaction-body
+# purity, lock-copy freedom, privatization safety (privaccess), wait-loop
+# yield discipline (yieldsite). Runs the
 # build-tag matrix: the default file set carries the committed baseline
 # and its shrink-only ratchet; each *_race set re-lints its tagged
 # variant (ratchet off there — a default-set baseline entry would read as
@@ -46,10 +46,11 @@ race:
 	$(GO) test -race ./...
 
 # Failpoint-driven fault-injection and liveness suite (CORRECTNESS.md §9):
-# stall watchdog, doomed-body sandboxing, serialized escalation, CM
-# policies — under the race detector, repeated to shake out interleavings.
+# stall watchdog, doomed-body sandboxing, serialized escalation, the
+# contention-management wait — under the race detector, repeated to shake
+# out interleavings.
 test-faults:
-	$(GO) test -race -count=3 -run 'Fault|Failpoint|Stall|Watchdog|Serial|CM|Karma' ./...
+	$(GO) test -race -count=3 -run 'Fault|Failpoint|Stall|Watchdog|Serial|CM' ./...
 
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and
 # bounded-DFS corpus over every engine family (serializability and

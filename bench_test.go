@@ -337,51 +337,6 @@ func BenchmarkPrivatizedVsInstrumented(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGraceStrategy reproduces §III-A's design exploration:
-// exponential vs linear vs hybrid grace adaptation on the long-transaction
-// workload where grace periods matter most (large multi-list).
-func BenchmarkAblationGraceStrategy(b *testing.B) {
-	spec := bench.MultiList(16, 128)
-	for _, tc := range []struct {
-		name  string
-		strat stm.GraceStrategy
-	}{
-		{"exponential", stm.GraceExponential},
-		{"linear", stm.GraceLinear},
-		{"hybrid", stm.GraceHybrid},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := stm.MustNew(stm.Config{
-				Algorithm: stm.PVRCAS, HeapWords: spec.HeapWords,
-				OrecCount: spec.OrecCount, MaxThreads: 128, GraceStrategy: tc.strat,
-			})
-			inst, err := spec.Build(s, rng.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var mu sync.Mutex
-			var seq uint64
-			var agg bench.Measurement
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				seq++
-				ctx := &bench.OpCtx{Th: s.MustNewThread(), RNG: rng.New(seq), S: s}
-				mu.Unlock()
-				for pb.Next() {
-					inst.Op(ctx, bench.ReadMostly)
-				}
-				mu.Lock()
-				agg.Stats.Add(ctx.Th.Stats())
-				mu.Unlock()
-			})
-			b.StopTimer()
-			b.ReportMetric(agg.Stats.PercentVisibleReadsSkipped(), "%visSkipped")
-			b.ReportMetric(agg.Stats.PercentWritersFenced(), "%fenced")
-		})
-	}
-}
-
 // BenchmarkAblationTrackerUnderLoad compares the two trackers on the
 // paper's short-transaction workload (hashtable), where §V blames the
 // central list for pvr flattening.

@@ -55,7 +55,7 @@ func (v *flagValues) modes(set map[string]bool) []string {
 // configured when stmd started).
 var localOnlyWithRemote = []string{
 	"fig", "threads", "txns", "scale", "reps", "algos", "mix", "tracker",
-	"cm", "tdsthreads", "tdsgain", "noreclaim", "nosandbox",
+	"tdsthreads", "tdsgain", "noreclaim",
 	"pairs", "basejson", "maxattempts", "micro", "tolerance", "csv",
 }
 

@@ -64,8 +64,8 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{remote: ":7077"}, "-tracker"},
 		{"remote with threads", set("remote", "threads"),
 			flagValues{remote: ":7077"}, "-threads"},
-		{"remote with cm", set("remote", "cm"),
-			flagValues{remote: ":7077"}, "-cm"},
+		{"remote with maxattempts", set("remote", "maxattempts"),
+			flagValues{remote: ":7077"}, "-maxattempts"},
 		{"remote with csv", set("remote", "csv"),
 			flagValues{remote: ":7077"}, "-csv"},
 		{"conns without remote", set("fig", "conns"),

@@ -44,7 +44,6 @@ func main() {
 		algos    = flag.String("algos", "", "comma-separated curve filter (figure labels, e.g. TL2,pvrStore)")
 		mix      = flag.String("mix", "", "override op mix as insert/delete/lookup (e.g. 20/20/60)")
 		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot or list")
-		cmName   = flag.String("cm", "backoff", "contention manager: backoff, karma, or serialize")
 		rsweep   = flag.Bool("reclaimsweep", false, "run the paired reclamation-overhead sweep (fig rcl); writes reclaim cells to -json, pool baselines to -basejson")
 		tsweep   = flag.Bool("tdssweep", false, "run the paired semantic-structure sweep (fig tds); writes tds cells to -json, tlib baselines to -basejson")
 		tcheck   = flag.Bool("tdscheck", false, "check tds acceptance: stmbench -tdscheck [-tdsthreads N] [-tdsgain X] tds.json tds_baseline.json")
@@ -52,7 +51,6 @@ func main() {
 		tdsGain  = flag.Float64("tdsgain", 1.15, "with -tdscheck: required tds/tlib throughput ratio")
 		zipf     = flag.Float64("zipf", 0, "key-distribution skew for every cell: 0 = uniform, (0,1) = YCSB Zipf theta")
 		noRecl   = flag.Bool("noreclaim", false, "recycle nodes through the legacy per-thread pool instead of the epoch reclaimer")
-		noSandbx = flag.Bool("nosandbox", false, "disable validate-before-dangerous-use sandbox checkpoints (ablation)")
 		pairs    = flag.Int("pairs", 3, "with a paired sweep: interleaved A/B pairs per cell")
 		baseJSON = flag.String("basejson", "", "with a paired sweep: write the baseline cells to this JSON file")
 		maxAtt   = flag.Int("maxattempts", 0, "abort budget before serialized-irrevocable escalation (0 = default, negative disables)")
@@ -151,12 +149,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	cmPolicy, err := stm.ParseCMPolicy(*cmName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stmbench: bad -cm %q (want backoff, karma, or serialize)\n", *cmName)
-		os.Exit(2)
-	}
-
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -209,25 +201,23 @@ func main() {
 		os.Exit(2)
 	}
 	hc := bench.HarnessConfig{
-		Threads:        ths,
-		TxnsPerThread:  *txns,
-		Duration:       *dur,
-		Scale:          *scale,
-		Reps:           *reps,
-		Seed:           *seed,
-		Tracker:        trackerKind,
-		CM:             cmPolicy,
-		MaxAttempts:    *maxAtt,
-		DisableSandbox: *noSandbx,
-		ZipfTheta:      *zipf,
+		Threads:       ths,
+		TxnsPerThread: *txns,
+		Duration:      *dur,
+		Scale:         *scale,
+		Reps:          *reps,
+		Seed:          *seed,
+		Tracker:       trackerKind,
+		MaxAttempts:   *maxAtt,
+		ZipfTheta:     *zipf,
 	}
 	if *noRecl {
 		hc.Free = bench.FreePool
 	}
 
-	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s cm=%s maxattempts=%d reclaim=%s sandbox=%s zipf=%.2f\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, cmPolicy, *maxAtt,
-		onOff(!*noRecl), onOff(!*noSandbx), *zipf)
+	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s maxattempts=%d reclaim=%s zipf=%.2f\n",
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, *maxAtt,
+		onOff(!*noRecl), *zipf)
 	if runtime.NumCPU() < 8 {
 		fmt.Printf("# note: %d CPUs — thread counts beyond that timeshare; expect curves to flatten there\n", runtime.NumCPU())
 	}
@@ -348,7 +338,7 @@ func main() {
 			os.Exit(1)
 		}
 		bench.SortMeasurements(allMs)
-		label := fmt.Sprintf("tracker=%s scale=1/%d cm=%s", *tracker, *scale, cmPolicy)
+		label := fmt.Sprintf("tracker=%s scale=1/%d maxattempts=%d", *tracker, *scale, *maxAtt)
 		werr := bench.WriteJSONReport(out, label, allMs, micros)
 		if cerr := out.Close(); werr == nil {
 			werr = cerr

@@ -83,7 +83,6 @@ func main() {
 		writeSetCap = flag.Int("writesetcap", 0, "default write-set cap per transaction (0 = none)")
 		buckets     = flag.Int("buckets", 1024, "hash-map buckets")
 		stripes     = flag.Int("stripes", 256, "abstract-lock key stripes")
-		cmName      = flag.String("cm", "backoff", "contention manager: backoff, karma, serialize")
 		maxAttempts = flag.Int("maxattempts", 0, "abort budget before serialized escalation (0 = default)")
 		heapWords   = flag.Int("heapwords", 1<<22, "transactional heap capacity in words")
 		drainWait   = flag.Duration("drainwait", 30*time.Second, "graceful-drain budget on SIGTERM")
@@ -100,10 +99,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	cmPolicy, err := stm.ParseCMPolicy(*cmName)
-	if err != nil {
-		fail("%v", err)
-	}
 
 	opts := []server.Option{
 		server.WithAlgorithm(alg),
@@ -114,9 +109,8 @@ func main() {
 		server.WithWriteSetCap(*writeSetCap),
 		server.WithBuckets(*buckets, *stripes),
 		server.WithSTMConfig(stm.Config{
-			HeapWords:         *heapWords,
-			ContentionManager: cmPolicy,
-			MaxAttempts:       *maxAttempts,
+			HeapWords:   *heapWords,
+			MaxAttempts: *maxAttempts,
 		}),
 	}
 	for i, name := range tenants.names {

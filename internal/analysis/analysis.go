@@ -12,14 +12,11 @@
 // precisely uninstrumented accesses slipping past the protocol — so this
 // package machine-checks the discipline instead of trusting comments.
 //
-// Six analyzers are provided (see Analyzers). Four are intra-package AST
+// Five analyzers are provided (see Analyzers). Three are intra-package AST
 // checks:
 //
 //	mixedatomic        — a struct field accessed via sync/atomic anywhere
 //	                     must be accessed atomically everywhere
-//	accessordiscipline — fields of protected metadata types (orec, clock,
-//	                     txnlist, spin) may only be touched inside their
-//	                     own package, except through atomic method calls
 //	txnpurity          — function literals passed to stm.Atomic/core.Run
 //	                     must not sleep, block on channels, lock mutexes,
 //	                     or perform os/net I/O (irrevocability hazards)
@@ -94,7 +91,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MixedAtomic(),
-		AccessorDiscipline(),
 		TxnPurity(),
 		CopyLock(),
 		PrivAccess(),

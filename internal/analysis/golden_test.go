@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"flag"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,11 +57,6 @@ func checkGolden(t *testing.T, name string, got []string) {
 
 func TestMixedAtomicGolden(t *testing.T) {
 	checkGolden(t, "mixedatomic", runFixture(t, MixedAtomic(), "mixedatomic"))
-}
-
-func TestAccessorDisciplineGolden(t *testing.T) {
-	checkGolden(t, "accessordiscipline",
-		runFixture(t, AccessorDiscipline(), "accessor/..."))
 }
 
 func TestTxnPurityGolden(t *testing.T) {
@@ -130,7 +126,6 @@ func TestFixturesTripTheLinter(t *testing.T) {
 		patterns []string
 	}{
 		{MixedAtomic(), []string{"mixedatomic"}},
-		{AccessorDiscipline(), []string{"accessor/..."}},
 		{TxnPurity(), []string{"txnpurity/..."}},
 		{CopyLock(), []string{"copylock/..."}},
 		{PrivAccess(), []string{"privaccess/..."}},
@@ -142,7 +137,7 @@ func TestFixturesTripTheLinter(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the full six-analyzer suite over the real module —
+// TestRepoIsClean runs the full five-analyzer suite over the real module —
 // the same invocations `make lint` uses — and requires zero findings on
 // every cell of the build-tag matrix (default, the watermark-race revert,
 // and the reclaim-race epoch bypass), so a regression in the runtime's
@@ -161,40 +156,48 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestAccessorDisciplineCoversThreadClock pins the analyzer's coverage of
-// the per-thread clock type added with the thread-local clock scheme: both
-// direct-word uses in BadThreadClock must be flagged, and the accessor-only
-// GoodThreadClock must stay clean.
-func TestAccessorDisciplineCoversThreadClock(t *testing.T) {
-	got := runFixture(t, AccessorDiscipline(), "accessor/...")
-	flagged := 0
-	for _, line := range got {
-		if !strings.Contains(line, "ThreadClock.LocalTS") {
-			continue
+// TestMetadataTypesExportNoFields keeps the orec, clock, txnlist and spin
+// metadata behind their packages' accessors (PackOwned/CAS acquire,
+// Clock.Tick, Slots.Enter/Leave, ...), so every mutation follows the
+// protocol: no struct type in those packages may export a field, and the
+// compiler then rejects any access from outside. Both build-tag cells of
+// txnlist's slot array are checked.
+func TestMetadataTypesExportNoFields(t *testing.T) {
+	for _, tags := range [][]string{nil, {"privstm_watermark_race"}} {
+		prog, err := LoadTags(filepath.Join("..", ".."), tags,
+			"./internal/orec", "./internal/clock", "./internal/txnlist", "./internal/spin")
+		if err != nil {
+			t.Fatal(err)
 		}
-		flagged++
-		if strings.Contains(line, "GoodThreadClock") {
-			t.Errorf("accessor-only use flagged: %s", line)
+		if len(prog.Pkgs) != 4 {
+			t.Fatalf("tags=%v: loaded %d packages, want 4", tags, len(prog.Pkgs))
 		}
-	}
-	if flagged != 2 {
-		t.Errorf("flagged %d ThreadClock.LocalTS uses, want 2 (copy + address leak)", flagged)
-	}
-}
-
-// TestAllowlist verifies the accessordiscipline escape hatch: allowlisted
-// client packages may touch protected fields directly.
-func TestAllowlist(t *testing.T) {
-	a := NewAccessorDiscipline(defaultProtectedPkgs, map[string]bool{"client": true})
-	if got := runFixture(t, a, "accessor/..."); len(got) != 0 {
-		t.Errorf("allowlisted package still flagged:\n%s", strings.Join(got, "\n"))
+		for _, pkg := range prog.Pkgs {
+			scope := pkg.Types.Scope()
+			for _, name := range scope.Names() {
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						t.Errorf("tags=%v: %s.%s exports field %s; keep metadata behind accessor methods",
+							tags, pkg.Name, name, f.Name())
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestRuleNamesAreStable pins the rule identifiers that ignore comments
 // and CI reference.
 func TestRuleNamesAreStable(t *testing.T) {
-	want := []string{"mixedatomic", "accessordiscipline", "txnpurity", "copylock", "privaccess", "yieldsite"}
+	want := []string{"mixedatomic", "txnpurity", "copylock", "privaccess", "yieldsite"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

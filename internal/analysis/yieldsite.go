@@ -22,8 +22,8 @@
 //   - A candidate passes if it contains a sched-visible yield: a call to
 //     failpoint.Eval or sched.Point (the explorer's seams), a spin
 //     package wait (Backoff.Wait, Until, Mutex.Lock), a module method
-//     named Wait (the contention managers' interface method, the ticket
-//     queues), or a module function that transitively reaches one.
+//     named Wait (an interface's Wait, the ticket queues), or a module
+//     function that transitively reaches one.
 //
 // Soundness limits (CORRECTNESS.md §12): a yield inside a nested function
 // literal counts even though the literal may never run; calls through
@@ -90,8 +90,8 @@ func isYieldPrimitive(p *Program) func(*types.Func) bool {
 				return true
 			}
 		}
-		// A module method named Wait: the contention managers' interface
-		// method (resolved abstractly), the ticket queues' turn waits.
+		// A module method named Wait: an interface's Wait (resolved
+		// abstractly), the ticket queues' turn waits.
 		if fn.Name() == "Wait" && p.declaredInModule(fn) {
 			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 				return true

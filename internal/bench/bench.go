@@ -191,16 +191,11 @@ type RunConfig struct {
 	Seed     uint64
 	// Tracker selects the incomplete-transaction tracker (ablations).
 	Tracker stm.TrackerKind
-	// CM selects the contention-management policy (ablations).
-	CM stm.CMPolicy
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
 	// Free selects the node-recycling policy (default FreeReclaim).
 	Free FreePolicy
-	// DisableSandbox turns off validate-before-dangerous-use checkpoints
-	// (ablations).
-	DisableSandbox bool
 	// ZipfTheta skews key choice across every workload: 0 means uniform
 	// (the paper's distribution); anything in (0, 1) draws keys from a
 	// Zipf(theta) distribution (YCSB convention — theta 0.99 is "zipfian").
@@ -277,14 +272,12 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		rc.Seed = defaultSeed
 	}
 	s, err := stm.New(stm.Config{
-		Algorithm:            rc.Algorithm,
-		HeapWords:            spec.HeapWords,
-		OrecCount:            spec.OrecCount,
-		MaxThreads:           rc.Threads,
-		Tracker:              rc.Tracker,
-		ContentionManager:    rc.CM,
-		MaxAttempts:          rc.MaxAttempts,
-		DisableSandboxChecks: rc.DisableSandbox,
+		Algorithm:   rc.Algorithm,
+		HeapWords:   spec.HeapWords,
+		OrecCount:   spec.OrecCount,
+		MaxThreads:  rc.Threads,
+		Tracker:     rc.Tracker,
+		MaxAttempts: rc.MaxAttempts,
 	})
 	if err != nil {
 		return nil, err

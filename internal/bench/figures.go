@@ -106,17 +106,12 @@ type HarnessConfig struct {
 	// Tracker selects the incomplete-transaction tracker for every cell
 	// (ablations; default is the slot tracker).
 	Tracker stm.TrackerKind
-	// CM selects the contention-management policy for every cell.
-	CM stm.CMPolicy
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
 	// Free selects the node-recycling policy for every cell (default
 	// FreeReclaim).
 	Free FreePolicy
-	// DisableSandbox turns off validate-before-dangerous-use checkpoints
-	// for every cell (ablation).
-	DisableSandbox bool
 	// ZipfTheta skews the key distribution for every cell (0 = uniform,
 	// the paper's setting; (0,1) = YCSB-style Zipf, larger is hotter).
 	ZipfTheta float64
@@ -143,8 +138,8 @@ func (hc *HarnessConfig) runConfig(alg stm.Algorithm, threads int, mix Mix) RunC
 	return RunConfig{
 		Algorithm: alg, Threads: threads, Mix: mix,
 		TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-		Tracker: hc.Tracker, CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-		DisableSandbox: hc.DisableSandbox, Free: hc.Free, ZipfTheta: hc.ZipfTheta,
+		Tracker: hc.Tracker, MaxAttempts: hc.MaxAttempts,
+		Free: hc.Free, ZipfTheta: hc.ZipfTheta,
 	}
 }
 

@@ -4,47 +4,23 @@ import (
 	"testing"
 	"time"
 
-	"privstm/internal/spin"
+	"privstm/internal/failpoint"
 )
-
-// countingCM records Wait/Reset calls so tests can pin Run's CM protocol.
-type countingCM struct {
-	waits  int
-	resets int
-}
-
-func (c *countingCM) Wait(*Thread) { c.waits++ }
-func (c *countingCM) Reset()       { c.resets++ }
-
-func TestParseCMPolicy(t *testing.T) {
-	for _, p := range []CMPolicy{CMBackoff, CMKarma, CMSerialize} {
-		got, err := ParseCMPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParseCMPolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParseCMPolicy("nope"); err == nil {
-		t.Error("ParseCMPolicy accepted garbage")
-	}
-}
 
 func TestAttemptLimit(t *testing.T) {
 	cases := []struct {
-		cm   CMPolicy
 		max  int
 		want int
 	}{
-		{CMBackoff, 0, DefaultMaxAttempts},
-		{CMBackoff, 5, 5},
-		{CMBackoff, -1, 0}, // escalation disabled
-		{CMKarma, 0, DefaultMaxAttempts},
-		{CMSerialize, 0, 1},
-		{CMSerialize, 99, 1}, // serialize escalates after the first abort regardless
+		{0, DefaultMaxAttempts},
+		{5, 5},
+		{1, 1},
+		{-1, 0}, // escalation disabled
 	}
 	for _, c := range cases {
-		rt := &Runtime{CMKind: c.cm, MaxAttempts: c.max}
+		rt := &Runtime{MaxAttempts: c.max}
 		if got := rt.attemptLimit(); got != c.want {
-			t.Errorf("attemptLimit(cm=%v, max=%d) = %d, want %d", c.cm, c.max, got, c.want)
+			t.Errorf("attemptLimit(max=%d) = %d, want %d", c.max, got, c.want)
 		}
 	}
 }
@@ -68,12 +44,19 @@ func newTestRTOpts(t *testing.T, opts Options) *Runtime {
 	return rt
 }
 
+// countCMWaits arms failpoint.CMWait, the site Run evaluates just before
+// each contention-management wait, and returns its hit counter.
+func countCMWaits(t *testing.T) func() uint64 {
+	failpoint.Set(failpoint.CMWait, nil)
+	t.Cleanup(failpoint.Reset)
+	return func() uint64 { return failpoint.Hits(failpoint.CMWait) }
+}
+
 func TestRunSkipsWaitBeforeEscalation(t *testing.T) {
 	rt := newTestRTOpts(t, Options{MaxAttempts: 3})
 	e := &fakeEngine{rt: rt, commitOK: true}
 	th, _ := rt.NewThread()
-	cm := &countingCM{}
-	th.cm = cm
+	waits := countCMWaits(t)
 	attempt := 0
 	if err := Run(e, th, func() {
 		attempt++
@@ -84,10 +67,10 @@ func TestRunSkipsWaitBeforeEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three aborts, then escalation: CM waits only between non-final
-	// attempts (after aborts 1 and 2, not after abort 3 — the satellite
-	// fix), and the serialized attempt commits.
-	if cm.waits != 2 {
-		t.Errorf("cm.Wait called %d times, want 2 (skipped before escalation)", cm.waits)
+	// attempts (after aborts 1 and 2, not after abort 3), and the
+	// serialized attempt commits.
+	if n := waits(); n != 2 {
+		t.Errorf("CM waited %d times, want 2 (skipped before escalation)", n)
 	}
 	if th.Stats.Serialized != 1 {
 		t.Errorf("Serialized = %d, want 1", th.Stats.Serialized)
@@ -104,8 +87,7 @@ func TestRunResetsCMAfterCommit(t *testing.T) {
 	rt := newTestRT(t, 2)
 	e := &fakeEngine{rt: rt, commitOK: true}
 	th, _ := rt.NewThread()
-	cm := &countingCM{}
-	th.cm = cm
+	waits := countCMWaits(t)
 	attempt := 0
 	if err := Run(e, th, func() {
 		attempt++
@@ -115,17 +97,22 @@ func TestRunResetsCMAfterCommit(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if cm.waits != 1 || cm.resets != 1 {
-		t.Errorf("waits=%d resets=%d, want 1/1 (CM state reset after commit)", cm.waits, cm.resets)
+	if n := waits(); n != 1 {
+		t.Errorf("CM waited %d times, want 1", n)
+	}
+	if n := th.cm.Attempts(); n != 0 {
+		t.Errorf("backoff left at attempt %d after commit, want 0 (reset)", n)
 	}
 }
 
-func TestSerializePolicyEscalatesImmediately(t *testing.T) {
-	rt := newTestRTOpts(t, Options{CM: CMSerialize})
+// TestMaxAttempts1SerializesImmediately pins the one-attempt budget: the
+// first abort escalates straight to the serialized fallback, with no
+// contention-management wait before it.
+func TestMaxAttempts1SerializesImmediately(t *testing.T) {
+	rt := newTestRTOpts(t, Options{MaxAttempts: 1})
 	e := &fakeEngine{rt: rt, commitOK: true}
 	th, _ := rt.NewThread()
-	cm := &countingCM{}
-	th.cm = cm
+	waits := countCMWaits(t)
 	attempt := 0
 	if err := Run(e, th, func() {
 		attempt++
@@ -135,11 +122,11 @@ func TestSerializePolicyEscalatesImmediately(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if cm.waits != 0 {
-		t.Errorf("CMSerialize waited %d times, want 0", cm.waits)
+	if n := waits(); n != 0 {
+		t.Errorf("MaxAttempts 1 waited %d times, want 0", n)
 	}
-	if th.Stats.Serialized != 1 {
-		t.Errorf("Serialized = %d, want 1", th.Stats.Serialized)
+	if th.Stats.Serialized != 1 || th.Stats.Aborts != 1 {
+		t.Errorf("serialized=%d aborts=%d, want 1/1", th.Stats.Serialized, th.Stats.Aborts)
 	}
 }
 
@@ -199,44 +186,5 @@ func TestDrainOthersWaitsForActiveThreads(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("drainOthers never returned after the rival left")
-	}
-}
-
-func TestKarmaCMExemptsRichTransactionsFromSleep(t *testing.T) {
-	rt := newTestRTOpts(t, Options{CM: CMKarma})
-	th, _ := rt.NewThread()
-	cm, ok := th.cm.(*karmaCM)
-	if !ok {
-		t.Fatalf("CMKarma runtime built %T", th.cm)
-	}
-	// Poor transaction deep in the backoff schedule: Wait sleeps and the
-	// schedule keeps advancing.
-	cm.b.Skip(40)
-	cm.Wait(th)
-	if got := cm.b.Attempts(); got != 41 {
-		t.Fatalf("poor Wait left attempts=%d, want 41", got)
-	}
-	cm.Reset()
-
-	// Rich transaction: invested work crosses the exemption threshold, so a
-	// Wait that would enter the sleep phase resets to the busy phase instead
-	// of parking.
-	for i := 0; i < karmaSleepExempt; i++ {
-		th.Undo.Add(0, 0)
-	}
-	cm.b.Skip(40)
-	cm.Wait(th)
-	if cm.karma < karmaSleepExempt {
-		t.Fatalf("karma = %d, want >= %d", cm.karma, karmaSleepExempt)
-	}
-	if got := cm.b.Attempts(); got != 1 {
-		t.Fatalf("rich Wait left attempts=%d, want 1 (reset instead of sleeping)", got)
-	}
-	if cm.b.Phase() != spin.PhaseBusy {
-		t.Fatalf("rich Wait left phase %v, want busy", cm.b.Phase())
-	}
-	cm.Reset()
-	if cm.karma != 0 {
-		t.Errorf("Reset kept karma %d", cm.karma)
 	}
 }

@@ -194,24 +194,31 @@ func TestGraceAdaptation(t *testing.T) {
 		t.Fatal("grace should start at 0")
 	}
 	for want := uint64(1); want <= DefaultMaxGrace; want *= 2 {
-		raiseGrace(o, GraceExponential, rt.MaxGrace)
+		raiseGrace(o, rt.MaxGrace)
 		if got := o.Grace().Load(); got != want {
 			t.Fatalf("grace = %d, want %d", got, want)
 		}
 	}
-	raiseGrace(o, GraceExponential, rt.MaxGrace)
+	raiseGrace(o, rt.MaxGrace)
 	if got := o.Grace().Load(); got != DefaultMaxGrace {
 		t.Errorf("grace exceeded cap: %d", got)
 	}
-	lowerGrace(o, GraceExponential)
+	lowerGrace(o)
 	if got := o.Grace().Load(); got != DefaultMaxGrace/2 {
 		t.Errorf("grace after halve = %d", got)
 	}
 	for i := 0; i < 20; i++ {
-		lowerGrace(o, GraceExponential)
+		lowerGrace(o)
 	}
 	if got := o.Grace().Load(); got != 0 {
 		t.Errorf("grace floor = %d, want 0", got)
+	}
+	// A cap that is not a power of two clips the doubling that would pass it.
+	for i := 0; i < 100; i++ {
+		raiseGrace(o, 100)
+	}
+	if got := o.Grace().Load(); got != 100 {
+		t.Errorf("grace = %d, want cap 100", got)
 	}
 }
 

@@ -44,7 +44,7 @@ func (t *Thread) readerConflictScan(adaptGrace bool) (threshold uint64, conflict
 			threshold = rts
 		}
 		if adaptGrace {
-			t.Stats.GraceRaces += lowerGrace(o, t.RT.GraceStrategy)
+			t.Stats.GraceRaces += lowerGrace(o)
 		}
 	}
 	return threshold, conflict

@@ -2,53 +2,46 @@ package core
 
 import "testing"
 
+// TestGraceStrategies pins the exponential adaptation step by step: a raise
+// doubles (0 becomes 1), a lower halves, and halving rounds down to 0.
 func TestGraceStrategies(t *testing.T) {
 	cases := []struct {
-		strat      GraceStrategy
 		upSteps    []uint64 // expected values after successive raises from 0
 		downFrom   uint64
 		downResult uint64
 	}{
-		{GraceExponential, []uint64{1, 2, 4, 8, 16}, 16, 8},
-		{GraceLinear, []uint64{16, 32, 48, 64, 80}, 16, 0},
-		{GraceHybrid, []uint64{16, 32, 48, 64, 80}, 16, 8},
+		{[]uint64{1, 2, 4, 8, 16}, 16, 8},
+		{[]uint64{1, 2, 4}, 5, 2},
+		{[]uint64{1}, 1, 0},
 	}
 	for _, c := range cases {
 		rt := newTestRT(t, 2)
 		o := rt.Orecs.At(0)
 		for i, want := range c.upSteps {
-			raiseGrace(o, c.strat, DefaultMaxGrace)
+			raiseGrace(o, DefaultMaxGrace)
 			if got := o.Grace().Load(); got != want {
-				t.Errorf("strategy %v raise %d: grace = %d, want %d", c.strat, i, got, want)
+				t.Errorf("raise %d: grace = %d, want %d", i, got, want)
 			}
 		}
 		o.Grace().Store(c.downFrom)
-		lowerGrace(o, c.strat)
+		lowerGrace(o)
 		if got := o.Grace().Load(); got != c.downResult {
-			t.Errorf("strategy %v lower from %d: grace = %d, want %d", c.strat, c.downFrom, got, c.downResult)
+			t.Errorf("lower from %d: grace = %d, want %d", c.downFrom, got, c.downResult)
 		}
 	}
 }
 
+// TestGraceStrategyCap checks that repeated raises stop at the cap, whether
+// the cap is a power of two the doubling lands on or one it would pass.
 func TestGraceStrategyCap(t *testing.T) {
-	for _, strat := range []GraceStrategy{GraceExponential, GraceLinear, GraceHybrid} {
+	for _, limit := range []uint64{64, 100} {
 		rt := newTestRT(t, 2)
 		o := rt.Orecs.At(0)
 		for i := 0; i < 100; i++ {
-			raiseGrace(o, strat, 64)
+			raiseGrace(o, limit)
 		}
-		if got := o.Grace().Load(); got != 64 {
-			t.Errorf("strategy %v: grace = %d, want cap 64", strat, got)
+		if got := o.Grace().Load(); got != limit {
+			t.Errorf("grace = %d, want cap %d", got, limit)
 		}
-	}
-}
-
-func TestGraceLinearFloor(t *testing.T) {
-	rt := newTestRT(t, 2)
-	o := rt.Orecs.At(0)
-	o.Grace().Store(5) // below one linear step
-	lowerGrace(o, GraceLinear)
-	if got := o.Grace().Load(); got != 0 {
-		t.Errorf("grace = %d, want floor 0", got)
 	}
 }

@@ -44,8 +44,8 @@ func (t *Thread) ConflictAbort() { panic(conflictSignal{}) }
 func (t *Thread) UserCancel(err error) { panic(cancelSignal{err: err}) }
 
 // Run executes body as a transaction on engine e, retrying on conflict
-// under the configured contention-management policy. It returns nil on
-// commit, or the error passed to UserCancel if the body cancelled itself.
+// after a backoff wait between attempts. It returns nil on commit, or the
+// error passed to UserCancel if the body cancelled itself.
 //
 // Run sandboxes the body, JudoSTM-style (§IV): if the body panics for any
 // reason other than the internal signals while its read set is invalid, the
@@ -62,9 +62,6 @@ func (t *Thread) UserCancel(err error) { panic(cancelSignal{err: err}) }
 // pathological contention. No CM wait is inserted between the final failed
 // attempt and the escalation: the token acquisition is the wait.
 func Run(e Engine, t *Thread, body func()) error {
-	if t.cm == nil {
-		t.cm = &backoffCM{} // descriptors built outside NewThread (tests)
-	}
 	t.Attempts = 0
 	limit := t.RT.attemptLimit()
 	for {
@@ -81,7 +78,7 @@ func Run(e Engine, t *Thread, body func()) error {
 			return runSerialized(e, t, body)
 		}
 		failpoint.Eval(failpoint.CMWait)
-		t.cm.Wait(t)
+		t.cm.Wait()
 	}
 }
 

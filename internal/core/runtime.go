@@ -59,26 +59,7 @@ type Options struct {
 	// at wts itself made an opted-in fence wait for begin > wts: for some
 	// other thread to tick the clock, not for its readers.
 	CapFenceAtCommit bool
-	// GraceStrategy selects the §III-A adaptation family (default:
-	// exponential, the paper's choice).
-	GraceStrategy GraceStrategy
-	// DisableSandboxChecks turns off the validate-before-dangerous-use
-	// sandbox checkpoints (Thread.ValidateBeforeUse): doomed transactions
-	// then rely solely on commit-time validation and Run's panic sandbox,
-	// the pre-reclamation behaviour. Kept for ablations; unsafe to combine
-	// with uninstrumented access to txn-read pointers.
-	DisableSandboxChecks bool
-	// ReclaimPoison makes the epoch-based reclaimer overwrite quarantined
-	// words with the reclaim.Poison sentinel (debug mode: use-after-reclaim
-	// fails loudly and the explorer's poisoned-memory oracle can see it).
-	ReclaimPoison bool
-	// ReclaimCollectEvery is the reclaimer's amortization period in retires
-	// per thread (0 ⇒ reclaim.DefaultCollectEvery).
-	ReclaimCollectEvery int
 
-	// CM selects the contention-management policy applied between retry
-	// attempts (default CMBackoff).
-	CM CMPolicy
 	// MaxAttempts is the abort budget before a transaction escalates to
 	// the serialized-irrevocable fallback: 0 means DefaultMaxAttempts,
 	// negative disables escalation (the pre-robustness behaviour).
@@ -135,10 +116,7 @@ type Runtime struct {
 	MaxGrace         uint64
 	HybridThreshold  int
 	CapFenceAtCommit bool
-	NoSandboxChecks  bool // validate-before-use sandbox disabled (ablation)
-	GraceStrategy    GraceStrategy
 
-	CMKind         CMPolicy
 	MaxAttempts    int
 	StallThreshold int
 	OnStall        func(StallInfo)
@@ -188,9 +166,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		MaxGrace:         opts.MaxGrace,
 		HybridThreshold:  opts.HybridThreshold,
 		CapFenceAtCommit: opts.CapFenceAtCommit,
-		NoSandboxChecks:  opts.DisableSandboxChecks,
-		GraceStrategy:    opts.GraceStrategy,
-		CMKind:           opts.CM,
 		MaxAttempts:      opts.MaxAttempts,
 		StallThreshold:   opts.StallThreshold,
 		OnStall:          opts.OnStall,
@@ -208,11 +183,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	// bind it through a closure so tests that swap trackers keep working.
 	rt.Reclaim = reclaim.New(rt.Heap,
 		func() (uint64, bool) { return rt.Active.OldestBegin() },
-		reclaim.Config{
-			Threads:      opts.MaxThreads,
-			CollectEvery: opts.ReclaimCollectEvery,
-			Poison:       opts.ReclaimPoison,
-		})
+		reclaim.Config{Threads: opts.MaxThreads})
 	// Start time at 1 so that a zeroed vis word (rts = 0) can never read
 	// as a hint covering a live transaction: every begin timestamp is ≥ 1.
 	rt.Clock.Tick()
@@ -241,7 +212,6 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 		}
 	}
 	t := &Thread{RT: rt, ID: uint64(id), Rl: rt.Reclaim.Local(int(id))}
-	t.cm = rt.newCM()
 	rt.threads[id].Store(t)
 	return t, nil
 }

@@ -9,6 +9,7 @@ import (
 	"privstm/internal/logs"
 	"privstm/internal/orec"
 	"privstm/internal/reclaim"
+	"privstm/internal/spin"
 	"privstm/internal/stats"
 	"privstm/internal/txnlist"
 )
@@ -106,9 +107,8 @@ type Thread struct {
 	// test sets it.
 	noMemo bool
 
-	// cm is the configured contention-management policy (cm.go), consulted
-	// by Run between attempts.
-	cm contentionManager
+	// cm is the backoff Run waits on between attempts (cm.go).
+	cm spin.Backoff
 
 	// pub publishes (beginTS<<1 | active) for other threads: the liveness
 	// checks in the visibility protocol (§II-E) and the validation fence
@@ -278,13 +278,8 @@ func (t *Thread) ValidateReads() bool {
 // writer committed?" test is NOT a sound substitute for the in-place
 // (undo-log) engines, whose rivals invalidate a read set by acquiring
 // orecs and writing in place without moving the clock or the ordering
-// counters. The disabled path (Runtime.NoSandboxChecks, the
-// Config.DisableSandboxChecks ablation) is one field load and performs no
-// allocation (pinned by TestSandboxDisabledAllocates0).
+// counters.
 func (t *Thread) ValidateBeforeUse() {
-	if t.RT.NoSandboxChecks {
-		return
-	}
 	t.Stats.SandboxValidations++
 	if !t.ValidateReads() {
 		t.ConflictAbort()

@@ -74,7 +74,7 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool) {
 		t.Stats.PVUpdates++
 		t.VisPub.Add(o, orec.VisRTS(nv))
 		if useGrace {
-			t.Stats.GraceRaces += raiseGrace(o, rt.GraceStrategy, rt.MaxGrace)
+			t.Stats.GraceRaces += raiseGrace(o, rt.MaxGrace)
 		}
 		return
 	}
@@ -121,28 +121,6 @@ func (t *Thread) publishedHere(o *orec.Orec, rts uint64) bool {
 	return t.VisPub.Contains(o, rts)
 }
 
-// GraceStrategy selects how per-orec grace periods adapt. §III-A settles
-// on exponential increase and decrease after experimenting "with other
-// strategies such as linear increase and decrease of grace periods, and
-// some hybrids"; all three families are implemented so that the ablation
-// benchmarks can reproduce that comparison.
-type GraceStrategy int
-
-const (
-	// GraceExponential doubles on success, halves on conflict (the
-	// paper's choice, and the default).
-	GraceExponential GraceStrategy = iota
-	// GraceLinear adds/subtracts a fixed step (16 clock ticks).
-	GraceLinear
-	// GraceHybrid increases linearly but backs off exponentially — the
-	// AIMD-style hybrid.
-	GraceHybrid
-)
-
-// graceLinearStep is the additive step for the linear and hybrid
-// strategies.
-const graceLinearStep = 16
-
 // graceCASRetries bounds the grace adapters' compare-and-swap loops.
 // Adaptation is a heuristic, so abandoning an update after a few lost
 // races is harmless — but each *individual* update must be a real
@@ -155,24 +133,16 @@ const graceLinearStep = 16
 // how often adaptation actually contends.
 const graceCASRetries = 4
 
-// raiseGrace grows o's grace period after a successful visibility update,
-// per the runtime's strategy, up to maxGrace. It returns the number of
-// CAS attempts lost to concurrent adapters (for stats.GraceRaces).
-func raiseGrace(o *orec.Orec, strat GraceStrategy, maxGrace uint64) (races uint64) {
+// raiseGrace doubles o's grace period after a successful visibility
+// update, up to maxGrace: §III-A's exponential increase, the adaptation
+// the paper settles on after trying linear steps and hybrids. It returns
+// the number of CAS attempts lost to concurrent adapters (for
+// stats.GraceRaces).
+func raiseGrace(o *orec.Orec, maxGrace uint64) (races uint64) {
 	failpoint.Eval(failpoint.GraceRaise)
 	for {
 		g := o.Grace().Load()
-		ng := g
-		switch strat {
-		case GraceLinear, GraceHybrid:
-			ng += graceLinearStep
-		default:
-			if ng == 0 {
-				ng = 1
-			} else {
-				ng *= 2
-			}
-		}
+		ng := max(2*g, 1)
 		if ng > maxGrace {
 			ng = maxGrace
 		}
@@ -185,24 +155,14 @@ func raiseGrace(o *orec.Orec, strat GraceStrategy, maxGrace uint64) (races uint6
 	}
 }
 
-// lowerGrace shrinks o's grace period when a writer detects a (possibly
+// lowerGrace halves o's grace period when a writer detects a (possibly
 // false-positive) reader conflict through o. Bounded-retry CAS like
 // raiseGrace; returns the number of lost attempts.
-func lowerGrace(o *orec.Orec, strat GraceStrategy) (races uint64) {
+func lowerGrace(o *orec.Orec) (races uint64) {
 	failpoint.Eval(failpoint.GraceLower)
 	for {
 		g := o.Grace().Load()
-		ng := g
-		switch strat {
-		case GraceLinear:
-			if ng >= graceLinearStep {
-				ng -= graceLinearStep
-			} else {
-				ng = 0
-			}
-		default:
-			ng /= 2
-		}
+		ng := g / 2
 		if ng == g || o.Grace().CompareAndSwap(g, ng) {
 			return races
 		}

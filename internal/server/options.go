@@ -137,8 +137,8 @@ func WithBuckets(buckets, stripes int) Option {
 	}
 }
 
-// WithSTMConfig supplies the underlying stm.Config template (clock mode,
-// contention manager, MaxAttempts escalation budget, heap size, …).
+// WithSTMConfig supplies the underlying stm.Config template (MaxAttempts
+// escalation budget, heap size, orec count, …).
 // Algorithm and MaxThreads are managed by the server: set the algorithm
 // with WithAlgorithm; MaxThreads is WithWorkers.
 func WithSTMConfig(cfg stm.Config) Option {

@@ -46,28 +46,6 @@ const (
 	maxSleepUS = 1024 // cap for a sleep-phase request, microseconds
 )
 
-// Phase identifies which backoff regime the next Wait call will use.
-type Phase int
-
-// The backoff phases, in escalation order.
-const (
-	PhaseBusy  Phase = iota // pure spinning
-	PhaseYield              // cooperative Gosched
-	PhaseSleep              // timed sleeps
-)
-
-// Phase reports the regime the next Wait will run in.
-func (b *Backoff) Phase() Phase {
-	switch {
-	case b.attempts < busySpins:
-		return PhaseBusy
-	case b.attempts < busySpins+yieldSpins:
-		return PhaseYield
-	default:
-		return PhaseSleep
-	}
-}
-
 // Wait performs one backoff step. Callers invoke it once per failed
 // attempt of the guarded condition.
 func (b *Backoff) Wait() {

@@ -34,27 +34,6 @@ func TestBackoffPhases(t *testing.T) {
 	}
 }
 
-func TestPhaseProgression(t *testing.T) {
-	var b Backoff
-	for i := 0; i < busySpins+yieldSpins+4; i++ {
-		want := PhaseSleep
-		switch {
-		case i < busySpins:
-			want = PhaseBusy
-		case i < busySpins+yieldSpins:
-			want = PhaseYield
-		}
-		if got := b.Phase(); got != want {
-			t.Fatalf("attempt %d: Phase = %v, want %v", i, got, want)
-		}
-		b.Skip(1) // advance without actually sleeping
-	}
-	b.Reset()
-	if b.Phase() != PhaseBusy {
-		t.Error("Reset did not return to the busy phase")
-	}
-}
-
 func TestSleepCapClampsSleepPhase(t *testing.T) {
 	var b Backoff
 	b.Skip(busySpins + yieldSpins + 20) // deep into the sleep phase

@@ -160,14 +160,6 @@ type Config struct {
 	// began before the commit's clock tick — eliminating the grace-period
 	// "extended delays" of §III-A (a §II-D future-work optimization).
 	CapFenceAtCommit bool
-	// GraceStrategy selects how grace periods adapt (§III-A): the
-	// default GraceExponential is the paper's choice; GraceLinear and
-	// GraceHybrid reproduce the alternatives the authors report trying.
-	GraceStrategy GraceStrategy
-	// ContentionManager selects the policy applied between retry attempts
-	// of an aborted transaction: CMBackoff (default), CMKarma, or
-	// CMSerialize.
-	ContentionManager CMPolicy
 	// MaxAttempts is the abort budget before a transaction escalates to
 	// the serialized-irrevocable fallback (global token, drained rivals,
 	// guaranteed commit): 0 means DefaultMaxAttempts, negative disables
@@ -180,21 +172,6 @@ type Config struct {
 	// OnStall is invoked once per detected fence stall; nil selects the
 	// default log line. It runs on the fenced thread: keep it cheap.
 	OnStall func(StallInfo)
-	// DisableSandboxChecks turns off the validate-before-dangerous-use
-	// sandbox checkpoints (Tx.Div, Tx.LoadPriv, the wild-address guards on
-	// the read and in-place write paths): doomed transactions then rely
-	// solely on commit-time validation and the panic sandbox of Atomic.
-	// Kept for ablations (stmbench -nosandbox); unsafe to combine with
-	// uninstrumented access to transactionally-read pointers.
-	DisableSandboxChecks bool
-	// ReclaimPoison makes the epoch-based reclaimer overwrite every
-	// quarantined word with the reclaim.Poison sentinel, so a
-	// use-after-reclaim fails loudly instead of silently consuming stale
-	// data. Debug mode: leave it off in production runs.
-	ReclaimPoison bool
-	// ReclaimCollectEvery is the reclaimer's amortization period in retires
-	// per thread (0 = default).
-	ReclaimCollectEvery int
 }
 
 // TrackerKind re-exports the incomplete-transaction tracker selector.
@@ -205,20 +182,6 @@ const (
 	TrackerSlot = core.TrackerSlot
 	TrackerList = core.TrackerList
 )
-
-// CMPolicy re-exports the contention-management policy selector.
-type CMPolicy = core.CMPolicy
-
-// The contention-management policies (Config.ContentionManager).
-const (
-	CMBackoff   = core.CMBackoff
-	CMKarma     = core.CMKarma
-	CMSerialize = core.CMSerialize
-)
-
-// ParseCMPolicy maps a flag spelling ("backoff", "karma", "serialize")
-// back to its CMPolicy.
-func ParseCMPolicy(s string) (CMPolicy, error) { return core.ParseCMPolicy(s) }
 
 // DefaultMaxAttempts re-exports the default abort budget before
 // serialized-irrevocable escalation.
@@ -231,16 +194,6 @@ type StallInfo = core.StallInfo
 const (
 	FencePrivatization = core.FencePrivatization
 	FenceValidation    = core.FenceValidation
-)
-
-// GraceStrategy re-exports the §III-A adaptation families.
-type GraceStrategy = core.GraceStrategy
-
-// The grace adaptation strategies of §III-A.
-const (
-	GraceExponential = core.GraceExponential
-	GraceLinear      = core.GraceLinear
-	GraceHybrid      = core.GraceHybrid
 )
 
 // STM is one transactional memory instance: a heap, its metadata, and an
@@ -264,15 +217,9 @@ func New(cfg Config) (*STM, error) {
 		HybridThreshold:  cfg.HybridThreshold,
 		Tracker:          cfg.Tracker,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
-		GraceStrategy:    cfg.GraceStrategy,
-		CM:               cfg.ContentionManager,
 		MaxAttempts:      cfg.MaxAttempts,
 		StallThreshold:   cfg.StallThreshold,
 		OnStall:          cfg.OnStall,
-
-		DisableSandboxChecks: cfg.DisableSandboxChecks,
-		ReclaimPoison:        cfg.ReclaimPoison,
-		ReclaimCollectEvery:  cfg.ReclaimCollectEvery,
 	})
 	if err != nil {
 		return nil, err
@@ -559,9 +506,7 @@ func (tx *Tx) Div(n, d Word) Word {
 // transaction is about to privatize and traverse without instrumentation).
 // The sandbox validates the read set first — a doomed attempt retries here
 // instead of consuming reclaimed or poisoned memory — and bounds-checks
-// the address; only then is the plain load issued. With
-// Config.DisableSandboxChecks the validation is skipped and the caller
-// inherits the torn-pointer hazard.
+// the address; only then is the plain load issued.
 func (tx *Tx) LoadPriv(a Addr) Word {
 	t := tx.th.t
 	t.ValidateBeforeUse()
