@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-json bench-smoke bench-readpath bench-readpath-smoke bench-reclaim bench-tds bench-tds-smoke bench-remote-smoke benchmark-smoke figures privtest run-stmd stress cover clean lint lint-json
+.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures privtest run-stmd stress cover clean lint lint-json
 
 all: build test lint
 
@@ -22,20 +22,28 @@ test:
 
 # STM-specific static checks (see internal/analysis and CORRECTNESS.md
 # "Static checks" / §12): atomic access discipline, transaction-body
-# purity, lock-copy freedom, privatization safety (privaccess), wait-loop
-# yield discipline (yieldsite). Runs the
-# build-tag matrix: the default file set carries the committed baseline
-# and its shrink-only ratchet; each *_race set re-lints its tagged
-# variant (ratchet off there — a default-set baseline entry would read as
-# stale under other tags).
+# purity, privatization safety (privaccess), wait-loop yield discipline
+# (yieldsite). Runs the build-tag matrix: the default file set carries the
+# committed baseline and its shrink-only ratchet; each *_race set re-lints
+# its tagged variant (ratchet off there — a default-set baseline entry
+# would read as stale under other tags). Copying orecs, spin mutexes or
+# other atomic-bearing metadata by value is go vet's copylocks check, run
+# on every cell too.
 lint:
 	$(GO) run ./cmd/stmlint -baseline stmlint.baseline ./...
+	$(GO) vet -copylocks ./...
 	$(GO) run ./cmd/stmlint -tags privstm_watermark_race -ratchet=false ./...
+	$(GO) vet -copylocks -tags privstm_watermark_race ./...
 	$(GO) run ./cmd/stmlint -tags privstm_reclaim_race -ratchet=false ./...
+	$(GO) vet -copylocks -tags privstm_reclaim_race ./...
 	$(GO) run ./cmd/stmlint -tags privstm_semlock_race -ratchet=false ./...
+	$(GO) vet -copylocks -tags privstm_semlock_race ./...
 	$(GO) run ./cmd/stmlint -tags privstm_semrevalidate_race -ratchet=false ./...
+	$(GO) vet -copylocks -tags privstm_semrevalidate_race ./...
 	$(GO) run ./cmd/stmlint -tags privstm_storevis_race -ratchet=false ./...
+	$(GO) vet -copylocks -tags privstm_storevis_race ./...
 	$(GO) run ./cmd/stmlint -tags privstm_undoaba_race -ratchet=false ./...
+	$(GO) vet -copylocks -tags privstm_undoaba_race ./...
 
 # Machine-readable findings for the CI artifact (default tag set).
 lint-json:
@@ -98,64 +106,10 @@ explore-tds:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Commit-path baseline for regression checks: the figures most sensitive
-# to the oldest-begin tracker and snapshot extension (3e, 3g, t1), as a
-# JSON file comparable with `go run ./cmd/stmbench -compare old new`.
-bench-json:
-	$(GO) run ./cmd/stmbench -fig 3e,3g,t1 -reps 3 -json BENCH_commitpath.json
-
 # Single-iteration pass over the hot-path benchmarks; catches bit-rot
 # without paying for a real measurement run (used by CI).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./internal/bench ./internal/txnlist ./internal/sched
-
-# Reclamation-overhead baseline: the paired A/B sweep (epoch reclaimer
-# interleaved with a same-seed legacy-pool run of the same engine) on the
-# high-free-rate write-heavy hashtable. Reclaim cells land in
-# BENCH_reclaim.json (median-of-pairs deltas embedded), pool sides in
-# BENCH_reclaim_baseline.json.
-bench-reclaim:
-	$(GO) run ./cmd/stmbench -reclaimsweep -threads 1,2,4 -pairs 5 -dur 150ms \
-		-json BENCH_reclaim.json -basejson BENCH_reclaim_baseline.json
-
-# Semantic-structure baseline: the paired A/B sweep (internal/tds map+queue
-# interleaved with same-seed tlib word-level runs) on the Zipf-skewed mixed
-# producer/consumer workload. tds cells land in BENCH_tds.json
-# (median-of-pairs deltas and per-structure abort attribution embedded),
-# tlib sides in BENCH_tds_baseline.json. The trailing -tdscheck pins the
-# acceptance criterion: at 8 threads on the in-place privatization-safe
-# engine, the tds map's abort rate is strictly lower than tlib's and
-# aggregate throughput at least 1.15x.
-bench-tds:
-	$(GO) run ./cmd/stmbench -tdssweep -threads 2,8 -txns 50000 -pairs 3 -zipf 0.8 \
-		-json BENCH_tds.json -basejson BENCH_tds_baseline.json
-	$(GO) run ./cmd/stmbench -tdscheck BENCH_tds.json BENCH_tds_baseline.json
-
-# CI guard for the semantic layer: exercise the sweep path end-to-end at a
-# tiny size (no acceptance gate — single short runs on a shared CI host are
-# scheduler weather), then hold the committed artifacts to the acceptance
-# criterion so a regressed re-measurement cannot land quietly.
-bench-tds-smoke:
-	$(GO) run ./cmd/stmbench -tdssweep -algos pvrStore -threads 2 -txns 1000 -pairs 1 -zipf 0.8
-	$(GO) run ./cmd/stmbench -tdscheck BENCH_tds.json BENCH_tds_baseline.json
-
-# Read-path baseline for regression checks: the figures most sensitive to
-# MakeVisible cost (read-mostly hashtable 3a and long-traversal multi-list
-# 3g) plus the MakeVisible microbenchmarks, comparable against the
-# committed BENCH_readpath_baseline.json.
-bench-readpath:
-	$(GO) run ./cmd/stmbench -fig 3a,3g -threads 1,2,4,8 -reps 5 -micro -json BENCH_readpath.json
-
-# CI guard: run the read-path micros once (exercises the zero-alloc
-# assertions in-process) and compare a quick figure pass against the
-# committed baseline with a generous tolerance — catches order-of-magnitude
-# regressions, not scheduler noise. 60% leaves headroom over the known
-# ~1 ns MakeVisibleCovered delta (EXPERIMENTS.md), which can read as a
-# large percentage of a 3 ns benchmark on a slower CI host.
-bench-readpath-smoke:
-	$(GO) test -bench 'BenchmarkMakeVisible' -benchtime 1x ./internal/bench
-	$(GO) run ./cmd/stmbench -fig 3a,3g -threads 1,2 -reps 2 -micro -json /tmp/readpath_ci.json
-	$(GO) run ./cmd/stmbench -compare -tolerance 60 BENCH_readpath_baseline.json /tmp/readpath_ci.json
 
 # Regenerate every evaluation figure (CI scale; see EXPERIMENTS.md for
 # paper-scale invocations).

@@ -30,12 +30,10 @@ func TestCrossValidateAccepts(t *testing.T) {
 		{"figure with mix and algos", set("fig", "mix", "algos"), flagValues{fig: "3a"}},
 		{"remote with its modifiers", set("remote", "conns", "keys", "batch", "remotemix", "tenants", "zipf", "json", "dur", "seed"),
 			flagValues{remote: ":7077"}},
-		{"reclaimsweep with pairs and basejson", set("reclaimsweep", "pairs", "basejson"),
-			flagValues{reclaim: true}},
-		{"tdssweep with zipf", set("tdssweep", "zipf", "pairs"), flagValues{tdssweep: true}},
-		{"compare with tolerance", set("compare", "tolerance"), flagValues{compare: true}},
-		{"tdscheck with knobs", set("tdscheck", "tdsthreads", "tdsgain"), flagValues{tdscheck: true}},
-		{"micro alone", set("micro"), flagValues{micro: true}},
+		{"figure with its harness knobs", set("fig", "threads", "txns", "scale", "reps", "tracker", "maxattempts", "csv", "json", "seed"),
+			flagValues{fig: "3e"}},
+		{"list alone", set("list"), flagValues{list: true}},
+		{"empty fig with list", set("fig", "list"), flagValues{list: true}},
 		{"zipf on a figure", set("fig", "zipf"), flagValues{fig: "3e"}},
 	}
 	for _, tc := range cases {
@@ -52,14 +50,12 @@ func TestCrossValidateRejects(t *testing.T) {
 		v    flagValues
 		want string // substring of the error
 	}{
-		{"remote and tdssweep", set("remote", "tdssweep"),
-			flagValues{remote: ":7077", tdssweep: true}, "conflicting modes"},
 		{"remote and fig", set("remote", "fig"),
 			flagValues{remote: ":7077", fig: "3a"}, "conflicting modes"},
-		{"compare and tdscheck", set("compare", "tdscheck"),
-			flagValues{compare: true, tdscheck: true}, "conflicting modes"},
-		{"list and reclaimsweep", set("list", "reclaimsweep"),
-			flagValues{list: true, reclaim: true}, "conflicting modes"},
+		{"remote and list", set("remote", "list"),
+			flagValues{remote: ":7077", list: true}, "conflicting modes"},
+		{"list and fig", set("list", "fig"),
+			flagValues{list: true, fig: "3a"}, "conflicting modes"},
 		{"remote with tracker", set("remote", "tracker"),
 			flagValues{remote: ":7077"}, "-tracker"},
 		{"remote with threads", set("remote", "threads"),
@@ -72,18 +68,12 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{fig: "3a"}, "-conns"},
 		{"tenants without remote", set("tenants"),
 			flagValues{list: true}, "-tenants"},
-		{"batch without remote", set("micro", "batch"),
-			flagValues{micro: true}, "-batch"},
-		{"pairs without a sweep", set("fig", "pairs"),
-			flagValues{fig: "3a"}, "-pairs"},
-		{"basejson without a sweep", set("fig", "basejson"),
-			flagValues{fig: "3a"}, "-basejson"},
-		{"mix with a sweep", set("tdssweep", "mix"),
-			flagValues{tdssweep: true}, "-mix"},
-		{"tdsthreads without tdscheck", set("fig", "tdsthreads"),
-			flagValues{fig: "3a"}, "-tdsthreads"},
-		{"tolerance without compare", set("fig", "tolerance"),
-			flagValues{fig: "3a"}, "-tolerance"},
+		{"batch without remote", set("fig", "batch"),
+			flagValues{fig: "3a"}, "-batch"},
+		{"remote with mix", set("remote", "mix"),
+			flagValues{remote: ":7077"}, "-mix"},
+		{"stray positional argument", set("fig"),
+			flagValues{fig: "3a", args: []string{"old.json"}}, "old.json"},
 	}
 	for _, tc := range cases {
 		err := crossValidate(tc.set, tc.v)

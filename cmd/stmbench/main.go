@@ -2,6 +2,7 @@
 // of Figure 3 (throughput vs. thread count for eight STM systems) and
 // Figure 4 (privatization-fence and visible-read statistics for pvrBase vs.
 // pvrCAS), plus the single-thread overhead comparison quoted in §V's text.
+// With -remote it instead loads a running stmd over the wire protocol.
 //
 // Examples:
 //
@@ -10,7 +11,6 @@
 //	stmbench -fig 3e,3g,t1 -json out.json
 //	stmbench -fig 3c -threads 1,2,4,8,16,32 -txns 100000
 //	stmbench -fig 3e -tracker list   # the paper's central-list tracker
-//	stmbench -compare old.json new.json        # per-cell throughput deltas
 //	stmbench -remote :7077 -conns 1000 -dur 5s # drive a running stmd
 //	stmbench -list                   # show the experiment index
 package main
@@ -40,23 +40,12 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "workload RNG seed (0 = default)")
 		list     = flag.Bool("list", false, "list the experiment index and exit")
 		csvPath  = flag.String("csv", "", "also write raw measurements to this CSV file")
-		jsonPath = flag.String("json", "", "also write raw measurements to this JSON file (for -compare)")
+		jsonPath = flag.String("json", "", "also write raw measurements to this JSON file")
 		algos    = flag.String("algos", "", "comma-separated curve filter (figure labels, e.g. TL2,pvrStore)")
 		mix      = flag.String("mix", "", "override op mix as insert/delete/lookup (e.g. 20/20/60)")
 		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot or list")
-		rsweep   = flag.Bool("reclaimsweep", false, "run the paired reclamation-overhead sweep (fig rcl); writes reclaim cells to -json, pool baselines to -basejson")
-		tsweep   = flag.Bool("tdssweep", false, "run the paired semantic-structure sweep (fig tds); writes tds cells to -json, tlib baselines to -basejson")
-		tcheck   = flag.Bool("tdscheck", false, "check tds acceptance: stmbench -tdscheck [-tdsthreads N] [-tdsgain X] tds.json tds_baseline.json")
-		tdsThrd  = flag.Int("tdsthreads", 8, "with -tdscheck: thread count of the acceptance cell")
-		tdsGain  = flag.Float64("tdsgain", 1.15, "with -tdscheck: required tds/tlib throughput ratio")
 		zipf     = flag.Float64("zipf", 0, "key-distribution skew for every cell: 0 = uniform, (0,1) = YCSB Zipf theta")
-		noRecl   = flag.Bool("noreclaim", false, "recycle nodes through the legacy per-thread pool instead of the epoch reclaimer")
-		pairs    = flag.Int("pairs", 3, "with a paired sweep: interleaved A/B pairs per cell")
-		baseJSON = flag.String("basejson", "", "with a paired sweep: write the baseline cells to this JSON file")
 		maxAtt   = flag.Int("maxattempts", 0, "abort budget before serialized-irrevocable escalation (0 = default, negative disables)")
-		micro    = flag.Bool("micro", false, "also run the read-path microbenchmarks (embedded in -json output)")
-		tol      = flag.Float64("tolerance", 0, "with -compare: exit nonzero if the worst delta is below -tolerance percent (0 = report only)")
-		compare  = flag.Bool("compare", false, "compare two -json files: stmbench -compare old.json new.json")
 		remote   = flag.String("remote", "", "drive a running stmd at this address instead of the in-process harness")
 		conns    = flag.Int("conns", 200, "with -remote: concurrent client connections")
 		keys     = flag.Int("keys", 1<<16, "with -remote: key-space size")
@@ -71,50 +60,9 @@ func main() {
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := crossValidate(explicit, flagValues{
-		remote:   *remote,
-		fig:      *figID,
-		compare:  *compare,
-		tdscheck: *tcheck,
-		list:     *list,
-		reclaim:  *rsweep,
-		tdssweep: *tsweep,
-		micro:    *micro,
-	}); err != nil {
+	if err := crossValidate(explicit, flagValues{remote: *remote, fig: *figID, list: *list, args: flag.Args()}); err != nil {
 		fmt.Fprintf(os.Stderr, "stmbench: %v\nstmbench: run with -h for flag usage\n", err)
 		os.Exit(2)
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "stmbench: -compare needs exactly two JSON files: old new")
-			os.Exit(2)
-		}
-		worst, err := bench.Compare(os.Stdout, flag.Arg(0), flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		if *tol > 0 && worst < -*tol {
-			fmt.Fprintf(os.Stderr, "stmbench: worst delta %+.1f%% exceeds tolerance -%.1f%%\n", worst, *tol)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tcheck {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "stmbench: -tdscheck needs exactly two JSON files: candidate baseline")
-			os.Exit(2)
-		}
-		err := bench.CheckTdsAcceptance(flag.Arg(0), flag.Arg(1), *tdsThrd, *tdsGain, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("tds acceptance OK: map abort rate improved and throughput >= %.2fx at %d threads\n",
-			*tdsGain, *tdsThrd)
-		return
 	}
 
 	if *list {
@@ -124,8 +72,8 @@ func main() {
 		}
 		return
 	}
-	if *figID == "" && !*micro && !*rsweep && !*tsweep && *remote == "" {
-		fmt.Fprintln(os.Stderr, "stmbench: -fig is required (try -list, -micro, -remote, -reclaimsweep, or -tdssweep)")
+	if *figID == "" && *remote == "" {
+		fmt.Fprintln(os.Stderr, "stmbench: -fig is required (try -list or -remote)")
 		os.Exit(2)
 	}
 	if *zipf < 0 || *zipf >= 1 {
@@ -211,13 +159,9 @@ func main() {
 		MaxAttempts:   *maxAtt,
 		ZipfTheta:     *zipf,
 	}
-	if *noRecl {
-		hc.Free = bench.FreePool
-	}
 
-	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s maxattempts=%d reclaim=%s zipf=%.2f\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, *maxAtt,
-		onOff(!*noRecl), *zipf)
+	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s maxattempts=%d zipf=%.2f\n",
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, *maxAtt, *zipf)
 	if runtime.NumCPU() < 8 {
 		fmt.Printf("# note: %d CPUs — thread counts beyond that timeshare; expect curves to flatten there\n", runtime.NumCPU())
 	}
@@ -235,42 +179,6 @@ func main() {
 		}
 	}
 
-	if *rsweep {
-		base, cand, err := bench.RunReclaimSweep(os.Stdout, hc, curveFilter, *pairs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		label := fmt.Sprintf("reclaimsweep pairs=%d scale=1/%d", *pairs, *scale)
-		if *jsonPath != "" {
-			bench.SortMeasurements(cand)
-			writeJSONTo(*jsonPath, label+" (epoch reclaim)", cand)
-		}
-		if *baseJSON != "" {
-			bench.SortMeasurements(base)
-			writeJSONTo(*baseJSON, label+" (pool baselines)", base)
-		}
-		return
-	}
-
-	if *tsweep {
-		base, cand, err := bench.RunTdsSweep(os.Stdout, hc, curveFilter, *pairs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		label := fmt.Sprintf("tdssweep pairs=%d zipf=%.2f", *pairs, *zipf)
-		if *jsonPath != "" {
-			bench.SortMeasurements(cand)
-			writeJSONTo(*jsonPath, label+" (tds semantic structures)", cand)
-		}
-		if *baseJSON != "" {
-			bench.SortMeasurements(base)
-			writeJSONTo(*baseJSON, label+" (tlib word-level baselines)", base)
-		}
-		return
-	}
-
 	var mixOverride *bench.Mix
 	if *mix != "" {
 		var ins, del, look int
@@ -285,7 +193,7 @@ func main() {
 	var figs []bench.Figure
 	if *figID == "all" {
 		figs = bench.Figures
-	} else if *figID != "" {
+	} else {
 		for _, id := range strings.Split(*figID, ",") {
 			f, err := bench.FigureByID(strings.TrimSpace(id))
 			if err != nil {
@@ -311,12 +219,6 @@ func main() {
 		}
 		allMs = append(allMs, ms...)
 	}
-	var micros []bench.MicroResult
-	if *micro {
-		micros = bench.ReadPathMicros()
-		bench.WriteMicroTable(os.Stdout, micros)
-		fmt.Println()
-	}
 	if *csvPath != "" {
 		out, err := os.Create(*csvPath)
 		if err != nil {
@@ -332,22 +234,9 @@ func main() {
 		fmt.Printf("# wrote %d measurements to %s\n", len(allMs), *csvPath)
 	}
 	if *jsonPath != "" {
-		out, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
 		bench.SortMeasurements(allMs)
 		label := fmt.Sprintf("tracker=%s scale=1/%d maxattempts=%d", *tracker, *scale, *maxAtt)
-		werr := bench.WriteJSONReport(out, label, allMs, micros)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", werr)
-			os.Exit(1)
-		}
-		fmt.Printf("# wrote %d measurements to %s\n", len(allMs), *jsonPath)
+		writeJSONTo(*jsonPath, label, allMs)
 	}
 }
 
@@ -406,13 +295,6 @@ func runRemote(addr string, conns, keys, batch int, dur time.Duration,
 			addr, rc.Conns, rc.Keys, rc.Batch, zipf)
 		writeJSONTo(jsonPath, label, []*bench.Measurement{m})
 	}
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }
 
 // writeJSONTo writes measurements to path, exiting on error.

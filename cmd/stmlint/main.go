@@ -1,7 +1,8 @@
 // Command stmlint statically enforces the STM runtime's concurrency
 // invariants: atomic access discipline, transaction-body purity,
-// lock-copy freedom, privatization safety (uninstrumented access
-// reachable from transactions), and wait-loop yield discipline. See
+// privatization safety (uninstrumented access reachable from
+// transactions), and wait-loop yield discipline. Copying lock- or
+// atomic-bearing metadata is go vet's copylocks check. See
 // internal/analysis and the "Static checks" sections of CORRECTNESS.md.
 //
 // Usage:

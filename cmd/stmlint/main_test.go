@@ -73,7 +73,7 @@ func TestTagMatrix(t *testing.T) {
 	}
 }
 
-// TestJSONOutput checks the machine-readable report: valid JSON, all five
+// TestJSONOutput checks the machine-readable report: valid JSON, all four
 // rules recorded, findings present for a violation fixture.
 func TestJSONOutput(t *testing.T) {
 	null := devNull(t)
@@ -94,8 +94,8 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(read()), &report); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(report.Rules) != 5 {
-		t.Errorf("report lists %d rules, want 5", len(report.Rules))
+	if len(report.Rules) != 4 {
+		t.Errorf("report lists %d rules, want 4", len(report.Rules))
 	}
 	if len(report.Findings) == 0 {
 		t.Error("no findings in JSON report for a violation fixture")

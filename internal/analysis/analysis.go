@@ -5,14 +5,13 @@
 // The concurrency-correctness argument of the paper's privatization design
 // rests on a handful of access-discipline invariants: orec words and
 // read-visibility hints are only touched through atomic operations, the
-// global clock only advances through its accessors, transaction bodies
-// never perform irrevocable side effects, and metadata containing spin
-// locks or atomics is never copied by value. Khyzha et al. ("Safe
+// global clock only advances through its accessors, and transaction bodies
+// never perform irrevocable side effects. Khyzha et al. ("Safe
 // Privatization in Transactional Memory") show that privatization bugs are
 // precisely uninstrumented accesses slipping past the protocol — so this
 // package machine-checks the discipline instead of trusting comments.
 //
-// Five analyzers are provided (see Analyzers). Three are intra-package AST
+// Four analyzers are provided (see Analyzers). Two are intra-package AST
 // checks:
 //
 //	mixedatomic        — a struct field accessed via sync/atomic anywhere
@@ -20,8 +19,6 @@
 //	txnpurity          — function literals passed to stm.Atomic/core.Run
 //	                     must not sleep, block on channels, lock mutexes,
 //	                     or perform os/net I/O (irrevocability hazards)
-//	copylock           — values containing spin mutexes, orecs or atomics
-//	                     must not be copied
 //
 // Two are interprocedural, built on the module-wide call graph
 // (callgraph.go) and the forward dataflow engine (dataflow.go):
@@ -34,11 +31,16 @@
 //	                     sched-visible yield point, so the schedule
 //	                     explorer keeps full wait-site coverage
 //
+// Copying metadata by value (orecs, spin mutexes, anything holding a typed
+// atomic) is go vet's copylocks check: it sees the atomics through their
+// noCopy marker and spin.Mutex through its Lock/Unlock methods, and make
+// lint runs it on every build-tag cell.
+//
 // A finding can be suppressed with a comment on the same line or the line
 // immediately above:
 //
 //	//stmlint:ignore mixedatomic reason for the exception
-//	//stmlint:ignore mixedatomic,copylock two rules at once
+//	//stmlint:ignore mixedatomic,privaccess two rules at once
 package analysis
 
 import (
@@ -92,7 +94,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MixedAtomic(),
 		TxnPurity(),
-		CopyLock(),
 		PrivAccess(),
 		YieldSite(),
 	}

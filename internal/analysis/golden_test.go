@@ -65,10 +65,6 @@ func TestTxnPurityGolden(t *testing.T) {
 	checkGolden(t, "txnpurity", runFixture(t, TxnPurity(), "txnpurity/..."))
 }
 
-func TestCopyLockGolden(t *testing.T) {
-	checkGolden(t, "copylock", runFixture(t, CopyLock(), "copylock/..."))
-}
-
 func TestPrivAccessGolden(t *testing.T) {
 	checkGolden(t, "privaccess", runFixture(t, PrivAccess(), "privaccess/..."))
 }
@@ -127,7 +123,6 @@ func TestFixturesTripTheLinter(t *testing.T) {
 	}{
 		{MixedAtomic(), []string{"mixedatomic"}},
 		{TxnPurity(), []string{"txnpurity/..."}},
-		{CopyLock(), []string{"copylock/..."}},
 		{PrivAccess(), []string{"privaccess/..."}},
 		{YieldSite(), []string{"yieldsite/..."}},
 	} {
@@ -137,7 +132,7 @@ func TestFixturesTripTheLinter(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the full five-analyzer suite over the real module —
+// TestRepoIsClean runs the full four-analyzer suite over the real module —
 // the same invocations `make lint` uses — and requires zero findings on
 // every cell of the build-tag matrix (default, the watermark-race revert,
 // and the reclaim-race epoch bypass), so a regression in the runtime's
@@ -197,7 +192,7 @@ func TestMetadataTypesExportNoFields(t *testing.T) {
 // TestRuleNamesAreStable pins the rule identifiers that ignore comments
 // and CI reference.
 func TestRuleNamesAreStable(t *testing.T) {
-	want := []string{"mixedatomic", "txnpurity", "copylock", "privaccess", "yieldsite"}
+	want := []string{"mixedatomic", "txnpurity", "privaccess", "yieldsite"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -1,7 +1,9 @@
 // Package bench implements the paper's §V evaluation: the three
 // microbenchmark data structures (hashtable, binary search tree,
 // multi-list), the operation-mix workload driver, and the figure
-// definitions that regenerate every panel of Figures 3 and 4.
+// definitions that regenerate every panel of Figures 3 and 4. It also holds
+// stmbench's -remote client (remote.go), which drives a running stmd, and
+// the CSV/JSON writers for both kinds of cell.
 //
 // All data structures live entirely in transactional memory and are
 // manipulated through the public stm API, exactly as the paper's C
@@ -12,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	stm "privstm"
@@ -72,41 +73,14 @@ type Spec struct {
 	Build func(s *stm.STM, r *rng.RNG) (Instance, error)
 }
 
-// FreePolicy selects how workloads hand unlinked nodes back to the
-// allocator.
-type FreePolicy int
-
-const (
-	// FreeReclaim (the default) retires nodes through the epoch-based
-	// reclaimer: the extent waits in limbo until no incomplete transaction
-	// began before the unlinking commit, then lands on the heap free list
-	// for AllocNode to recycle. This is the safe policy — a doomed reader
-	// still holding the node's address can never observe reuse.
-	FreeReclaim FreePolicy = iota
-	// FreePool is the pre-reclamation per-thread free pool: nodes recycle
-	// immediately within the freeing thread, with no epoch quarantine. It
-	// is kept as the A-side of overhead measurements; it was tolerable only
-	// because pool reuse re-initializes nodes transactionally, which the
-	// doomed reader's validation catches (CORRECTNESS.md §14 discusses why
-	// that residual argument is weaker than the epoch one).
-	FreePool
-	// FreeLeak never recycles: every allocation is fresh bump space. This
-	// reproduces the pre-reclamation behavior of workloads that could not
-	// safely pool (and is how the soak cell used to exhaust the heap).
-	FreeLeak
-)
-
-// OpCtx is per-worker state: the STM thread, a private RNG, the
-// node-recycling policy (FreeReclaim by default; see FreePolicy), and the
+// OpCtx is per-worker state: the STM thread, a private RNG and the
 // key-skew configuration.
 type OpCtx struct {
-	Th     *stm.Thread
-	RNG    *rng.RNG
-	S      *stm.STM
-	Policy FreePolicy
+	Th  *stm.Thread
+	RNG *rng.RNG
+	S   *stm.STM
 	// ZipfTheta skews Key draws (0 = uniform; see RunConfig.ZipfTheta).
 	ZipfTheta float64
-	free      []stm.Addr // FreePool only
 	// Sampler cache: every workload draws from one key space, so the
 	// inline entry keeps the per-draw cost at two compares; the map only
 	// backs workloads mixing several spaces.
@@ -145,38 +119,19 @@ func (c *OpCtx) Key(n int) int {
 	return int(c.zipfZ.Next())
 }
 
-// AllocNode returns a node of nodeWords words. Under FreePool it pops the
-// thread's private pool; under FreeReclaim it prefers extents recycled
-// through the epoch (Thread.MustAlloc); FreeLeak always takes fresh bump
-// space. In every policy the node may hold stale words — the workloads
-// initialize every field before publishing, as a malloc-based C
-// implementation would.
-func (c *OpCtx) AllocNode(nodeWords int) stm.Addr {
-	switch c.Policy {
-	case FreePool:
-		if n := len(c.free); n > 0 {
-			a := c.free[n-1]
-			c.free = c.free[:n-1]
-			return a
-		}
-	case FreeReclaim:
-		return c.Th.MustAlloc(nodeWords)
-	}
-	return c.S.MustAlloc(nodeWords)
-}
+// AllocNode returns a node of nodeWords words, preferring extents recycled
+// through the reclaimer's epoch (Thread.MustAlloc). The node may hold stale
+// words — the workloads initialize every field before publishing, as a
+// malloc-based C implementation would. Heap exhaustion panics with an error
+// wrapping heap.ErrOutOfMemory; Run returns it.
+func (c *OpCtx) AllocNode(nodeWords int) stm.Addr { return c.Th.MustAlloc(nodeWords) }
 
-// FreeNode recycles the nodeWords-word node at a. Call only after the
-// transaction that unlinked it has committed — under FreeReclaim the
-// retire stamp is that commit's timestamp.
-func (c *OpCtx) FreeNode(a stm.Addr, nodeWords int) {
-	switch c.Policy {
-	case FreeReclaim:
-		c.Th.Retire(a, nodeWords)
-	case FreePool:
-		c.free = append(c.free, a)
-	case FreeLeak:
-	}
-}
+// FreeNode retires the nodeWords-word node at a through the epoch-based
+// reclaimer: the extent waits in limbo until no incomplete transaction began
+// before the unlinking commit, so a doomed reader still holding the address
+// never observes reuse. Call only after the transaction that unlinked it has
+// committed — the retire stamp is that commit's timestamp.
+func (c *OpCtx) FreeNode(a stm.Addr, nodeWords int) { c.Th.Retire(a, nodeWords) }
 
 // RunConfig drives one throughput measurement.
 type RunConfig struct {
@@ -194,8 +149,6 @@ type RunConfig struct {
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// Free selects the node-recycling policy (default FreeReclaim).
-	Free FreePolicy
 	// ZipfTheta skews key choice across every workload: 0 means uniform
 	// (the paper's distribution); anything in (0, 1) draws keys from a
 	// Zipf(theta) distribution (YCSB convention — theta 0.99 is "zipfian").
@@ -219,48 +172,15 @@ type Measurement struct {
 	// was run more than once (runCell); WriteJSON derives the reported
 	// standard deviation from it.
 	RepThroughputs []float64
-	// PairDeltas holds the per-pair throughput deltas (percent, this cell
-	// vs its paired baseline) when the cell was measured by RunPaired;
-	// WriteJSON reports their median.
-	PairDeltas []float64
 	// ZipfTheta is the key-skew the cell ran with (0 = uniform).
 	ZipfTheta float64
-	// Structs holds per-structure operation/abort attribution for the mixed
-	// container workloads (empty elsewhere): key "map"/"queue", aborts
-	// charged to the structure whose operation incurred them.
-	Structs map[string]StructStat
 	// ReclaimCollects counts epoch-collection passes (amortized + drain).
 	ReclaimCollects uint64
-	// Exhausted reports that a worker ran the heap out of address space
-	// before finishing its operation quota (FreeLeak soak cells; Ops counts
-	// the operations completed before exhaustion).
-	Exhausted bool
 	// Remote carries the macro-run fields of an stmbench -remote cell
 	// (connection count, latency quantiles, server-side abort deltas); nil
 	// for local cells.
 	Remote *RemoteStats
 	Stats  stats.Counters
-}
-
-// StructStat is one structure's share of a mixed workload.
-type StructStat struct {
-	Ops    uint64 `json:"ops"`
-	Aborts uint64 `json:"aborts"`
-}
-
-// AbortPct returns aborts per started transaction, in percent.
-func (s StructStat) AbortPct() float64 {
-	if s.Ops+s.Aborts == 0 {
-		return 0
-	}
-	return 100 * float64(s.Aborts) / float64(s.Ops+s.Aborts)
-}
-
-// structStatser is implemented by workload instances that attribute aborts
-// per structure (the mixed map+queue workload); Run folds the result into
-// Measurement.Structs.
-type structStatser interface {
-	StructStats() map[string]StructStat
 }
 
 // Run builds the workload and drives it with rc.Threads workers.
@@ -293,16 +213,17 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctxs[i] = &OpCtx{Th: th, RNG: rng.New(rc.Seed + uint64(i)*1e9), S: s, Policy: rc.Free, ZipfTheta: rc.ZipfTheta}
+		ctxs[i] = &OpCtx{Th: th, RNG: rng.New(rc.Seed + uint64(i)*1e9), S: s, ZipfTheta: rc.ZipfTheta}
 	}
 
 	var wg sync.WaitGroup
-	var exhausted atomic.Bool
+	// oom[i] is worker i's heap-exhaustion error, if it ran out of space.
+	oom := make([]error, len(ctxs))
 	deadline := time.Now().Add(rc.Duration)
 	start := time.Now()
-	for _, ctx := range ctxs {
+	for i, ctx := range ctxs {
 		wg.Add(1)
-		go func(ctx *OpCtx) {
+		go func(i int, ctx *OpCtx) {
 			defer wg.Done()
 			// Publish this worker's buffered retires/prefetched extents so
 			// the post-run drain and stats see them (runs even on the
@@ -310,16 +231,16 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 			defer ctx.Th.FlushReclaim()
 			// Heap exhaustion surfaces as a MustAlloc panic from AllocNode,
 			// which every workload calls outside its transaction — so
-			// recovering here never strands a transaction mid-flight. It is
-			// an expected outcome for FreeLeak soak cells; anything else
-			// still propagates.
+			// recovering here never strands a transaction mid-flight. The
+			// worker stops and Run returns the error; anything else still
+			// propagates.
 			defer func() {
 				r := recover()
 				if r == nil {
 					return
 				}
 				if err, ok := r.(error); ok && errors.Is(err, heap.ErrOutOfMemory) {
-					exhausted.Store(true)
+					oom[i] = err
 					return
 				}
 				panic(r)
@@ -340,11 +261,16 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 				}
 				done = time.Now().After(deadline)
 			}
-		}(ctx)
+		}(i, ctx)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	s.DrainReclaim()
+	for i, err := range oom {
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s/%s: worker %d: %w", spec.Name, rc.Algorithm, i, err)
+		}
+	}
 
 	m := &Measurement{
 		Workload:        spec.Name,
@@ -354,10 +280,6 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		Elapsed:         elapsed,
 		ZipfTheta:       rc.ZipfTheta,
 		ReclaimCollects: s.ReclaimStats().Collects,
-		Exhausted:       exhausted.Load(),
-	}
-	if ss, ok := inst.(structStatser); ok {
-		m.Structs = ss.StructStats()
 	}
 	for _, ctx := range ctxs {
 		m.Stats.Add(ctx.Th.Stats())

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	stm "privstm"
 	"privstm/internal/rng"
@@ -76,52 +72,6 @@ func TestExtensionAvoidsAbort(t *testing.T) {
 			t.Errorf("aborts=%d extensions=%d, want aborts=0 extensions=1", st.Aborts, st.Extensions)
 		}
 	})
-}
-
-// TestJSONRoundTripAndCompare exercises the baseline-file workflow end to
-// end: write two measurement sets, compare them, and check the delta math.
-func TestJSONRoundTripAndCompare(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(path, label string, tput float64) {
-		ms := []*Measurement{{
-			Fig: "3e", Workload: "multi-list 16x32", Algorithm: "Ord",
-			Threads: 2, Mix: ReadMostly, Ops: 1000,
-			Elapsed: time.Second, Throughput: tput,
-		}}
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteJSON(f, label, ms); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	mk(oldPath, "baseline", 1000)
-	mk(newPath, "candidate", 1200)
-
-	label, cells, err := ReadJSON(oldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if label != "baseline" || len(cells) != 1 || cells[0].Throughput != 1000 {
-		t.Fatalf("round trip lost data: label=%q cells=%+v", label, cells)
-	}
-
-	var buf strings.Builder
-	worst, err := Compare(&buf, oldPath, newPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst < 19.9 || worst > 20.1 {
-		t.Errorf("worst delta = %.2f%%, want +20%%", worst)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "baseline") || !strings.Contains(out, "+20.0%") {
-		t.Errorf("compare output missing expected fields:\n%s", out)
-	}
 }
 
 // BenchmarkCommitPath is the CI smoke benchmark for the commit path: the

@@ -109,9 +109,6 @@ type HarnessConfig struct {
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// Free selects the node-recycling policy for every cell (default
-	// FreeReclaim).
-	Free FreePolicy
 	// ZipfTheta skews the key distribution for every cell (0 = uniform,
 	// the paper's setting; (0,1) = YCSB-style Zipf, larger is hotter).
 	ZipfTheta float64
@@ -139,7 +136,7 @@ func (hc *HarnessConfig) runConfig(alg stm.Algorithm, threads int, mix Mix) RunC
 		Algorithm: alg, Threads: threads, Mix: mix,
 		TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 		Tracker: hc.Tracker, MaxAttempts: hc.MaxAttempts,
-		Free: hc.Free, ZipfTheta: hc.ZipfTheta,
+		ZipfTheta: hc.ZipfTheta,
 	}
 }
 
@@ -155,7 +152,18 @@ func runCell(spec Spec, rc RunConfig, reps int) (*Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		agg = mergeInto(agg, m)
+		if agg == nil {
+			agg = m
+		} else {
+			agg.Ops += m.Ops
+			agg.Elapsed += m.Elapsed
+			agg.Stats.Add(&m.Stats)
+			agg.ReclaimCollects += m.ReclaimCollects
+		}
+		agg.RepThroughputs = append(agg.RepThroughputs, m.Throughput)
+	}
+	if agg.Elapsed > 0 {
+		agg.Throughput = float64(agg.Ops) / agg.Elapsed.Seconds()
 	}
 	return agg, nil
 }

@@ -1,78 +1,70 @@
 package bench
 
 import (
-	"io"
+	"errors"
 	"testing"
 
 	stm "privstm"
+	"privstm/internal/heap"
+	"privstm/internal/rng"
 )
 
 // TestSoakReclaimCompletesWhereLeakExhausts is the regression the reclaimer
 // was built for: a churn workload on a heap sized well below its cumulative
-// allocation volume. Without recycling (the pre-reclamation FreeLeak
-// behavior of workloads that could not safely pool) the run exhausts the
-// address space partway through; with the epoch reclaimer the same quota on
-// the same heap completes, because every unlinked node flows back through
-// retire→collect→reuse.
+// allocation volume. Without recycling the run would exhaust the address
+// space partway through; with the epoch reclaimer the same quota on the
+// same heap completes, because every unlinked node flows back through
+// retire→collect→reuse. The control comes from the reclaimer's own
+// counters: the node words it freed for reuse plus the words still live
+// exceed the heap, so the run could not have finished on fresh space alone.
 func TestSoakReclaimCompletesWhereLeakExhausts(t *testing.T) {
 	spec := Hashtable(16, 64)
 	// Live data is ~150 words (buckets + 64 keys × 2-word nodes); the
 	// write-heavy quota below allocates ~4800 words cumulatively.
 	spec.HeapWords = 2600
-	run := func(policy FreePolicy) *Measurement {
-		t.Helper()
-		m, err := Run(spec, RunConfig{
-			Algorithm: stm.PVRStore, Threads: 2, TxnsPerThread: 3000,
-			Mix: WriteHeavy, Free: policy,
-		})
-		if err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-		return m
+	// Keep the STM and structure Run builds, to read their counters after.
+	var s *stm.STM
+	var inst Instance
+	build := spec.Build
+	spec.Build = func(st *stm.STM, r *rng.RNG) (Instance, error) {
+		s = st
+		var err error
+		inst, err = build(st, r)
+		return inst, err
 	}
-
-	leak := run(FreeLeak)
-	if !leak.Exhausted {
-		t.Fatalf("leak run finished %d ops without exhausting %d words; shrink the heap",
-			leak.Ops, spec.HeapWords)
+	m, err := Run(spec, RunConfig{
+		Algorithm: stm.PVRStore, Threads: 2, TxnsPerThread: 3000, Mix: WriteHeavy,
+	})
+	if err != nil {
+		t.Fatalf("reclaim run: %v", err)
 	}
-
-	rcl := run(FreeReclaim)
-	if rcl.Exhausted {
-		t.Fatalf("reclaim run exhausted the heap after %d ops", rcl.Ops)
+	if want := uint64(2 * 3000); m.Ops != want {
+		t.Fatalf("reclaim run completed %d ops, want %d", m.Ops, want)
 	}
-	if want := uint64(2 * 3000); rcl.Ops != want {
-		t.Fatalf("reclaim run completed %d ops, want %d", rcl.Ops, want)
-	}
-	if rcl.ReclaimCollects == 0 {
+	if m.ReclaimCollects == 0 {
 		t.Fatal("reclaim run reports 0 collection passes")
+	}
+	live := 16 + htNodeWords*inst.Size(s)
+	freed := htNodeWords * int(s.ReclaimStats().Freed)
+	t.Logf("freed %d + live %d node words against a %d-word heap", freed, live, spec.HeapWords)
+	if freed+live <= spec.HeapWords {
+		t.Fatalf("freed %d + live %d node words fit in the %d-word heap; grow the quota so the run needs reuse",
+			freed, live, spec.HeapWords)
 	}
 }
 
-// TestRunReclaimSweepSmoke exercises the paired pool-vs-reclaim sweep on a
-// tiny cell and checks the shape of what it returns.
-func TestRunReclaimSweepSmoke(t *testing.T) {
-	hc := HarnessConfig{Threads: []int{2}, TxnsPerThread: 100, Scale: 8}
-	base, cand, err := RunReclaimSweep(io.Discard, hc, []stm.Algorithm{stm.Ord, stm.PVRStore}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != 2 || len(cand) != 2 {
-		t.Fatalf("got %d/%d cells, want 2/2", len(base), len(cand))
-	}
-	for i, m := range cand {
-		if m.Fig != "rcl" || base[i].Fig != "rcl" {
-			t.Errorf("figs = %q/%q, want rcl", base[i].Fig, m.Fig)
-		}
-		if len(m.PairDeltas) != 2 {
-			t.Errorf("candidate carries %d pair deltas, want 2", len(m.PairDeltas))
-		}
-		if m.ReclaimCollects == 0 {
-			t.Errorf("reclaim side of %s reports 0 collection passes", m.Algorithm)
-		}
-		if base[i].ReclaimCollects != 0 {
-			t.Errorf("pool side of %s reports %d collection passes, want 0",
-				base[i].Algorithm, base[i].ReclaimCollects)
-		}
+// TestRunReturnsHeapExhaustion: a worker that runs the heap out of space
+// stops, and Run returns the exhaustion as an error wrapping
+// heap.ErrOutOfMemory rather than a measurement or a crash.
+func TestRunReturnsHeapExhaustion(t *testing.T) {
+	spec := Hashtable(16, 64)
+	// The build takes ~82 words (16 buckets + 32 two-word nodes, block 0
+	// reserved); insert-only traffic needs 64 more for the other 32 keys.
+	spec.HeapWords = 120
+	m, err := Run(spec, RunConfig{
+		Algorithm: stm.PVRStore, Threads: 2, TxnsPerThread: 3000, Mix: Mix{InsertPct: 100},
+	})
+	if !errors.Is(err, heap.ErrOutOfMemory) {
+		t.Fatalf("Run = %v, %v; want an error wrapping heap.ErrOutOfMemory", m, err)
 	}
 }

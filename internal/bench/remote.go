@@ -2,7 +2,7 @@
 // over the wire protocol with thousands of concurrent connections, Zipf-
 // skewed keys, and per-tenant operation mixes, reporting throughput and
 // latency quantiles in the same JSON schema as the local cells (remote_*
-// fields) so -compare works across macro runs.
+// fields).
 package bench
 
 import (

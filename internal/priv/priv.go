@@ -67,34 +67,32 @@ type Config struct {
 	AtomicPrivate bool
 }
 
-// Result reports what the stressor observed.
+// Result reports what the stressor observed. The counters worker
+// goroutines write are atomics, so Clean and String are safe to call even
+// while a run is still in flight.
 type Result struct {
 	// DelayedCleanup counts privatizer observations of A ≠ B on privatized
 	// nodes.
-	DelayedCleanup int64
+	DelayedCleanup atomic.Int64
 	// DoomedReads counts transaction bodies that observed A ≠ B.
-	DoomedReads int64
+	DoomedReads atomic.Int64
 	// FinalCorrupt counts nodes left with A ≠ B after all threads joined.
 	FinalCorrupt int64
 	// Privatizations is the number of completed truncate/process cycles.
 	Privatizations int64
 	// TxOps is the number of committed non-privatizer operations.
-	TxOps int64
+	TxOps atomic.Int64
 }
 
-// Clean reports whether the run observed no violations at all. The counters
-// written by worker goroutines are read atomically so Clean is safe to call
-// even while a run is still in flight.
+// Clean reports whether the run observed no violations at all.
 func (r *Result) Clean() bool {
-	return atomic.LoadInt64(&r.DelayedCleanup) == 0 &&
-		atomic.LoadInt64(&r.DoomedReads) == 0 && r.FinalCorrupt == 0
+	return r.DelayedCleanup.Load() == 0 && r.DoomedReads.Load() == 0 && r.FinalCorrupt == 0
 }
 
 // String summarizes the result.
 func (r *Result) String() string {
 	return fmt.Sprintf("privatizations=%d txOps=%d delayedCleanup=%d doomedReads=%d finalCorrupt=%d",
-		r.Privatizations, atomic.LoadInt64(&r.TxOps),
-		atomic.LoadInt64(&r.DelayedCleanup), atomic.LoadInt64(&r.DoomedReads), r.FinalCorrupt)
+		r.Privatizations, r.TxOps.Load(), r.DelayedCleanup.Load(), r.DoomedReads.Load(), r.FinalCorrupt)
 }
 
 // Run executes the stress scenario and returns the observation counts.
@@ -166,7 +164,7 @@ func Run(cfg Config) (*Result, error) {
 						// state. Counted immediately: opacity forbids
 						// user code from ever seeing this, even in a
 						// body that is later retried.
-						atomic.AddInt64(&res.DoomedReads, 1)
+						res.DoomedReads.Add(1)
 						return
 					}
 					tx.Store(n+fA, a+1)
@@ -176,7 +174,7 @@ func Run(cfg Config) (*Result, error) {
 					tx.Store(n+fB, b+1)
 				})
 				if err == nil {
-					atomic.AddInt64(&res.TxOps, 1)
+					res.TxOps.Add(1)
 				}
 			}
 		}()
@@ -210,7 +208,7 @@ func Run(cfg Config) (*Result, error) {
 			a := load(n + fA)
 			b := load(n + fB)
 			if a != b {
-				atomic.AddInt64(&res.DelayedCleanup, 1)
+				res.DelayedCleanup.Add(1)
 			}
 			store(n+fA, a+2)
 			if cfg.TornWindow {

@@ -35,11 +35,11 @@ type PubConfig struct {
 type PubResult struct {
 	// Torn counts transactional reads that reached a published node and
 	// found it incompletely initialized.
-	Torn int64
+	Torn atomic.Int64
 	// Published is the number of publish operations completed.
-	Published int64
+	Published atomic.Int64
 	// Observations is the number of reader transactions that saw a node.
-	Observations int64
+	Observations atomic.Int64
 }
 
 // RunPublication executes the stressor: each publisher repeatedly takes a
@@ -85,9 +85,9 @@ func RunPublication(cfg PubConfig) (*PubResult, error) {
 							return
 						}
 						a, b, c := tx.Load(n), tx.Load(n+1), tx.Load(n+2)
-						atomic.AddInt64(&res.Observations, 1)
+						res.Observations.Add(1)
 						if a != b || b != c {
-							atomic.AddInt64(&res.Torn, 1)
+							res.Torn.Add(1)
 						}
 					})
 				}
@@ -117,7 +117,7 @@ func RunPublication(cfg PubConfig) (*PubResult, error) {
 				store(node+2, v)
 				// Publish by store.
 				_ = th.Atomic(func(tx *stm.Tx) { tx.StoreAddr(slot, node) })
-				atomic.AddInt64(&res.Published, 1)
+				res.Published.Add(1)
 				// Privatize it back (transparent privatization!) so the
 				// next round's plain re-initialization is legal.
 				_ = th.Atomic(func(tx *stm.Tx) { tx.StoreAddr(slot, stm.Nil) })

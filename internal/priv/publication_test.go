@@ -27,12 +27,12 @@ func TestPublicationByStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%v: published=%d observations=%d torn=%d",
-				alg, res.Published, res.Observations, res.Torn)
-			if res.Torn != 0 {
-				t.Errorf("%v: %d torn publications observed", alg, res.Torn)
+				alg, res.Published.Load(), res.Observations.Load(), res.Torn.Load())
+			if n := res.Torn.Load(); n != 0 {
+				t.Errorf("%v: %d torn publications observed", alg, n)
 			}
-			if res.Published != 600 {
-				t.Errorf("published = %d, want 600", res.Published)
+			if n := res.Published.Load(); n != 600 {
+				t.Errorf("published = %d, want 600", n)
 			}
 		})
 	}

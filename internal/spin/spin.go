@@ -26,19 +26,12 @@ import (
 type Backoff struct {
 	attempts int
 
-	// sleepCap encodes the sleep-phase policy: 0 is the default 1024µs
-	// cap, a positive value bounds individual sleep requests to it
-	// (SetSleepCap — fence watchdogs lower it once a stall is detected, to
-	// poll as often as the host timer allows), and a negative value means
-	// sleeping is disabled entirely (DisableSleep — the sleep phase
-	// degrades to cooperative yielding). The three meanings have distinct
-	// constructors so "no sleeping" and "default schedule" cannot be
-	// conflated through a 0 argument.
+	// sleepCap bounds individual sleep-phase requests: 0 is the default
+	// 1024µs cap, a positive value lowers it (SetSleepCap — fence watchdogs
+	// lower it once a stall is detected, to poll as often as the host timer
+	// allows).
 	sleepCap time.Duration
 }
-
-// sleepDisabled is the sleepCap sentinel installed by DisableSleep.
-const sleepDisabled time.Duration = -1
 
 const (
 	busySpins  = 8    // iterations of pure spinning before yielding
@@ -60,11 +53,7 @@ func (b *Backoff) Wait() {
 	case b.attempts < busySpins+yieldSpins:
 		runtime.Gosched()
 	default:
-		if b.sleepCap < 0 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(b.sleep())
-		}
+		time.Sleep(b.sleep())
 	}
 	b.attempts++
 }
@@ -85,42 +74,17 @@ func (b *Backoff) sleep() time.Duration {
 	return d
 }
 
-// SetSleepCap bounds individual sleep-phase requests to d. d must be positive:
-// to restore the default 1024µs cap call ResetSleepCap, and to forbid
-// sleeping entirely call DisableSleep — a non-positive d is treated as
-// ResetSleepCap so legacy SetSleepCap(0) callers keep the behavior they had,
-// but new code should say which of the two it means. Reset does not clear
-// the cap.
-func (b *Backoff) SetSleepCap(d time.Duration) {
-	if d <= 0 {
-		d = 0
-	}
-	b.sleepCap = d
-}
+// SetSleepCap bounds individual sleep-phase requests to d; a non-positive d
+// restores the default 1024µs cap, as ResetSleepCap does. Reset does not
+// clear the cap.
+func (b *Backoff) SetSleepCap(d time.Duration) { b.sleepCap = d }
 
 // ResetSleepCap restores the default sleep schedule (the 1024µs cap),
-// undoing any earlier SetSleepCap or DisableSleep.
+// undoing any earlier SetSleepCap.
 func (b *Backoff) ResetSleepCap() { b.sleepCap = 0 }
-
-// DisableSleep forbids timed sleeps: the sleep phase degrades to
-// cooperative yielding (runtime.Gosched), so the backoff never parks the
-// goroutine in the kernel. Undone by ResetSleepCap or SetSleepCap.
-func (b *Backoff) DisableSleep() { b.sleepCap = sleepDisabled }
-
-// SleepCap returns the configured sleep-phase bound: 0 = default cap,
-// positive = explicit cap, negative = sleeping disabled (DisableSleep).
-func (b *Backoff) SleepCap() time.Duration { return b.sleepCap }
 
 // Reset clears the backoff so the next Wait starts from the cheap phase.
 func (b *Backoff) Reset() { b.attempts = 0 }
-
-// Skip advances the schedule by n steps without waiting, so a caller that
-// knows its turn is far away starts directly in the yield/sleep phases.
-func (b *Backoff) Skip(n int) {
-	if n > 0 {
-		b.attempts += n
-	}
-}
 
 // Attempts reports how many times Wait has been called since the last
 // Reset. Tests use it to verify phase progression.
@@ -128,13 +92,6 @@ func (b *Backoff) Attempts() int { return b.attempts }
 
 //go:noinline
 func spinHint() {}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Until spins with backoff until cond returns true. It is a convenience
 // for wait loops with no early-exit needs.

@@ -36,59 +36,29 @@ func TestBackoffPhases(t *testing.T) {
 
 func TestSleepCapClampsSleepPhase(t *testing.T) {
 	var b Backoff
-	b.Skip(busySpins + yieldSpins + 20) // deep into the sleep phase
+	b.attempts = busySpins + yieldSpins + 20 // deep into the sleep phase
 	if d := b.sleep(); d != maxSleepUS*time.Microsecond {
 		t.Fatalf("uncapped deep sleep = %v, want %v", d, maxSleepUS*time.Microsecond)
 	}
 	b.SetSleepCap(64 * time.Microsecond)
-	if got := b.SleepCap(); got != 64*time.Microsecond {
-		t.Fatalf("SleepCap = %v", got)
-	}
 	if d := b.sleep(); d != 64*time.Microsecond {
 		t.Fatalf("capped sleep = %v, want 64µs", d)
 	}
 	// The cap bounds, it does not inflate: early sleep-phase waits shorter
 	// than the cap are unaffected.
 	b.Reset()
-	b.Skip(busySpins + yieldSpins) // first sleep step: 1µs
+	b.attempts = busySpins + yieldSpins // first sleep step: 1µs
 	if d := b.sleep(); d != time.Microsecond {
 		t.Fatalf("first capped sleep = %v, want 1µs", d)
 	}
 	// Reset must not clear the cap (the watchdog relies on this).
-	if b.SleepCap() != 64*time.Microsecond {
+	if b.sleepCap != 64*time.Microsecond {
 		t.Fatal("Reset cleared the sleep cap")
 	}
 	b.SetSleepCap(0)
-	b.Skip(20)
+	b.attempts += 20
 	if d := b.sleep(); d != maxSleepUS*time.Microsecond {
 		t.Fatalf("after clearing cap, sleep = %v, want default max", d)
-	}
-}
-
-func TestDisableSleepNeverSleeps(t *testing.T) {
-	var b Backoff
-	b.DisableSleep()
-	if got := b.SleepCap(); got >= 0 {
-		t.Fatalf("SleepCap after DisableSleep = %v, want negative sentinel", got)
-	}
-	b.Skip(busySpins + yieldSpins + 20) // deep into the sleep phase
-	// 200 sleep-phase waits at the default schedule would park for ~200ms;
-	// with sleeping disabled they are all Gosched and finish near-instantly.
-	start := time.Now()
-	for i := 0; i < 200; i++ {
-		b.Wait()
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("sleep-disabled waits took %v — Wait still sleeps", d)
-	}
-	// Reset keeps the policy (like SetSleepCap); ResetSleepCap undoes it.
-	b.Reset()
-	if b.SleepCap() >= 0 {
-		t.Fatal("Reset cleared DisableSleep")
-	}
-	b.ResetSleepCap()
-	if b.SleepCap() != 0 {
-		t.Fatal("ResetSleepCap did not restore the default schedule")
 	}
 }
 
@@ -96,21 +66,17 @@ func TestResetSleepCapRestoresDefault(t *testing.T) {
 	var b Backoff
 	b.SetSleepCap(64 * time.Microsecond)
 	b.ResetSleepCap()
-	b.Skip(busySpins + yieldSpins + 20)
+	b.attempts = busySpins + yieldSpins + 20
 	if d := b.sleep(); d != maxSleepUS*time.Microsecond {
 		t.Fatalf("after ResetSleepCap, sleep = %v, want default max", d)
 	}
-	// Legacy ambiguity pinned: a non-positive SetSleepCap argument means
-	// "default schedule", never "no sleeping".
-	b.DisableSleep()
-	b.SetSleepCap(0)
-	if b.SleepCap() != 0 {
-		t.Fatalf("SetSleepCap(0) left cap %v, want default 0", b.SleepCap())
-	}
-	b.DisableSleep()
-	b.SetSleepCap(-time.Microsecond)
-	if b.SleepCap() != 0 {
-		t.Fatalf("SetSleepCap(-1µs) left cap %v, want default 0", b.SleepCap())
+	// A non-positive SetSleepCap argument means "default schedule".
+	for _, d := range []time.Duration{0, -time.Microsecond} {
+		b.SetSleepCap(64 * time.Microsecond)
+		b.SetSleepCap(d)
+		if got := b.sleep(); got != maxSleepUS*time.Microsecond {
+			t.Fatalf("after SetSleepCap(%v), sleep = %v, want default max", d, got)
+		}
 	}
 }
 
@@ -196,12 +162,11 @@ func BenchmarkBackoffSleepStep(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var bo Backoff
 			bo.SetSleepCap(tc.cap)
-			bo.Skip(tc.skip)
+			bo.attempts = tc.skip
 			requested := bo.sleep()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bo.Reset()
-				bo.Skip(tc.skip)
+				bo.attempts = tc.skip
 				bo.Wait()
 			}
 			b.ReportMetric(float64(requested)/float64(time.Microsecond), "requested-µs")

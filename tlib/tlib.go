@@ -18,7 +18,7 @@
 // consumer sharing a queue's size word) can abort each other. That makes
 // these structures the measured baseline for internal/tds, whose semantic
 // containers certify traversals with abstract locks instead (see
-// `stmbench -tdssweep` and EXPERIMENTS.md "Semantic conflict detection").
+// EXPERIMENTS.md "Semantic conflict detection").
 package tlib
 
 import (
