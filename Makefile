@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures privtest run-stmd stress cover clean lint lint-json
+.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures privtest examples run-stmd stress cover clean lint lint-json
 
 all: build test lint
 
@@ -139,6 +139,14 @@ benchmark-smoke:
 
 privtest:
 	$(GO) run ./cmd/privtest -iters 500
+
+# Run every example; each prints its audit and exits nonzero when the
+# audit disagrees (a lost transfer, a torn privatized sum, a job claimed
+# twice, ...).
+examples:
+	@set -e; for e in bank histogram pipeline privatization quickstart scheduler; do \
+		echo "== examples/$$e"; $(GO) run ./examples/$$e; \
+	done
 
 stress:
 	$(GO) run ./cmd/stmstress -dur 30s

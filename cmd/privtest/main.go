@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		algo    = flag.String("algo", "all", "algorithm (figure label, e.g. pvrStore) or 'all'")
+		algo    = flag.String("algo", "all", "algorithm (figure label, e.g. pvrCAS) or 'all'")
 		nodes   = flag.Int("nodes", 32, "list length")
 		readers = flag.Int("readers", 3, "non-privatizer threads")
 		iters   = flag.Int("iters", 500, "privatization cycles")

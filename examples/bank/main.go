@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -24,12 +25,19 @@ const (
 
 func main() {
 	fmt.Printf("%-14s %12s %10s %12s\n", "algorithm", "transfers/s", "aborts%", "total-ok")
+	failed := false
 	for _, alg := range stm.Algorithms {
-		run(alg)
+		if !run(alg) {
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
-func run(alg stm.Algorithm) {
+// run reports whether the algorithm conserved the total.
+func run(alg stm.Algorithm) bool {
 	s := stm.MustNew(stm.Config{
 		Algorithm:  alg,
 		HeapWords:  1 << 12,
@@ -89,4 +97,5 @@ func run(alg stm.Algorithm) {
 	}
 	fmt.Printf("%-14v %12.0f %9.1f%% %12s\n",
 		alg, float64(commits)/duration.Seconds(), abortPct, ok)
+	return total == accounts*initial
 }

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	stm "privstm"
@@ -82,4 +83,7 @@ func main() {
 	fmt.Printf("samples binned: %d (want %d)\n", total, samples)
 	fmt.Printf("fullest bin:    #%d with %d samples\n", maxBin, max)
 	fmt.Printf("privatizer fenced: %d time(s)\n", coord.Stats().Fenced)
+	if total != samples {
+		os.Exit(1)
+	}
 }

@@ -1,22 +1,23 @@
-// Pipeline: composable transactions over tlib structures, ending in a
+// Pipeline: composable transactions over internal/tds queues, ending in a
 // privatized result.
 //
 // Stage 1 workers pull raw items from a transactional queue, "process"
 // them, and push results onto a second queue — each pull+push is ONE
 // atomic transaction, so a conflict can never lose or duplicate an item.
-// A final coordinator audits the results in a single snapshot-consistent
-// transaction. The run also exercises this repo's two future-work
-// extensions (lock-free tracker, commit-capped fences).
+// Stage 2 detaches the whole result queue in one privatizing transaction
+// (Queue.DrainPrivate) and tallies it with plain, uninstrumented loads:
+// the paper's Figure 1 idiom. The run also exercises commit-capped fences.
 //
 //	go run ./examples/pipeline
 package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	stm "privstm"
-	"privstm/tlib"
+	"privstm/internal/tds"
 )
 
 const (
@@ -26,7 +27,7 @@ const (
 
 func main() {
 	s := stm.MustNew(stm.Config{
-		Algorithm:  stm.PVRStore,
+		Algorithm:  stm.PVRCAS,
 		HeapWords:  1 << 18,
 		MaxThreads: workers + 2,
 		// The lock-free slot tracker is the default; commit-capped fences
@@ -34,18 +35,15 @@ func main() {
 		CapFenceAtCommit: true,
 	})
 
-	raw, err := tlib.NewQueue(s, items)
+	raw, err := tds.NewQueue(s)
 	if err != nil {
 		panic(err)
 	}
-	done, err := tlib.NewQueue(s, items)
+	done, err := tds.NewQueue(s)
 	if err != nil {
 		panic(err)
 	}
-	processed, err := tlib.NewCounter(s)
-	if err != nil {
-		panic(err)
-	}
+	processed := s.MustAlloc(1)
 
 	// Seed the input queue.
 	seeder := s.MustNewThread()
@@ -53,9 +51,7 @@ func main() {
 		lo, hi := i, i+100
 		if err := seeder.Atomic(func(tx *stm.Tx) {
 			for v := lo; v < hi; v++ {
-				if err := raw.Enqueue(tx, stm.Word(v)); err != nil {
-					tx.Cancel(err)
-				}
+				raw.Push(tx, stm.Word(v))
 			}
 		}); err != nil {
 			panic(err)
@@ -72,17 +68,15 @@ func main() {
 			for {
 				empty := false
 				_ = th.Atomic(func(tx *stm.Tx) {
-					v, ok := raw.Dequeue(tx)
+					v, ok := raw.Pop(tx)
 					if !ok {
 						empty = true
 						return
 					}
 					// "Process": square the item. Pull, compute, push —
 					// atomically; an abort retries the whole step.
-					if err := done.Enqueue(tx, v*v); err != nil {
-						tx.Cancel(err)
-					}
-					processed.Add(tx, 1)
+					done.Push(tx, v*v)
+					tx.Store(processed, tx.Load(processed)+1)
 				})
 				if empty {
 					return
@@ -92,31 +86,35 @@ func main() {
 	}
 	wg.Wait()
 
-	// Stage 2: tally. The counter audit and the drain are each one
-	// transaction; the drain observes a consistent snapshot of the whole
-	// queue no matter what ran before it.
+	// Stage 2: tally. One transaction reads the counter; one privatizes
+	// the result queue, after which its nodes are walked and retired
+	// without instrumentation.
 	coord := s.MustNewThread()
 	var count int
+	_ = coord.Atomic(func(tx *stm.Tx) {
+		count = int(tx.Load(processed))
+	})
+	results, err := done.DrainPrivate(coord)
+	if err != nil {
+		panic(err)
+	}
+	drained := results.Count
 	var sum uint64
-	_ = coord.Atomic(func(tx *stm.Tx) {
-		count = int(processed.Value(tx))
+	results.EachValue(func(v stm.Word) bool {
+		sum += uint64(v)
+		return true
 	})
-	_ = coord.Atomic(func(tx *stm.Tx) {
-		sum = 0
-		for {
-			v, ok := done.Dequeue(tx)
-			if !ok {
-				return
-			}
-			sum += uint64(v)
-		}
-	})
+	results.Retire(coord)
 
 	var want uint64
 	for v := 0; v < items; v++ {
 		want += uint64(v) * uint64(v)
 	}
-	fmt.Printf("items processed: %d (want %d)\n", count, items)
+	fmt.Printf("items processed: %d, drained %d (want %d)\n", count, drained, items)
 	fmt.Printf("sum of squares:  %d (want %d)\n", sum, want)
 	fmt.Printf("worker aborts:   transparent — none observable here\n")
+	if count != items || drained != items || sum != want {
+		fmt.Println("MISMATCH — isolation broken!")
+		os.Exit(1)
+	}
 }

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +30,7 @@ const (
 
 func main() {
 	s := stm.MustNew(stm.Config{
-		Algorithm:  stm.PVRStore,
+		Algorithm:  stm.PVRCAS,
 		HeapWords:  1 << 16,
 		MaxThreads: 4,
 	})
@@ -94,9 +95,16 @@ func main() {
 	fmt.Printf("privatizer fences hit: %d (nonzero only when readers overlapped the commit)\n",
 		priv.Stats().Fenced)
 	fmt.Print("sums observed by concurrent transactions: ")
+	illegal := false
 	observedSums.Range(func(k, _ any) bool {
 		fmt.Printf("%v ", k)
+		if sum := k.(stm.Word); sum != 45 && sum != 0 {
+			illegal = true
+		}
 		return true
 	})
 	fmt.Println("\n(only 45 — the full list — and 0 — after truncation — are legal)")
+	if privSum != 45 || illegal {
+		os.Exit(1)
+	}
 }

@@ -5,17 +5,16 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	stm "privstm"
 )
 
 func main() {
-	// Pick any algorithm but TL2 for privatization safety. pvrStore is the
-	// paper's §III-B cell; here it runs pvrCAS's protocol under its own name
-	// (CORRECTNESS.md §4).
+	// Pick any algorithm but TL2 for privatization safety.
 	s := stm.MustNew(stm.Config{
-		Algorithm:  stm.PVRStore,
+		Algorithm:  stm.PVRCAS,
 		HeapWords:  1 << 16,
 		MaxThreads: 8,
 	})
@@ -47,4 +46,7 @@ func main() {
 	fmt.Printf("algorithm: %v (privatization-safe: %v)\n", s.Algorithm(), s.Algorithm().Safe())
 	fmt.Printf("counter:   %d (want 8000)\n", s.DirectLoad(counter))
 	fmt.Printf("sum:       %d (want %d)\n", s.DirectLoad(sum), 8000*7999/2)
+	if s.DirectLoad(counter) != 8000 || s.DirectLoad(sum) != 8000*7999/2 {
+		os.Exit(1)
+	}
 }

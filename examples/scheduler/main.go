@@ -1,28 +1,32 @@
-// Scheduler: a tiny transactional job scheduler composed from tlib
-// structures — a priority queue ordered by deadline, a dedup set, and
-// completion counters — where every scheduling decision is one atomic
-// transaction across all three.
+// Scheduler: a tiny transactional job scheduler composed from internal/tds
+// containers — a dedup set and a queue in submission order — plus one-word
+// completion counters, where every scheduling decision is one atomic
+// transaction across all of them.
 //
-// Submitting checks the dedup set, inserts into the priority queue and
-// bumps a counter atomically; claiming pops the earliest deadline and
-// marks it in-flight atomically. No locks, no lock ordering, no partial
-// states — the STM retries conflicting steps transparently.
+// Submitting checks the dedup set, adds the job to it, enqueues it and
+// bumps a counter atomically; claiming pops the oldest job and counts it
+// atomically. No locks, no lock ordering, no partial states — the STM
+// retries conflicting steps transparently.
 //
 //	go run ./examples/scheduler
 package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	stm "privstm"
-	"privstm/tlib"
+	"privstm/internal/tds"
 )
 
 const (
 	jobs      = 2000
 	producers = 2
 	workers   = 3
+	// Each producer draws this many job ids from [1, jobs]; about a
+	// quarter repeat an id already submitted and are dropped.
+	draws = jobs / producers * 5 / 4
 )
 
 func main() {
@@ -31,19 +35,15 @@ func main() {
 		HeapWords:  1 << 18,
 		MaxThreads: producers + workers + 1,
 	})
-	queue, err := tlib.NewPQueue(s, jobs)
+	queue, err := tds.NewQueue(s)
 	check(err)
-	seen, err := tlib.NewSet(s, 64, jobs)
+	seen, err := tds.NewSet(s, 64, 64)
 	check(err)
-	submitted, err := tlib.NewCounter(s)
-	check(err)
-	completed, err := tlib.NewCounter(s)
-	check(err)
-	dupes, err := tlib.NewCounter(s)
-	check(err)
+	submitted, completed, dupes := s.MustAlloc(1), s.MustAlloc(1), s.MustAlloc(1)
+	incr := func(tx *stm.Tx, c stm.Addr) { tx.Store(c, tx.Load(c)+1) }
 
 	var wg sync.WaitGroup
-	// Producers submit jobs; ~25% are duplicates that must be dropped.
+	// Producers submit jobs; duplicates must be dropped.
 	for p := 0; p < producers; p++ {
 		th := s.MustNewThread()
 		seed := uint64(p + 1)
@@ -51,29 +51,24 @@ func main() {
 		go func() {
 			defer wg.Done()
 			x := seed
-			for i := 0; i < jobs/producers*5/4; i++ {
+			for i := 0; i < draws; i++ {
 				x = x*6364136223846793005 + 1442695040888963407
-				job := stm.Word(x>>33)%jobs + 1 // job id doubles as deadline
+				job := stm.Word(x>>33)%jobs + 1
 				_ = th.Atomic(func(tx *stm.Tx) {
-					added, err := seen.Add(tx, job)
-					if err != nil {
-						tx.Cancel(err)
-					}
-					if !added {
-						dupes.Add(tx, 1)
+					if seen.Contains(tx, job) {
+						incr(tx, dupes)
 						return
 					}
-					if err := queue.Insert(tx, job); err != nil {
-						tx.Cancel(err)
-					}
-					submitted.Add(tx, 1)
+					seen.Add(tx, job)
+					queue.Push(tx, job)
+					incr(tx, submitted)
 				})
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Workers drain in deadline order; each claim is atomic with the
+	// Workers drain in submission order; each claim is atomic with the
 	// completion count, so an audit at any instant balances.
 	var claimed [workers][]stm.Word
 	for w := 0; w < workers; w++ {
@@ -85,9 +80,9 @@ func main() {
 				var job stm.Word
 				var ok bool
 				_ = th.Atomic(func(tx *stm.Tx) {
-					job, ok = queue.PopMin(tx)
+					job, ok = queue.Pop(tx)
 					if ok {
-						completed.Add(tx, 1)
+						incr(tx, completed)
 					}
 				})
 				if !ok {
@@ -99,27 +94,37 @@ func main() {
 	}
 	wg.Wait()
 
-	th := s.MustNewThread()
-	var sub, comp, dup int64
-	_ = th.Atomic(func(tx *stm.Tx) {
-		sub, comp, dup = submitted.Value(tx), completed.Value(tx), dupes.Value(tx)
-	})
-	// Each worker's claims arrive in nondecreasing deadline order.
-	ordered := true
+	// Every unique job was claimed exactly once: no claim repeats, and the
+	// claims are exactly the dedup set's members.
+	claims := make(map[stm.Word]int)
 	total := 0
 	for w := range claimed {
 		total += len(claimed[w])
-		for i := 1; i < len(claimed[w]); i++ {
-			if claimed[w][i] < claimed[w][i-1] {
-				ordered = false
-			}
+		for _, job := range claimed[w] {
+			claims[job]++
 		}
 	}
+	th := s.MustNewThread()
+	var sub, comp, dup stm.Word
+	var members int
+	unseen := 0
+	_ = th.Atomic(func(tx *stm.Tx) {
+		sub, comp, dup = tx.Load(submitted), tx.Load(completed), tx.Load(dupes)
+		members = seen.Len(tx)
+		unseen = 0
+		for job := range claims {
+			if !seen.Contains(tx, job) {
+				unseen++
+			}
+		}
+	})
+	once := len(claims) == total && total == members && unseen == 0
 	fmt.Printf("submitted: %d unique (+%d duplicates dropped)\n", sub, dup)
 	fmt.Printf("completed: %d (workers drained %d)\n", comp, total)
-	fmt.Printf("per-worker deadline order preserved: %v\n", ordered)
-	if sub != comp || int64(total) != comp {
+	fmt.Printf("every unique job claimed exactly once: %v\n", once)
+	if !once || sub != comp || int(comp) != total || sub+dup != producers*draws {
 		fmt.Println("MISMATCH — isolation broken!")
+		os.Exit(1)
 	}
 }
 

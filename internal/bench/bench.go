@@ -204,7 +204,7 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 	}
 	inst, err := spec.Build(s, rng.New(rc.Seed))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bench: %s: build: %w", spec.Name, err)
 	}
 
 	ctxs := make([]*OpCtx, rc.Threads)
@@ -229,11 +229,11 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 			// the post-run drain and stats see them (runs even on the
 			// exhaustion path below).
 			defer ctx.Th.FlushReclaim()
-			// Heap exhaustion surfaces as a MustAlloc panic from AllocNode,
-			// which every workload calls outside its transaction — so
-			// recovering here never strands a transaction mid-flight. The
-			// worker stops and Run returns the error; anything else still
-			// propagates.
+			// Build returns heap exhaustion as an error; during the run it
+			// surfaces as a MustAlloc panic from AllocNode, which every
+			// workload calls outside its transaction — so recovering here
+			// never strands a transaction mid-flight. The worker stops and
+			// Run returns the error; anything else still propagates.
 			defer func() {
 				r := recover()
 				if r == nil {

@@ -36,30 +36,39 @@ func BST(keys int) Spec {
 		HeapWords: 1<<16 + 8*keys,
 		OrecCount: 1 << 16,
 		Build: func(s *stm.STM, r *rng.RNG) (Instance, error) {
-			t := &bst{root: s.MustAlloc(1), keys: keys}
+			root, err := s.Alloc(1)
+			if err != nil {
+				return nil, err
+			}
+			t := &bst{root: root, keys: keys}
 			// Insert a random half of the key space directly.
 			for i := 0; i < keys/2; i++ {
-				t.insertDirect(s, stm.Word(r.Intn(keys)))
+				if err := t.insertDirect(s, stm.Word(r.Intn(keys))); err != nil {
+					return nil, err
+				}
 			}
 			return t, nil
 		},
 	}
 }
 
-func (t *bst) insertDirect(s *stm.STM, k stm.Word) {
+func (t *bst) insertDirect(s *stm.STM, k stm.Word) error {
 	link := t.root
 	for {
 		cur := stm.Addr(s.DirectLoad(link))
 		if cur == stm.Nil {
-			n := s.MustAlloc(bstNodeWords)
+			n, err := s.Alloc(bstNodeWords)
+			if err != nil {
+				return err
+			}
 			s.DirectStore(n+bstKey, k)
 			s.DirectStore(link, stm.Word(n))
-			return
+			return nil
 		}
 		ck := s.DirectLoad(cur + bstKey)
 		switch {
 		case k == ck:
-			return
+			return nil
 		case k < ck:
 			link = cur + bstLeft
 		default:

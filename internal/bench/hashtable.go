@@ -38,11 +38,18 @@ func Hashtable(buckets, keys int) Spec {
 		HeapWords: 1<<14 + 4*keys*htNodeWords,
 		OrecCount: 1 << 12,
 		Build: func(s *stm.STM, r *rng.RNG) (Instance, error) {
-			h := &hashtable{buckets: s.MustAlloc(buckets), nbkt: buckets, keys: keys}
+			b, err := s.Alloc(buckets)
+			if err != nil {
+				return nil, err
+			}
+			h := &hashtable{buckets: b, nbkt: buckets, keys: keys}
 			// Pre-populate with half the key space, built directly (the
 			// structure is not yet shared).
 			for k := 0; k < keys; k += 2 {
-				n := s.MustAlloc(htNodeWords)
+				n, err := s.Alloc(htNodeWords)
+				if err != nil {
+					return nil, err
+				}
 				s.DirectStore(n+htKey, stm.Word(k))
 				h.insertDirect(s, n, stm.Word(k))
 			}

@@ -36,10 +36,17 @@ func MultiList(lists, entries int) Spec {
 		HeapWords: 1<<14 + 4*totalKeys*htNodeWords,
 		OrecCount: 1 << 14,
 		Build: func(s *stm.STM, r *rng.RNG) (Instance, error) {
-			m := &multilist{heads: s.MustAlloc(lists), nlist: lists, entries: entries}
+			heads, err := s.Alloc(lists)
+			if err != nil {
+				return nil, err
+			}
+			m := &multilist{heads: heads, nlist: lists, entries: entries}
 			// Pre-populate every list to half its key range.
 			for k := 0; k < totalKeys; k += 2 {
-				n := s.MustAlloc(htNodeWords)
+				n, err := s.Alloc(htNodeWords)
+				if err != nil {
+					return nil, err
+				}
 				s.DirectStore(n+htKey, stm.Word(k))
 				m.insertDirect(s, n, stm.Word(k))
 			}

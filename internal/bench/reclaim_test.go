@@ -68,3 +68,16 @@ func TestRunReturnsHeapExhaustion(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want an error wrapping heap.ErrOutOfMemory", m, err)
 	}
 }
+
+// TestBuildReturnsHeapExhaustion: a heap too small for the initial
+// population makes Build, and so Run, return an error wrapping
+// heap.ErrOutOfMemory instead of panicking.
+func TestBuildReturnsHeapExhaustion(t *testing.T) {
+	for _, spec := range []Spec{Hashtable(16, 64), BST(256), MultiList(4, 16)} {
+		spec.HeapWords = 40
+		m, err := Run(spec, RunConfig{Algorithm: stm.PVRCAS, Threads: 1, TxnsPerThread: 1})
+		if !errors.Is(err, heap.ErrOutOfMemory) {
+			t.Errorf("%s: Run = %v, %v; want an error wrapping heap.ErrOutOfMemory", spec.Name, m, err)
+		}
+	}
+}

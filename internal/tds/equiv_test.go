@@ -5,140 +5,101 @@ import (
 	"testing"
 
 	stm "privstm"
-	"privstm/tlib"
 )
 
-// TestEquivalenceWithTlib replays identical randomized operation sequences
-// against the semantic containers and tlib's word-level baselines, demanding
-// identical observable results op for op — the two implementations differ
-// only in conflict detection, never in semantics. Runs on a redo and an
-// undo engine.
-func TestEquivalenceWithTlib(t *testing.T) {
-	for _, alg := range []stm.Algorithm{stm.Ord, stm.PVRStore} {
+// TestEquivalenceWithModel replays randomized multi-op transactions against
+// the semantic containers and against a plain Go model — a map and a
+// slice-backed FIFO, applied after each Atomic returns — demanding identical
+// observations op for op. The model shares no code with the STM, so it
+// cannot share the containers' bugs. Runs on a redo and an undo engine.
+func TestEquivalenceWithModel(t *testing.T) {
+	for _, alg := range []stm.Algorithm{stm.Ord, stm.PVRCAS} {
 		t.Run(alg.String(), func(t *testing.T) {
-			sA := newSTM(t, alg)
-			sB := newSTM(t, alg)
-			thA := sA.MustNewThread()
-			thB := sB.MustNewThread()
-			mA, err := NewMap(sA, 4, 16)
+			s := newSTM(t, alg)
+			th := s.MustNewThread()
+			m, err := NewMap(s, 4, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			qA, err := NewQueue(sA)
+			q, err := NewQueue(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mB, err := tlib.NewMap(sB, 4, 256)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qB, err := tlib.NewQueue(sB, 256)
-			if err != nil {
-				t.Fatal(err)
-			}
+			model := map[stm.Word]stm.Word{}
+			var fifo []stm.Word
 
+			type op struct {
+				kind int // 0 put, 1 get, 2 del, 3 mlen, 4 push, 5 pop, 6 peek, 7 qlen
+				k, v stm.Word
+			}
+			type obs struct {
+				v  stm.Word
+				ok bool
+				n  int
+			}
 			rng := rand.New(rand.NewSource(7))
 			for txn := 0; txn < 400; txn++ {
-				nops := 1 + rng.Intn(6)
-				type obs struct {
-					v  stm.Word
-					ok bool
-					n  int
-				}
-				var got, want []obs
-				// Draw the op plan once, then replay it on both replicas.
-				type op struct {
-					kind int // 0 put, 1 get, 2 del, 3 mlen, 4 push, 5 pop, 6 peek, 7 qlen
-					k, v stm.Word
-				}
-				plan := make([]op, nops)
+				plan := make([]op, 1+rng.Intn(6))
 				for i := range plan {
 					plan[i] = op{kind: rng.Intn(8), k: stm.Word(rng.Intn(48)), v: stm.Word(rng.Intn(1 << 16))}
 				}
-				apply := func(tx *stm.Tx, useTds bool) []obs {
-					var out []obs
+				var got []obs
+				if err := th.Atomic(func(tx *stm.Tx) {
+					got = got[:0]
 					for _, o := range plan {
+						var r obs
 						switch o.kind {
 						case 0:
-							if useTds {
-								mA.Put(tx, o.k, o.v)
-							} else {
-								if err := mB.Put(tx, o.k, o.v); err != nil {
-									t.Fatalf("tlib Put: %v", err)
-								}
-							}
-							out = append(out, obs{})
+							m.Put(tx, o.k, o.v)
 						case 1:
-							var r obs
-							if useTds {
-								r.v, r.ok = mA.Get(tx, o.k)
-							} else {
-								r.v, r.ok = mB.Get(tx, o.k)
-							}
-							out = append(out, r)
+							r.v, r.ok = m.Get(tx, o.k)
 						case 2:
-							var r obs
-							if useTds {
-								r.ok = mA.Delete(tx, o.k)
-							} else {
-								r.ok = mB.Delete(tx, o.k)
-							}
-							out = append(out, r)
+							r.ok = m.Delete(tx, o.k)
 						case 3:
-							var r obs
-							if useTds {
-								r.n = mA.Len(tx)
-							} else {
-								r.n = mB.Len(tx)
-							}
-							out = append(out, r)
+							r.n = m.Len(tx)
 						case 4:
-							if useTds {
-								qA.Push(tx, o.v)
-							} else {
-								if err := qB.Enqueue(tx, o.v); err != nil {
-									t.Fatalf("tlib Enqueue: %v", err)
-								}
-							}
-							out = append(out, obs{})
+							q.Push(tx, o.v)
 						case 5:
-							var r obs
-							if useTds {
-								r.v, r.ok = qA.Pop(tx)
-							} else {
-								r.v, r.ok = qB.Dequeue(tx)
-							}
-							out = append(out, r)
+							r.v, r.ok = q.Pop(tx)
 						case 6:
-							var r obs
-							if useTds {
-								r.v, r.ok = qA.Peek(tx)
-							} else {
-								r.v, r.ok = qB.Peek(tx)
-							}
-							out = append(out, r)
+							r.v, r.ok = q.Peek(tx)
 						case 7:
-							var r obs
-							if useTds {
-								r.n = qA.Len(tx)
-							} else {
-								r.n = qB.Len(tx)
-							}
-							out = append(out, r)
+							r.n = q.Len(tx)
 						}
+						got = append(got, r)
 					}
-					return out
-				}
-				if err := thA.Atomic(func(tx *stm.Tx) { got = apply(tx, true) }); err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := thB.Atomic(func(tx *stm.Tx) { want = apply(tx, false) }); err != nil {
-					t.Fatal(err)
-				}
-				for i := range plan {
-					if got[i] != want[i] {
-						t.Fatalf("txn %d op %d (%+v): tds observed %+v, tlib observed %+v",
-							txn, i, plan[i], got[i], want[i])
+
+				for i, o := range plan {
+					var want obs
+					switch o.kind {
+					case 0:
+						model[o.k] = o.v
+					case 1:
+						want.v, want.ok = model[o.k]
+					case 2:
+						_, want.ok = model[o.k]
+						delete(model, o.k)
+					case 3:
+						want.n = len(model)
+					case 4:
+						fifo = append(fifo, o.v)
+					case 5:
+						if want.ok = len(fifo) > 0; want.ok {
+							want.v, fifo = fifo[0], fifo[1:]
+						}
+					case 6:
+						if want.ok = len(fifo) > 0; want.ok {
+							want.v = fifo[0]
+						}
+					case 7:
+						want.n = len(fifo)
+					}
+					if got[i] != want {
+						t.Fatalf("txn %d op %d (%+v): tds observed %+v, model %+v",
+							txn, i, o, got[i], want)
 					}
 				}
 			}

@@ -4,9 +4,8 @@ import stm "privstm"
 
 // Map is a transactional hash map from word keys to word values with
 // key-level (semantic) conflict detection: fixed buckets of sorted singly
-// linked lists, the same organization as tlib.Map, but traversed with
-// unlogged weak reads certified by abstract-lock stripes instead of a
-// logged read per link.
+// linked lists, traversed with unlogged weak reads certified by
+// abstract-lock stripes instead of a logged read per link.
 //
 // Stripe layout (one SemTable per map):
 //

@@ -3,9 +3,9 @@ package tds
 import stm "privstm"
 
 // Queue is a transactional FIFO queue with semantic conflict detection.
-// Structurally it matches tlib.Queue — meta words [head, tail, size], nodes
-// [next, value] — but the size word is maintained as a commuting delta on
-// stripe 0 instead of a logged read-modify-write, so Push never conflicts
+// Structurally it is a plain linked queue — meta words [head, tail, size],
+// nodes [next, value] — but the size word is maintained as a commuting delta
+// on stripe 0 instead of a logged read-modify-write, so Push never conflicts
 // with Pop through the counter and Len never conflicts with either. The
 // remaining word-level footprint is inherent: concurrent Pushes serialize
 // on the tail word and concurrent Pops on the head word, exactly the pairs

@@ -6,7 +6,7 @@
 // or predicate — and the commit protocol validates and acquires stripes
 // alongside the word-level orecs.
 //
-// The point is killing false aborts. tlib's word-level containers abort
+// The point is killing false aborts. Word-level containers abort
 // structurally adjacent but semantically disjoint operations: a Put on one
 // key invalidates a Get of a different key in the same bucket list, and
 // every queue operation serializes on the size word. The tds containers
