@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures privtest examples run-stmd stress cover clean lint lint-json
+.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures examples run-stmd cover clean lint lint-json
 
 all: build test lint
 
@@ -106,10 +106,10 @@ explore-tds:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Single-iteration pass over the hot-path benchmarks; catches bit-rot
+# Single-iteration pass over every package's benchmarks; catches bit-rot
 # without paying for a real measurement run (used by CI).
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x ./internal/bench ./internal/txnlist ./internal/sched
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Regenerate every evaluation figure (CI scale; see EXPERIMENTS.md for
 # paper-scale invocations).
@@ -137,9 +137,6 @@ benchmark-smoke:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark . -smoke
 
-privtest:
-	$(GO) run ./cmd/privtest -iters 500
-
 # Run every example; each prints its audit and exits nonzero when the
 # audit disagrees (a lost transfer, a torn privatized sum, a job claimed
 # twice, ...).
@@ -147,9 +144,6 @@ examples:
 	@set -e; for e in bank histogram pipeline privatization quickstart scheduler; do \
 		echo "== examples/$$e"; $(GO) run ./examples/$$e; \
 	done
-
-stress:
-	$(GO) run ./cmd/stmstress -dur 30s
 
 cover:
 	$(GO) test -cover ./...

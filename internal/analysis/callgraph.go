@@ -110,9 +110,6 @@ func referencedFuncs(info *types.Info, body ast.Node) []Edge {
 // imported, abstract, or synthetic functions.
 func (g *CallGraph) Decl(fn *types.Func) *FuncInfo { return g.decls[fn] }
 
-// Edges returns the function objects fn's body references.
-func (g *CallGraph) Edges(fn *types.Func) []Edge { return g.edges[fn] }
-
 // Reaches computes the set of declared functions from which a function
 // satisfying pred is reachable through the reference graph. The result
 // maps each reaching function to the first edge of one witness path

@@ -161,6 +161,3 @@ func (f *Flow) ExprTaint(e ast.Expr) Taint {
 	}
 	return 0
 }
-
-// ObjTaint returns the accumulated taint of one object.
-func (f *Flow) ObjTaint(obj types.Object) Taint { return f.taints[obj] }

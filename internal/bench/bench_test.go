@@ -117,6 +117,30 @@ func TestWorkloadModel(t *testing.T) {
 	}
 }
 
+// TestSpecSizing pins the names and sizes the benchmark module and the
+// figure labels depend on, including the paper's defaults for zero
+// arguments.
+func TestSpecSizing(t *testing.T) {
+	cases := []struct {
+		spec      Spec
+		name      string
+		heapWords int
+		orecs     int
+	}{
+		{Hashtable(64, 256), "hashtable 64b/256k", 18432, 4096},
+		{Hashtable(0, 0), "hashtable 64b/256k", 18432, 4096},
+		{MultiList(64, 512), "multi-list 64x512", 278528, 16384},
+		{MultiList(64, 64), "multi-list 64x64", 49152, 16384},
+		{MultiList(0, 0), "multi-list 64x64", 49152, 16384},
+	}
+	for _, c := range cases {
+		if c.spec.Name != c.name || c.spec.HeapWords != c.heapWords || c.spec.OrecCount != c.orecs {
+			t.Errorf("spec = %q, %d heap words, %d orecs; want %q, %d, %d",
+				c.spec.Name, c.spec.HeapWords, c.spec.OrecCount, c.name, c.heapWords, c.orecs)
+		}
+	}
+}
+
 func TestFigureIndexComplete(t *testing.T) {
 	want := []string{"3a", "3b", "3c", "3d", "3e", "3f", "3g", "3h", "4a", "4c", "4e", "4g", "t1"}
 	got := FigureIDs()

@@ -263,9 +263,6 @@ func (rt *Runtime) ThreadByID(id uint64) *Thread {
 	return rt.threads[id].Load()
 }
 
-// NumThreads returns how many descriptors have been registered.
-func (rt *Runtime) NumThreads() int { return int(rt.nthread.Load()) }
-
 // ForEachThread calls fn for every registered descriptor.
 func (rt *Runtime) ForEachThread(fn func(*Thread)) {
 	n := rt.nthread.Load()

@@ -220,22 +220,6 @@ func (rt *Runtime) ReaderMayBeLive(tid, rts uint64) bool {
 	return active && begin <= rts
 }
 
-// CheckConsistent implements the per-read timestamp test of §II-A: the orec
-// must be unowned (or owned by the reader itself) and must not have been
-// modified after the snapshot's validity bound. It returns the orec's
-// current write timestamp, and false if the transaction must abort.
-func (t *Thread) CheckConsistent(o *orec.Orec) (wts uint64, ok bool) {
-	v := o.Owner().Load()
-	if orec.IsOwned(v) {
-		if orec.OwnerTID(v) == t.ID {
-			return 0, true // my own in-place write; undo log has the pre-image
-		}
-		return 0, false // defer to the prior concurrent writer: abort
-	}
-	wts = orec.WTS(v)
-	return wts, wts <= t.ValidTS
-}
-
 // ValidateReads re-runs the consistency test over the whole read set: each
 // logged orec must be unowned (or owned by this transaction) and must
 // still carry the write timestamp observed at read time. An orec's unowned

@@ -359,12 +359,6 @@ func ForceAbort() Func {
 	return func(name string) { panic(Abort{Point: name}) }
 }
 
-// Panic returns a hook that panics with v, for exercising the sandboxing
-// and propagation paths of core.Run.
-func Panic(v any) Func {
-	return func(string) { panic(v) }
-}
-
 // Times wraps fn so that exactly the first n evaluations invoke it; later
 // evaluations are inert. Safe for concurrent evaluation: the counter is
 // claimed with a CAS loop that never goes below zero, so no interleaving of

@@ -399,10 +399,6 @@ func New(h *heap.Heap, oldest func() (uint64, bool), cfg Config) *Reclaimer {
 // (inlinable) method calls with no index arithmetic.
 func (r *Reclaimer) Local(tid int) *Local { return &r.fronts[r.clamp(tid)] }
 
-// Poisoning reports whether the debug sentinel is written over extents as
-// the epoch check releases them.
-func (r *Reclaimer) Poisoning() bool { return r.poison }
-
 // clamp normalizes an out-of-range tid to shard 0. The single unsigned
 // compare keeps the per-retire fast path free of the integer divide a
 // tid%len(shards) would cost (RetireLocal and AllocLocal run once per node

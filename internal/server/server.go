@@ -71,8 +71,8 @@ const (
 	respBody = frameHeader + 1
 )
 
-// Server is one stmd instance. Create with New, start with Serve or
-// ListenAndServe, stop with Shutdown.
+// Server is one stmd instance. Create with New, start with Serve, stop
+// with Shutdown.
 type Server struct {
 	cfg config
 	s   *stm.STM
@@ -204,15 +204,6 @@ func (srv *Server) Workers() int { return srv.cfg.workers }
 // ReclaimStats exposes the underlying reclaimer's counters; after Shutdown
 // a healthy server reports zero quarantined extents.
 func (srv *Server) ReclaimStats() reclaim.Stats { return srv.s.ReclaimStats() }
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (srv *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return srv.Serve(ln)
-}
 
 // Serve accepts connections on ln until Shutdown closes it. Always returns
 // a non-nil error; after Shutdown it returns nil-wrapped ErrServerClosed
