@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-faults explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures examples run-stmd cover clean lint lint-json
+.PHONY: all build test race test-faults inline-check explore explore-reclaim explore-tds bench bench-smoke bench-remote-smoke benchmark-smoke figures examples run-stmd cover clean lint lint-json
 
 all: build test lint
 
@@ -59,6 +59,17 @@ race:
 # out interleavings.
 test-faults:
 	$(GO) test -race -count=3 -run 'Fault|Failpoint|Stall|Watchdog|Serial|CM' ./...
+
+# The read path's mechanism (EXPERIMENTS.md "Call-free visible reads"):
+# the read log's Add is a plain append that the compiler inlines into the
+# engines' read path. Fails, naming the lost decision, when an edit to
+# either package undoes one.
+inline-check:
+	@$(GO) build -gcflags=-m ./internal/logs 2>&1 | grep -q 'can inline (\*ReadSet).Add' \
+		|| { echo 'inline-check: internal/logs: (*ReadSet).Add no longer inlines'; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/core 2>&1 | grep -q 'inlining call to logs.(\*ReadSet).Add' \
+		|| { echo 'inline-check: internal/core: no call to logs.(*ReadSet).Add is inlined'; exit 1; }
+	@echo 'inline-check: ok'
 
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and
 # bounded-DFS corpus over every engine family (serializability and

@@ -175,7 +175,7 @@ func BenchmarkAblationReadVisibility(b *testing.B) {
 // way every list and hashtable here does — `key`, then `next` — and the
 // time is reported per node. It is where the block size shows: at
 // BlockWords 1 the two loads pay the visibility step, the consistent read
-// and the read-set probe twice; at the default 2 the node sits under one
+// and the read-log append twice; at the default 2 the node sits under one
 // orec and the second load takes the same-block memo path.
 func BenchmarkNodeWalk(b *testing.B) {
 	const nodes = 256

@@ -29,8 +29,8 @@ const (
 	// VisibleAtFirstWrite: reads are invisible until the first write, which
 	// makes them all visible (§III-C).
 	VisibleAtFirstWrite
-	// VisiblePastThreshold: reads turn visible once the read set has grown
-	// past Runtime.HybridThreshold and some writer has committed since
+	// VisiblePastThreshold: reads turn visible once the logged reads have
+	// grown past Runtime.HybridThreshold and some writer has committed since
 	// Begin (§IV's hybrid).
 	VisiblePastThreshold
 )
@@ -166,8 +166,13 @@ func (p *Policy) Write(t *Thread, a heap.Addr, w heap.Word) {
 }
 
 // maybeGoVisible is the hybrid's mode switch, checked at each invisible read
-// and write (§IV): go visible once the read set has crossed the threshold
-// and the clock has moved past our begin time (some writer committed).
+// and write (§IV): go visible once the logged reads have crossed the
+// threshold and the clock has moved past our begin time (some writer
+// committed). Reads count as logged: one per memo miss, so a block read
+// again after another block counts again. On the paper's list walks, which
+// read a node's key and then its next, that is one per node visited, plus
+// one per snapshot extension taken between the two (an extension drops the
+// memo, so the node's next is logged again).
 func (t *Thread) maybeGoVisible(useGrace bool) {
 	if t.Reads.Len() > t.RT.HybridThreshold && t.RT.Clock.Now() > t.BeginTS {
 		t.goVisible(useGrace)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
 	"privstm/internal/heap"
+	"privstm/internal/logs"
 	"privstm/internal/orec"
 )
 
@@ -173,10 +175,11 @@ func TestPollValidateExtensionFlushesReadMemo(t *testing.T) {
 // TestReadMemoNeverChangesTheLog: random single-threaded transactions —
 // visible and invisible loads, in-place writes, snapshot extensions — are
 // run twice on identical runtimes, once with the memo armed and once with
-// it forced off. After every step both must have logged the same reads
-// (same entries, same timestamps), and a rival's commit over any block
-// must fail or pass both validations alike: the memo only ever skips work
-// whose result is already in place.
+// it forced off. The read log is append-only, so the memo-off run logs
+// every re-read the memo skips; what must agree after every step is the
+// set of distinct (orec, wts) pairs logged and the ValidateReads verdict,
+// and a rival's commit over any block must fail or pass both validations
+// alike: the memo only ever skips work whose result is already in place.
 func TestReadMemoNeverChangesTheLog(t *testing.T) {
 	const words = 16
 	type step struct {
@@ -233,17 +236,16 @@ func TestReadMemoNeverChangesTheLog(t *testing.T) {
 			}
 		}
 	}
+	logged := func(w *world) map[[2]uint64]bool {
+		m := map[[2]uint64]bool{}
+		for i := 0; i < w.th.Reads.Len(); i++ {
+			e := w.th.Reads.At(i)
+			m[[2]uint64{uint64(e.Orec.Index()), e.WTS}] = true
+		}
+		return m
+	}
 	same := func(x, y *world) bool {
-		if x.th.Reads.Len() != y.th.Reads.Len() {
-			return false
-		}
-		for i := 0; i < x.th.Reads.Len(); i++ {
-			ex, ey := x.th.Reads.At(i), y.th.Reads.At(i)
-			if ex.Orec.Index() != ey.Orec.Index() || ex.WTS != ey.WTS {
-				return false
-			}
-		}
-		return true
+		return maps.Equal(logged(x), logged(y)) && x.th.ValidateReads() == y.th.ValidateReads()
 	}
 	for _, visible := range []bool{true, false} {
 		prop := func(prog []step, victim uint8) bool {
@@ -252,7 +254,7 @@ func TestReadMemoNeverChangesTheLog(t *testing.T) {
 				apply(on, visible, st)
 				apply(off, visible, st)
 				if !same(on, off) {
-					t.Logf("visible=%v: logs diverged after %+v: %d vs %d entries", visible, st, on.th.Reads.Len(), off.th.Reads.Len())
+					t.Logf("visible=%v: logs diverged after %+v: %d vs %d distinct reads", visible, st, len(logged(on)), len(logged(off)))
 					return false
 				}
 			}
@@ -271,12 +273,87 @@ func TestReadMemoNeverChangesTheLog(t *testing.T) {
 					o.Owner().Store(orec.PackUnowned(w.rt.Clock.Tick()))
 				}
 			}
-			return on.th.ValidateReads() == off.th.ValidateReads()
+			return same(on, off)
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("visible=%v: %v", visible, err)
 		}
 	}
+}
+
+// TestValidateReadsIgnoresDuplicates: the read log is append-only, so it
+// may hold a block more than once — the same (orec, wts) read again after
+// another block, an own-write entry at BeginTS logged once per read of the
+// owned block. ValidateReads must give such a log exactly the verdict it
+// gives the set of its distinct entries, undisturbed and after a rival
+// commits over any one orec; and a duplicate at a newer timestamp (the
+// block changed between the two reads) fails both alike, through the older
+// entry.
+func TestValidateReadsIgnoresDuplicates(t *testing.T) {
+	rt := newTestRT(t, 4)
+	rt.Clock.Tick()
+	th := newActiveThread(t, rt)
+	o := []*orec.Orec{rt.Orecs.At(1), rt.Orecs.At(2), rt.Orecs.At(3), rt.Orecs.At(4)}
+	verdict := func(log []logs.ReadEntry) bool {
+		th.Reads.Reset()
+		for _, e := range log {
+			th.Reads.Add(e.Orec, 0, e.WTS)
+		}
+		return th.ValidateReads()
+	}
+	distinct := func(log []logs.ReadEntry) []logs.ReadEntry {
+		var out []logs.ReadEntry
+		seen := map[logs.ReadEntry]bool{}
+		for _, e := range log {
+			if !seen[e] {
+				seen[e] = true
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	wts := func(o *orec.Orec) uint64 { return orec.WTS(o.Owner().Load()) }
+	// o[0] and o[1] are read, o[2] is read, written in place and read back;
+	// o[3] is never read.
+	log := []logs.ReadEntry{
+		{Orec: o[0], WTS: wts(o[0])}, {Orec: o[1], WTS: wts(o[1])}, {Orec: o[0], WTS: wts(o[0])},
+		{Orec: o[2], WTS: wts(o[2])}, {Orec: o[0], WTS: wts(o[0])},
+	}
+	if !th.acquireOrec(o[2]) {
+		t.Fatal("acquireOrec failed with no rival")
+	}
+	log = append(log, logs.ReadEntry{Orec: o[2], WTS: th.BeginTS}, logs.ReadEntry{Orec: o[1], WTS: wts(o[1])},
+		logs.ReadEntry{Orec: o[2], WTS: th.BeginTS})
+	dedup := distinct(log)
+	if len(dedup) >= len(log) {
+		t.Fatal("the test log holds no duplicates")
+	}
+	if !verdict(log) || !verdict(dedup) {
+		t.Fatal("an undisturbed log failed validation")
+	}
+	for i, victim := range o {
+		before := victim.Owner().Load()
+		if !orec.IsOwned(before) {
+			victim.Owner().Store(orec.PackUnowned(rt.Clock.Tick()))
+		}
+		got, want := verdict(log), verdict(dedup)
+		if got != want {
+			t.Errorf("rival commit over o[%d]: duplicates validate %v, distinct entries %v", i, got, want)
+		}
+		if wantValid := i >= 2; want != wantValid {
+			t.Errorf("rival commit over o[%d]: verdict %v, want %v", i, want, wantValid)
+		}
+		victim.Owner().Store(before)
+	}
+	// The block changed between two reads: the newer entry is a duplicate
+	// at a different timestamp, and the older one dooms both logs.
+	old := logs.ReadEntry{Orec: o[3], WTS: wts(o[3])}
+	o[3].Owner().Store(orec.PackUnowned(rt.Clock.Tick()))
+	log = append(log, old, logs.ReadEntry{Orec: o[3], WTS: wts(o[3])})
+	if got, want := verdict(log), verdict(distinct(log)); got || want {
+		t.Errorf("a re-read past a rival commit: duplicates validate %v, distinct entries %v, want false", got, want)
+	}
+	th.abort()
 }
 
 // TestReadMemoAllocates0: the memo path, like every steady-state read,

@@ -27,8 +27,8 @@ import (
 // DefaultMaxGrace is the grace-period cap from §III-A: 256 clock steps.
 const DefaultMaxGrace = 256
 
-// DefaultHybridThreshold is the read-set size beyond which pvrHybrid
-// switches to partially visible reads (§IV: 16).
+// DefaultHybridThreshold is the number of logged reads beyond which
+// pvrHybrid switches to partially visible reads (§IV: 16).
 const DefaultHybridThreshold = 16
 
 // Options configures a Runtime.
@@ -39,7 +39,7 @@ type Options struct {
 	MaxThreads int // maximum concurrently registered threads (1..txnlist.MaxSlots; 0 ⇒ 64)
 
 	MaxGrace        uint64 // cap for adaptive grace periods (0 ⇒ DefaultMaxGrace)
-	HybridThreshold int    // read-set size that flips pvrHybrid visible (0 ⇒ 16)
+	HybridThreshold int    // logged reads that flip pvrHybrid visible (0 ⇒ 16)
 
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, is the O(1) cached-watermark slot array; TrackerList

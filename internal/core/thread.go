@@ -397,8 +397,8 @@ func (t *Thread) forgetVisibility() { t.memoOrec = nil }
 // readMemo is the same-block fast path: o is the block this transaction
 // last read successfully and v, its owner word loaded just now, is the word
 // that read was consistent with. Everything the full protocol would add is
-// already in place and stable — the (o, wts) read-set entry (a re-Add would
-// dedup to nothing) and, on the visible paths, this transaction's
+// already in place and stable — the (o, wts) read-log entry (a re-Add
+// would only log a duplicate) and, on the visible paths, this transaction's
 // visibility on o (MakeVisible could only skip) — so what is left is the
 // consistent read itself: load the word and confirm the owner word did not
 // move under it. ok is false when it did; the caller falls back to the full
@@ -425,7 +425,7 @@ func (t *Thread) remember(o *orec.Orec, v uint64) {
 // writers), and log the read. Engines layer visibility and redo-lookup
 // around it. A word newer than the validity bound triggers a snapshot
 // extension attempt instead of an unconditional abort. A second load of the
-// block just read takes the memo path and skips the read-set probe.
+// block just read takes the memo path and logs nothing.
 func (t *Thread) readHeapConsistent(a heap.Addr) heap.Word {
 	// Sandbox bounds guard: an address computed from torn reads aborts the
 	// doomed attempt here instead of faulting into Run's recover.
@@ -446,6 +446,14 @@ func (t *Thread) readHeapConsistent(a heap.Addr) heap.Word {
 // and a second load of the block just read does none of it (readMemo),
 // counted as a skipped visibility update so Figure 4's percentages keep
 // their meaning.
+//
+// The common first read of a block makes no call: an unowned orec whose
+// hint already covers this transaction (rts ≥ BeginTS, and the multi bit
+// set or the hint our own) is MakeVisible's first skip case, and a word
+// no newer than ValidTS is readConsistent's first round, with the same
+// failpoints in the same order. Every other case — a hint to publish or
+// share, an owned orec, a word past ValidTS, a post-check that moved —
+// goes through MakeVisible or readConsistent unchanged.
 func (t *Thread) readVisible(a heap.Addr, useGrace bool) heap.Word {
 	t.CheckAddr(a)
 	o := t.RT.Orecs.For(a)
@@ -455,12 +463,34 @@ func (t *Thread) readVisible(a heap.Addr, useGrace bool) heap.Word {
 		t.Stats.PVSkipped++
 		return w
 	}
-	// Reading our own in-place write needs no visibility hint: ownership
-	// already blocks every other reader and writer.
-	if !orec.IsOwned(v) || orec.OwnerTID(v) != t.ID {
-		t.MakeVisible(o, useGrace)
+	if orec.IsOwned(v) {
+		// Reading our own in-place write needs no visibility hint:
+		// ownership already blocks every other reader and writer.
+		if orec.OwnerTID(v) != t.ID {
+			t.MakeVisible(o, useGrace)
+		}
+		return t.readConsistent(o, a, v)
 	}
-	return t.readConsistent(o, a, v)
+	rts, tid, multi := orec.UnpackVis(o.Vis().Load())
+	if covered := rts >= t.BeginTS && (multi || tid == t.ID); !covered {
+		t.MakeVisible(o, useGrace)
+		return t.readConsistent(o, a, v)
+	}
+	t.Stats.PVReads++
+	t.Stats.PVSkipped++
+	wts := orec.WTS(v)
+	if wts > t.ValidTS {
+		return t.readConsistent(o, a, v)
+	}
+	failpoint.Eval(failpoint.ReadBeforeLoad)
+	w := t.RT.Heap.AtomicLoad(a)
+	failpoint.Eval(failpoint.ReadBeforePostcheck)
+	if o.Owner().Load() != v {
+		return t.readConsistent(o, a, o.Owner().Load())
+	}
+	t.Reads.Add(o, a, wts)
+	t.remember(o, v)
+	return w
 }
 
 // readConsistent is the consistent read of a under o; v1 is o's owner word

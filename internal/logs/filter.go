@@ -1,10 +1,10 @@
 package logs
 
 // filter is the open-addressed, epoch-stamped index shared by the
-// per-transaction containers (ReadSet, Redo, PubLog). It maps a
-// 32-bit key to the index of an entry in the container's backing slice;
-// collision resolution is linear probing over a power-of-two table kept
-// below 3/4 load.
+// per-transaction containers that look entries up by key (Redo, PubLog).
+// It maps a 32-bit key to the index of an entry in the container's backing
+// slice; collision resolution is linear probing over a power-of-two table
+// kept below 3/4 load.
 //
 // Each word packs (epoch, entry index + 1); a word whose epoch is not the
 // container's current epoch reads as empty. Reset then just bumps the

@@ -15,71 +15,36 @@ import (
 )
 
 // ReadEntry records one transactional read: which orec covered it and the
-// write timestamp observed at read time. Addr is retained so engines that
-// upgrade reads to partial visibility late (pvrWriterOnly, pvrHybrid) can
-// revisit the location.
+// write timestamp observed at read time — all that validation checks.
 type ReadEntry struct {
 	Orec *orec.Orec
-	Addr heap.Addr
 	WTS  uint64
 }
 
-// ReadSet is a log of reads, deduplicated per orec: re-reading a block
-// already covered at the same write timestamp appends nothing, which keeps
-// validation and the writer-side conflict scan proportional to the number
-// of *distinct* blocks read rather than the number of loads.
-//
-// The index is a shared epoch-stamped filter (filter.go) keyed by the
-// orec's table slot (Orec.Index). Keys and orec handles are in bijection
-// (one table per runtime), so matching on the entry's orec pointer is
-// exact.
+// ReadSet is an append-only log of reads: every Add appends one entry, so
+// a block read again after other blocks is logged again. Re-reads are not
+// merged because the engines' same-block memo (core.Thread.readMemo)
+// already skips the re-reads of the block just read, and a duplicate entry
+// cannot change what ValidateReads decides (CORRECTNESS.md §8); so Add is
+// a plain append that inlines into the read path (make inline-check).
 type ReadSet struct {
 	entries []ReadEntry
-	f       filter
 }
 
-func (rs *ReadSet) keyAt(i int) uint32 { return rs.entries[i].Orec.Index() }
-
-// Add records a read of address a covered by orec o with write timestamp
-// wts. A re-read of a block already logged at the same timestamp appends
-// nothing; a re-read observing a *newer* timestamp (the snapshot was
-// extended past an intervening commit) refreshes the entry in place, so
-// validation keeps checking "unchanged since my latest read".
-func (rs *ReadSet) Add(o *orec.Orec, a heap.Addr, wts uint64) {
-	if rs.f.needGrow(len(rs.entries)) {
-		rs.f.grow(64, len(rs.entries), rs.keyAt)
-	}
-	s := rs.f.start(o.Index())
-	for {
-		i := rs.f.at(s)
-		if i < 0 {
-			rs.f.put(s, len(rs.entries))
-			rs.entries = append(rs.entries, ReadEntry{Orec: o, Addr: a, WTS: wts})
-			return
-		}
-		if e := &rs.entries[i]; e.Orec == o {
-			if wts > e.WTS {
-				e.WTS = wts
-				e.Addr = a
-			}
-			return
-		}
-		s = rs.f.next(s)
-	}
+// Add logs a read covered by orec o that observed write timestamp wts. The
+// address is not logged: validation needs only the orec and its timestamp.
+func (rs *ReadSet) Add(o *orec.Orec, _ heap.Addr, wts uint64) {
+	rs.entries = append(rs.entries, ReadEntry{Orec: o, WTS: wts})
 }
 
-// Len returns the number of distinct blocks read.
+// Len returns the number of logged reads.
 func (rs *ReadSet) Len() int { return len(rs.entries) }
 
-// At returns the i-th entry.
+// At returns the i-th entry, in logging order.
 func (rs *ReadSet) At(i int) *ReadEntry { return &rs.entries[i] }
 
-// Reset empties the set, retaining capacity; O(1) via the filter's epoch
-// bump.
-func (rs *ReadSet) Reset() {
-	rs.entries = rs.entries[:0]
-	rs.f.reset()
-}
+// Reset empties the log, retaining capacity.
+func (rs *ReadSet) Reset() { rs.entries = rs.entries[:0] }
 
 // UndoEntry records a pre-image for in-place writes.
 type UndoEntry struct {

@@ -28,7 +28,7 @@ func TestReadSet(t *testing.T) {
 	if rs.Len() != 2 {
 		t.Fatalf("Len = %d", rs.Len())
 	}
-	if e := rs.At(0); e.Orec != o1 || e.Addr != 10 || e.WTS != 5 {
+	if e := rs.At(0); e.Orec != o1 || e.WTS != 5 {
 		t.Errorf("entry 0 = %+v", e)
 	}
 	rs.Reset()
@@ -36,118 +36,57 @@ func TestReadSet(t *testing.T) {
 		t.Error("Reset did not empty the set")
 	}
 	rs.Add(o2, 30, 9)
-	if e := rs.At(0); e.Orec != o2 || e.Addr != 30 {
+	if e := rs.At(0); e.Orec != o2 || e.WTS != 9 {
 		t.Errorf("entry after reuse = %+v", e)
 	}
 }
 
-func TestReadSetDedup(t *testing.T) {
-	var rs ReadSet
-	os := testOrecs(2)
-	o1, o2 := os[0], os[1]
-	// Re-reading a block already covered at the same wts appends nothing.
-	rs.Add(o1, 10, 5)
-	rs.Add(o1, 11, 5) // same orec (block), different word
-	if rs.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (deduplicated)", rs.Len())
-	}
-	// A newer observed timestamp refreshes the entry in place.
-	rs.Add(o1, 12, 8)
-	if rs.Len() != 1 {
-		t.Fatalf("Len = %d after refresh, want 1", rs.Len())
-	}
-	if e := rs.At(0); e.WTS != 8 || e.Addr != 12 {
-		t.Errorf("refreshed entry = %+v, want WTS=8 Addr=12", e)
-	}
-	// An older timestamp (stale retry) must not regress the entry.
-	rs.Add(o1, 13, 3)
-	if e := rs.At(0); e.WTS != 8 {
-		t.Errorf("entry regressed to WTS=%d", e.WTS)
-	}
-	// A second distinct orec logs its own entry.
-	rs.Add(o2, 20, 6)
-	if rs.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", rs.Len())
-	}
-}
-
-func TestReadSetGrowRehash(t *testing.T) {
+// TestReadSetAppendOnly: every Add appends one entry, in order — a re-read
+// of a logged block, at the same, a newer or an older timestamp, is logged
+// again rather than merged — and Len counts the Adds since the last Reset.
+func TestReadSetAppendOnly(t *testing.T) {
 	var rs ReadSet
 	orecs := testOrecs(300)
-	for i, o := range orecs {
-		rs.Add(o, heap.Addr(i), uint64(i+1))
+	var want []ReadEntry
+	add := func(o *orec.Orec, wts uint64) {
+		rs.Add(o, heap.Addr(len(want)), wts)
+		want = append(want, ReadEntry{Orec: o, WTS: wts})
 	}
-	if rs.Len() != len(orecs) {
-		t.Fatalf("Len = %d, want %d", rs.Len(), len(orecs))
-	}
-	// Every key still deduplicates after multiple grows.
-	for i, o := range orecs {
-		rs.Add(o, heap.Addr(i), uint64(i+1))
-	}
-	if rs.Len() != len(orecs) {
-		t.Fatalf("Len = %d after re-adds, want %d", rs.Len(), len(orecs))
-	}
-	for i, o := range orecs {
-		if e := rs.At(i); e.Orec != o || e.WTS != uint64(i+1) {
-			t.Fatalf("entry %d corrupted after rehash: %+v", i, e)
+	check := func(when string) {
+		t.Helper()
+		if rs.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d (one per Add)", when, rs.Len(), len(want))
 		}
-	}
-}
-
-// TestReadSetEpochReset: Reset invalidates the filter by epoch bump rather
-// than a memset, so stale filter words from earlier transactions must read
-// as empty — re-adding the same keys after a Reset must re-log them, and
-// keys never re-added must be gone.
-func TestReadSetEpochReset(t *testing.T) {
-	var rs ReadSet
-	orecs := testOrecs(200) // force several grows so idx ≫ a small txn
-	for i, o := range orecs {
-		rs.Add(o, heap.Addr(i), uint64(i+1))
+		for i, w := range want {
+			if e := rs.At(i); *e != w {
+				t.Fatalf("%s: entry %d = %+v, want %+v", when, i, *e, w)
+			}
+		}
 	}
 	for txn := 0; txn < 3; txn++ {
 		rs.Reset()
-		if rs.Len() != 0 {
-			t.Fatalf("txn %d: Reset left %d entries", txn, rs.Len())
+		want = want[:0]
+		check("after Reset")
+		add(orecs[0], 5)
+		add(orecs[0], 5) // same block, same timestamp
+		add(orecs[1], 6)
+		add(orecs[0], 8) // newer timestamp: a new entry, the old one kept
+		add(orecs[0], 3) // older timestamp: logged as seen
+		check("re-reads")
+		for i, o := range orecs { // past several backing-array growths
+			add(o, uint64(i+1))
 		}
-		// A small transaction re-using a key from the big one: the stale
-		// filter word must not satisfy the dedup probe.
-		rs.Add(orecs[7], 7, 99)
-		if rs.Len() != 1 {
-			t.Fatalf("txn %d: Len = %d, want 1", txn, rs.Len())
+		for i := len(orecs) - 1; i >= 0; i-- {
+			add(orecs[i], uint64(i+1))
 		}
-		if e := rs.At(0); e.Orec != orecs[7] || e.WTS != 99 {
-			t.Fatalf("txn %d: entry = %+v", txn, e)
-		}
-		rs.Add(orecs[7], 8, 99) // and dedup within the epoch still works
-		if rs.Len() != 1 {
-			t.Fatalf("txn %d: dedup broken, Len = %d", txn, rs.Len())
-		}
+		check("after growth")
 	}
 }
 
-// TestReadSetEpochWrap drives the epoch to its wrap point and checks the
-// one-per-2^32-resets physical clear keeps the filter sound.
-func TestReadSetEpochWrap(t *testing.T) {
-	var rs ReadSet
-	os := testOrecs(2)
-	rs.Add(os[0], 10, 5)
-	rs.f.epoch = ^uint32(0) // as if 2^32-1 resets had happened
-	rs.Reset()
-	if rs.f.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", rs.f.epoch)
-	}
-	for _, v := range rs.f.words {
-		if v != 0 {
-			t.Fatal("wrap did not physically clear the filter")
-		}
-	}
-	rs.Add(os[1], 20, 7)
-	if rs.Len() != 1 || rs.At(0).Orec != os[1] {
-		t.Fatalf("post-wrap state: Len=%d entry=%+v", rs.Len(), rs.At(0))
-	}
-}
-
-// TestRedoEpochReset is the Redo-side twin of TestReadSetEpochReset.
+// TestRedoEpochReset: Reset invalidates the filter by epoch bump rather
+// than a memset, so stale filter words from earlier transactions must read
+// as empty — a Get of a key from an earlier transaction must miss, and a
+// re-Put must log it afresh.
 func TestRedoEpochReset(t *testing.T) {
 	var r Redo
 	for i := 0; i < 200; i++ {
@@ -169,6 +108,30 @@ func TestRedoEpochReset(t *testing.T) {
 		if r.Len() != 1 {
 			t.Fatalf("txn %d: Len = %d, want 1", txn, r.Len())
 		}
+	}
+}
+
+// TestRedoEpochWrap drives the filter's epoch to its wrap point and checks
+// the one-per-2^32-resets physical clear keeps the filter sound.
+func TestRedoEpochWrap(t *testing.T) {
+	var r Redo
+	r.Put(10, 5)
+	r.f.epoch = ^uint32(0) // as if 2^32-1 resets had happened
+	r.Reset()
+	if r.f.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", r.f.epoch)
+	}
+	for _, v := range r.f.words {
+		if v != 0 {
+			t.Fatal("wrap did not physically clear the filter")
+		}
+	}
+	if _, ok := r.Get(10); ok {
+		t.Fatal("a pre-wrap entry survived the clear")
+	}
+	r.Put(20, 7)
+	if v, ok := r.Get(20); r.Len() != 1 || !ok || v != 7 {
+		t.Fatalf("post-wrap state: Len=%d Get(20)=%d,%v", r.Len(), v, ok)
 	}
 }
 

@@ -10,8 +10,9 @@ import "math"
 // uniform and theta → 1 approaches 1/k. (math/rand's Zipf wants s > 1 and
 // cannot express this range, hence the stdlib-only reimplementation.)
 //
-// Draws cost two float64 pow calls; the zeta-sum setup is O(n) once. Not
-// safe for concurrent use; create one per goroutine, like RNG.
+// A draw past the two hottest ranks costs one float64 pow call; the
+// zeta-sum setup is O(n) once. Not safe for concurrent use; create one per
+// goroutine, like RNG.
 type Zipf struct {
 	r     *RNG
 	n     uint64
@@ -21,6 +22,7 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	half  float64 // zeta(2, theta), the two-element partial sum
+	edge1 float64 // 1 + 0.5^theta: u·zetan below it draws rank 0 or 1
 }
 
 // NewZipf returns a Zipf(theta) sampler over [0, n) driven by r. theta == 0
@@ -46,6 +48,7 @@ func NewZipf(r *RNG, n uint64, theta float64) *Zipf {
 		alpha: 1 / (1 - theta),
 		zetan: zetan,
 		half:  zeta(2, theta),
+		edge1: 1 + math.Pow(0.5, theta),
 	}
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.half/zetan)
 	return z
@@ -74,7 +77,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.edge1 {
 		return 1
 	}
 	k := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

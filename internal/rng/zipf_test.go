@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -92,5 +95,31 @@ func TestZipfThetaZeroUniform(t *testing.T) {
 	}
 	if z.Theta() != 0 {
 		t.Errorf("Theta() = %v, want 0", z.Theta())
+	}
+}
+
+// TestZipfGolden pins the key stream: the first 10,000 draws of
+// Zipf(1<<14, 0.8) from seed 1, as a 64-bit FNV-1a over their
+// little-endian bytes plus the first sixteen draws in the clear. Workload
+// key streams depend on it, so a change to Next must reproduce it.
+func TestZipfGolden(t *testing.T) {
+	z := NewZipf(New(1), 1<<14, 0.8)
+	h := fnv.New64a()
+	var first []uint64
+	var b [8]byte
+	for i := 0; i < 10000; i++ {
+		k := z.Next()
+		if i < 16 {
+			first = append(first, k)
+		}
+		binary.LittleEndian.PutUint64(b[:], k)
+		h.Write(b[:])
+	}
+	want := []uint64{4613, 14396, 568, 568, 5079, 9251, 1075, 114, 6021, 397, 1937, 622, 1133, 528, 21, 2519}
+	if !slices.Equal(first, want) {
+		t.Errorf("first draws = %v, want %v", first, want)
+	}
+	if got := h.Sum64(); got != 0x2a3909d43868fddd {
+		t.Errorf("FNV-1a of 10,000 draws = %#x, want 0x2a3909d43868fddd", got)
 	}
 }

@@ -14,7 +14,8 @@ type Quota struct {
 	// TxnDeadline is the wall-clock budget of a single transaction
 	// attempt window, checked cooperatively at every container op.
 	TxnDeadline time.Duration
-	// ReadSetCap bounds the logged read-set entries of one transaction.
+	// ReadSetCap bounds the logged reads of one transaction (Tx.ReadSetLen:
+	// a block read again after another block counts again).
 	ReadSetCap int
 	// WriteSetCap bounds the write-set words of one transaction.
 	WriteSetCap int
@@ -88,7 +89,8 @@ func WithTxnDeadline(d time.Duration) Option {
 	}
 }
 
-// WithReadSetCap sets the default read-set cap. 0 disables.
+// WithReadSetCap sets the default read-set cap, in logged reads
+// (Quota.ReadSetCap). 0 disables.
 func WithReadSetCap(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

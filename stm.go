@@ -147,8 +147,9 @@ type Config struct {
 	// MaxGrace caps adaptive grace periods (default 256, the paper's
 	// experimental setting).
 	MaxGrace uint64
-	// HybridThreshold is the read-set size at which PVRHybrid switches to
-	// partial visibility (default 16, the paper's setting).
+	// HybridThreshold is the number of logged reads (Tx.ReadSetLen) past
+	// which PVRHybrid switches to partial visibility (default 16, the
+	// paper's setting).
 	HybridThreshold int
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, keeps a cached oldest-begin watermark over per-thread
@@ -543,9 +544,10 @@ func (tx *Tx) CheckDeadline() {
 	}
 }
 
-// ReadSetLen reports how many logged read-set entries the transaction
-// currently holds (weak reads are unlogged and not counted). Servers use it
-// to enforce per-tenant read-set quotas via Cancel.
+// ReadSetLen reports how many reads the transaction has logged so far: one
+// per read that missed the same-block memo, so a block read again after
+// another block counts again (weak reads are unlogged and not counted).
+// Servers use it to enforce per-tenant read-set quotas via Cancel.
 func (tx *Tx) ReadSetLen() int { return tx.th.t.Reads.Len() }
 
 // WriteSetLen reports how many words the transaction has written so far —
