@@ -41,45 +41,111 @@ func TestReadSet(t *testing.T) {
 	}
 }
 
+// readLog mirrors a ReadSet with the entries it must hold: one per Add, in
+// order, since the last reset.
+type readLog struct {
+	t    *testing.T
+	rs   ReadSet
+	want []ReadEntry
+}
+
+func (l *readLog) add(o *orec.Orec, wts uint64) {
+	l.rs.Add(o, heap.Addr(len(l.want)), wts)
+	l.want = append(l.want, ReadEntry{Orec: o, WTS: wts})
+}
+
+func (l *readLog) reset() {
+	l.rs.Reset()
+	l.want = l.want[:0]
+}
+
+func (l *readLog) check(when string) {
+	l.t.Helper()
+	if l.rs.Len() != len(l.want) {
+		l.t.Fatalf("%s: Len = %d, want %d (one per Add)", when, l.rs.Len(), len(l.want))
+	}
+	for i, w := range l.want {
+		if e := l.rs.At(i); *e != w {
+			l.t.Fatalf("%s: entry %d = %+v, want %+v", when, i, *e, w)
+		}
+	}
+}
+
 // TestReadSetAppendOnly: every Add appends one entry, in order — a re-read
 // of a logged block, at the same, a newer or an older timestamp, is logged
 // again rather than merged — and Len counts the Adds since the last Reset.
 func TestReadSetAppendOnly(t *testing.T) {
-	var rs ReadSet
+	l := &readLog{t: t}
 	orecs := testOrecs(300)
-	var want []ReadEntry
-	add := func(o *orec.Orec, wts uint64) {
-		rs.Add(o, heap.Addr(len(want)), wts)
-		want = append(want, ReadEntry{Orec: o, WTS: wts})
-	}
-	check := func(when string) {
-		t.Helper()
-		if rs.Len() != len(want) {
-			t.Fatalf("%s: Len = %d, want %d (one per Add)", when, rs.Len(), len(want))
-		}
-		for i, w := range want {
-			if e := rs.At(i); *e != w {
-				t.Fatalf("%s: entry %d = %+v, want %+v", when, i, *e, w)
-			}
-		}
-	}
 	for txn := 0; txn < 3; txn++ {
-		rs.Reset()
-		want = want[:0]
-		check("after Reset")
-		add(orecs[0], 5)
-		add(orecs[0], 5) // same block, same timestamp
-		add(orecs[1], 6)
-		add(orecs[0], 8) // newer timestamp: a new entry, the old one kept
-		add(orecs[0], 3) // older timestamp: logged as seen
-		check("re-reads")
+		l.reset()
+		l.check("after Reset")
+		l.add(orecs[0], 5)
+		l.add(orecs[0], 5) // same block, same timestamp
+		l.add(orecs[1], 6)
+		l.add(orecs[0], 8) // newer timestamp: a new entry, the old one kept
+		l.add(orecs[0], 3) // older timestamp: logged as seen
+		l.check("re-reads")
 		for i, o := range orecs { // past several backing-array growths
-			add(o, uint64(i+1))
+			l.add(o, uint64(i+1))
 		}
 		for i := len(orecs) - 1; i >= 0; i-- {
-			add(orecs[i], uint64(i+1))
+			l.add(orecs[i], uint64(i+1))
 		}
-		check("after growth")
+		l.check("after growth")
+	}
+}
+
+// TestReadSetDedup: the read log does not deduplicate per orec (CORRECTNESS
+// §8) — a second read of a block, even of another word at the same
+// timestamp, appends an entry, and a newer or older timestamp neither
+// refreshes nor regresses the earlier entry.
+func TestReadSetDedup(t *testing.T) {
+	l := &readLog{t: t}
+	orecs := testOrecs(2)
+	l.add(orecs[0], 5)
+	l.add(orecs[0], 5) // same orec (block), different word
+	l.check("same timestamp")
+	l.add(orecs[0], 8)
+	l.check("newer timestamp")
+	l.add(orecs[0], 3)
+	l.check("older timestamp")
+	l.add(orecs[1], 6)
+	l.check("second orec")
+}
+
+// TestReadSetGrowRehash: growing the backing array keeps every entry, in
+// order, and re-adding every orec after several growths appends each once
+// more.
+func TestReadSetGrowRehash(t *testing.T) {
+	l := &readLog{t: t}
+	orecs := testOrecs(300)
+	for i, o := range orecs {
+		l.add(o, uint64(i+1))
+	}
+	l.check("after growth")
+	for i, o := range orecs {
+		l.add(o, uint64(i+1))
+	}
+	l.check("after re-adds")
+}
+
+// TestReadSetEpochReset: Reset empties the log, so a small transaction
+// after a large one holds only its own reads — a block the large one read
+// is logged afresh, and a re-read within the transaction appends again.
+func TestReadSetEpochReset(t *testing.T) {
+	l := &readLog{t: t}
+	orecs := testOrecs(200)
+	for i, o := range orecs {
+		l.add(o, uint64(i+1))
+	}
+	for txn := 0; txn < 3; txn++ {
+		l.reset()
+		l.check("after Reset")
+		l.add(orecs[7], 99)
+		l.check("first read after Reset")
+		l.add(orecs[7], 99)
+		l.check("re-read after Reset")
 	}
 }
 
