@@ -62,13 +62,19 @@ test-faults:
 
 # The read path's mechanism (EXPERIMENTS.md "Call-free visible reads"):
 # the read log's Add is a plain append that the compiler inlines into the
-# engines' read path. Fails, naming the lost decision, when an edit to
-# either package undoes one.
+# engines' read path. And the privatized walk's: stm.Private's Load and
+# Follow inline into internal/tds's chain walk (kv_privatize's), so an
+# uninstrumented access keeps plain-load cost. Fails, naming the lost
+# decision, when an edit undoes one.
 inline-check:
 	@$(GO) build -gcflags=-m ./internal/logs 2>&1 | grep -q 'can inline (\*ReadSet).Add' \
 		|| { echo 'inline-check: internal/logs: (*ReadSet).Add no longer inlines'; exit 1; }
 	@$(GO) build -gcflags=-m ./internal/core 2>&1 | grep -q 'inlining call to logs.(\*ReadSet).Add' \
 		|| { echo 'inline-check: internal/core: no call to logs.(*ReadSet).Add is inlined'; exit 1; }
+	@for m in Load Follow; do \
+		$(GO) build -gcflags=-m ./internal/tds 2>&1 | grep -q "inlining call to stm.Private.$$m" \
+			|| { echo "inline-check: internal/tds: no call to stm.Private.$$m is inlined"; exit 1; }; \
+	done
 	@echo 'inline-check: ok'
 
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and

@@ -159,7 +159,8 @@ func TestAddrRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := Addr(s.DirectLoad(p)); got != target {
+	closeAll(t, th)
+	if got := Addr(peek(t, s, p)); got != target {
 		t.Errorf("after commit, pointer = %v", got)
 	}
 }
@@ -263,9 +264,13 @@ func TestStatsExposed(t *testing.T) {
 func TestDirectAndAtomicAccess(t *testing.T) {
 	s := MustNew(Config{Algorithm: PVRStore, HeapWords: 1 << 10})
 	a := s.MustAlloc(1)
-	s.DirectStore(a, 5)
-	if s.DirectLoad(a) != 5 {
-		t.Error("DirectLoad/Store round trip failed")
+	if err := s.Quiescent(func(h Private) {
+		h.Store(a, 5)
+		if h.Load(a) != 5 {
+			t.Error("Private Load/Store round trip failed")
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	s.AtomicStore(a, 6)
 	if s.AtomicLoad(a) != 6 {

@@ -184,13 +184,15 @@ func BenchmarkNodeWalk(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/block%d", alg, bw), func(b *testing.B) {
 				s := stm.MustNew(stm.Config{Algorithm: alg, BlockWords: bw, HeapWords: 1 << 12, MaxThreads: 2})
 				head := s.MustAlloc(1)
-				prev := head
-				for k := 1; k <= nodes; k++ {
-					n := s.MustAlloc(2) // [key, next]
-					s.DirectStore(n, stm.Word(k))
-					s.DirectStore(prev, stm.Word(n))
-					prev = n + 1
-				}
+				mustQuiescent(b, s, func(h stm.Private) {
+					prev := head
+					for k := 1; k <= nodes; k++ {
+						n := s.MustAlloc(2) // [key, next]
+						h.Store(n, stm.Word(k))
+						h.Store(prev, stm.Word(n))
+						prev = n + 1
+					}
+				})
 				th := s.MustNewThread()
 				var sum stm.Word
 				walk := func(tx *stm.Tx) {
@@ -303,10 +305,13 @@ func BenchmarkAblationFenceCap(b *testing.B) {
 func BenchmarkPrivatizedVsInstrumented(b *testing.B) {
 	const words = 4096
 	s := stm.MustNew(stm.Config{Algorithm: stm.PVRStore, HeapWords: 1 << 14, MaxThreads: 2})
-	base := s.MustAlloc(words)
-	for i := stm.Addr(0); i < words; i++ {
-		s.DirectStore(base+i, stm.Word(i))
-	}
+	root, base := s.MustAlloc(1), s.MustAlloc(words)
+	mustQuiescent(b, s, func(h stm.Private) {
+		h.Store(root, stm.Word(base))
+		for i := stm.Addr(0); i < words; i++ {
+			h.Store(base+i, stm.Word(i))
+		}
+	})
 	th := s.MustNewThread()
 	b.Run("transactional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -323,12 +328,19 @@ func BenchmarkPrivatizedVsInstrumented(b *testing.B) {
 		}
 	})
 	b.Run("privatized", func(b *testing.B) {
-		// One transaction "privatizes" (here: no concurrent sharers, so
-		// the fence is free); the scan itself is uninstrumented.
+		// One transaction privatizes the region (here: no concurrent
+		// sharers, so the fence is free); the scan itself is uninstrumented.
+		p, err := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+			tx.StoreAddr(root, stm.Nil)
+			return base, words
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
 			var sum stm.Word
 			for j := stm.Addr(0); j < words; j++ {
-				sum += s.DirectLoad(base + j)
+				sum += p.Load(j)
 			}
 			if sum == 0 {
 				b.Fatal("bad sum")
@@ -383,9 +395,11 @@ func BenchmarkSandboxCheckpoint(b *testing.B) {
 	const batch = 1024
 	s := stm.MustNew(stm.Config{Algorithm: stm.PVRCAS, HeapWords: 1 << 12, MaxThreads: 2})
 	base := s.MustAlloc(65)
-	for i := stm.Addr(0); i < 65; i++ {
-		s.DirectStore(base+i, stm.Word(i+3))
-	}
+	mustQuiescent(b, s, func(h stm.Private) {
+		for i := stm.Addr(0); i < 65; i++ {
+			h.Store(base+i, stm.Word(i+3))
+		}
+	})
 	target := base + 64
 	th := s.MustNewThread()
 	ops := []struct {

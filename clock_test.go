@@ -26,7 +26,7 @@ func TestClockTickPerWriterCommit(t *testing.T) {
 				t.Fatalf("read-only txn %d: %v", i, err)
 			}
 		}
-		if got := s.DirectLoad(a); got != txns {
+		if got := txLoad(th, a); got != txns {
 			t.Fatalf("counter = %d, want %d", got, txns)
 		}
 		st := s.Stats()

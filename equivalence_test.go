@@ -49,8 +49,15 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 			})
 		}
 		img := make([]Word, heapWords)
-		for i := range img {
-			img[i] = s.DirectLoad(base + Addr(i))
+		if err := th.Close(); err != nil {
+			panic(err)
+		}
+		if err := s.Quiescent(func(h Private) {
+			for i := range img {
+				img[i] = h.Load(base + Addr(i))
+			}
+		}); err != nil {
+			panic(err)
 		}
 		return img
 	}

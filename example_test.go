@@ -19,7 +19,9 @@ func Example() {
 	_ = th.Atomic(func(tx *stm.Tx) {
 		tx.Store(acct, tx.Load(acct)-30)
 	})
-	fmt.Println("balance:", s.DirectLoad(acct))
+	// With the thread closed, Quiescent reads the heap uninstrumented.
+	_ = th.Close()
+	_ = s.Quiescent(func(h stm.Private) { fmt.Println("balance:", h.Load(acct)) })
 	// Output: balance: 70
 }
 
@@ -39,14 +41,14 @@ func Example_privatization() {
 		tx.StoreAddr(slot, data) // publish
 	})
 
-	var mine stm.Addr
-	_ = th.Atomic(func(tx *stm.Tx) {
-		mine = tx.LoadAddr(slot)
+	mine, _ := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+		p := tx.LoadAddr(slot)
 		tx.StoreAddr(slot, stm.Nil) // privatize: the fence runs here if needed
+		return p, 3
 	})
 	sum := stm.Word(0)
 	for i := stm.Addr(0); i < 3; i++ {
-		sum += s.DirectLoad(mine + i) // uninstrumented
+		sum += mine.Load(i) // uninstrumented
 	}
 	fmt.Println("sum:", sum)
 	// Output: sum: 33
@@ -66,7 +68,8 @@ func ExampleTx_Cancel() {
 		}
 	})
 	fmt.Println("err:", err)
-	fmt.Println("value:", s.DirectLoad(a))
+	_ = th.Close()
+	_ = s.Quiescent(func(h stm.Private) { fmt.Println("value:", h.Load(a)) })
 	// Output:
 	// err: limit exceeded
 	// value: 0

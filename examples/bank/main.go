@@ -44,9 +44,11 @@ func run(alg stm.Algorithm) bool {
 		MaxThreads: threads,
 	})
 	base := s.MustAlloc(accounts)
-	for i := stm.Addr(0); i < accounts; i++ {
-		s.DirectStore(base+i, initial)
-	}
+	must(s.Quiescent(func(h stm.Private) {
+		for i := stm.Addr(0); i < accounts; i++ {
+			h.Store(base+i, initial)
+		}
+	}))
 
 	var wg sync.WaitGroup
 	ths := make([]*stm.Thread, threads)
@@ -78,15 +80,19 @@ func run(alg stm.Algorithm) bool {
 	}
 	wg.Wait()
 
-	var commits, aborts uint64
+	// Close folds each thread's counters into s.Stats, and the audit
+	// reads the accounts only once no thread is open.
 	for _, th := range ths {
-		commits += th.Stats().Commits
-		aborts += th.Stats().Aborts
+		must(th.Close())
 	}
+	st := s.Stats()
+	commits, aborts := st.Commits, st.Aborts
 	var total stm.Word
-	for i := stm.Addr(0); i < accounts; i++ {
-		total += s.DirectLoad(base + i)
-	}
+	must(s.Quiescent(func(h stm.Private) {
+		for i := stm.Addr(0); i < accounts; i++ {
+			total += h.Load(base + i)
+		}
+	}))
 	ok := "yes"
 	if total != accounts*initial {
 		ok = fmt.Sprintf("NO (%d)", total)
@@ -98,4 +104,10 @@ func run(alg stm.Algorithm) bool {
 	fmt.Printf("%-14v %12.0f %9.1f%% %12s\n",
 		alg, float64(commits)/duration.Seconds(), abortPct, ok)
 	return total == accounts*initial
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

@@ -37,7 +37,9 @@ func main() {
 	// transaction, so a privatizer can swap it out from under them safely.
 	current := s.MustAlloc(1)
 	hist := s.MustAlloc(bins)
-	s.DirectStore(current, stm.Word(hist))
+	if err := s.Quiescent(func(h stm.Private) { h.Store(current, stm.Word(hist)) }); err != nil {
+		panic(err)
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -64,17 +66,20 @@ func main() {
 
 	// Privatize: one tiny transaction detaches the histogram...
 	coord := s.MustNewThread()
-	var mine stm.Addr
-	_ = coord.Atomic(func(tx *stm.Tx) {
-		mine = tx.LoadAddr(current)
+	mine, err := coord.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+		h := tx.LoadAddr(current)
 		tx.StoreAddr(current, stm.Nil)
+		return h, bins
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	// ...and the analysis phase runs on private data at memory speed.
 	var total, max stm.Word
 	maxBin := stm.Addr(0)
 	for b := stm.Addr(0); b < bins; b++ {
-		v := s.DirectLoad(mine + b)
+		v := mine.Load(b)
 		total += v
 		if v > max {
 			max, maxBin = v, b

@@ -1,12 +1,12 @@
 // Privatization: the paper's Figure 1, end to end.
 //
-// A shared linked list is truncated inside a transaction — after the commit
-// the detached nodes are logically private, and the privatizer processes
-// them with ordinary, uninstrumented loads and stores while other threads
-// keep running transactions against the (now empty) list. Under any of the
-// privatization-safe algorithms this is correct: the committing truncation
-// waits at the privatization fence until every conflicting concurrent
-// reader has drained.
+// A shared linked list is truncated inside a transaction (Thread.Privatize).
+// After the commit the detached nodes are private: the privatizer walks them
+// through the stm.Private handle it got back, with ordinary, uninstrumented
+// loads and stores, while other threads keep running transactions against
+// the (now empty) list. Under any of the privatization-safe algorithms this
+// is correct: the committing truncation waits at the privatization fence
+// until every conflicting concurrent reader has drained.
 //
 //	go run ./examples/privatization
 package main
@@ -16,7 +16,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	stm "privstm"
 )
@@ -35,26 +34,34 @@ func main() {
 		MaxThreads: 4,
 	})
 
-	// Build a list of 10 nodes: head -> 0 -> 1 -> ... -> 9.
+	// Build a list of 10 nodes: head -> 0 -> 1 -> ... -> 9. No thread is
+	// open yet, so the whole heap is private to this goroutine.
 	head := s.MustAlloc(1)
-	var prev stm.Addr = head
-	for i := 0; i < 10; i++ {
-		n := s.MustAlloc(nodeW)
-		s.DirectStore(n+fVal, stm.Word(i))
-		s.DirectStore(prev, stm.Word(n)) // prev.next = n (head doubles as a next field)
-		prev = n + fNext
+	if err := s.Quiescent(func(h stm.Private) {
+		prev := head
+		for i := 0; i < 10; i++ {
+			n := s.MustAlloc(nodeW)
+			h.Store(n+fVal, stm.Word(i))
+			h.Store(prev, stm.Word(n)) // prev.next = n (head doubles as a next field)
+			prev = n + fNext
+		}
+	}); err != nil {
+		panic(err)
 	}
 
-	// T2-style workers: transactionally sum the list, forever.
+	// T2-style workers: transactionally sum the list, forever. Each one
+	// reports its first commit, so the truncation below overlaps every
+	// worker and the fence has someone to wait for.
 	var stop atomic.Bool
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
 	var observedSums sync.Map
 	for w := 0; w < 3; w++ {
 		th := s.MustNewThread()
 		wg.Add(1)
+		ready.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
+			for first := true; !stop.Load(); first = false {
 				var sum stm.Word
 				_ = th.Atomic(func(tx *stm.Tx) {
 					sum = 0
@@ -63,29 +70,33 @@ func main() {
 					}
 				})
 				observedSums.Store(sum, true)
+				if first {
+					ready.Done()
+				}
 			}
 		}()
 	}
+	ready.Wait()
 
-	// Let the workers overlap the truncation so the fence has someone to
-	// wait for.
-	time.Sleep(20 * time.Millisecond)
-
-	// T1, the privatizer: truncate the list transactionally...
+	// T1, the privatizer: truncate the list transactionally. Privatize
+	// hands back the detached chain only after the commit and its fence.
 	priv := s.MustNewThread()
-	var pl stm.Addr
-	_ = priv.Atomic(func(tx *stm.Tx) {
-		pl = tx.LoadAddr(head)
+	pl, err := priv.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+		first := tx.LoadAddr(head)
 		tx.StoreAddr(head, stm.Nil)
+		return first, nodeW
 	})
+	if err != nil {
+		panic(err)
+	}
 	// ...then process the detached nodes with PLAIN loads and stores. No
 	// instrumentation, no atomics: the fence guaranteed nobody else can
-	// still be touching these nodes.
+	// still be touching these nodes, and Follow walks from node to node.
 	count := 0
 	var privSum stm.Word
-	for n := pl; n != stm.Nil; n = stm.Addr(s.DirectLoad(n + fNext)) {
-		privSum += s.DirectLoad(n + fVal)
-		s.DirectStore(n+fVal, s.DirectLoad(n+fVal)*10) // private mutation
+	for n := pl; n.Base() != stm.Nil; n = n.Follow(fNext, nodeW) {
+		privSum += n.Load(fVal)
+		n.Store(fVal, n.Load(fVal)*10) // private mutation
 		count++
 	}
 	stop.Store(true)

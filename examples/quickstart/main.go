@@ -25,8 +25,10 @@ func main() {
 	sum := s.MustAlloc(1)
 
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	threads := make([]*stm.Thread, 8)
+	for i := range threads {
 		th := s.MustNewThread() // one Thread per goroutine
+		threads[i] = th
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -42,11 +44,22 @@ func main() {
 		}()
 	}
 	wg.Wait()
+	// Close every thread; then nothing can race with a plain read of the
+	// results.
+	for _, th := range threads {
+		if err := th.Close(); err != nil {
+			panic(err)
+		}
+	}
+	var c, total stm.Word
+	if err := s.Quiescent(func(h stm.Private) { c, total = h.Load(counter), h.Load(sum) }); err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("algorithm: %v (privatization-safe: %v)\n", s.Algorithm(), s.Algorithm().Safe())
-	fmt.Printf("counter:   %d (want 8000)\n", s.DirectLoad(counter))
-	fmt.Printf("sum:       %d (want %d)\n", s.DirectLoad(sum), 8000*7999/2)
-	if s.DirectLoad(counter) != 8000 || s.DirectLoad(sum) != 8000*7999/2 {
+	fmt.Printf("counter:   %d (want 8000)\n", c)
+	fmt.Printf("sum:       %d (want %d)\n", total, 8000*7999/2)
+	if c != 8000 || total != 8000*7999/2 {
 		os.Exit(1)
 	}
 }

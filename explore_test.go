@@ -146,17 +146,21 @@ func privProgram(alg Algorithm) (sched.Config, []func()) {
 		}
 	}
 	privatizer := func() {
-		_ = pth.Atomic(func(tx *Tx) {
+		p, err := pth.Privatize(func(tx *Tx) (Addr, int) {
 			tx.Store(flagA, 1) // detach: committed ⇒ data is private
+			return data, 2
 		})
-		a, b := s.DirectLoad(data), s.DirectLoad(data+1)
+		if err != nil {
+			panic(err)
+		}
+		a, b := p.Load(0), p.Load(1)
 		if a != b {
 			panic(fmt.Sprintf("privatization violation: torn private state %d/%d after detach", a, b))
 		}
 		sched.Point("test/priv/recheck")
-		if s.DirectLoad(data) != a || s.DirectLoad(data+1) != b {
+		if p.Load(0) != a || p.Load(1) != b {
 			panic(fmt.Sprintf("privatization violation: private data changed after detach (%d/%d -> %d/%d)",
-				a, b, s.DirectLoad(data), s.DirectLoad(data+1)))
+				a, b, p.Load(0), p.Load(1)))
 		}
 	}
 	return sched.Config{OnStep: exploreOracle(s)}, []func(){writer, privatizer}
@@ -218,10 +222,16 @@ func storeCover(alg Algorithm) (sched.Config, []func(), [2]*Thread) {
 	writer := func() {
 		_ = wth.Atomic(func(tx *Tx) { tx.Store(tick, tx.Load(tick)+1) })
 		sched.Point("test/storecover/between-txns")
-		_ = wth.Atomic(func(tx *Tx) { tx.Store(flagA, 1) })
-		s.DirectStore(data, 1)
+		p, err := wth.Privatize(func(tx *Tx) (Addr, int) {
+			tx.Store(flagA, 1)
+			return data, 2
+		})
+		if err != nil {
+			panic(err)
+		}
+		p.Store(0, 1)
 		sched.Point("test/storecover/mid-private-write")
-		s.DirectStore(data+1, 1)
+		p.Store(1, 1)
 	}
 	return sched.Config{
 		OnStep: exploreOracle(s),

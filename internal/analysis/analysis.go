@@ -21,12 +21,11 @@
 //	                     or perform os/net I/O (irrevocability hazards)
 //
 // Two are interprocedural, built on the module-wide call graph
-// (callgraph.go) and the forward dataflow engine (dataflow.go):
+// (callgraph.go):
 //
-//	privaccess         — uninstrumented Direct* access must never be
-//	                     reachable from a transaction body, and addresses
-//	                     loaded transactionally may only be accessed
-//	                     directly after a privatizing write (+ fence)
+//	privaccess         — uninstrumented stm.Private access must never be
+//	                     reachable from a transaction body, nor follow the
+//	                     Retire of its extent
 //	yieldsite          — poll loops in runtime packages must contain a
 //	                     sched-visible yield point, so the schedule
 //	                     explorer keeps full wait-site coverage

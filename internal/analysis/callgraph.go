@@ -11,7 +11,7 @@
 // edge side and under-approximations on the resolution side):
 //
 //   - Edges are recorded for every *reference* to a declared function, not
-//     only call positions: taking a method value (store := s.DirectStore)
+//     only call positions: taking a method value (store := p.Store)
 //     creates an edge, because the referencing function can invoke it
 //     later. This makes "reaches" sound for stored function values at the
 //     cost of occasionally over-approximating.
@@ -146,7 +146,7 @@ func (g *CallGraph) Reaches(pred func(*types.Func) bool) map[*types.Func]Edge {
 }
 
 // PathString renders a witness path starting at the edge leaving fn, for
-// diagnostics: "helper → wrapper → STM.DirectStore". The path is cut off
+// diagnostics: "helper → wrapper → Private.Store". The path is cut off
 // with an ellipsis after a few hops; it exists to orient the reader, not
 // to be a proof.
 func (g *CallGraph) PathString(first Edge, reach map[*types.Func]Edge, pred func(*types.Func) bool) string {

@@ -1,43 +1,38 @@
-// privaccess.go is the static shadow of the privatization-safety
-// criterion of Khyzha/Gotsman/Attiya ("Safe Privatization in TM",
-// PAPERS.md): an uninstrumented (direct) access is observationally safe
-// only on data that is private to the accessor — never published, or
-// privatized by a committed transaction whose privatization fence has
-// drained every conflicting reader. Violations are precisely
-// transactional-to-direct escapes, which is a flow property this analyzer
-// checks in two parts:
+// privaccess.go is the static half of the privatization-safety criterion
+// of Khyzha/Gotsman/Attiya ("Safe Privatization in TM", PAPERS.md): an
+// uninstrumented access is observationally safe only on data private to
+// the accessor. Since stm.Private is the only uninstrumented door, and a
+// Private exists only after a privatizing commit (Thread.Privatize) or
+// while no thread is open (STM.Quiescent), the type carries the question
+// of *whether* data is private; what remains for the analyzer is *when* a
+// handle may be used. Two rules:
 //
 //  1. Reachability (interprocedural, via the module call graph): a
-//     transaction body must never reach STM.DirectLoad/DirectStore — not
-//     directly and not through a wrapper in any package. A direct access
-//     inside a transaction bypasses orec conflict detection entirely, so
-//     neither the fence nor validation can order it.
+//     transaction body must never reach Private's Load, Store or Follow —
+//     not directly and not through a wrapper in any package. An
+//     uninstrumented access inside a transaction bypasses orec conflict
+//     detection entirely, so neither the fence nor validation can order
+//     it. (Tx.LoadPriv is the one uninstrumented read allowed in a body:
+//     it validates the read set first; CORRECTNESS.md §12.)
 //
-//  2. Escape flow (intraprocedural, via the dataflow engine): an address
-//     obtained by a transactional load (tx.Load/tx.LoadAddr) that escapes
-//     the atomic body may feed a direct access only if the capturing
-//     transaction also performed a transactional write — the recognized
-//     privatize idiom (examples/privatization, the bench structures'
-//     unlink-then-free): the write is what detaches the data, and the
-//     commit's fence is what makes the detachment safe. A read-only
-//     transaction privatizes nothing, so direct access to what it
-//     observed races with concurrent writers.
-//
-//  3. Retire flow (intraprocedural, position-ordered): an address handed
-//     to a Retire method belongs to the epoch-based reclaimer
-//     (internal/reclaim, CORRECTNESS.md §14) — once its epoch passes the
-//     extent may be poisoned or reused by another thread — so a later
-//     uninstrumented access through that address is a use-after-free in
-//     waiting. Privatization made the access legal (rule 2's idiom);
+//  3. Retire flow (intraprocedural, position-ordered): an extent handed to
+//     a Retire method belongs to the epoch-based reclaimer (internal/
+//     reclaim, CORRECTNESS.md §14) — once its epoch passes it may be
+//     poisoned or reused by another thread — so a later access through
+//     the handle whose Base was retired, or through the retired address,
+//     is a use-after-free in waiting. Privatization made the access legal;
 //     retirement ends the license. Reassigning the variable kills the
 //     taint: it names a different extent from then on.
 //
+// Rule 2 — "an address a transaction loaded may be accessed directly only
+// if that transaction also stored" — checked syntactically what
+// Thread.Privatize now checks at run time (ErrNothingPrivatized), and is
+// gone with the untyped door it guarded.
+//
 // Soundness limits (path-insensitive, type-based; CORRECTNESS.md §12):
-// the "privatizing write" test is syntactic presence of a tx.Store in the
-// same body — the analyzer does not prove the write actually detaches the
-// escaping address; addresses laundered through heap-resident structures,
-// channels, or across function boundaries lose their taint; and calls
-// through function values resolve to nothing. The rule is a tripwire for
+// handles laundered through heap-resident structures or channels, or
+// passed across function boundaries, lose their rule-3 taint, and calls
+// through function values resolve to nothing. The rules are tripwires for
 // the common shapes, not a verifier. Suppress deliberate exceptions with
 // //stmlint:ignore privaccess <reason> — the reason is the proof
 // obligation.
@@ -54,23 +49,38 @@ import (
 func PrivAccess() *Analyzer {
 	return &Analyzer{
 		Name: "privaccess",
-		Doc:  "uninstrumented Direct* access must stay outside transactions, transactionally-loaded addresses may be accessed directly only after a privatizing write, and never after being retired to the reclaimer",
+		Doc:  "uninstrumented Private access must stay outside transactions, and never follow the Retire of its extent",
 		Run:  runPrivAccess,
 	}
 }
 
-// isDirectAccessor reports whether fn is an uninstrumented-access entry
-// point: a module method named DirectLoad or DirectStore (stm.STM's pair,
-// and any fixture or future stand-in following the naming contract).
-func (p *Program) isDirectAccessor(fn *types.Func) bool {
+// isPrivateAccessor reports whether fn is an uninstrumented-access entry
+// point: a module method named Load, Store or Follow of a type named
+// Private (stm.Private, and any fixture or future stand-in following the
+// naming contract).
+func (p *Program) isPrivateAccessor(fn *types.Func) bool {
+	return p.isPrivateMethod(fn, "Load", "Store", "Follow")
+}
+
+// isPrivateMethod reports whether fn is a module method of a type named
+// Private with one of the given names.
+func (p *Program) isPrivateMethod(fn *types.Func, names ...string) bool {
 	if fn == nil || !p.declaredInModule(fn) {
 		return false
 	}
-	if fn.Name() != "DirectLoad" && fn.Name() != "DirectStore" {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
+	if n := namedOf(sig.Recv().Type()); n == nil || n.Obj().Name() != "Private" {
+		return false
+	}
+	for _, name := range names {
+		if fn.Name() == name {
+			return true
+		}
+	}
+	return false
 }
 
 // isRetireMethod reports whether fn is a reclamation entry point: a module
@@ -97,30 +107,8 @@ func isAddrType(t types.Type) bool {
 	return n != nil && n.Obj().Name() == "Addr"
 }
 
-// isTxMethod reports whether fn is a method of a transaction handle (a
-// module type named Tx) with one of the given names.
-func (p *Program) isTxMethod(fn *types.Func, names ...string) bool {
-	if fn == nil || !p.declaredInModule(fn) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	n := namedOf(sig.Recv().Type())
-	if n == nil || n.Obj().Name() != "Tx" {
-		return false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 func runPrivAccess(p *Program) []Diagnostic {
-	mayDirect := p.CallGraph().Reaches(p.isDirectAccessor)
+	mayAccess := p.CallGraph().Reaches(p.isPrivateAccessor)
 
 	var diags []Diagnostic
 	for _, pkg := range p.Pkgs {
@@ -130,8 +118,19 @@ func runPrivAccess(p *Program) []Diagnostic {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				diags = append(diags, p.checkDeclPrivAccess(pkg, fd, mayDirect)...)
-				diags = append(diags, p.checkRetireFlow(pkg, fd, mayDirect)...)
+				ast.Inspect(fd, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || !isAtomicBlockCall(p, pkg.Info, call) {
+						return true
+					}
+					for _, arg := range call.Args {
+						if lit, ok := unparen(arg).(*ast.FuncLit); ok {
+							diags = append(diags, p.checkBodyReachesPrivate(pkg, lit.Body, mayAccess)...)
+						}
+					}
+					return true
+				})
+				diags = append(diags, p.checkRetireFlow(pkg, fd, mayAccess)...)
 			}
 		}
 	}
@@ -149,105 +148,11 @@ func runPrivAccess(p *Program) []Diagnostic {
 	return out
 }
 
-// txEscape records one variable that left an atomic body carrying a
-// transactionally-loaded address.
-type txEscape struct {
-	obj types.Object
-	pos token.Pos // the escaping assignment
-	// privatized: every literal that tainted obj also performed a
-	// transactional write (the privatize idiom).
-	privatized bool
-}
-
-// checkDeclPrivAccess analyzes one function declaration: reachability of
-// Direct* from the atomic bodies it contains (rule 1) and escape flow from
-// those bodies into the rest of the declaration (rule 2).
-func (p *Program) checkDeclPrivAccess(pkg *Package, fd *ast.FuncDecl, mayDirect map[*types.Func]Edge) []Diagnostic {
-	info := pkg.Info
-	var diags []Diagnostic
-
-	// escapes accumulates rule-2 state across every atomic literal in the
-	// declaration; an object tainted by any literal without a privatizing
-	// write stays unprivatized.
-	escapes := make(map[types.Object]*txEscape)
-
-	ast.Inspect(fd, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isAtomicBlockCall(p, info, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			lit, ok := unparen(arg).(*ast.FuncLit)
-			if !ok {
-				continue
-			}
-			diags = append(diags, p.checkBodyReachesDirect(pkg, lit.Body, mayDirect)...)
-			p.collectTxEscapes(pkg, lit, escapes)
-		}
-		return true
-	})
-
-	seed := make(map[types.Object]Taint)
-	live := make(map[types.Object]*txEscape)
-	for obj, esc := range escapes {
-		if !esc.privatized {
-			live[obj] = esc
-			seed[obj] = TaintEscaped
-		}
-	}
-	if len(live) == 0 {
-		return diags
-	}
-
-	// Rule 2 sink scan: propagate the escaped taint through the whole
-	// declaration and flag direct accesses fed by it. Sinks inside
-	// function literals are skipped — atomic bodies are rule 1's business,
-	// and other closures run at times the flow cannot order.
-	flow := RunFlow(fd.Body, info, seed, nil)
-	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := CalleeOf(info, call)
-		if fn == nil {
-			return true
-		}
-		_, wraps := mayDirect[fn]
-		if !p.isDirectAccessor(fn) && !wraps {
-			return true
-		}
-		for _, a := range call.Args {
-			if flow.ExprTaint(a)&TaintEscaped == 0 {
-				continue
-			}
-			src := firstTaintSource(live)
-			what := funcDisplayName(fn)
-			if wraps {
-				what = what + " (which reaches a Direct* access)"
-			}
-			diags = append(diags, Diagnostic{
-				Pos:  p.Fset.Position(call.Pos()),
-				Rule: "privaccess",
-				Message: fmt.Sprintf(
-					"%s receives an address loaded transactionally (escaped via %q at %s) whose transaction performed no privatizing write; only data detached by a committed transaction may be accessed uninstrumented",
-					what, src.obj.Name(), p.relTo(src.pos)),
-			})
-			break
-		}
-		return true
-	})
-	return diags
-}
-
-// checkBodyReachesDirect flags references inside an atomic body that are,
-// or transitively reach, a Direct* accessor (rule 1). References rather
-// than calls: taking the method value (store := s.DirectStore) arms the
-// same hazard.
-func (p *Program) checkBodyReachesDirect(pkg *Package, body ast.Node, mayDirect map[*types.Func]Edge) []Diagnostic {
+// checkBodyReachesPrivate flags references inside an atomic body that are,
+// or transitively reach, a Private accessor (rule 1). References rather
+// than calls: taking the method value (load := p.Load) arms the same
+// hazard.
+func (p *Program) checkBodyReachesPrivate(pkg *Package, body ast.Node, mayAccess map[*types.Func]Edge) []Diagnostic {
 	info := pkg.Info
 	cg := p.CallGraph()
 	var diags []Diagnostic
@@ -260,24 +165,24 @@ func (p *Program) checkBodyReachesDirect(pkg *Package, body ast.Node, mayDirect 
 		if !ok {
 			return true
 		}
-		if p.isDirectAccessor(fn) {
+		if p.isPrivateAccessor(fn) {
 			diags = append(diags, Diagnostic{
 				Pos:  p.Fset.Position(id.Pos()),
 				Rule: "privaccess",
 				Message: fmt.Sprintf(
-					"transaction body uses uninstrumented %s; direct access inside a transaction bypasses orec conflict detection and breaks privatization safety",
+					"transaction body uses uninstrumented %s; uninstrumented access inside a transaction bypasses orec conflict detection and breaks privatization safety",
 					funcDisplayName(fn)),
 			})
 			return true
 		}
-		if first, ok := mayDirect[fn]; ok {
+		if first, ok := mayAccess[fn]; ok {
 			diags = append(diags, Diagnostic{
 				Pos:  p.Fset.Position(id.Pos()),
 				Rule: "privaccess",
 				Message: fmt.Sprintf(
-					"transaction body calls %s, which reaches an uninstrumented access (%s); direct access inside a transaction bypasses orec conflict detection",
+					"transaction body calls %s, which reaches an uninstrumented access (%s); uninstrumented access inside a transaction bypasses orec conflict detection",
 					funcDisplayName(fn),
-					cg.PathString(first, mayDirect, p.isDirectAccessor)),
+					cg.PathString(first, mayAccess, p.isPrivateAccessor)),
 			})
 		}
 		return true
@@ -286,14 +191,16 @@ func (p *Program) checkBodyReachesDirect(pkg *Package, body ast.Node, mayDirect 
 }
 
 // checkRetireFlow is rule 3: a position-ordered scan of one declaration
-// flagging uninstrumented access through an address that was already handed
-// to a Retire method. A Retire call taints its Addr-typed identifier
-// arguments; a later Direct* call (or a wrapper reaching one) whose
+// flagging uninstrumented access to an extent that was already handed to a
+// Retire method. A Retire call taints each Addr-typed argument that is an
+// identifier, or the receiver of a Private's Base call (th.Retire(n.Base(),
+// w) retires the handle n). A later accessor call whose receiver or
 // arguments mention a tainted identifier — including derived expressions
-// like n+8 — is flagged; reassigning the variable kills the taint. Function
-// literals are skipped on both sides: they run at times source order cannot
-// witness (atomic bodies are rule 1's business).
-func (p *Program) checkRetireFlow(pkg *Package, fd *ast.FuncDecl, mayDirect map[*types.Func]Edge) []Diagnostic {
+// like h.Load(a+1) — is flagged, as is a call to a wrapper reaching an
+// accessor with a tainted argument; reassigning the variable kills the
+// taint. Function literals are skipped on both sides: they run at times
+// source order cannot witness (atomic bodies are rule 1's business).
+func (p *Program) checkRetireFlow(pkg *Package, fd *ast.FuncDecl, mayAccess map[*types.Func]Edge) []Diagnostic {
 	info := pkg.Info
 	retired := make(map[types.Object]token.Pos)
 	var diags []Diagnostic
@@ -315,35 +222,36 @@ func (p *Program) checkRetireFlow(pkg *Package, fd *ast.FuncDecl, mayDirect map[
 			if fn == nil {
 				return true
 			}
-			_, wraps := mayDirect[fn]
+			_, wraps := mayAccess[fn]
 			switch {
-			case p.isDirectAccessor(fn) || wraps:
-				for _, arg := range n.Args {
-					obj, rp := retiredIdentIn(info, arg, retired)
-					if obj == nil {
-						continue
-					}
-					what := funcDisplayName(fn)
-					if wraps {
-						what = what + " (which reaches a Direct* access)"
-					}
-					diags = append(diags, Diagnostic{
-						Pos:  p.Fset.Position(n.Pos()),
-						Rule: "privaccess",
-						Message: fmt.Sprintf(
-							"%s receives %q, an address retired to the reclaimer at %s; once its epoch passes the extent may be poisoned or reused by another thread, so uninstrumented access after Retire is a use-after-free",
-							what, obj.Name(), p.relTo(rp)),
-					})
-					break
+			case p.isPrivateAccessor(fn) || wraps:
+				var obj types.Object
+				var rp token.Pos
+				if p.isPrivateAccessor(fn) {
+					obj, rp = retiredIdentIn(info, n.Fun, retired)
 				}
+				for _, arg := range n.Args {
+					if obj == nil {
+						obj, rp = retiredIdentIn(info, arg, retired)
+					}
+				}
+				if obj == nil {
+					return true
+				}
+				what := funcDisplayName(fn)
+				if wraps {
+					what = what + " (which reaches a Private access)"
+				}
+				diags = append(diags, Diagnostic{
+					Pos:  p.Fset.Position(n.Pos()),
+					Rule: "privaccess",
+					Message: fmt.Sprintf(
+						"%s uses %q, an extent retired to the reclaimer at %s; once its epoch passes the extent may be poisoned or reused by another thread, so uninstrumented access after Retire is a use-after-free",
+						what, obj.Name(), p.relTo(rp)),
+				})
 			case p.isRetireMethod(fn):
 				for _, arg := range n.Args {
-					id, ok := unparen(arg).(*ast.Ident)
-					if !ok || !isAddrType(info.TypeOf(arg)) {
-						continue
-					}
-					obj := info.Uses[id]
-					if v, ok := obj.(*types.Var); ok && !v.IsField() {
+					if obj := p.retiredBy(info, arg); obj != nil {
 						retired[obj] = n.Pos()
 					}
 				}
@@ -352,6 +260,27 @@ func (p *Program) checkRetireFlow(pkg *Package, fd *ast.FuncDecl, mayDirect map[
 		return true
 	})
 	return diags
+}
+
+// retiredBy returns the local variable a Retire argument hands to the
+// reclaimer: an Addr-typed identifier, or the handle n of n.Base().
+func (p *Program) retiredBy(info *types.Info, arg ast.Expr) types.Object {
+	if !isAddrType(info.TypeOf(arg)) {
+		return nil
+	}
+	id, ok := unparen(arg).(*ast.Ident)
+	if call, isCall := unparen(arg).(*ast.CallExpr); isCall && p.isPrivateMethod(CalleeOf(info, call), "Base") {
+		if sel, isSel := unparen(call.Fun).(*ast.SelectorExpr); isSel {
+			id, ok = unparen(sel.X).(*ast.Ident)
+		}
+	}
+	if !ok {
+		return nil
+	}
+	if v, isVar := info.Uses[id].(*types.Var); isVar && !v.IsField() {
+		return v
+	}
+	return nil
 }
 
 // retiredIdentIn returns the first identifier inside expr bound to a
@@ -373,87 +302,4 @@ func retiredIdentIn(info *types.Info, expr ast.Expr, retired map[types.Object]to
 		return true
 	})
 	return obj, pos
-}
-
-// collectTxEscapes runs the taint flow inside one atomic literal and
-// records assignments of tx-loaded addresses to variables declared outside
-// the literal.
-func (p *Program) collectTxEscapes(pkg *Package, lit *ast.FuncLit, escapes map[types.Object]*txEscape) {
-	info := pkg.Info
-	gen := func(call *ast.CallExpr) Taint {
-		if p.isTxMethod(CalleeOf(info, call), "Load", "LoadAddr") {
-			return TaintTxAddr
-		}
-		return 0
-	}
-	flow := RunFlow(lit.Body, info, nil, gen)
-
-	privatized := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if p.isTxMethod(CalleeOf(info, call), "Store", "StoreAddr") {
-				privatized = true
-			}
-		}
-		return true
-	})
-
-	record := func(target ast.Expr, taint Taint, pos token.Pos) {
-		if taint&TaintTxAddr == 0 {
-			return
-		}
-		id, ok := unparen(target).(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() {
-			return
-		}
-		// Declared inside the literal → not an escape.
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return
-		}
-		esc, ok := escapes[obj]
-		if !ok {
-			escapes[obj] = &txEscape{obj: obj, pos: pos, privatized: privatized}
-			return
-		}
-		// Tainted by several literals: unprivatized wins (conservative).
-		esc.privatized = esc.privatized && privatized
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if n, ok := n.(*ast.AssignStmt); ok {
-			if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-				t := flow.ExprTaint(n.Rhs[0])
-				for _, l := range n.Lhs {
-					record(l, t, n.Pos())
-				}
-				return true
-			}
-			for i, l := range n.Lhs {
-				if i < len(n.Rhs) {
-					record(l, flow.ExprTaint(n.Rhs[i]), n.Pos())
-				}
-			}
-		}
-		return true
-	})
-}
-
-// firstTaintSource picks a deterministic representative escape for the
-// diagnostic message (the one at the earliest position).
-func firstTaintSource(live map[types.Object]*txEscape) *txEscape {
-	var best *txEscape
-	for _, esc := range live {
-		if best == nil || esc.pos < best.pos ||
-			(esc.pos == best.pos && esc.obj.Name() < best.obj.Name()) {
-			best = esc
-		}
-	}
-	return best
 }

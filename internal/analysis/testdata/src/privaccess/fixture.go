@@ -1,7 +1,6 @@
-// Package privaccess is a stmlint test fixture: uninstrumented Direct*
-// access reachable from transaction bodies (rule 1) and transactionally
-// loaded addresses escaping to direct access without a privatizing write
-// (rule 2), plus the clean shapes each rule must not flag.
+// Package privaccess is a stmlint test fixture: uninstrumented Private
+// access reachable from transaction bodies (rule 1), plus the clean shape
+// the rule must not flag.
 package privaccess
 
 import (
@@ -10,75 +9,40 @@ import (
 )
 
 // freeLocal is a same-package wrapper over the uninstrumented store.
-func freeLocal(s *stmlib.STM, a stmlib.Addr) {
-	s.DirectStore(a, 0)
+func freeLocal(p stmlib.Private) {
+	p.Store(0, 0)
 }
 
-// DirectInBody references the uninstrumented pair inside a transaction:
+// PrivateInBody references the uninstrumented pair inside a transaction:
 // once as a call, once as a method value stored for later use.
-func DirectInBody(t *stmlib.Thread, s *stmlib.STM, a stmlib.Addr) {
+func PrivateInBody(t *stmlib.Thread, p stmlib.Private) {
 	_ = t.Atomic(func(tx *stmlib.Tx) {
-		v := s.DirectLoad(a)   // want flagged: direct load in body
-		store := s.DirectStore // want flagged: method value arms the hazard
-		store(a, v)
+		v := p.Load(0)   // want flagged: uninstrumented load in body
+		store := p.Store // want flagged: method value arms the hazard
+		store(0, v)
 	})
 }
 
 // WrappedInBody reaches the uninstrumented store through helpers — one in
-// this package, one across a package boundary.
-func WrappedInBody(t *stmlib.Thread, s *stmlib.STM, a stmlib.Addr) {
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		freeLocal(s, a) // want flagged: same-package wrapper
-		wrap.Free(s, a) // want flagged: cross-package wrapper
+// this package, one across a package boundary — inside a Privatize body,
+// which is a transaction body too.
+func WrappedInBody(t *stmlib.Thread, p stmlib.Private, head stmlib.Addr) {
+	_, _ = t.Privatize(func(tx *stmlib.Tx) (stmlib.Addr, int) {
+		freeLocal(p) // want flagged: same-package wrapper
+		wrap.Free(p) // want flagged: cross-package wrapper
+		tx.StoreAddr(head, stmlib.Nil)
+		return p.Base(), 2
 	})
 }
 
-// UnprivatizedEscape leaks the address a read-only transaction observed:
-// nothing detached the node, so the direct load races with writers.
-func UnprivatizedEscape(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
-	})
-	return s.DirectLoad(n) // want flagged: unprivatized escape
-}
-
-// DerivedEscape shows the taint surviving address arithmetic: a field
-// offset computed from the escaped address is still the escaped address.
-func DerivedEscape(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
-	})
-	field := n + 8
-	return s.DirectLoad(field) // want flagged: derived from escape
-}
-
-// PrivatizedEscape is the canonical legal idiom (examples/privatization):
-// the transaction unlinks the node it returns, so after commit — and the
-// privatization fence it implies — the node is private to this thread.
-func PrivatizedEscape(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
+// PrivatizedAccess is the canonical legal idiom (examples/privatization):
+// the transaction unlinks the node it returns, and the handle it yields is
+// used after the commit — and the privatization fence it implies.
+func PrivatizedAccess(t *stmlib.Thread, head stmlib.Addr) uint64 {
+	n, _ := t.Privatize(func(tx *stmlib.Tx) (stmlib.Addr, int) {
+		first := tx.LoadAddr(head)
 		tx.StoreAddr(head, stmlib.Nil) // privatizing write: detach
+		return first, 2
 	})
-	return s.DirectLoad(n) // clean: privatized behind the commit fence
-}
-
-// OutsideIsFine: direct access on an address that never saw a transaction
-// is plain memory access — never flagged.
-func OutsideIsFine(s *stmlib.STM, a stmlib.Addr) uint64 {
-	return s.DirectLoad(a)
-}
-
-// Suppressed demonstrates the escape hatch: the ignore directive takes a
-// mandatory reason, which is the author's proof obligation.
-func Suppressed(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
-	})
-	//stmlint:ignore privaccess fixture: single-threaded test harness, no concurrent writers
-	return s.DirectLoad(n)
+	return n.Load(0) // clean: outside the body, behind the commit fence
 }

@@ -1,50 +1,40 @@
 // fixture_handout.go pins the privatized-handout idiom of the semantic
 // containers' escape hatch (tds.Map.PrivateSnapshot / tds.Queue.
 // DrainPrivate): a transaction detaches a whole chain with one privatizing
-// write, the caller traverses the extent uninstrumented, and finishes by
-// retiring every node. The clean shape must stay clean; forgetting the
-// privatizing write or touching a node after its Retire must be flagged.
+// write, the caller walks the extent uninstrumented, and finishes by
+// retiring every node. The clean shape must stay clean; touching a node
+// after its Retire must be flagged.
 package privaccess
 
 import "privstm/internal/analysis/testdata/src/privaccess/stmlib"
 
-// DrainHandout is the escape-hatch shape internal/tds implements: detach
-// the chain head inside the transaction (the privatizing write), then walk
-// the now-private nodes directly and retire each one after its last use.
-func DrainHandout(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
+// detach privatizes the chain hanging off head.
+func detach(t *stmlib.Thread, head stmlib.Addr) stmlib.Private {
+	n, _ := t.Privatize(func(tx *stmlib.Tx) (stmlib.Addr, int) {
+		first := tx.LoadAddr(head)
 		tx.StoreAddr(head, stmlib.Nil) // privatizing write: detach the chain
+		return first, 2
 	})
+	return n
+}
+
+// DrainHandout is the escape-hatch shape internal/tds implements: walk the
+// now-private nodes with Follow and retire each one after its last use.
+func DrainHandout(t *stmlib.Thread, head stmlib.Addr) uint64 {
 	var sum uint64
-	for n != stmlib.Nil {
-		next := stmlib.Addr(s.DirectLoad(n)) // clean: privatized chain
-		sum += s.DirectLoad(n + 1)           // clean: same extent
-		t.Retire(n, 2)
+	for n := detach(t, head); n.Base() != stmlib.Nil; {
+		next := n.Follow(0, 2) // clean: privatized chain
+		sum += n.Load(1)       // clean: same extent
+		t.Retire(n.Base(), 2)
 		n = next // reassignment: the loop variable now names the next node
 	}
 	return sum
 }
 
-// DrainWithoutDetach forgets the privatizing write: the handed-out head
-// still hangs off shared memory, so the direct walk races with writers.
-func DrainWithoutDetach(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
-	})
-	return s.DirectLoad(n + 1) // want flagged: no privatizing write
-}
-
-// DrainUseAfterRetire retires the node before its last direct read: the
-// value read races with the reclaimer's poisoning.
-func DrainUseAfterRetire(t *stmlib.Thread, s *stmlib.STM, head stmlib.Addr) uint64 {
-	var n stmlib.Addr
-	_ = t.Atomic(func(tx *stmlib.Tx) {
-		n = tx.LoadAddr(head)
-		tx.StoreAddr(head, stmlib.Nil) // privatizing write: detach
-	})
-	t.Retire(n, 2)
-	return s.DirectLoad(n + 1) // want flagged: retired before the read
+// DrainUseAfterRetire retires the node before its last read: the value
+// read races with the reclaimer's poisoning.
+func DrainUseAfterRetire(t *stmlib.Thread, head stmlib.Addr) uint64 {
+	n := detach(t, head)
+	t.Retire(n.Base(), 2)
+	return n.Load(1) // want flagged: retired before the read
 }

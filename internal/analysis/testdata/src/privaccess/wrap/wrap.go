@@ -5,9 +5,9 @@ package wrap
 
 import "privstm/internal/analysis/testdata/src/privaccess/stmlib"
 
-// Free performs a direct store on behalf of its caller. Legal from plain
-// code operating on privatized data; a privatization-safety violation when
-// reached from inside a transaction.
-func Free(s *stmlib.STM, a stmlib.Addr) {
-	s.DirectStore(a, 0)
+// Free performs an uninstrumented store on behalf of its caller. Legal
+// from plain code holding a private extent; a privatization-safety
+// violation when reached from inside a transaction.
+func Free(p stmlib.Private) {
+	p.Store(0, 0)
 }

@@ -96,9 +96,10 @@ func runTxnPurity(p *Program) []Diagnostic {
 }
 
 // isAtomicBlockCall recognizes the entry points that execute a function
-// literal transactionally: a method named Atomic, or a function named Run,
-// declared inside this module (stm.Thread.Atomic, core.Run, and the test
-// fixtures' stand-ins). Calls without a literal argument are never matched.
+// literal transactionally: a method named Atomic or Privatize, or a
+// function named Run, declared inside this module (stm.Thread.Atomic and
+// Privatize, core.Run, and the test fixtures' stand-ins). Calls without a
+// literal argument are never matched.
 func isAtomicBlockCall(p *Program, info *types.Info, call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := unparen(call.Fun).(type) {
@@ -117,7 +118,7 @@ func isAtomicBlockCall(p *Program, info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Atomic":
+	case "Atomic", "Privatize":
 		return fn.Type().(*types.Signature).Recv() != nil
 	case "Run":
 		// The schedule explorer's Run (package sched) shares the name but

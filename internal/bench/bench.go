@@ -52,13 +52,24 @@ var (
 type Instance interface {
 	// Op runs one operation on behalf of ctx's thread.
 	Op(ctx *OpCtx, mix Mix)
-	// Check validates the structure (single-threaded, after workers join).
+	// Check validates the structure. It reads the heap through
+	// STM.Quiescent, so every Thread must be closed; it returns
+	// stm.ErrThreadsOpen otherwise.
 	Check(s *stm.STM) error
-	// Size returns the current element count (single-threaded use).
+	// Size returns the current element count (every Thread closed, or
+	// it panics with stm.ErrThreadsOpen).
 	Size(s *stm.STM) int
-	// Dump returns the current key set in ascending order
-	// (single-threaded use; tests compare against a model).
+	// Dump returns the current key set in ascending order (every Thread
+	// closed, as for Size; tests compare against a model).
 	Dump(s *stm.STM) []uint64
+}
+
+// quiescent runs fn over the whole heap (STM.Quiescent) for the Instance
+// methods that cannot return the error of a thread still open.
+func quiescent(s *stm.STM, fn func(h stm.Private)) {
+	if err := s.Quiescent(fn); err != nil {
+		panic(err)
+	}
 }
 
 // Spec describes how to build a workload instance.
@@ -225,10 +236,6 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		wg.Add(1)
 		go func(i int, ctx *OpCtx) {
 			defer wg.Done()
-			// Publish this worker's buffered retires/prefetched extents so
-			// the post-run drain and stats see them (runs even on the
-			// exhaustion path below).
-			defer ctx.Th.FlushReclaim()
 			// Build returns heap exhaustion as an error; during the run it
 			// surfaces as a MustAlloc panic from AllocNode, which every
 			// workload calls outside its transaction — so recovering here
@@ -265,6 +272,16 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// Fold every worker's counters, then close its thread: Close publishes
+	// its buffered retires for the drain, and Check reads the heap only
+	// once no thread is open.
+	var counters stats.Counters
+	for _, ctx := range ctxs {
+		counters.Add(ctx.Th.Stats())
+		if err := ctx.Th.Close(); err != nil {
+			return nil, err
+		}
+	}
 	s.DrainReclaim()
 	for i, err := range oom {
 		if err != nil {
@@ -280,9 +297,7 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		Elapsed:         elapsed,
 		ZipfTheta:       rc.ZipfTheta,
 		ReclaimCollects: s.ReclaimStats().Collects,
-	}
-	for _, ctx := range ctxs {
-		m.Stats.Add(ctx.Th.Stats())
+		Stats:           counters,
 	}
 	m.Ops = m.Stats.Ops
 	if elapsed > 0 {

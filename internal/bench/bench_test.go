@@ -101,6 +101,9 @@ func TestWorkloadModel(t *testing.T) {
 					delete(model, k)
 				}
 			}
+			if err := th.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if err := inst.Check(s); err != nil {
 				t.Fatalf("structural check: %v", err)
 			}

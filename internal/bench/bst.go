@@ -42,30 +42,36 @@ func BST(keys int) Spec {
 			}
 			t := &bst{root: root, keys: keys}
 			// Insert a random half of the key space directly.
-			for i := 0; i < keys/2; i++ {
-				if err := t.insertDirect(s, stm.Word(r.Intn(keys))); err != nil {
-					return nil, err
+			if qerr := s.Quiescent(func(h stm.Private) {
+				for i := 0; i < keys/2 && err == nil; i++ {
+					err = t.insertDirect(s, h, stm.Word(r.Intn(keys)))
 				}
+			}); qerr != nil {
+				return nil, qerr
+			}
+			if err != nil {
+				return nil, err
 			}
 			return t, nil
 		},
 	}
 }
 
-func (t *bst) insertDirect(s *stm.STM, k stm.Word) error {
+// insertDirect inserts k through h, a whole-heap handle from Quiescent.
+func (t *bst) insertDirect(s *stm.STM, h stm.Private, k stm.Word) error {
 	link := t.root
 	for {
-		cur := stm.Addr(s.DirectLoad(link))
+		cur := stm.Addr(h.Load(link))
 		if cur == stm.Nil {
 			n, err := s.Alloc(bstNodeWords)
 			if err != nil {
 				return err
 			}
-			s.DirectStore(n+bstKey, k)
-			s.DirectStore(link, stm.Word(n))
+			h.Store(n+bstKey, k)
+			h.Store(link, stm.Word(n))
 			return nil
 		}
-		ck := s.DirectLoad(cur + bstKey)
+		ck := h.Load(cur + bstKey)
 		switch {
 		case k == ck:
 			return nil
@@ -188,54 +194,60 @@ func (t *bst) Op(ctx *OpCtx, mix Mix) {
 // Check verifies the BST property, key bounds, and acyclicity.
 func (t *bst) Check(s *stm.STM) error {
 	count := 0
-	var walk func(n stm.Addr, lo, hi int64) error
-	walk = func(n stm.Addr, lo, hi int64) error {
-		if n == stm.Nil {
+	var walk func(n stm.Private, lo, hi int64) error
+	walk = func(n stm.Private, lo, hi int64) error {
+		if n.Base() == stm.Nil {
 			return nil
 		}
 		if count++; count > t.keys+1 {
 			return fmt.Errorf("bst has more nodes than keys (cycle?)")
 		}
-		k := int64(s.DirectLoad(n + bstKey))
+		k := int64(n.Load(bstKey))
 		if k <= lo || k >= hi {
 			return fmt.Errorf("bst property violated: key %d outside (%d,%d)", k, lo, hi)
 		}
-		if err := walk(stm.Addr(s.DirectLoad(n+bstLeft)), lo, k); err != nil {
+		if err := walk(n.Follow(bstLeft, bstNodeWords), lo, k); err != nil {
 			return err
 		}
-		return walk(stm.Addr(s.DirectLoad(n+bstRight)), k, hi)
+		return walk(n.Follow(bstRight, bstNodeWords), k, hi)
 	}
-	return walk(stm.Addr(s.DirectLoad(t.root)), -1, int64(t.keys))
+	var err error
+	if qerr := s.Quiescent(func(h stm.Private) {
+		err = walk(h.Follow(t.root, bstNodeWords), -1, int64(t.keys))
+	}); qerr != nil {
+		return qerr
+	}
+	return err
 }
 
 // Size counts the nodes.
 func (t *bst) Size(s *stm.STM) int {
 	n := 0
-	var walk func(a stm.Addr)
-	walk = func(a stm.Addr) {
-		if a == stm.Nil {
+	var walk func(a stm.Private)
+	walk = func(a stm.Private) {
+		if a.Base() == stm.Nil {
 			return
 		}
 		n++
-		walk(stm.Addr(s.DirectLoad(a + bstLeft)))
-		walk(stm.Addr(s.DirectLoad(a + bstRight)))
+		walk(a.Follow(bstLeft, bstNodeWords))
+		walk(a.Follow(bstRight, bstNodeWords))
 	}
-	walk(stm.Addr(s.DirectLoad(t.root)))
+	quiescent(s, func(h stm.Private) { walk(h.Follow(t.root, bstNodeWords)) })
 	return n
 }
 
 // Dump returns the key set in ascending order (an in-order walk).
 func (t *bst) Dump(s *stm.STM) []uint64 {
 	var out []uint64
-	var walk func(a stm.Addr)
-	walk = func(a stm.Addr) {
-		if a == stm.Nil {
+	var walk func(a stm.Private)
+	walk = func(a stm.Private) {
+		if a.Base() == stm.Nil {
 			return
 		}
-		walk(stm.Addr(s.DirectLoad(a + bstLeft)))
-		out = append(out, uint64(s.DirectLoad(a+bstKey)))
-		walk(stm.Addr(s.DirectLoad(a + bstRight)))
+		walk(a.Follow(bstLeft, bstNodeWords))
+		out = append(out, uint64(a.Load(bstKey)))
+		walk(a.Follow(bstRight, bstNodeWords))
 	}
-	walk(stm.Addr(s.DirectLoad(t.root)))
+	quiescent(s, func(h stm.Private) { walk(h.Follow(t.root, bstNodeWords)) })
 	return out
 }

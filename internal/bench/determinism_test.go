@@ -36,6 +36,9 @@ func TestEnginesAgreeSequentially(t *testing.T) {
 				for j := 0; j < 3000; j++ {
 					inst.Op(ctx, WriteHeavy)
 				}
+				if err := ctx.Th.Close(); err != nil {
+					t.Fatal(err)
+				}
 				if err := inst.Check(s); err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}

@@ -65,15 +65,21 @@ func sortedListsSpec(name string, orecs, n, keys, maxLen int) Spec {
 				return nil, err
 			}
 			l := &sortedLists{heads: heads, n: n, keys: keys, maxLen: maxLen}
-			// Pre-populate with half the key space, built directly (the
-			// structure is not yet shared).
-			for k := 0; k < keys; k += 2 {
-				node, err := s.Alloc(htNodeWords)
-				if err != nil {
-					return nil, err
+			// Pre-populate with half the key space, built directly (no
+			// thread exists yet).
+			if qerr := s.Quiescent(func(h stm.Private) {
+				for k := 0; k < keys && err == nil; k += 2 {
+					var node stm.Addr
+					if node, err = s.Alloc(htNodeWords); err == nil {
+						h.Store(node+htKey, stm.Word(k))
+						l.insertDirect(h, node, stm.Word(k))
+					}
 				}
-				s.DirectStore(node+htKey, stm.Word(k))
-				l.insertDirect(s, node, stm.Word(k))
+			}); qerr != nil {
+				return nil, qerr
+			}
+			if err != nil {
+				return nil, err
 			}
 			return l, nil
 		},
@@ -84,14 +90,16 @@ func (l *sortedLists) headOf(k stm.Word) stm.Addr {
 	return l.heads + stm.Addr(int(k)%l.n)
 }
 
-func (l *sortedLists) insertDirect(s *stm.STM, n stm.Addr, k stm.Word) {
+// insertDirect links node n, holding key k, through h, a whole-heap handle
+// from Quiescent.
+func (l *sortedLists) insertDirect(h stm.Private, n stm.Addr, k stm.Word) {
 	head := l.headOf(k)
-	prev, cur := head, stm.Addr(s.DirectLoad(head))
-	for cur != stm.Nil && s.DirectLoad(cur+htKey) < k {
-		prev, cur = cur+htNext, stm.Addr(s.DirectLoad(cur+htNext))
+	prev, cur := head, stm.Addr(h.Load(head))
+	for cur != stm.Nil && h.Load(cur+htKey) < k {
+		prev, cur = cur+htNext, stm.Addr(h.Load(cur+htNext))
 	}
-	s.DirectStore(n+htNext, stm.Word(cur))
-	s.DirectStore(prev, stm.Word(n))
+	h.Store(n+htNext, stm.Word(cur))
+	h.Store(prev, stm.Word(n))
 }
 
 // Op performs one insert, delete or lookup of a uniformly random key in
@@ -161,12 +169,20 @@ func (l *sortedLists) Op(ctx *OpCtx, mix Mix) {
 // Check verifies every list is sorted, duplicate-free, homed correctly,
 // and acyclic.
 func (l *sortedLists) Check(s *stm.STM) error {
+	var err error
+	if qerr := s.Quiescent(func(h stm.Private) { err = l.check(h) }); qerr != nil {
+		return qerr
+	}
+	return err
+}
+
+func (l *sortedLists) check(h stm.Private) error {
 	for i := 0; i < l.n; i++ {
 		var last stm.Word
 		first := true
 		steps := 0
-		for cur := stm.Addr(s.DirectLoad(l.heads + stm.Addr(i))); cur != stm.Nil; cur = stm.Addr(s.DirectLoad(cur + htNext)) {
-			k := s.DirectLoad(cur + htKey)
+		for cur := h.Follow(l.heads+stm.Addr(i), htNodeWords); cur.Base() != stm.Nil; cur = cur.Follow(htNext, htNodeWords) {
+			k := cur.Load(htKey)
 			if int(k)%l.n != i {
 				return fmt.Errorf("list %d holds key %d", i, k)
 			}
@@ -182,25 +198,28 @@ func (l *sortedLists) Check(s *stm.STM) error {
 	return nil
 }
 
+// each calls fn with every node of every list, list by list.
+func (l *sortedLists) each(s *stm.STM, fn func(node stm.Private)) {
+	quiescent(s, func(h stm.Private) {
+		for i := 0; i < l.n; i++ {
+			for cur := h.Follow(l.heads+stm.Addr(i), htNodeWords); cur.Base() != stm.Nil; cur = cur.Follow(htNext, htNodeWords) {
+				fn(cur)
+			}
+		}
+	})
+}
+
 // Size counts the elements.
 func (l *sortedLists) Size(s *stm.STM) int {
 	n := 0
-	for i := 0; i < l.n; i++ {
-		for cur := stm.Addr(s.DirectLoad(l.heads + stm.Addr(i))); cur != stm.Nil; cur = stm.Addr(s.DirectLoad(cur + htNext)) {
-			n++
-		}
-	}
+	l.each(s, func(stm.Private) { n++ })
 	return n
 }
 
 // Dump returns the key set in ascending order.
 func (l *sortedLists) Dump(s *stm.STM) []uint64 {
 	var out []uint64
-	for i := 0; i < l.n; i++ {
-		for cur := stm.Addr(s.DirectLoad(l.heads + stm.Addr(i))); cur != stm.Nil; cur = stm.Addr(s.DirectLoad(cur + htNext)) {
-			out = append(out, uint64(s.DirectLoad(cur+htKey)))
-		}
-	}
+	l.each(s, func(node stm.Private) { out = append(out, uint64(node.Load(htKey))) })
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

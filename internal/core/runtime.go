@@ -143,6 +143,13 @@ type Runtime struct {
 	lifeMu  sync.Mutex
 	freeIDs []uint64
 	retired stats.Counters
+
+	// regMu orders registration against Quiesce: NewThread claims and
+	// publishes its slot under it, and Quiesce holds it for as long as its
+	// caller relies on no thread being open. open counts the descriptors
+	// NewThread has handed out and ReleaseThread has not yet taken back.
+	regMu sync.Mutex
+	open  atomic.Int64
 }
 
 // NewRuntime builds a runtime from opts.
@@ -195,8 +202,10 @@ func NewRuntime(opts Options) (*Runtime, error) {
 // (stm.Thread.Close) returns their registry slot; released slot IDs are
 // reused before the high-water counter grows, so a pool that churns workers
 // stays within MaxThreads. NewThread is safe to call while other threads
-// are running transactions.
+// are running transactions; it waits while a Quiesce is running.
 func (rt *Runtime) NewThread() (*Thread, error) {
+	rt.regMu.Lock()
+	defer rt.regMu.Unlock()
 	var id int64 = -1
 	rt.lifeMu.Lock()
 	if n := len(rt.freeIDs); n > 0 {
@@ -212,6 +221,7 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 		}
 	}
 	t := &Thread{RT: rt, ID: uint64(id), Rl: rt.Reclaim.Local(int(id))}
+	rt.open.Add(1)
 	rt.threads[id].Store(t)
 	return t, nil
 }
@@ -242,7 +252,22 @@ func (rt *Runtime) ReleaseThread(t *Thread) error {
 	rt.retired.Add(&t.Stats)
 	rt.freeIDs = append(rt.freeIDs, t.ID)
 	rt.lifeMu.Unlock()
+	rt.open.Add(-1)
 	return nil
+}
+
+// Quiesce runs fn while no thread is registered, and reports false without
+// running it if any descriptor is still open. NewThread waits until fn
+// returns, so nothing fn does can race with a transaction; fn must not
+// itself call NewThread or Quiesce.
+func (rt *Runtime) Quiesce(fn func()) bool {
+	rt.regMu.Lock()
+	defer rt.regMu.Unlock()
+	if rt.open.Load() != 0 {
+		return false
+	}
+	fn()
+	return true
 }
 
 // RetiredStats folds the op counters accumulated by released descriptors

@@ -123,14 +123,19 @@ func Run(cfg Config) (*Result, error) {
 	nodes := make([]stm.Addr, cfg.Nodes)
 	for i := range nodes {
 		nodes[i] = s.MustAlloc(nodeW)
-		s.DirectStore(nodes[i]+fVal, stm.Word(i))
-		s.DirectStore(nodes[i]+fA, 1)
-		s.DirectStore(nodes[i]+fB, 1)
 	}
-	for i := 0; i+1 < len(nodes); i++ {
-		s.DirectStore(nodes[i]+fNext, stm.Word(nodes[i+1]))
+	if err := s.Quiescent(func(h stm.Private) {
+		prev := head
+		for i, n := range nodes {
+			h.Store(n+fVal, stm.Word(i))
+			h.Store(n+fA, 1)
+			h.Store(n+fB, 1)
+			h.Store(prev, stm.Word(n))
+			prev = n + fNext
+		}
+	}); err != nil {
+		return nil, err
 	}
-	s.DirectStore(head, stm.Word(nodes[0]))
 
 	res := &Result{}
 	var stop atomic.Bool
@@ -139,8 +144,10 @@ func Run(cfg Config) (*Result, error) {
 	// Non-privatizer threads (Figure 1's T2): search for a node by value
 	// and "process" it — read both mirror fields, verify the invariant,
 	// and write them back incremented, all transactionally.
-	for r := 0; r < cfg.Readers; r++ {
+	readers := make([]*stm.Thread, cfg.Readers)
+	for r := range readers {
 		th := s.MustNewThread()
+		readers[r] = th
 		target := stm.Word(r % cfg.Nodes)
 		wg.Add(1)
 		go func() {
@@ -183,34 +190,37 @@ func Run(cfg Config) (*Result, error) {
 	// The privatizer (Figure 1's T1): truncate, process privately,
 	// republish.
 	priv := s.MustNewThread()
-	load := func(a stm.Addr) stm.Word {
+	load := func(n stm.Private, f stm.Addr) stm.Word {
 		if cfg.AtomicPrivate {
-			return s.AtomicLoad(a)
+			return s.AtomicLoad(n.Base() + f)
 		}
-		return s.DirectLoad(a)
+		return n.Load(f)
 	}
-	store := func(a stm.Addr, w stm.Word) {
+	store := func(n stm.Private, f stm.Addr, w stm.Word) {
 		if cfg.AtomicPrivate {
-			s.AtomicStore(a, w)
+			s.AtomicStore(n.Base()+f, w)
 		} else {
-			s.DirectStore(a, w)
+			n.Store(f, w)
 		}
 	}
 	for it := 0; it < cfg.Iterations; it++ {
-		var pl stm.Addr
-		_ = priv.Atomic(func(tx *stm.Tx) {
-			pl = tx.LoadAddr(head)
+		pl, err := priv.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+			n := tx.LoadAddr(head)
 			tx.StoreAddr(head, stm.Nil)
+			return n, nodeW
 		})
+		if err != nil {
+			return nil, err
+		}
 		// The list is now logically private: process it with
 		// uninstrumented accesses.
-		for n := pl; n != stm.Nil; n = stm.Addr(load(n + fNext)) {
-			a := load(n + fA)
-			b := load(n + fB)
+		for n := pl; n.Base() != stm.Nil; n = n.Follow(fNext, nodeW) {
+			a := load(n, fA)
+			b := load(n, fB)
 			if a != b {
 				res.DelayedCleanup.Add(1)
 			}
-			store(n+fA, a+2)
+			store(n, fA, a+2)
 			if cfg.TornWindow {
 				// Widen the torn window with a busy delay. (Gosched here
 				// would park the privatizer behind the reader loops for a
@@ -219,22 +229,31 @@ func Run(cfg Config) (*Result, error) {
 				// interesting race.)
 				busyDelay()
 			}
-			store(n+fB, a+2)
+			store(n, fB, a+2)
 		}
 		res.Privatizations++
 		// Republish (publication-by-store idiom).
 		_ = priv.Atomic(func(tx *stm.Tx) {
-			tx.StoreAddr(head, pl)
+			tx.StoreAddr(head, pl.Base())
 		})
 	}
 	stop.Store(true)
 	wg.Wait()
+	for _, th := range append(readers, priv) {
+		if err := th.Close(); err != nil {
+			return nil, err
+		}
+	}
 
 	// Final audit: every node must satisfy the invariant.
-	for _, n := range nodes {
-		if s.DirectLoad(n+fA) != s.DirectLoad(n+fB) {
-			res.FinalCorrupt++
+	if err := s.Quiescent(func(h stm.Private) {
+		for _, n := range nodes {
+			if h.Load(n+fA) != h.Load(n+fB) {
+				res.FinalCorrupt++
+			}
 		}
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

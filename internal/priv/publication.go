@@ -100,27 +100,32 @@ func RunPublication(cfg PubConfig) (*PubResult, error) {
 		th := s.MustNewThread()
 		slot := slots + stm.Addr(p)
 		node := s.MustAlloc(3)
-		store := s.DirectStore
-		if cfg.AtomicPrivate {
-			store = s.AtomicStore
-		}
 		pubWG.Add(1)
 		go func() {
 			defer pubWG.Done()
 			v := stm.Word(1)
 			for i := 0; i < cfg.Iterations; i++ {
-				// Private initialization: uninstrumented stores. The node
-				// is not reachable from shared memory yet (first round) or
-				// has been re-privatized (later rounds).
-				store(node, v)
-				store(node+1, v)
-				store(node+2, v)
+				// Privatize the node (transparent privatization!) so this
+				// round's plain initialization is legal: it was never
+				// published (first round) or was published last round.
+				mine, err := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+					tx.StoreAddr(slot, stm.Nil)
+					return node, 3
+				})
+				if err != nil {
+					panic(err)
+				}
+				// Private initialization: uninstrumented stores.
+				for f := stm.Addr(0); f < 3; f++ {
+					if cfg.AtomicPrivate {
+						s.AtomicStore(node+f, v)
+					} else {
+						mine.Store(f, v)
+					}
+				}
 				// Publish by store.
 				_ = th.Atomic(func(tx *stm.Tx) { tx.StoreAddr(slot, node) })
 				res.Published.Add(1)
-				// Privatize it back (transparent privatization!) so the
-				// next round's plain re-initialization is legal.
-				_ = th.Atomic(func(tx *stm.Tx) { tx.StoreAddr(slot, stm.Nil) })
 				v += 3
 			}
 		}()

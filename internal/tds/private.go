@@ -3,33 +3,31 @@ package tds
 import stm "privstm"
 
 // PrivateList is a privatized chain of nodes handed out by the escape-hatch
-// operations (Map.PrivateSnapshot, Queue.DrainPrivate). The privatizing
-// transaction has committed and quiesced before a PrivateList is returned,
-// so the nodes are unreachable from the shared structure and may be walked
-// with plain uninstrumented loads — no transactions, no orecs, no logging.
+// operations (Map.PrivateSnapshot, Queue.DrainPrivate). It wraps the
+// stm.Private that Thread.Privatize returns for the chain's first node, so
+// the privatizing transaction has committed and quiesced before a
+// PrivateList exists, and the nodes are walked with plain uninstrumented
+// loads (Private.Follow) — no transactions, no orecs, no logging.
 //
 // The extents still live in the STM heap and MUST be returned to it:
 // call Retire (or retire each node yourself) when done, or the words leak
 // until process exit.
 type PrivateList struct {
-	s     *stm.STM
-	Head  stm.Addr // first node, or stm.Nil
-	Count int      // number of nodes in the chain
-	words int      // extent size of each node
+	head  stm.Private // first node; empty once the chain is retired
+	Count int         // number of nodes in the chain
+	words int         // extent size of each node
 }
 
-// Each walks the chain, calling fn with each node's base address until fn
-// returns false. The next pointer is word 0 of every node; mark bits are
-// stripped (a privatized map chain can contain nodes that were marked by a
-// Delete racing the snapshot's doomed rivals — the link words are committed
+// Each walks the chain, calling fn with each node until fn returns false.
+// The next pointer is word 0 of every node; Follow ignores its mark bit (a
+// privatized map chain can contain nodes that were marked by a Delete
+// racing the snapshot's doomed rivals — the link words are committed
 // state, the marks are dead metadata).
-func (p *PrivateList) Each(fn func(node stm.Addr) bool) {
-	for n := p.Head; n != stm.Nil; {
-		next := unmark(p.s.DirectLoad(n))
+func (p *PrivateList) Each(fn func(node stm.Private) bool) {
+	for n := p.head; n.Base() != stm.Nil; n = n.Follow(0, p.words) {
 		if !fn(n) {
 			return
 		}
-		n = next
 	}
 }
 
@@ -40,9 +38,11 @@ func (p *PrivateList) EachKV(fn func(k, v stm.Word) bool) {
 	if p.words != mapNodeWords {
 		panic("tds: EachKV on a non-map private list")
 	}
-	p.Each(func(n stm.Addr) bool {
-		return fn(p.s.DirectLoad(n+1), p.s.DirectLoad(n+2))
-	})
+	for n := p.head; n.Base() != stm.Nil; n = n.Follow(0, mapNodeWords) {
+		if !fn(n.Load(1), n.Load(2)) {
+			return
+		}
+	}
 }
 
 // EachValue walks a privatized queue chain, calling fn with each node's
@@ -52,20 +52,20 @@ func (p *PrivateList) EachValue(fn func(v stm.Word) bool) {
 	if p.words != queueNodeWords {
 		panic("tds: EachValue on a non-queue private list")
 	}
-	p.Each(func(n stm.Addr) bool {
-		return fn(p.s.DirectLoad(n + 1))
+	p.Each(func(n stm.Private) bool {
+		return fn(n.Load(1))
 	})
 }
 
 // Retire walks the chain and hands every node's extent to th's epoch
 // reclaimer, emptying the list.
 func (p *PrivateList) Retire(th *stm.Thread) {
-	for n := p.Head; n != stm.Nil; {
-		next := unmark(p.s.DirectLoad(n))
-		th.Retire(n, p.words)
+	for n := p.head; n.Base() != stm.Nil; {
+		next := n.Follow(0, p.words)
+		th.Retire(n.Base(), p.words)
 		n = next
 	}
-	p.Head = stm.Nil
+	p.head = stm.Private{}
 	p.Count = 0
 }
 
@@ -88,12 +88,11 @@ func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (*PrivateList, error) {
 	if !m.s.Algorithm().Safe() {
 		return nil, ErrNotPrivatizationSafe
 	}
-	var head stm.Addr
 	var count int
-	err := th.Atomic(func(tx *stm.Tx) {
+	head, err := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
 		tx.SemSample(m.sem, m.bucketStripe(b))
 		tx.SemIntendWrite(m.sem, m.bucketStripe(b))
-		head = tx.LoadAddr(m.head(b))
+		head := tx.LoadAddr(m.head(b))
 		count = 0
 		for n := head; n != stm.Nil; n = unmark(tx.Load(n)) {
 			count++
@@ -102,12 +101,13 @@ func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (*PrivateList, error) {
 		if count > 0 {
 			tx.SemDelta(m.sem, 0, m.size, ^stm.Word(uint64(count)-1)) // -count
 		}
+		return head, mapNodeWords
 	})
 	if err != nil {
 		return nil, err
 	}
 	th.WeakQuiesce()
-	return &PrivateList{s: m.s, Head: head, Count: count, words: mapNodeWords}, nil
+	return &PrivateList{head: head, Count: count, words: mapNodeWords}, nil
 }
 
 // DrainPrivate detaches the queue's entire chain and returns it for
@@ -120,10 +120,9 @@ func (q *Queue) DrainPrivate(th *stm.Thread) (*PrivateList, error) {
 	if !q.s.Algorithm().Safe() {
 		return nil, ErrNotPrivatizationSafe
 	}
-	var head stm.Addr
 	var count int
-	err := th.Atomic(func(tx *stm.Tx) {
-		head = tx.LoadAddr(q.head)
+	head, err := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+		head := tx.LoadAddr(q.head)
 		count = 0
 		for n := head; n != stm.Nil; n = tx.LoadAddr(n) {
 			count++
@@ -133,10 +132,11 @@ func (q *Queue) DrainPrivate(th *stm.Thread) (*PrivateList, error) {
 		if count > 0 {
 			tx.SemDelta(q.sem, 0, q.size, ^stm.Word(uint64(count)-1)) // -count
 		}
+		return head, queueNodeWords
 	})
 	if err != nil {
 		return nil, err
 	}
 	th.WeakQuiesce()
-	return &PrivateList{s: q.s, Head: head, Count: count, words: queueNodeWords}, nil
+	return &PrivateList{head: head, Count: count, words: queueNodeWords}, nil
 }

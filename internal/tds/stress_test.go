@@ -70,8 +70,8 @@ func TestMixedStress(t *testing.T) {
 								return
 							}
 							n := 0
-							pl.Each(func(node stm.Addr) bool {
-								if s.DirectLoad(node+1) != 1 {
+							pl.Each(func(node stm.Private) bool {
+								if node.Load(1) != 1 {
 									t.Error("drained token corrupted")
 								}
 								n++

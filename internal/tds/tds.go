@@ -20,9 +20,9 @@
 // The privatization escape hatch — Map.PrivateSnapshot, Queue.DrainPrivate
 // — is what the underlying paper's fences make possible and what plain
 // boosting cannot offer: a bucket or a whole queue segment is detached with
-// a privatizing transactional write and handed out as raw stm.Addr extents
-// for zero-instrumentation traversal, then retired through the epoch
-// reclaimer. Safety is the Khyzha/Gotsman/Attiya criterion plus one extra
+// a privatizing transactional write (stm.Thread.Privatize) and handed out
+// through the stm.Private handle it returns for zero-instrumentation
+// traversal, then retired through the epoch reclaimer. Safety is the Khyzha/Gotsman/Attiya criterion plus one extra
 // obligation the weak reads introduce, discharged by Thread.WeakQuiesce
 // (CORRECTNESS.md §15).
 //

@@ -228,9 +228,9 @@ func TestPrivateSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		pl.Each(func(node stm.Addr) bool {
-			k := s.DirectLoad(node + 1)
-			v := s.DirectLoad(node + 2)
+		pl.Each(func(node stm.Private) bool {
+			k := node.Load(1)
+			v := node.Load(2)
 			if v != k*10 {
 				t.Errorf("private node %d -> %d, want %d", k, v, k*10)
 			}
@@ -242,7 +242,9 @@ func TestPrivateSnapshot(t *testing.T) {
 		}
 		total += pl.Count
 		pl.Retire(th)
-		if pl.Head != stm.Nil || pl.Count != 0 {
+		left := 0
+		pl.Each(func(stm.Private) bool { left++; return true })
+		if left != 0 || pl.Count != 0 {
 			t.Error("Retire did not empty the list")
 		}
 	}
@@ -276,8 +278,8 @@ func TestDrainPrivate(t *testing.T) {
 		t.Fatalf("drained Count = %d", pl.Count)
 	}
 	want := stm.Word(1)
-	pl.Each(func(node stm.Addr) bool {
-		if v := s.DirectLoad(node + 1); v != want {
+	pl.Each(func(node stm.Private) bool {
+		if v := node.Load(1); v != want {
 			t.Errorf("drained %d, want %d", v, want)
 		}
 		want++

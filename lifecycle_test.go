@@ -43,7 +43,7 @@ func TestThreadCloseSlotReuse(t *testing.T) {
 			}
 		}
 	}
-	if got := s.DirectLoad(a); got != stm.Word(rounds*8) {
+	if got := quiescentLoad(t, s, a); got != stm.Word(rounds*8) {
 		t.Fatalf("counter = %d, want %d", got, rounds*8)
 	}
 	// Counters of closed threads must survive in the aggregate.
@@ -150,7 +150,7 @@ func TestThreadCloseConcurrentChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.DirectLoad(a); got != 4*15*10 {
+	if got := quiescentLoad(t, s, a); got != 4*15*10 {
 		t.Fatalf("counter = %d, want %d", got, 4*15*10)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -209,3 +209,20 @@ var (
 type errLen string
 
 func (e errLen) Error() string { return string(e) }
+
+// mustQuiescent runs fn over the whole heap (STM.Quiescent), failing tb if
+// a thread is still open.
+func mustQuiescent(tb testing.TB, s *stm.STM, fn func(h stm.Private)) {
+	tb.Helper()
+	if err := s.Quiescent(fn); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// quiescentLoad reads the word at a once every thread has closed.
+func quiescentLoad(tb testing.TB, s *stm.STM, a stm.Addr) stm.Word {
+	tb.Helper()
+	var w stm.Word
+	mustQuiescent(tb, s, func(h stm.Private) { w = h.Load(a) })
+	return w
+}

@@ -51,13 +51,14 @@ func TestOptionVariantsCounter(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
+						defer th.Close() // before Done: the final read needs every thread closed
 						for j := 0; j < 150; j++ {
 							_ = th.Atomic(func(tx *Tx) { tx.Store(ctr, tx.Load(ctr)+1) })
 						}
 					}()
 				}
 				wg.Wait()
-				if got := s.DirectLoad(ctr); got != 600 {
+				if got := peek(t, s, ctr); got != 600 {
 					t.Errorf("counter = %d, want 600", got)
 				}
 			})

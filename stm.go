@@ -12,14 +12,15 @@
 //	s, _ := stm.New(stm.Config{Algorithm: stm.PVRStore})
 //	head, _ := s.Alloc(1)
 //	th, _ := s.NewThread()
-//	th.Atomic(func(tx *stm.Tx) {
-//	    first := tx.Load(head) // transactional read
-//	    tx.Store(head, 0)      // transactional write: privatize the list
-//	    _ = first
+//	node, _ := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
+//	    first := tx.LoadAddr(head)  // transactional read
+//	    tx.StoreAddr(head, stm.Nil) // transactional write: privatize the list
+//	    return first, 2             // the detached node, two words
 //	})
 //	// After the transaction commits the detached structure is private:
-//	// plain, uninstrumented access is safe under every algorithm except
-//	// the TL2 baseline.
+//	// plain, uninstrumented access through the stm.Private handle
+//	// (node.Load, node.Follow) is safe under every algorithm except the
+//	// TL2 baseline.
 //
 // Eight algorithms are provided (see Algorithm); they correspond one-to-one
 // to the curves in the paper's Figure 3.
@@ -271,15 +272,79 @@ func (s *STM) Alloc(n int) (Addr, error) { return s.rt.Heap.Alloc(n) }
 // MustAlloc is Alloc that panics on heap exhaustion.
 func (s *STM) MustAlloc(n int) Addr { return s.rt.Heap.MustAlloc(n) }
 
-// DirectLoad reads a word with no instrumentation. It is safe only for
-// data the calling thread privately owns — freshly allocated words not yet
-// published, or data privatized by a committed transaction under a
-// privatization-safe algorithm.
-func (s *STM) DirectLoad(a Addr) Word { return s.rt.Heap.Load(a) }
+// Private is the only uninstrumented access to transactional memory: a
+// handle on one extent of words that its holder owns outright. Its Load
+// and Store are plain, unlogged word accesses, bounds-checked against the
+// extent, and cost what a slice access costs. There are exactly two ways
+// to get one: Thread.Privatize, after a committed transaction detached the
+// extent, and STM.Quiescent, for the whole heap while no Thread is open.
+// A zero Private is an empty extent; every access to it panics.
+//
+// The handle carries the privatizing commit's timestamp, the instant from
+// which the extent is private. What it cannot check is that the commit
+// really detached the extent (CORRECTNESS.md §12), or that the holder stops
+// using it once it has published the extent again or retired it.
+type Private struct {
+	h     *heap.Heap
+	base  Addr
+	words Addr
+	ts    uint64
+}
 
-// DirectStore writes a word with no instrumentation. See DirectLoad for
-// the ownership requirements.
-func (s *STM) DirectStore(a Addr, w Word) { s.rt.Heap.Store(a, w) }
+// Base returns the extent's first address, Nil for an empty handle.
+func (p Private) Base() Addr { return p.base }
+
+// Load reads the word at offset off of the extent. It panics if off is
+// outside the extent.
+func (p Private) Load(off Addr) Word {
+	if off >= p.words {
+		panic("stm: Private access outside its extent")
+	}
+	return p.h.Load(p.base + off)
+}
+
+// Store writes the word at offset off of the extent. It panics if off is
+// outside the extent.
+func (p Private) Store(off Addr, w Word) {
+	if off >= p.words {
+		panic("stm: Private access outside its extent")
+	}
+	p.h.Store(p.base+off, w)
+}
+
+// Follow reads the pointer word at offset off and returns a handle on the
+// words-word extent it points at: whatever is reachable from a private
+// extent is private too, which is how a detached chain is walked. The
+// pointer's top bit is a mark that linked structures may set (a Harris-style
+// deleted flag) and is ignored. A Nil pointer yields an empty handle.
+func (p Private) Follow(off Addr, words int) Private {
+	a := Addr(p.Load(off) &^ markBit)
+	n := Addr(words)
+	if a == Nil {
+		n = 0
+	}
+	return Private{h: p.h, base: a, words: n, ts: p.ts}
+}
+
+// markBit is the pointer-word bit Follow ignores.
+const markBit = 1 << 63
+
+// ErrThreadsOpen is returned by Quiescent while some Thread is still open.
+var ErrThreadsOpen = errors.New("stm: Quiescent with a Thread still open")
+
+// Quiescent calls fn with a handle on the whole heap, at offsets equal to
+// addresses, provided no Thread is open; otherwise it returns
+// ErrThreadsOpen without calling fn. NewThread waits until fn returns, so
+// nothing fn does can race with a transaction. It serves setup before the
+// first thread exists and checks after the last one has closed. The handle
+// must not outlive fn, and fn must not call NewThread or Quiescent.
+func (s *STM) Quiescent(fn func(Private)) error {
+	h := s.rt.Heap
+	if !s.rt.Quiesce(func() { fn(Private{h: h, words: Addr(h.Size()), ts: s.rt.Clock.Now()}) }) {
+		return ErrThreadsOpen
+	}
+	return nil
+}
 
 // AtomicLoad reads a word with atomic semantics outside any transaction.
 // Tests and checkers that deliberately race (e.g. against the TL2
@@ -425,6 +490,42 @@ func (th *Thread) MustAlloc(n int) Addr {
 // working; until then, recent retires are invisible to DrainReclaim,
 // ReclaimStats, and other threads' allocations.
 func (th *Thread) FlushReclaim() { th.t.FlushReclaim() }
+
+// ErrNothingPrivatized is returned by Privatize when the committed attempt
+// of its body wrote nothing: a read-only transaction detaches no data.
+var ErrNothingPrivatized = errors.New("stm: privatizing transaction wrote nothing")
+
+// Privatize runs body as a transaction (see Atomic) that detaches an
+// extent from shared memory, and returns a Private handle on the extent
+// body names: words words from its returned address, Nil for none. The
+// handle is returned only after the commit and its privatization fence
+// have returned, so under a privatization-safe algorithm no transaction
+// can still be reading or writing back into the extent. It returns the
+// cancel error of a cancelled body, and ErrNothingPrivatized if the
+// committed attempt wrote nothing. Under TL2 the handle is returned all
+// the same; the extent may then still race (the paper's Figure 1).
+func (th *Thread) Privatize(body func(tx *Tx) (Addr, int)) (Private, error) {
+	var base Addr
+	var words int
+	var wrote bool
+	err := th.Atomic(func(tx *Tx) {
+		base, words = body(tx)
+		wrote = tx.WriteSetLen() > 0
+	})
+	if err != nil {
+		return Private{}, err
+	}
+	if !wrote {
+		return Private{}, ErrNothingPrivatized
+	}
+	if words < 0 {
+		panic("stm: Privatize of an extent with negative size")
+	}
+	if base == Nil {
+		words = 0
+	}
+	return Private{h: th.s.rt.Heap, base: base, words: Addr(words), ts: th.t.LastCommitTS}, nil
+}
 
 // Atomic executes body as a transaction, retrying transparently on
 // conflict. It returns nil on commit, or the error passed to Tx.Cancel.

@@ -23,6 +23,34 @@ func newSTM(t *testing.T, alg Algorithm) *STM {
 	return s
 }
 
+// closeAll closes every thread, failing the test on an error.
+func closeAll(t testing.TB, ths ...*Thread) {
+	t.Helper()
+	for _, th := range ths {
+		if err := th.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// peek reads the word at a through Quiescent, so every thread must be
+// closed.
+func peek(t testing.TB, s *STM, a Addr) Word {
+	t.Helper()
+	var w Word
+	if err := s.Quiescent(func(h Private) { w = h.Load(a) }); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// txLoad reads the word at a in a transaction of th.
+func txLoad(th *Thread, a Addr) Word {
+	var w Word
+	_ = th.Atomic(func(tx *Tx) { w = tx.Load(a) })
+	return w
+}
+
 func TestSingleThreadReadWrite(t *testing.T) {
 	forEachAlgorithm(t, func(t *testing.T, alg Algorithm) {
 		s := newSTM(t, alg)
@@ -65,7 +93,8 @@ func TestReadYourWrites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Atomic: %v", err)
 		}
-		if got := s.DirectLoad(a); got != 8 {
+		closeAll(t, th)
+		if got := peek(t, s, a); got != 8 {
 			t.Errorf("after commit: got %d, want 8", got)
 		}
 	})
@@ -88,14 +117,15 @@ func TestCancelRollsBack(t *testing.T) {
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("Atomic returned %v, want %v", err, errBoom)
 		}
-		if got, got2 := s.DirectLoad(a), s.DirectLoad(a+1); got != 1 || got2 != 2 {
+		if got, got2 := txLoad(th, a), txLoad(th, a+1); got != 1 || got2 != 2 {
 			t.Errorf("after cancel: got (%d,%d), want (1,2)", got, got2)
 		}
 		// The STM must remain usable after a cancelled transaction.
 		if err := th.Atomic(func(tx *Tx) { tx.Store(a, 3) }); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.DirectLoad(a); got != 3 {
+		closeAll(t, th)
+		if got := peek(t, s, a); got != 3 {
 			t.Errorf("after recovery: got %d, want 3", got)
 		}
 	})
@@ -117,7 +147,8 @@ func TestPanicPropagatesAfterRollback(t *testing.T) {
 				panic("user bug")
 			})
 		}()
-		if got := s.DirectLoad(a); got != 0 {
+		closeAll(t, th)
+		if got := peek(t, s, a); got != 0 {
 			t.Errorf("after panic: got %d, want 0 (rolled back)", got)
 		}
 	})
@@ -137,6 +168,7 @@ func TestConcurrentCounter(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer th.Close() // before Done: the final read needs every thread closed
 				for j := 0; j < incs; j++ {
 					_ = th.Atomic(func(tx *Tx) {
 						tx.Store(ctr, tx.Load(ctr)+1)
@@ -145,7 +177,7 @@ func TestConcurrentCounter(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if got := s.DirectLoad(ctr); got != threads*incs {
+		if got := peek(t, s, ctr); got != threads*incs {
 			t.Errorf("counter: got %d, want %d", got, threads*incs)
 		}
 	})
@@ -161,8 +193,12 @@ func TestBankTransferInvariant(t *testing.T) {
 			transfer = 300
 		)
 		base := s.MustAlloc(accounts)
-		for i := Addr(0); i < accounts; i++ {
-			s.DirectStore(base+i, initial)
+		if err := s.Quiescent(func(h Private) {
+			for i := Addr(0); i < accounts; i++ {
+				h.Store(base+i, initial)
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
 		violations := make(chan string, threads)
@@ -172,6 +208,7 @@ func TestBankTransferInvariant(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer th.Close() // before Done: the final read needs every thread closed
 				x := seed
 				for j := 0; j < transfer; j++ {
 					x = x*6364136223846793005 + 1442695040888963407
@@ -209,7 +246,7 @@ func TestBankTransferInvariant(t *testing.T) {
 		}
 		var sum Word
 		for i := Addr(0); i < accounts; i++ {
-			sum += s.DirectLoad(base + i)
+			sum += peek(t, s, base+i)
 		}
 		if sum != accounts*initial {
 			t.Errorf("final total %d, want %d", sum, accounts*initial)
@@ -228,13 +265,14 @@ func TestWriteConflictAbortsOne(t *testing.T) {
 			wg.Add(1)
 			go func(v Word) {
 				defer wg.Done()
+				defer th.Close() // before Done: the final read needs every thread closed
 				for j := 0; j < 100; j++ {
 					_ = th.Atomic(func(tx *Tx) { tx.Store(a, v) })
 				}
 			}(Word(i + 1))
 		}
 		wg.Wait()
-		got := s.DirectLoad(a)
+		got := peek(t, s, a)
 		if got < 1 || got > threads {
 			t.Errorf("final value %d not written by any thread", got)
 		}

@@ -32,7 +32,9 @@ func undoABASchedule(t *testing.T, alg Algorithm) (a, b Word) {
 	if s.rt.Orecs.For(aa) == s.rt.Orecs.For(ba) {
 		t.Skip("a and b share an orec")
 	}
-	s.DirectStore(aa, 7)
+	if err := s.Quiescent(func(h Private) { h.Store(aa, 7) }); err != nil {
+		t.Fatal(err)
+	}
 	r, w := s.MustNewThread(), s.MustNewThread()
 
 	atLoad, stored := make(chan struct{}), make(chan struct{})
@@ -74,7 +76,8 @@ func undoABASchedule(t *testing.T, alg Algorithm) (a, b Word) {
 	if err := <-rdone; err != nil {
 		t.Fatalf("%v: R: %v", alg, err)
 	}
-	return s.DirectLoad(aa), s.DirectLoad(ba)
+	closeAll(t, r, w)
+	return peek(t, s, aa), peek(t, s, ba)
 }
 
 // TestUndoABASchedule: a committed transaction never reads a value an
