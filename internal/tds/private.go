@@ -13,9 +13,8 @@ import stm "privstm"
 // call Retire (or retire each node yourself) when done, or the words leak
 // until process exit.
 type PrivateList struct {
-	head  stm.Private // first node; empty once the chain is retired
+	head  stm.Private // first node, its extent one node; empty once retired
 	Count int         // number of nodes in the chain
-	words int         // extent size of each node
 }
 
 // Each walks the chain, calling fn with each node until fn returns false.
@@ -24,7 +23,7 @@ type PrivateList struct {
 // racing the snapshot's doomed rivals — the link words are committed
 // state, the marks are dead metadata).
 func (p *PrivateList) Each(fn func(node stm.Private) bool) {
-	for n := p.head; n.Base() != stm.Nil; n = n.Follow(0, p.words) {
+	for n := p.head; n.Base() != stm.Nil; n = n.Follow(0, n.Words()) {
 		if !fn(n) {
 			return
 		}
@@ -32,10 +31,10 @@ func (p *PrivateList) Each(fn func(node stm.Private) bool) {
 }
 
 // EachKV walks a privatized map chain, calling fn with each node's key and
-// value until fn returns false. Panics if the list did not come from
-// Map.PrivateSnapshot (queue nodes carry no key).
+// value until fn returns false. Panics if a non-empty list did not come
+// from Map.PrivateSnapshot (queue nodes carry no key).
 func (p *PrivateList) EachKV(fn func(k, v stm.Word) bool) {
-	if p.words != mapNodeWords {
+	if w := p.head.Words(); w != 0 && w != mapNodeWords {
 		panic("tds: EachKV on a non-map private list")
 	}
 	for n := p.head; n.Base() != stm.Nil; n = n.Follow(0, mapNodeWords) {
@@ -46,10 +45,10 @@ func (p *PrivateList) EachKV(fn func(k, v stm.Word) bool) {
 }
 
 // EachValue walks a privatized queue chain, calling fn with each node's
-// value until fn returns false. Panics if the list did not come from
-// Queue.DrainPrivate.
+// value until fn returns false. Panics if a non-empty list did not come
+// from Queue.DrainPrivate.
 func (p *PrivateList) EachValue(fn func(v stm.Word) bool) {
-	if p.words != queueNodeWords {
+	if w := p.head.Words(); w != 0 && w != queueNodeWords {
 		panic("tds: EachValue on a non-queue private list")
 	}
 	p.Each(func(n stm.Private) bool {
@@ -61,8 +60,8 @@ func (p *PrivateList) EachValue(fn func(v stm.Word) bool) {
 // reclaimer, emptying the list.
 func (p *PrivateList) Retire(th *stm.Thread) {
 	for n := p.head; n.Base() != stm.Nil; {
-		next := n.Follow(0, p.words)
-		th.Retire(n.Base(), p.words)
+		next := n.Follow(0, n.Words())
+		th.Retire(n.Base(), n.Words())
 		n = next
 	}
 	p.head = stm.Private{}
@@ -107,7 +106,7 @@ func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (*PrivateList, error) {
 		return nil, err
 	}
 	th.WeakQuiesce()
-	return &PrivateList{head: head, Count: count, words: mapNodeWords}, nil
+	return &PrivateList{head: head, Count: count}, nil
 }
 
 // DrainPrivate detaches the queue's entire chain and returns it for
@@ -138,5 +137,5 @@ func (q *Queue) DrainPrivate(th *stm.Thread) (*PrivateList, error) {
 		return nil, err
 	}
 	th.WeakQuiesce()
-	return &PrivateList{head: head, Count: count, words: queueNodeWords}, nil
+	return &PrivateList{head: head, Count: count}, nil
 }

@@ -3,6 +3,7 @@ package tds
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	stm "privstm"
 )
@@ -259,6 +260,15 @@ func TestPrivateSnapshot(t *testing.T) {
 			t.Error("privatized key still reachable")
 		}
 	})
+}
+
+// TestPrivateListSize: the escape hatch allocates one PrivateList per
+// call, so its size class is kv_privatize's allocation volume; it stays at
+// 32 bytes (a three-word stm.Private and the count).
+func TestPrivateListSize(t *testing.T) {
+	if got := unsafe.Sizeof(PrivateList{}); got > 32 {
+		t.Errorf("PrivateList is %d bytes, want at most 32", got)
+	}
 }
 
 func TestDrainPrivate(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // chain builds a list of n two-word [next, value] nodes hanging off a
@@ -227,6 +228,8 @@ func TestPrivateOutOfExtentPanics(t *testing.T) {
 	closeAll(t, th)
 	if err := s.Quiescent(func(h Private) {
 		mustPanic(t, "whole-heap Load past the heap", func() { h.Load(Addr(s.rt.Heap.Size())) })
+		h.Store(head, 1<<40)
+		mustPanic(t, "Follow of a pointer beyond any heap", func() { h.Follow(head, 2) })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,5 +277,17 @@ func TestFollowWalkAllocatesNothing(t *testing.T) {
 	}
 	if sum != 101*64*65/2 {
 		t.Errorf("walk summed %d", sum)
+	}
+}
+
+// TestPrivateIsThreeWords: a handle holds 32-bit addresses, so it is three
+// words and tds.PrivateList (a handle and a count) stays in the 32-byte
+// size class; New refuses a heap its addresses cannot reach.
+func TestPrivateIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(Private{}); got != 24 {
+		t.Errorf("Private is %d bytes, want 24", got)
+	}
+	if _, err := New(Config{Algorithm: PVRStore, HeapWords: 1<<32 + 1}); err == nil {
+		t.Error("New accepted a heap beyond 2^32 words")
 	}
 }

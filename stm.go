@@ -29,6 +29,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -210,6 +211,9 @@ type STM struct {
 
 // New creates an STM instance.
 func New(cfg Config) (*STM, error) {
+	if uint64(cfg.HeapWords) > math.MaxUint32 {
+		return nil, fmt.Errorf("stm: HeapWords %d above 2^32 (Private holds 32-bit addresses)", cfg.HeapWords)
+	}
 	rt, err := core.NewRuntime(core.Options{
 		HeapWords:        cfg.HeapWords,
 		OrecCount:        cfg.OrecCount,
@@ -284,46 +288,57 @@ func (s *STM) MustAlloc(n int) Addr { return s.rt.Heap.MustAlloc(n) }
 // which the extent is private. What it cannot check is that the commit
 // really detached the extent (CORRECTNESS.md §12), or that the holder stops
 // using it once it has published the extent again or retired it.
+//
+// Addresses and sizes are held in 32 bits (New caps the heap at 2^32
+// words), so a handle is three words and a struct embedding one with a
+// counter (tds.PrivateList) stays in the 32-byte size class.
 type Private struct {
 	h     *heap.Heap
-	base  Addr
-	words Addr
+	base  uint32
+	words uint32
 	ts    uint64
 }
 
 // Base returns the extent's first address, Nil for an empty handle.
-func (p Private) Base() Addr { return p.base }
+func (p Private) Base() Addr { return Addr(p.base) }
+
+// Words returns the extent's size in words, 0 for an empty handle.
+func (p Private) Words() int { return int(p.words) }
 
 // Load reads the word at offset off of the extent. It panics if off is
 // outside the extent.
 func (p Private) Load(off Addr) Word {
-	if off >= p.words {
+	if off >= Addr(p.words) {
 		panic("stm: Private access outside its extent")
 	}
-	return p.h.Load(p.base + off)
+	return p.h.Load(Addr(p.base) + off)
 }
 
 // Store writes the word at offset off of the extent. It panics if off is
 // outside the extent.
 func (p Private) Store(off Addr, w Word) {
-	if off >= p.words {
+	if off >= Addr(p.words) {
 		panic("stm: Private access outside its extent")
 	}
-	p.h.Store(p.base+off, w)
+	p.h.Store(Addr(p.base)+off, w)
 }
 
 // Follow reads the pointer word at offset off and returns a handle on the
 // words-word extent it points at: whatever is reachable from a private
 // extent is private too, which is how a detached chain is walked. The
 // pointer's top bit is a mark that linked structures may set (a Harris-style
-// deleted flag) and is ignored. A Nil pointer yields an empty handle.
+// deleted flag) and is ignored. A Nil pointer yields an empty handle; one
+// beyond any heap panics.
 func (p Private) Follow(off Addr, words int) Private {
-	a := Addr(p.Load(off) &^ markBit)
-	n := Addr(words)
-	if a == Nil {
+	a := p.Load(off) &^ markBit
+	if a>>32 != 0 {
+		panic("stm: Follow of a pointer outside the heap")
+	}
+	n := uint32(words)
+	if a == 0 {
 		n = 0
 	}
-	return Private{h: p.h, base: a, words: n, ts: p.ts}
+	return Private{h: p.h, base: uint32(a), words: n, ts: p.ts}
 }
 
 // markBit is the pointer-word bit Follow ignores.
@@ -340,7 +355,7 @@ var ErrThreadsOpen = errors.New("stm: Quiescent with a Thread still open")
 // must not outlive fn, and fn must not call NewThread or Quiescent.
 func (s *STM) Quiescent(fn func(Private)) error {
 	h := s.rt.Heap
-	if !s.rt.Quiesce(func() { fn(Private{h: h, words: Addr(h.Size()), ts: s.rt.Clock.Now()}) }) {
+	if !s.rt.Quiesce(func() { fn(Private{h: h, words: uint32(h.Size()), ts: s.rt.Clock.Now()}) }) {
 		return ErrThreadsOpen
 	}
 	return nil
@@ -518,13 +533,13 @@ func (th *Thread) Privatize(body func(tx *Tx) (Addr, int)) (Private, error) {
 	if !wrote {
 		return Private{}, ErrNothingPrivatized
 	}
-	if words < 0 {
-		panic("stm: Privatize of an extent with negative size")
+	if words < 0 || !th.s.rt.Heap.Contains(base) {
+		panic("stm: Privatize of an extent outside the heap")
 	}
 	if base == Nil {
 		words = 0
 	}
-	return Private{h: th.s.rt.Heap, base: base, words: Addr(words), ts: th.t.LastCommitTS}, nil
+	return Private{h: th.s.rt.Heap, base: uint32(base), words: uint32(words), ts: th.t.LastCommitTS}, nil
 }
 
 // Atomic executes body as a transaction, retrying transparently on
