@@ -70,9 +70,11 @@ func RunPublication(cfg PubConfig) (*PubResult, error) {
 	slots := s.MustAlloc(cfg.Publishers)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var ths []*stm.Thread
 
 	for r := 0; r < cfg.Readers; r++ {
 		th := s.MustNewThread()
+		ths = append(ths, th)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -98,6 +100,7 @@ func RunPublication(cfg PubConfig) (*PubResult, error) {
 	var pubWG sync.WaitGroup
 	for p := 0; p < cfg.Publishers; p++ {
 		th := s.MustNewThread()
+		ths = append(ths, th)
 		slot := slots + stm.Addr(p)
 		node := s.MustAlloc(3)
 		pubWG.Add(1)
@@ -133,5 +136,10 @@ func RunPublication(cfg PubConfig) (*PubResult, error) {
 	pubWG.Wait()
 	stop.Store(true)
 	wg.Wait()
+	for _, th := range ths {
+		if err := th.Close(); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
 }
