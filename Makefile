@@ -64,8 +64,11 @@ test-faults:
 # the read log's Add is a plain append that the compiler inlines into the
 # engines' read path. And the privatized walk's: stm.Private's Load and
 # Follow inline into internal/tds's chain walk (kv_privatize's), so an
-# uninstrumented access keeps plain-load cost. Fails, naming the lost
-# decision, when an edit undoes one.
+# uninstrumented access keeps plain-load cost. And the dense orec layout's
+# accessors (DESIGN.md §4.1): Table.For and Table.Grace inline into
+# internal/core, and Orec.Index, the publication log's key, inlines into
+# internal/logs (core has no call of its own to Index). Fails, naming the
+# lost decision, when an edit undoes one.
 inline-check:
 	@$(GO) build -gcflags=-m ./internal/logs 2>&1 | grep -q 'can inline (\*ReadSet).Add' \
 		|| { echo 'inline-check: internal/logs: (*ReadSet).Add no longer inlines'; exit 1; }
@@ -75,6 +78,14 @@ inline-check:
 		$(GO) build -gcflags=-m ./internal/tds 2>&1 | grep -q "inlining call to stm.Private.$$m" \
 			|| { echo "inline-check: internal/tds: no call to stm.Private.$$m is inlined"; exit 1; }; \
 	done
+	@for m in For Grace; do \
+		$(GO) build -gcflags=-m ./internal/core 2>&1 | grep -q "inlining call to orec.(\*Table).$$m" \
+			|| { echo "inline-check: internal/core: no call to orec.(*Table).$$m is inlined"; exit 1; }; \
+	done
+	@$(GO) build -gcflags=-m ./internal/orec 2>&1 | grep -q 'can inline (\*Orec).Index' \
+		|| { echo 'inline-check: internal/orec: (*Orec).Index no longer inlines'; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/logs 2>&1 | grep -q 'inlining call to orec.(\*Orec).Index' \
+		|| { echo 'inline-check: internal/logs: no call to orec.(*Orec).Index is inlined'; exit 1; }
 	@echo 'inline-check: ok'
 
 # Schedule-exploration corpus (CORRECTNESS.md §11): the fixed-seed PCT and

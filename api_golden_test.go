@@ -11,9 +11,18 @@ import (
 	"privstm/internal/analysis"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite api.golden from the package's exported surface")
+var updateAPI = flag.Bool("update", false, "rewrite the API golden files from the packages' exported surfaces")
 
-// TestAPIGolden pins the root package's exported surface to api.golden,
+// apiGoldens names each package whose exported surface is pinned, with its
+// golden file: the root package, and the two internal packages the
+// repository benchmark drives, the KV server and the semantic containers.
+var apiGoldens = []struct{ pkg, golden string }{
+	{".", "api.golden"},
+	{"./internal/server", "internal/server/api.golden"},
+	{"./internal/tds", "internal/tds/api.golden"},
+}
+
+// TestAPIGolden pins each package's exported surface to its golden file,
 // one line per exported constant, variable, function, type, struct field
 // and method, with its signature. Like stmlint.baseline it is a ratchet
 // that moves only by a reviewed edit: an identifier exported without a
@@ -21,36 +30,40 @@ var updateAPI = flag.Bool("update", false, "rewrite api.golden from the package'
 // no longer matches anything (a removal or a changed signature must leave
 // the file too). Regenerate with `go test -run TestAPIGolden -update .`.
 func TestAPIGolden(t *testing.T) {
-	prog, err := analysis.Load(".", ".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want the root package alone", len(prog.Pkgs))
-	}
-	got := exportedAPI(prog.Pkgs[0].Types)
-	if *updateAPI {
-		if err := os.WriteFile("api.golden", []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile("api.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]bool)
-	for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		want[l] = true
-	}
-	for _, l := range got {
-		if !want[l] {
-			t.Errorf("exported but not in api.golden: %s", l)
-		}
-		delete(want, l)
-	}
-	for l := range want {
-		t.Errorf("in api.golden but no longer exported: %s", l)
+	for _, g := range apiGoldens {
+		t.Run(g.golden, func(t *testing.T) {
+			prog, err := analysis.Load(".", g.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prog.Pkgs) != 1 {
+				t.Fatalf("loaded %d packages for %s, want one", len(prog.Pkgs), g.pkg)
+			}
+			got := exportedAPI(prog.Pkgs[0].Types)
+			if *updateAPI {
+				if err := os.WriteFile(g.golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			raw, err := os.ReadFile(g.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(map[string]bool)
+			for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				want[l] = true
+			}
+			for _, l := range got {
+				if !want[l] {
+					t.Errorf("exported but not in %s: %s", g.golden, l)
+				}
+				delete(want, l)
+			}
+			for l := range want {
+				t.Errorf("in %s but no longer exported: %s", g.golden, l)
+			}
+		})
 	}
 }
 

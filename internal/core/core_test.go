@@ -189,35 +189,35 @@ func TestMakeVisibleCarriesMultiForLiveElder(t *testing.T) {
 
 func TestGraceAdaptation(t *testing.T) {
 	rt := newTestRT(t, 4)
-	o := rt.Orecs.At(0)
-	if o.Grace().Load() != 0 {
+	grace := rt.Orecs.Grace(rt.Orecs.At(0))
+	if grace.Load() != 0 {
 		t.Fatal("grace should start at 0")
 	}
 	for want := uint64(1); want <= DefaultMaxGrace; want *= 2 {
-		raiseGrace(o, rt.MaxGrace)
-		if got := o.Grace().Load(); got != want {
+		raiseGrace(grace, rt.MaxGrace)
+		if got := grace.Load(); got != want {
 			t.Fatalf("grace = %d, want %d", got, want)
 		}
 	}
-	raiseGrace(o, rt.MaxGrace)
-	if got := o.Grace().Load(); got != DefaultMaxGrace {
+	raiseGrace(grace, rt.MaxGrace)
+	if got := grace.Load(); got != DefaultMaxGrace {
 		t.Errorf("grace exceeded cap: %d", got)
 	}
-	lowerGrace(o)
-	if got := o.Grace().Load(); got != DefaultMaxGrace/2 {
+	lowerGrace(grace)
+	if got := grace.Load(); got != DefaultMaxGrace/2 {
 		t.Errorf("grace after halve = %d", got)
 	}
 	for i := 0; i < 20; i++ {
-		lowerGrace(o)
+		lowerGrace(grace)
 	}
-	if got := o.Grace().Load(); got != 0 {
+	if got := grace.Load(); got != 0 {
 		t.Errorf("grace floor = %d, want 0", got)
 	}
 	// A cap that is not a power of two clips the doubling that would pass it.
 	for i := 0; i < 100; i++ {
-		raiseGrace(o, 100)
+		raiseGrace(grace, 100)
 	}
-	if got := o.Grace().Load(); got != 100 {
+	if got := grace.Load(); got != 100 {
 		t.Errorf("grace = %d, want cap 100", got)
 	}
 }
@@ -225,15 +225,15 @@ func TestGraceAdaptation(t *testing.T) {
 func TestGraceExtendsCoverage(t *testing.T) {
 	rt := newTestRT(t, 4)
 	o := rt.Orecs.At(0)
-	o.Grace().Store(16)
+	rt.Orecs.Grace(o).Store(16)
 	r1 := newActiveThread(t, rt)
 	r1.MakeVisible(o, true)
 	rts := orec.VisRTS(o.Vis().Load())
 	if rts != r1.RT.Clock.Now()+16 {
 		t.Errorf("rts = %d, want now+16 = %d", rts, r1.RT.Clock.Now()+16)
 	}
-	if o.Grace().Load() != 32 {
-		t.Errorf("grace after successful update = %d, want 32", o.Grace().Load())
+	if rt.Orecs.Grace(o).Load() != 32 {
+		t.Errorf("grace after successful update = %d, want 32", rt.Orecs.Grace(o).Load())
 	}
 	finish(rt, r1)
 	// Future readers within the grace window skip even after clock ticks.
@@ -441,8 +441,8 @@ func TestConflictScanWithGraceAdaptation(t *testing.T) {
 	w := newActiveThread(t, rt)
 	o1 := rt.Orecs.At(0)
 	o2 := rt.Orecs.At(1)
-	o1.Grace().Store(32)
-	o2.Grace().Store(32)
+	rt.Orecs.Grace(o1).Store(32)
+	rt.Orecs.Grace(o2).Store(32)
 	r.MakeVisible(o1, true) // raises o1's grace to 64
 	if !w.acquireOrec(o1) || !w.acquireOrec(o2) {
 		t.Fatal("acquire failed")
@@ -450,10 +450,10 @@ func TestConflictScanWithGraceAdaptation(t *testing.T) {
 	if _, conflict := w.readerConflictScan(true); !conflict {
 		t.Fatal("conflict not detected")
 	}
-	if got := o1.Grace().Load(); got != 32 {
+	if got := rt.Orecs.Grace(o1).Load(); got != 32 {
 		t.Errorf("conflicting orec grace = %d, want 32 (halved from 64)", got)
 	}
-	if got := o2.Grace().Load(); got != 32 {
+	if got := rt.Orecs.Grace(o2).Load(); got != 32 {
 		t.Errorf("non-conflicting orec grace = %d, want 32 (untouched)", got)
 	}
 	finish(rt, r)

@@ -823,10 +823,10 @@ func TestGraceLoweredOnWriterConflict(t *testing.T) {
 	r, w := newEngineThread(t, rt), newEngineThread(t, rt)
 	a := rt.Heap.MustAlloc(1)
 	o := rt.Orecs.For(a)
-	o.Grace().Store(64)
+	rt.Orecs.Grace(o).Store(64)
 	var wg sync.WaitGroup
 	release := parkReader(t, &wg, e, r, a)
-	graceAfterRead := o.Grace().Load()
+	graceAfterRead := rt.Orecs.Grace(o).Load()
 	if graceAfterRead != 128 {
 		t.Errorf("grace after successful visibility update = %d, want 128", graceAfterRead)
 	}
@@ -839,7 +839,7 @@ func TestGraceLoweredOnWriterConflict(t *testing.T) {
 	close(release)
 	<-done
 	wg.Wait()
-	if got := o.Grace().Load(); got != graceAfterRead/2 {
+	if got := rt.Orecs.Grace(o).Load(); got != graceAfterRead/2 {
 		t.Errorf("grace after writer conflict = %d, want %d", got, graceAfterRead/2)
 	}
 	if w.Stats.Fenced != 1 {
@@ -909,7 +909,7 @@ func TestCapFenceWaitsOnlyForOlderReaders(t *testing.T) {
 	b := rt.Heap.MustAlloc(1)
 	// A grace period in place: the older reader's hint, and with it the
 	// uncapped threshold, lands far beyond the writer's commit time.
-	rt.Orecs.For(a).Grace().Store(64)
+	rt.Orecs.Grace(rt.Orecs.For(a)).Store(64)
 	var wg sync.WaitGroup
 	olderGo := parkReader(t, &wg, e, older, a)
 

@@ -44,7 +44,7 @@ func (t *Thread) readerConflictScan(adaptGrace bool) (threshold uint64, conflict
 			threshold = rts
 		}
 		if adaptGrace {
-			t.Stats.GraceRaces += lowerGrace(o)
+			t.Stats.GraceRaces += lowerGrace(t.RT.Orecs.Grace(o))
 		}
 	}
 	return threshold, conflict

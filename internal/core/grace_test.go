@@ -16,16 +16,16 @@ func TestGraceStrategies(t *testing.T) {
 	}
 	for _, c := range cases {
 		rt := newTestRT(t, 2)
-		o := rt.Orecs.At(0)
+		grace := rt.Orecs.Grace(rt.Orecs.At(0))
 		for i, want := range c.upSteps {
-			raiseGrace(o, DefaultMaxGrace)
-			if got := o.Grace().Load(); got != want {
+			raiseGrace(grace, DefaultMaxGrace)
+			if got := grace.Load(); got != want {
 				t.Errorf("raise %d: grace = %d, want %d", i, got, want)
 			}
 		}
-		o.Grace().Store(c.downFrom)
-		lowerGrace(o)
-		if got := o.Grace().Load(); got != c.downResult {
+		grace.Store(c.downFrom)
+		lowerGrace(grace)
+		if got := grace.Load(); got != c.downResult {
 			t.Errorf("lower from %d: grace = %d, want %d", c.downFrom, got, c.downResult)
 		}
 	}
@@ -36,11 +36,11 @@ func TestGraceStrategies(t *testing.T) {
 func TestGraceStrategyCap(t *testing.T) {
 	for _, limit := range []uint64{64, 100} {
 		rt := newTestRT(t, 2)
-		o := rt.Orecs.At(0)
+		grace := rt.Orecs.Grace(rt.Orecs.At(0))
 		for i := 0; i < 100; i++ {
-			raiseGrace(o, limit)
+			raiseGrace(grace, limit)
 		}
-		if got := o.Grace().Load(); got != limit {
+		if got := grace.Load(); got != limit {
 			t.Errorf("grace = %d, want cap %d", got, limit)
 		}
 	}

@@ -240,7 +240,7 @@ func TestReadMemoNeverChangesTheLog(t *testing.T) {
 		m := map[[2]uint64]bool{}
 		for i := 0; i < w.th.Reads.Len(); i++ {
 			e := w.th.Reads.At(i)
-			m[[2]uint64{uint64(e.Orec.Index()), e.WTS}] = true
+			m[[2]uint64{uint64(w.rt.Orecs.Slot(e.Orec)), e.WTS}] = true
 		}
 		return m
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"privstm/internal/failpoint"
 	"privstm/internal/orec"
@@ -60,7 +61,7 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool) {
 		// Full update: rts ← now+G, tid ← us.
 		g := uint64(0)
 		if useGrace {
-			g = o.Grace().Load()
+			g = rt.Orecs.Grace(o).Load()
 		}
 		now := rt.Clock.Now()
 		// Carry the multi bit if any live transaction may be covered by
@@ -74,7 +75,7 @@ func (t *Thread) MakeVisible(o *orec.Orec, useGrace bool) {
 		t.Stats.PVUpdates++
 		t.VisPub.Add(o, orec.VisRTS(nv))
 		if useGrace {
-			t.Stats.GraceRaces += raiseGrace(o, rt.MaxGrace)
+			t.Stats.GraceRaces += raiseGrace(rt.Orecs.Grace(o), rt.MaxGrace)
 		}
 		return
 	}
@@ -104,7 +105,7 @@ func (t *Thread) CheckCoverage() error {
 		e := t.VisPub.At(i)
 		if now := orec.VisRTS(e.Orec.Vis().Load()); now < t.BeginTS {
 			return fmt.Errorf("coverage: thread %d published rts %d on orec %d, which now reads rts %d < BeginTS %d",
-				t.ID, e.RTS, e.Orec.Index(), now, t.BeginTS)
+				t.ID, e.RTS, t.RT.Orecs.Slot(e.Orec), now, t.BeginTS)
 		}
 	}
 	return nil
@@ -133,20 +134,20 @@ func (t *Thread) publishedHere(o *orec.Orec, rts uint64) bool {
 // how often adaptation actually contends.
 const graceCASRetries = 4
 
-// raiseGrace doubles o's grace period after a successful visibility
-// update, up to maxGrace: §III-A's exponential increase, the adaptation
-// the paper settles on after trying linear steps and hybrids. It returns
-// the number of CAS attempts lost to concurrent adapters (for
-// stats.GraceRaces).
-func raiseGrace(o *orec.Orec, maxGrace uint64) (races uint64) {
+// raiseGrace doubles an orec's grace period (its orec.Table.Grace word)
+// after a successful visibility update, up to maxGrace: §III-A's
+// exponential increase, the adaptation the paper settles on after trying
+// linear steps and hybrids. It returns the number of CAS attempts lost to
+// concurrent adapters (for stats.GraceRaces).
+func raiseGrace(grace *atomic.Uint64, maxGrace uint64) (races uint64) {
 	failpoint.Eval(failpoint.GraceRaise)
 	for {
-		g := o.Grace().Load()
+		g := grace.Load()
 		ng := max(2*g, 1)
 		if ng > maxGrace {
 			ng = maxGrace
 		}
-		if ng == g || o.Grace().CompareAndSwap(g, ng) {
+		if ng == g || grace.CompareAndSwap(g, ng) {
 			return races
 		}
 		if races++; races >= graceCASRetries {
@@ -155,15 +156,15 @@ func raiseGrace(o *orec.Orec, maxGrace uint64) (races uint64) {
 	}
 }
 
-// lowerGrace halves o's grace period when a writer detects a (possibly
-// false-positive) reader conflict through o. Bounded-retry CAS like
-// raiseGrace; returns the number of lost attempts.
-func lowerGrace(o *orec.Orec) (races uint64) {
+// lowerGrace halves an orec's grace period when a writer detects a
+// (possibly false-positive) reader conflict through that orec.
+// Bounded-retry CAS like raiseGrace; returns the number of lost attempts.
+func lowerGrace(grace *atomic.Uint64) (races uint64) {
 	failpoint.Eval(failpoint.GraceLower)
 	for {
-		g := o.Grace().Load()
+		g := grace.Load()
 		ng := g / 2
-		if ng == g || o.Grace().CompareAndSwap(g, ng) {
+		if ng == g || grace.CompareAndSwap(g, ng) {
 			return races
 		}
 		if races++; races >= graceCASRetries {

@@ -15,8 +15,9 @@ type PubEntry struct {
 //
 // It replaces a lazily allocated Go map: entries and the epoch-stamped
 // filter (filter.go) are retained across transactions, so steady-state
-// publication and lookup are alloc-free and Reset is O(1). Keyed by the
-// orec's table index; re-publishing on the same orec overwrites the RTS in
+// publication and lookup are alloc-free and Reset is O(1). The filter is
+// keyed by the record's address (orec.Orec.Index) and entries match by
+// *Orec identity; re-publishing on the same orec overwrites the RTS in
 // place (only the latest hint can still be in the vis word).
 type PubLog struct {
 	entries []PubEntry

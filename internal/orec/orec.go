@@ -11,7 +11,10 @@
 // read and written "together in a single load/store" as §II-E requires.
 package orec
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Field packing.
 //
@@ -67,22 +70,31 @@ func VisTID(v uint64) uint64 { return (v >> 1) & MaxTID }
 // VisMulti extracts the multiple-readers bit.
 func VisMulti(v uint64) bool { return v&1 == 1 }
 
-// Orec is a single ownership record: the fields (a)–(d) of Figure 2 plus
-// the record's table slot, padded to one 64-byte cache line. Records live in
-// their Table's backing array and never move, so a *Orec is a stable
-// identity (read-set dedup and the acquired log compare handles), and every
-// accessor is a constant offset from it: For(addr) → record → word touches
-// one cache line and performs no load beyond the word itself.
+// Orec is a single ownership record: the two hot words of Figure 2, (a)
+// and (b,c), in 16 bytes, so four records share a 64-byte line. The grace
+// period (d) is read only on a full visibility update and written only by
+// the grace adapters, so it lives in its Table's cold column
+// (Table.Grace), not here. Records live in their Table's backing array and
+// never move, so a *Orec is a stable identity (read-set entries and the
+// acquired log compare handles), and both accessors are a constant offset
+// from it: For(addr) → record → word touches one cache line and performs
+// no load beyond the word itself.
+//
+// Records that share a line guard unrelated blocks (the table scatters
+// block numbers with a Fibonacci hash), so a writer's owner CAS and
+// another thread's vis CAS meet on one line only where the scatter puts
+// two hot blocks' records together; the smaller the table, the likelier.
 //
 // Callers use the accessor methods as the record's fields (o.Vis().Load(),
 // o.Owner().CompareAndSwap(...)); the returned *atomic.Uint64 must not be
 // retained beyond the expression or loop using it.
 type Orec struct {
-	owner, vis, grace atomic.Uint64
-	// idx is the record's slot in its Table, fixed at construction.
-	idx uint32
-	_   [36]byte
+	owner, vis atomic.Uint64
 }
+
+// recShift is log2 of the record size: Table.Slot and Index divide
+// addresses by it.
+const recShift = 4
 
 // Owner is the wts-or-owning-txn word (Fig. 2a).
 func (o *Orec) Owner() *atomic.Uint64 { return &o.owner }
@@ -90,10 +102,8 @@ func (o *Orec) Owner() *atomic.Uint64 { return &o.owner }
 // Vis is the rts|tid|multi word (Fig. 2b,c).
 func (o *Orec) Vis() *atomic.Uint64 { return &o.vis }
 
-// Grace is the grace period in clock steps (Fig. 2d).
-func (o *Orec) Grace() *atomic.Uint64 { return &o.grace }
-
-// Index returns the record's table slot. It is the canonical hash key for
-// per-transaction containers (read-set dedup, publication log): indices and
-// records are in bijection within one table.
-func (o *Orec) Index() uint32 { return o.idx }
+// Index returns the record's address divided by its size: a hash key for
+// per-transaction containers (the publication log), distinct for every
+// record of one table because records are 16 bytes apart and never move.
+// It is not a table slot; Table.Slot is.
+func (o *Orec) Index() uint32 { return uint32(uintptr(unsafe.Pointer(o)) >> recShift) }

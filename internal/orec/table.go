@@ -1,6 +1,7 @@
 package orec
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"privstm/internal/heap"
@@ -12,8 +13,10 @@ import (
 // scattered over the table with a Fibonacci multiplicative hash, like the
 // Harris–Fraser hashing the paper builds on.
 //
-// The records are one array of padded 64-byte Orecs, so records never
-// false-share with each other.
+// The records are one array of 16-byte Orecs, four to a cache line, and
+// the grace periods are a parallel column indexed by slot. Neither is
+// written at construction: a fresh record is all zeroes (wts 0, no
+// reader, grace 0), so only the pages a workload touches become resident.
 type Table struct {
 	n          int
 	mask       uint64
@@ -21,8 +24,9 @@ type Table struct {
 
 	// base is &recs[0]: For is address arithmetic on it, with Index's mask
 	// standing in for the bounds check on the read hot path.
-	base unsafe.Pointer
-	recs []Orec
+	base  unsafe.Pointer
+	recs  []Orec
+	grace []atomic.Uint64
 }
 
 // NewTable creates a table with at least count orecs (rounded up to a power
@@ -39,9 +43,7 @@ func NewTable(count, blockWords int) *Table {
 		mask:       uint64(n - 1),
 		blockShift: bs,
 		recs:       make([]Orec, n),
-	}
-	for i := range t.recs {
-		t.recs[i].idx = uint32(i)
+		grace:      make([]atomic.Uint64, n),
 	}
 	t.base = unsafe.Pointer(&t.recs[0])
 	return t
@@ -63,11 +65,20 @@ func (t *Table) Index(a heap.Addr) int {
 // For returns the orec guarding address a. Index's mask keeps the slot in
 // range, so no bounds check is needed on this hot path.
 func (t *Table) For(a heap.Addr) *Orec {
-	return (*Orec)(unsafe.Add(t.base, uintptr(t.Index(a))*unsafe.Sizeof(Orec{})))
+	return (*Orec)(unsafe.Add(t.base, uintptr(t.Index(a))<<recShift))
 }
 
 // At returns the orec at slot i.
 func (t *Table) At(i int) *Orec { return &t.recs[i] }
+
+// Slot returns the slot of o, a record of this table: At(Slot(o)) == o.
+func (t *Table) Slot(o *Orec) int {
+	return int((uintptr(unsafe.Pointer(o)) - uintptr(t.base)) >> recShift)
+}
+
+// Grace is o's grace period in clock steps (Fig. 2d), from the cold
+// column. o must be a record of this table.
+func (t *Table) Grace(o *Orec) *atomic.Uint64 { return &t.grace[t.Slot(o)] }
 
 func ceilPow2(n int) int {
 	if n < 1 {
