@@ -48,9 +48,6 @@ func TestLayoutPadding(t *testing.T) {
 	if s := unsafe.Sizeof(Orec{}); s != 16 {
 		t.Errorf("Orec size = %d, want 16", s)
 	}
-	if 1<<recShift != unsafe.Sizeof(Orec{}) {
-		t.Errorf("recShift = %d does not match the record size", recShift)
-	}
 	tab := NewTable(8, 1)
 	d := uintptr(unsafe.Pointer(tab.At(1).Owner())) - uintptr(unsafe.Pointer(tab.At(0).Owner()))
 	if d != 16 {

@@ -92,10 +92,6 @@ type Orec struct {
 	owner, vis atomic.Uint64
 }
 
-// recShift is log2 of the record size: Table.Slot and Index divide
-// addresses by it.
-const recShift = 4
-
 // Owner is the wts-or-owning-txn word (Fig. 2a).
 func (o *Orec) Owner() *atomic.Uint64 { return &o.owner }
 
@@ -106,4 +102,4 @@ func (o *Orec) Vis() *atomic.Uint64 { return &o.vis }
 // per-transaction containers (the publication log), distinct for every
 // record of one table because records are 16 bytes apart and never move.
 // It is not a table slot; Table.Slot is.
-func (o *Orec) Index() uint32 { return uint32(uintptr(unsafe.Pointer(o)) >> recShift) }
+func (o *Orec) Index() uint32 { return uint32(uintptr(unsafe.Pointer(o)) / unsafe.Sizeof(Orec{})) }

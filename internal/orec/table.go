@@ -65,7 +65,7 @@ func (t *Table) Index(a heap.Addr) int {
 // For returns the orec guarding address a. Index's mask keeps the slot in
 // range, so no bounds check is needed on this hot path.
 func (t *Table) For(a heap.Addr) *Orec {
-	return (*Orec)(unsafe.Add(t.base, uintptr(t.Index(a))<<recShift))
+	return (*Orec)(unsafe.Add(t.base, uintptr(t.Index(a))*unsafe.Sizeof(Orec{})))
 }
 
 // At returns the orec at slot i.
@@ -73,7 +73,7 @@ func (t *Table) At(i int) *Orec { return &t.recs[i] }
 
 // Slot returns the slot of o, a record of this table: At(Slot(o)) == o.
 func (t *Table) Slot(o *Orec) int {
-	return int((uintptr(unsafe.Pointer(o)) - uintptr(t.base)) >> recShift)
+	return int((uintptr(unsafe.Pointer(o)) - uintptr(t.base)) / unsafe.Sizeof(Orec{}))
 }
 
 // Grace is o's grace period in clock steps (Fig. 2d), from the cold
