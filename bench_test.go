@@ -237,30 +237,19 @@ func BenchmarkAblationWriteCommit(b *testing.B) {
 }
 
 // BenchmarkCentralList isolates the §II-C incomplete-transaction tracker —
-// the bottleneck the paper identifies for short transactions — comparing
-// the paper's locked central list against the cached-watermark slot
-// tracker (the default).
+// the bottleneck the paper identifies for short transactions — on tiny
+// read-only pvrBase transactions, which are almost pure tracker traffic.
 func BenchmarkCentralList(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		tracker stm.TrackerKind
-	}{{"list", stm.TrackerList}, {"slot", stm.TrackerSlot}} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := stm.MustNew(stm.Config{
-				Algorithm: stm.PVRBase, HeapWords: 1 << 10, OrecCount: 64,
-				MaxThreads: 128, Tracker: tc.tracker,
-			})
-			a := s.MustAlloc(1)
-			b.RunParallel(func(pb *testing.PB) {
-				th := s.MustNewThread()
-				for pb.Next() {
-					// A tiny read-only transaction is almost pure
-					// tracker traffic.
-					_ = th.Atomic(func(tx *stm.Tx) { _ = tx.Load(a) })
-				}
-			})
-		})
-	}
+	s := stm.MustNew(stm.Config{
+		Algorithm: stm.PVRBase, HeapWords: 1 << 10, OrecCount: 64, MaxThreads: 128,
+	})
+	a := s.MustAlloc(1)
+	b.RunParallel(func(pb *testing.PB) {
+		th := s.MustNewThread()
+		for pb.Next() {
+			_ = th.Atomic(func(tx *stm.Tx) { _ = tx.Load(a) })
+		}
+	})
 }
 
 // BenchmarkAblationFenceCap measures the commit-time threshold cap (§II-D
@@ -347,40 +336,6 @@ func BenchmarkPrivatizedVsInstrumented(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationTrackerUnderLoad compares the two trackers on the
-// paper's short-transaction workload (hashtable), where §V blames the
-// central list for pvr flattening.
-func BenchmarkAblationTrackerUnderLoad(b *testing.B) {
-	spec := bench.Hashtable(64, 256)
-	for _, tc := range []struct {
-		name    string
-		tracker stm.TrackerKind
-	}{{"list", stm.TrackerList}, {"slot", stm.TrackerSlot}} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := stm.MustNew(stm.Config{
-				Algorithm: stm.PVRStore, HeapWords: spec.HeapWords,
-				OrecCount: spec.OrecCount, MaxThreads: 128, Tracker: tc.tracker,
-			})
-			inst, err := spec.Build(s, rng.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var mu sync.Mutex
-			var seq uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				seq++
-				ctx := &bench.OpCtx{Th: s.MustNewThread(), RNG: rng.New(seq), S: s}
-				mu.Unlock()
-				for pb.Next() {
-					inst.Op(ctx, bench.ReadMostly)
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkSandboxCheckpoint prices the sandbox's checkpoints on pvrCAS

@@ -38,8 +38,8 @@ func (v *flagValues) modes(set map[string]bool) []string {
 // engines and therefore cannot apply to a -remote run (the server was
 // configured when stmd started).
 var localOnlyWithRemote = []string{
-	"fig", "threads", "txns", "scale", "reps", "algos", "mix", "tracker",
-	"maxattempts", "csv",
+	"fig", "threads", "txns", "scale", "reps", "algos", "mix", "maxattempts",
+	"csv",
 }
 
 // remoteOnly lists flags meaningful only with -remote.

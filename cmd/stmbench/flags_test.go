@@ -30,7 +30,7 @@ func TestCrossValidateAccepts(t *testing.T) {
 		{"figure with mix and algos", set("fig", "mix", "algos"), flagValues{fig: "3a"}},
 		{"remote with its modifiers", set("remote", "conns", "keys", "batch", "remotemix", "tenants", "zipf", "json", "dur", "seed"),
 			flagValues{remote: ":7077"}},
-		{"figure with its harness knobs", set("fig", "threads", "txns", "scale", "reps", "tracker", "maxattempts", "csv", "json", "seed"),
+		{"figure with its harness knobs", set("fig", "threads", "txns", "scale", "reps", "maxattempts", "csv", "json", "seed"),
 			flagValues{fig: "3e"}},
 		{"list alone", set("list"), flagValues{list: true}},
 		{"empty fig with list", set("fig", "list"), flagValues{list: true}},
@@ -56,8 +56,6 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{remote: ":7077", list: true}, "conflicting modes"},
 		{"list and fig", set("list", "fig"),
 			flagValues{list: true, fig: "3a"}, "conflicting modes"},
-		{"remote with tracker", set("remote", "tracker"),
-			flagValues{remote: ":7077"}, "-tracker"},
 		{"remote with threads", set("remote", "threads"),
 			flagValues{remote: ":7077"}, "-threads"},
 		{"remote with maxattempts", set("remote", "maxattempts"),

@@ -10,7 +10,6 @@
 //	stmbench -fig all -scale 1       # the full evaluation at paper scale
 //	stmbench -fig 3e,3g,t1 -json out.json
 //	stmbench -fig 3c -threads 1,2,4,8,16,32 -txns 100000
-//	stmbench -fig 3e -tracker list   # the paper's central-list tracker
 //	stmbench -remote :7077 -conns 1000 -dur 5s # drive a running stmd
 //	stmbench -list                   # show the experiment index
 package main
@@ -43,7 +42,6 @@ func main() {
 		jsonPath = flag.String("json", "", "also write raw measurements to this JSON file")
 		algos    = flag.String("algos", "", "comma-separated curve filter (figure labels, e.g. TL2,pvrStore)")
 		mix      = flag.String("mix", "", "override op mix as insert/delete/lookup (e.g. 20/20/60)")
-		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot or list")
 		zipf     = flag.Float64("zipf", 0, "key-distribution skew for every cell: 0 = uniform, (0,1) = YCSB Zipf theta")
 		maxAtt   = flag.Int("maxattempts", 0, "abort budget before serialized-irrevocable escalation (0 = default, negative disables)")
 		remote   = flag.String("remote", "", "drive a running stmd at this address instead of the in-process harness")
@@ -84,17 +82,6 @@ func main() {
 	if *remote != "" {
 		runRemote(*remote, *conns, *keys, *batch, *dur, *zipf, *seed, *rmix, *tenants, *jsonPath)
 		return
-	}
-
-	var trackerKind stm.TrackerKind
-	switch *tracker {
-	case "slot", "":
-		trackerKind = stm.TrackerSlot
-	case "list":
-		trackerKind = stm.TrackerList
-	default:
-		fmt.Fprintf(os.Stderr, "stmbench: bad -tracker %q (want slot or list)\n", *tracker)
-		os.Exit(2)
 	}
 
 	if *cpuProf != "" {
@@ -155,13 +142,12 @@ func main() {
 		Scale:         *scale,
 		Reps:          *reps,
 		Seed:          *seed,
-		Tracker:       trackerKind,
 		MaxAttempts:   *maxAtt,
 		ZipfTheta:     *zipf,
 	}
 
-	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s maxattempts=%d zipf=%.2f\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, *maxAtt, *zipf)
+	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d maxattempts=%d zipf=%.2f\n",
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *maxAtt, *zipf)
 	if runtime.NumCPU() < 8 {
 		fmt.Printf("# note: %d CPUs — thread counts beyond that timeshare; expect curves to flatten there\n", runtime.NumCPU())
 	}
@@ -235,7 +221,7 @@ func main() {
 	}
 	if *jsonPath != "" {
 		bench.SortMeasurements(allMs)
-		label := fmt.Sprintf("tracker=%s scale=1/%d maxattempts=%d", *tracker, *scale, *maxAtt)
+		label := fmt.Sprintf("scale=1/%d maxattempts=%d", *scale, *maxAtt)
 		writeJSONTo(*jsonPath, label, allMs)
 	}
 }

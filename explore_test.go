@@ -45,10 +45,8 @@ func exploreConfig(alg Algorithm) Config {
 // point, so any violation it reports is a real reachable state.
 func exploreOracle(s *STM) func() error {
 	return func() error {
-		if st, ok := core.UnwrapTracker(s.rt.Active).(*core.SlotTracker); ok {
-			if err := st.CheckWatermark(); err != nil {
-				return err
-			}
+		if err := s.rt.Active.CheckWatermark(); err != nil {
+			return err
 		}
 		var err error
 		s.rt.ForEachThread(func(t *core.Thread) {

@@ -12,7 +12,7 @@ import (
 //
 // Invariant (paper §II-E, CORRECTNESS.md §1): every word of STM metadata
 // that participates in the privatization protocol — orec words, clock
-// values, visibility hints, txnlist heads, shared counters — is accessed
+// values, visibility hints, tracker slots, shared counters — is accessed
 // through Go's sequentially consistent atomics, so that all conflicting
 // accesses are ordered by a single total order. A struct field that is
 // passed to sync/atomic anywhere must therefore be accessed atomically

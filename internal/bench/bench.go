@@ -155,8 +155,6 @@ type RunConfig struct {
 	Duration time.Duration
 	Mix      Mix
 	Seed     uint64
-	// Tracker selects the incomplete-transaction tracker (ablations).
-	Tracker stm.TrackerKind
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
@@ -207,7 +205,6 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		HeapWords:   spec.HeapWords,
 		OrecCount:   spec.OrecCount,
 		MaxThreads:  rc.Threads,
-		Tracker:     rc.Tracker,
 		MaxAttempts: rc.MaxAttempts,
 	})
 	if err != nil {

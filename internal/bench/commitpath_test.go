@@ -8,34 +8,21 @@ import (
 	"privstm/internal/rng"
 )
 
-// TestRunConfigAblations drives the workload under the paper's central-list
-// tracker and the slot-tracker default, checking each produces correct
+// TestRunConfigAblations drives the workload through RunConfig under a
+// polling, an in-place and a hybrid engine, checking each produces correct
 // structures and full operation counts.
 func TestRunConfigAblations(t *testing.T) {
 	spec := MultiList(16, 32)
-	for _, tc := range []struct {
-		name string
-		rc   RunConfig
-	}{
-		{"slot+extend", RunConfig{}},
-		{"list+extend", RunConfig{Tracker: stm.TrackerList}},
-	} {
-		for _, alg := range []stm.Algorithm{stm.Ord, stm.PVRStore, stm.PVRHybrid} {
-			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
-				rc := tc.rc
-				rc.Algorithm = alg
-				rc.Threads = 4
-				rc.Mix = WriteHeavy
-				rc.TxnsPerThread = 500
-				m, err := Run(spec, rc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.Ops != 4*500 {
-					t.Errorf("ops = %d, want %d", m.Ops, 4*500)
-				}
-			})
-		}
+	for _, alg := range []stm.Algorithm{stm.Ord, stm.PVRStore, stm.PVRHybrid} {
+		t.Run(alg.String(), func(t *testing.T) {
+			m, err := Run(spec, RunConfig{Algorithm: alg, Threads: 4, Mix: WriteHeavy, TxnsPerThread: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Ops != 4*500 {
+				t.Errorf("ops = %d, want %d", m.Ops, 4*500)
+			}
+		})
 	}
 }
 
@@ -75,35 +62,28 @@ func TestExtensionAvoidsAbort(t *testing.T) {
 }
 
 // BenchmarkCommitPath is the CI smoke benchmark for the commit path: the
-// paper's short-transaction workload under each tracker. Regressions in the
+// paper's short-transaction workload. Regressions in the tracker's
 // oldest-begin fast path show up here directly.
 func BenchmarkCommitPath(b *testing.B) {
 	spec := Hashtable(64, 256)
-	for _, tr := range []struct {
-		name    string
-		tracker stm.TrackerKind
-	}{{"slot", stm.TrackerSlot}, {"list", stm.TrackerList}} {
-		b.Run(tr.name, func(b *testing.B) {
-			s := stm.MustNew(stm.Config{
-				Algorithm: stm.PVRStore, HeapWords: spec.HeapWords,
-				OrecCount: spec.OrecCount, MaxThreads: 128, Tracker: tr.tracker,
-			})
-			inst, err := spec.Build(s, rng.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var mu sync.Mutex
-			var seq uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				seq++
-				ctx := &OpCtx{Th: s.MustNewThread(), RNG: rng.New(seq), S: s}
-				mu.Unlock()
-				for pb.Next() {
-					inst.Op(ctx, ReadMostly)
-				}
-			})
-		})
+	s := stm.MustNew(stm.Config{
+		Algorithm: stm.PVRStore, HeapWords: spec.HeapWords,
+		OrecCount: spec.OrecCount, MaxThreads: 128,
+	})
+	inst, err := spec.Build(s, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
 	}
+	var mu sync.Mutex
+	var seq uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		mu.Lock()
+		seq++
+		ctx := &OpCtx{Th: s.MustNewThread(), RNG: rng.New(seq), S: s}
+		mu.Unlock()
+		for pb.Next() {
+			inst.Op(ctx, ReadMostly)
+		}
+	})
 }

@@ -103,9 +103,6 @@ type HarnessConfig struct {
 	// Reps is the number of runs averaged per cell (the paper used 3).
 	Reps int
 	Seed uint64
-	// Tracker selects the incomplete-transaction tracker for every cell
-	// (ablations; default is the slot tracker).
-	Tracker stm.TrackerKind
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
@@ -135,8 +132,8 @@ func (hc *HarnessConfig) runConfig(alg stm.Algorithm, threads int, mix Mix) RunC
 	return RunConfig{
 		Algorithm: alg, Threads: threads, Mix: mix,
 		TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
-		Tracker: hc.Tracker, MaxAttempts: hc.MaxAttempts,
-		ZipfTheta: hc.ZipfTheta,
+		MaxAttempts: hc.MaxAttempts,
+		ZipfTheta:   hc.ZipfTheta,
 	}
 }
 

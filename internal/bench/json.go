@@ -63,7 +63,7 @@ type jsonMeasurement struct {
 // jsonFile is the envelope written by WriteJSON.
 type jsonFile struct {
 	// Label describes the configuration that produced the file (e.g.
-	// "tracker=slot scale=1/8 maxattempts=0").
+	// "scale=1/8 maxattempts=0").
 	Label string            `json:"label,omitempty"`
 	Cells []jsonMeasurement `json:"cells"`
 }

@@ -89,10 +89,11 @@ var (
 func (p *Policy) Name() string { return p.Label }
 
 // Begin starts a transaction. A policy visible from Begin enters the
-// tracker there (its begin timestamp is assigned by the tracker, so list
-// order matches timestamp order); every other policy samples the clock and,
-// with a redo log, may extend its snapshot. The undo-log policies keep
-// ValidTS pinned at BeginTS, so the §II fence proofs apply verbatim.
+// tracker there (the tracker samples its begin timestamp only after its
+// slot is visible; txnlist.Slots.Enter); every other policy samples the
+// clock and, with a redo log, may extend its snapshot. The undo-log
+// policies keep ValidTS pinned at BeginTS, so the §II fence proofs apply
+// verbatim.
 func (p *Policy) Begin(t *Thread) {
 	t.gateSerialized()
 	t.ResetTxnState()
@@ -180,19 +181,19 @@ func (t *Thread) maybeGoVisible(useGrace bool) {
 }
 
 // goVisible turns an invisible transaction visible mid-flight: it joins the
-// tracker at its original begin timestamp (a sorted insert — newer
-// transactions are already on it) and makes every prior read partially
-// visible. The read set must then be revalidated *after* the hints are
-// published: a writer whose conflict scan predates them will not fence for
-// us, so if such a writer has already committed against our read set we
-// are doomed and abort here, before any in-place write. If the validation
-// passes, every later conflicting writer's scan follows our hint stores and
-// fences.
+// tracker at its original begin timestamp (EnterAt lowers the watermark to
+// cover it — newer transactions are already registered) and makes every
+// prior read partially visible. The read set must then be revalidated
+// *after* the hints are published: a writer whose conflict scan predates
+// them will not fence for us, so if such a writer has already committed
+// against our read set we are doomed and abort here, before any in-place
+// write. If the validation passes, every later conflicting writer's scan
+// follows our hint stores and fences.
 func (t *Thread) goVisible(useGrace bool) {
 	if t.EpochPinned {
 		// Weak reads already registered us on the tracker at BeginTS (the
-		// epoch pin): adopt that entry, since entering twice would corrupt
-		// the list tracker's linkage.
+		// epoch pin): adopt that entry. It already covers us, so a second
+		// EnterAt would only take the watermark lock and yield again.
 		t.EpochPinned = false
 	} else {
 		t.RT.Active.EnterAt(t, t.BeginTS)

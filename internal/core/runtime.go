@@ -41,10 +41,6 @@ type Options struct {
 	MaxGrace        uint64 // cap for adaptive grace periods (0 ⇒ DefaultMaxGrace)
 	HybridThreshold int    // logged reads that flip pvrHybrid visible (0 ⇒ 16)
 
-	// Tracker selects the incomplete-transaction tracker. The default,
-	// TrackerSlot, is the O(1) cached-watermark slot array; TrackerList
-	// restores the paper's §II-C spin-locked central list (ablations).
-	Tracker TrackerKind
 	// CapFenceAtCommit caps privatization-fence thresholds just below the
 	// writer's commit time wts, eliminating the grace-period "extended
 	// delays" of §III-A: the fence then waits for oldest-begin > wts−1,
@@ -104,8 +100,8 @@ type Runtime struct {
 	Heap   *heap.Heap
 	Orecs  *orec.Table
 	Clock  clock.Clock
-	Active ActiveTracker // incomplete-transaction tracker (§II-C)
-	Order  ticket.Lock   // strict-ordering ticket lock (§IV)
+	Active *SlotTracker // incomplete-transaction tracker (§II-C)
+	Order  ticket.Lock  // strict-ordering ticket lock (§IV)
 
 	// Reclaim is the epoch-based safe-reclamation subsystem: extents
 	// retired through Thread.Retire are quarantined until the oldest-begin
@@ -178,18 +174,9 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		OnStall:          opts.OnStall,
 		threads:          make([]atomic.Pointer[Thread], opts.MaxThreads),
 	}
-	if opts.Tracker == TrackerList {
-		rt.Active = NewListTracker(rt)
-	} else {
-		rt.Active = NewSlotTracker(rt)
-	}
-	// Every tracker kind carries the schedule explorer's yield points
-	// (tracker.go); disabled cost is a nil-check per Enter/EnterAt/Leave.
-	rt.Active = yieldTracker{inner: rt.Active}
-	// The reclaimer's epoch source is the tracker's oldest-begin watermark;
-	// bind it through a closure so tests that swap trackers keep working.
-	rt.Reclaim = reclaim.New(rt.Heap,
-		func() (uint64, bool) { return rt.Active.OldestBegin() },
+	rt.Active = &SlotTracker{clock: &rt.Clock, slots: txnlist.NewSlots(opts.MaxThreads)}
+	// The reclaimer's epoch source is the tracker's oldest-begin watermark.
+	rt.Reclaim = reclaim.New(rt.Heap, rt.Active.OldestBegin,
 		reclaim.Config{Threads: opts.MaxThreads})
 	// Start time at 1 so that a zeroed vis word (rts = 0) can never read
 	// as a hint covering a live transaction: every begin timestamp is ≥ 1.

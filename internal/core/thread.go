@@ -11,7 +11,6 @@ import (
 	"privstm/internal/reclaim"
 	"privstm/internal/spin"
 	"privstm/internal/stats"
-	"privstm/internal/txnlist"
 )
 
 // Thread is a per-worker transaction descriptor. One Thread supports one
@@ -27,13 +26,17 @@ type Thread struct {
 	// inlinable calls.
 	Rl *reclaim.Local
 
-	// Node is this thread's statically allocated entry in the central
-	// transaction list (§II-C).
-	Node txnlist.Node
+	// layoutPad keeps BeginTS and every field after it at the offsets they
+	// had when a 32-byte central-list node sat here (BeginTS at 56). The
+	// set_write benchmark's two-worker loop is bimodal, and a 32-byte shift
+	// of BeginTS..Sem tips it into the slow mode: core.fenced_pct 5 → 24 %,
+	// aborts 0.44 → 1.95 per kop, ops_per_s −22 % in 7 of 7 paired runs
+	// (EXPERIMENTS.md "One tracker"). TestThreadLayout pins the offsets.
+	layoutPad [4]uint64
 
 	// BeginTS is the global-clock value recorded at transaction begin. It
-	// anchors everything the privatization proofs reason about: central-
-	// list registration, visibility-hint coverage, and fence thresholds.
+	// anchors everything the privatization proofs reason about: tracker
+	// registration, visibility-hint coverage, and fence thresholds.
 	BeginTS uint64
 	// ValidTS is the top of the transaction's validity interval (snapshot
 	// extension): every logged read is known consistent with a snapshot at
@@ -60,7 +63,7 @@ type Thread struct {
 	// Wrote is set on the first transactional write.
 	Wrote bool
 	// Visible is set while the transaction's reads are partially visible
-	// (it is on the central list).
+	// (it is on the active tracker).
 	Visible bool
 	// LastClockSeen is the global clock as of the last incremental
 	// validation (redo-log engines' doomed-transaction polling).

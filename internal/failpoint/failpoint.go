@@ -87,7 +87,7 @@ const (
 	FenceExit  = "core/fence/exit"
 	// TrackerEnter, TrackerEnterAt and TrackerLeave fire right after a
 	// transaction registers on (or deregisters from) the incomplete-
-	// transaction tracker — the central-list transitions of §II-C.
+	// transaction tracker (core.SlotTracker, §II-C).
 	TrackerEnter   = "core/txnlist/enter"
 	TrackerEnterAt = "core/txnlist/enter-at"
 	TrackerLeave   = "core/txnlist/leave"

@@ -52,10 +52,8 @@ type Config struct {
 	// in the privatizer's private phase. Safe algorithms must stay clean
 	// even so; the TL2 baseline then exhibits violations much more often.
 	TornWindow bool
-	// Tracker and CapFenceAtCommit select the corresponding runtime
-	// variants; the safety assertions must hold regardless of which
-	// combination is configured.
-	Tracker          stm.TrackerKind
+	// CapFenceAtCommit selects the capped-fence runtime variant; the
+	// safety assertions must hold either way.
 	CapFenceAtCommit bool
 	// AtomicPrivate makes the privatizer's "uninstrumented" accesses use
 	// atomic loads/stores. The fence-based algorithms are race-free with
@@ -111,7 +109,6 @@ func Run(cfg Config) (*Result, error) {
 		HeapWords:        1 << 16,
 		OrecCount:        1 << 10,
 		MaxThreads:       cfg.Readers + 1,
-		Tracker:          cfg.Tracker,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
 	})
 	if err != nil {

@@ -81,32 +81,6 @@ func TestTL2Baseline(t *testing.T) {
 	}
 }
 
-// TestPrivatizationSafeWithAblations re-runs the safety assertions under
-// the paper's spin-locked central list instead of the slot tracker, so the
-// tracker can be A/B-compared without losing the safety net on either side.
-func TestPrivatizationSafeWithAblations(t *testing.T) {
-	run := func(alg stm.Algorithm, atomicPriv bool) {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := testCfg(alg, atomicPriv)
-			cfg.Tracker = stm.TrackerList
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%v+list: %v", alg, res)
-			if !res.Clean() {
-				t.Errorf("privatization violation under %v with ablations: %v", alg, res)
-			}
-		})
-	}
-	for _, alg := range safePlain {
-		run(alg, false)
-	}
-	for _, alg := range safeAtomic {
-		run(alg, true)
-	}
-}
-
 // TestPrivatizationSafeWithExtensions re-runs the safety assertions with
 // the future-work fence extension enabled: the commit-time fence-threshold
 // cap. It changes *when* fences wait, never whether a needed fence is

@@ -362,7 +362,7 @@ type Reclaimer struct {
 	h *heap.Heap
 	// oldest is the epoch source: a lower bound on the begin timestamp of
 	// the oldest incomplete transaction, and whether any is in flight —
-	// the contract of ActiveTracker.OldestBegin / txnlist.Slots.
+	// the contract of txnlist.Slots.OldestBegin (core.SlotTracker).
 	oldest       func() (uint64, bool)
 	collectEvery int
 	poison       bool

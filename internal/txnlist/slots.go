@@ -1,7 +1,9 @@
-// slots.go implements the "lighter weight implementation of the central
-// list" the paper leaves as future work (§II-C): a statically allocated,
-// cache-line padded slot array indexed by thread ID, plus a cached,
-// monotonically advancing oldest-begin watermark.
+// Package txnlist tracks the set of incomplete transactions that
+// privatization fences and epoch reclamation query (paper §II-C). It is not
+// the paper's spin-locked, sorted central list but the "lighter weight
+// implementation of the central list" the paper leaves as future work: a
+// statically allocated, cache-line padded slot array indexed by thread ID,
+// plus a cached, monotonically advancing oldest-begin watermark.
 //
 //   - Enter/Leave are single uncontended atomic stores into the thread's
 //     own padded slot — no lock, no shared cache line.
@@ -134,7 +136,7 @@ func (s *Slots) raiseHi(id int) {
 }
 
 // Enter registers slot id with a fresh begin timestamp sampled from c and
-// returns it. Unlike the central list, no lock orders the clock sample
+// returns it. Unlike the paper's central list, no lock orders the clock sample
 // against other begins: the tracker does not need sortedness, only that a
 // transaction is visible with a timestamp no later than any datum it reads,
 // which a pre-publication Now() guarantees.

@@ -197,8 +197,8 @@ func TestSlotsConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestSlotsOldestIsLowerBound mirrors the central list's safety test: while
-// a long-lived resident is registered, no query may return a timestamp past
+// TestSlotsOldestIsLowerBound checks the fence-safety property: while a
+// long-lived resident is registered, no query may return a timestamp past
 // its begin — regardless of churn and late joiners on other slots.
 func TestSlotsOldestIsLowerBound(t *testing.T) {
 	const churners = 4
@@ -344,63 +344,33 @@ func TestSlotsOldestFastPathAllocFree(t *testing.T) {
 	s.Leave(0)
 }
 
-// Benchmarks: the §II-C ablation. BenchmarkTrackerEnterLeave measures the
-// begin/end critical path; BenchmarkTrackerOldest measures the fence-side
-// query with a resident holder. Run both with -bench Tracker to compare the
-// spin-locked list against the slot array.
+// BenchmarkTrackerEnterLeave measures the begin/end critical path;
+// BenchmarkTrackerOldest measures the fence-side query with a resident
+// holder.
 func BenchmarkTrackerEnterLeave(b *testing.B) {
-	b.Run("list", func(b *testing.B) {
-		l := New()
-		var c clock.Clock
-		b.RunParallel(func(pb *testing.PB) {
-			n := &Node{}
-			for pb.Next() {
-				c.Tick()
-				l.Enter(n, &c)
-				l.Remove(n)
-			}
-		})
-	})
-	b.Run("slots", func(b *testing.B) {
-		s := NewSlots(256)
-		var c clock.Clock
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			id := int(next.Add(1) - 1)
-			for pb.Next() {
-				c.Tick()
-				s.Enter(id, &c)
-				s.Leave(id)
-			}
-		})
+	s := NewSlots(256)
+	var c clock.Clock
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		id := int(next.Add(1) - 1)
+		for pb.Next() {
+			c.Tick()
+			s.Enter(id, &c)
+			s.Leave(id)
+		}
 	})
 }
 
 func BenchmarkTrackerOldest(b *testing.B) {
-	b.Run("list", func(b *testing.B) {
-		l := New()
-		var c clock.Clock
-		c.Tick()
-		resident := &Node{}
-		l.Enter(resident, &c)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := l.OldestBegin(); !ok {
-				b.Fatal("lost resident")
-			}
+	s := NewSlots(256)
+	var c clock.Clock
+	c.Tick()
+	s.Enter(0, &c)
+	s.OldestBegin()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.OldestBegin(); !ok {
+			b.Fatal("lost resident")
 		}
-	})
-	b.Run("slots", func(b *testing.B) {
-		s := NewSlots(256)
-		var c clock.Clock
-		c.Tick()
-		s.Enter(0, &c)
-		s.OldestBegin()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := s.OldestBegin(); !ok {
-				b.Fatal("lost resident")
-			}
-		}
-	})
+	}
 }

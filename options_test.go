@@ -9,7 +9,7 @@ import (
 // configFieldBudget is the number of fields stm.Config may have. A new knob
 // is a hot-path branch, a test-matrix multiplier and a CORRECTNESS.md
 // paragraph; adding one means raising this budget where review sees it.
-const configFieldBudget = 12
+const configFieldBudget = 11
 
 // TestConfigFieldBudget is the knob ratchet: Config must not grow past
 // configFieldBudget fields.

@@ -153,11 +153,6 @@ type Config struct {
 	// which PVRHybrid switches to partial visibility (default 16, the
 	// paper's setting).
 	HybridThreshold int
-	// Tracker selects the incomplete-transaction tracker. The default,
-	// TrackerSlot, keeps a cached oldest-begin watermark over per-thread
-	// slots: begins, ends, and oldest-transaction queries are all O(1).
-	// TrackerList restores the paper's §II-C spin-locked central list.
-	Tracker TrackerKind
 	// CapFenceAtCommit bounds privatization-fence thresholds just below
 	// the writer's commit time — the fence waits only for transactions that
 	// began before the commit's clock tick — eliminating the grace-period
@@ -176,15 +171,6 @@ type Config struct {
 	// default log line. It runs on the fenced thread: keep it cheap.
 	OnStall func(StallInfo)
 }
-
-// TrackerKind re-exports the incomplete-transaction tracker selector.
-type TrackerKind = core.TrackerKind
-
-// The tracker implementations (Config.Tracker).
-const (
-	TrackerSlot = core.TrackerSlot
-	TrackerList = core.TrackerList
-)
 
 // DefaultMaxAttempts re-exports the default abort budget before
 // serialized-irrevocable escalation.
@@ -221,7 +207,6 @@ func New(cfg Config) (*STM, error) {
 		MaxThreads:       cfg.MaxThreads,
 		MaxGrace:         cfg.MaxGrace,
 		HybridThreshold:  cfg.HybridThreshold,
-		Tracker:          cfg.Tracker,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
 		MaxAttempts:      cfg.MaxAttempts,
 		StallThreshold:   cfg.StallThreshold,
