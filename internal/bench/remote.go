@@ -346,7 +346,8 @@ func driveConn(c *server.Client, id int, cfg *RemoteConfig, mix RemoteMix,
 			_, err = c.Put(scratch)
 		case pick < mix.GetPct+mix.PutPct+mix.CASPct:
 			k := key()
-			_, _, err = c.CAS([]uint64{k, k*2 + 1, k*2 + 3})
+			scratch = append(scratch[:0], k, k*2+1, k*2+3)
+			_, _, err = c.CAS(scratch)
 		case pick < mix.GetPct+mix.PutPct+mix.CASPct+mix.DeletePct:
 			scratch = scratch[:0]
 			for i := 0; i < cfg.Batch; i++ {

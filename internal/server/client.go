@@ -10,11 +10,17 @@ import (
 
 // Client is one stmd connection speaking the wire protocol. Not safe for
 // concurrent use — one Client per goroutine, like rng.RNG.
+//
+// The slices that Get, Delete, Snapshot and Pop return are the Client's own
+// buffers, reused across calls: they are valid until the next call on this
+// Client. Copy what you keep.
 type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	req  []byte // request frame (length, opcode, body), reused across calls
-	resp []byte // response payload, reused across calls
+	conn  net.Conn
+	r     *bufio.Reader
+	req   []byte   // request frame (length, opcode, body), reused across calls
+	resp  []byte   // response payload, reused across calls
+	flags []bool   // decoded found/existed flags, reused across calls
+	vals  []uint64 // decoded values or pairs, reused across calls
 }
 
 // Dial connects to an stmd instance and announces tenant (empty string
@@ -79,7 +85,8 @@ func (c *Client) roundTrip() (byte, []byte, error) {
 }
 
 // Get looks keys up in one transaction; found[i] reports presence of
-// keys[i], vals[i] its value.
+// keys[i], vals[i] its value. Both slices are valid until the next call on
+// this Client.
 func (c *Client) Get(keys []uint64) (found []bool, vals []uint64, status byte, err error) {
 	c.opFrame(OpGet, uint64(len(keys)))
 	c.words(keys)
@@ -89,8 +96,7 @@ func (c *Client) Get(keys []uint64) (found []bool, vals []uint64, status byte, e
 	}
 	r := wireReader{b: body}
 	n, _ := r.u64()
-	found = make([]bool, 0, n)
-	vals = make([]uint64, 0, n)
+	found, vals = c.flags[:0], c.vals[:0]
 	for i := uint64(0); i < n; i++ {
 		f, _ := r.u64()
 		v, ok := r.u64()
@@ -100,6 +106,7 @@ func (c *Client) Get(keys []uint64) (found []bool, vals []uint64, status byte, e
 		found = append(found, f != 0)
 		vals = append(vals, v)
 	}
+	c.flags, c.vals = found, vals
 	return found, vals, st, nil
 }
 
@@ -131,7 +138,8 @@ func (c *Client) CAS(triples []uint64) (swapped bool, status byte, err error) {
 }
 
 // Delete removes keys in one transaction; existed[i] reports whether
-// keys[i] was present.
+// keys[i] was present. The slice is valid until the next call on this
+// Client.
 func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) {
 	c.opFrame(OpDelete, uint64(len(keys)))
 	c.words(keys)
@@ -141,7 +149,7 @@ func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) 
 	}
 	r := wireReader{b: body}
 	n, _ := r.u64()
-	existed = make([]bool, 0, n)
+	existed = c.flags[:0]
 	for i := uint64(0); i < n; i++ {
 		e, ok := r.u64()
 		if !ok {
@@ -149,12 +157,14 @@ func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) 
 		}
 		existed = append(existed, e != 0)
 	}
+	c.flags = existed
 	return existed, st, nil
 }
 
 // Snapshot privatizes map bucket b (mod the server's bucket count): the
 // bucket is detached transactionally, weak readers quiesced, and its
-// (key,value) pairs — removed from the map — returned.
+// (key,value) pairs — removed from the map — returned. The slice is valid
+// until the next call on this Client.
 func (c *Client) Snapshot(b uint64) (pairs []uint64, status byte, err error) {
 	c.opFrame(OpSnapshot, b)
 	st, body, err := c.roundTrip()
@@ -163,15 +173,10 @@ func (c *Client) Snapshot(b uint64) (pairs []uint64, status byte, err error) {
 	}
 	r := wireReader{b: body}
 	n, _ := r.u64()
-	pairs = make([]uint64, 0, 2*n)
-	for i := uint64(0); i < 2*n; i++ {
-		v, ok := r.u64()
-		if !ok {
-			return nil, st, fmt.Errorf("server: short SNAPSHOT response")
-		}
-		pairs = append(pairs, v)
+	if pairs, ok := c.decodeVals(&r, 2*n); ok {
+		return pairs, st, nil
 	}
-	return pairs, st, nil
+	return nil, st, fmt.Errorf("server: short SNAPSHOT response")
 }
 
 // Push enqueues vals in one transaction.
@@ -182,7 +187,8 @@ func (c *Client) Push(vals []uint64) (byte, error) {
 	return st, err
 }
 
-// Pop dequeues up to n values in one transaction.
+// Pop dequeues up to n values in one transaction. The slice is valid until
+// the next call on this Client.
 func (c *Client) Pop(n uint64) (vals []uint64, status byte, err error) {
 	c.opFrame(OpPop, n)
 	st, body, err := c.roundTrip()
@@ -191,15 +197,25 @@ func (c *Client) Pop(n uint64) (vals []uint64, status byte, err error) {
 	}
 	r := wireReader{b: body}
 	got, _ := r.u64()
-	vals = make([]uint64, 0, got)
-	for i := uint64(0); i < got; i++ {
+	if vals, ok := c.decodeVals(&r, got); ok {
+		return vals, st, nil
+	}
+	return nil, st, fmt.Errorf("server: short POP response")
+}
+
+// decodeVals reads n words of r into c.vals, reusing its storage, and
+// returns them; ok is false if the body holds fewer.
+func (c *Client) decodeVals(r *wireReader, n uint64) (vals []uint64, ok bool) {
+	vals = c.vals[:0]
+	for i := uint64(0); i < n; i++ {
 		v, ok := r.u64()
 		if !ok {
-			return nil, st, fmt.Errorf("server: short POP response")
+			return nil, false
 		}
 		vals = append(vals, v)
 	}
-	return vals, st, nil
+	c.vals = vals
+	return vals, true
 }
 
 // Stats fetches the server's counter snapshot as raw JSON.

@@ -331,16 +331,24 @@ func TestKilledConnectionsLeakNoLease(t *testing.T) {
 
 // TestRequestPathAllocatesNothing pins the steady-state server side of a
 // request — read the frame, decode, lease, execute, encode — at zero
-// allocations.
+// allocations. The cases run in order on a one-bucket map: SNAP and POP
+// first take what PUT4 and PUSH4 left, then run on an empty bucket and
+// queue.
 func TestRequestPathAllocatesNothing(t *testing.T) {
-	srv := newIdle(t, WithWorkers(1))
-	for name, payload := range map[string][]byte{
-		"GET4": keysPayload(OpGet, 4, 1),
-		"PUT4": keysPayload(OpPut, 4, 2),
-		"CAS4": keysPayload(OpCAS, 4, 3),
-		"DEL4": keysPayload(OpDelete, 4, 1),
+	srv := newIdle(t, WithWorkers(1), WithBuckets(1, 8))
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"GET4", keysPayload(OpGet, 4, 1)},
+		{"PUT4", keysPayload(OpPut, 4, 2)},
+		{"CAS4", keysPayload(OpCAS, 4, 3)},
+		{"SNAP", opPayload(OpSnapshot, 0)},
+		{"DEL4", keysPayload(OpDelete, 4, 1)},
+		{"PUSH4", keysPayload(OpPush, 4, 1)},
+		{"POP4", opPayload(OpPop, 4)},
 	} {
-		frame := frameOf(payload)
+		frame := frameOf(tc.payload)
 		rd := bytes.NewReader(frame)
 		var c connState
 		c.ten = srv.tenantFor("")
@@ -355,38 +363,95 @@ func TestRequestPathAllocatesNothing(t *testing.T) {
 			c.trim()
 		})
 		if n != 0 {
-			t.Errorf("%s: %v allocations per request, want 0", name, n)
+			t.Errorf("%s: %v allocations per request, want 0", tc.name, n)
 		}
 		if st := c.out[frameHeader]; st != StatusOK {
-			t.Errorf("%s: status %d", name, st)
+			t.Errorf("%s: status %d", tc.name, st)
 		}
 	}
 }
 
 // TestRoundTripAllocations counts both ends of a live connection (the
-// allocation counter is process-wide): a PUT costs nothing, a GET only the
-// two slices Client.Get hands to its caller.
+// allocation counter is process-wide): no request costs an allocation on
+// either side, since the Client decodes into buffers it reuses. DELETE,
+// SNAPSHOT and POP each follow the write that gives them something to
+// return, so every run moves the four keys or values through the server.
 func TestRoundTripAllocations(t *testing.T) {
-	_, addr := startServer(t, WithWorkers(1))
+	_, addr := startServer(t, WithWorkers(1), WithBuckets(1, 8))
 	c, _, err := Dial(addr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	keys, pairs := []uint64{1, 2, 3, 4}, []uint64{1, 10, 2, 20, 3, 30, 4, 40}
-	if n := testing.AllocsPerRun(200, func() {
+	put := func() {
 		if st, err := c.Put(pairs); err != nil || st != StatusOK {
 			t.Fatalf("Put: status %d err %v", st, err)
 		}
-	}); n != 0 {
-		t.Errorf("PUT round trip: %v allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, _, st, err := c.Get(keys); err != nil || st != StatusOK {
-			t.Fatalf("Get: status %d err %v", st, err)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"PUT", put},
+		{"GET", func() {
+			if found, _, st, err := c.Get(keys); err != nil || st != StatusOK || len(found) != 4 || !found[3] {
+				t.Fatalf("Get: %v status %d err %v", found, st, err)
+			}
+		}},
+		{"PUT+DELETE", func() {
+			put()
+			if existed, st, err := c.Delete(keys); err != nil || st != StatusOK || len(existed) != 4 || !existed[0] {
+				t.Fatalf("Delete: %v status %d err %v", existed, st, err)
+			}
+		}},
+		{"PUT+SNAPSHOT", func() {
+			put()
+			if got, st, err := c.Snapshot(0); err != nil || st != StatusOK || len(got) != len(pairs) {
+				t.Fatalf("Snapshot: %v status %d err %v", got, st, err)
+			}
+		}},
+		{"PUSH+POP", func() {
+			if st, err := c.Push(keys); err != nil || st != StatusOK {
+				t.Fatalf("Push: status %d err %v", st, err)
+			}
+			if got, st, err := c.Pop(4); err != nil || st != StatusOK || len(got) != 4 || got[3] != 4 {
+				t.Fatalf("Pop: %v status %d err %v", got, st, err)
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
+			t.Errorf("%s round trip: %v allocations, want 0", tc.name, n)
 		}
-	}); n > 2 {
-		t.Errorf("GET round trip: %v allocations, want at most the 2 returned slices", n)
+	}
+}
+
+// TestClientResultsAreReused pins the Client's aliasing contract: a result
+// slice is valid until the next call on the Client, which decodes into the
+// same storage.
+func TestClientResultsAreReused(t *testing.T) {
+	_, addr := startServer(t, WithWorkers(1))
+	c, _, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if st, err := c.Put([]uint64{1, 10, 2, 20}); err != nil || st != StatusOK {
+		t.Fatalf("Put: status %d err %v", st, err)
+	}
+	found1, vals1, _, err := c.Get([]uint64{1, 3})
+	if err != nil || !found1[0] || found1[1] || vals1[0] != 10 {
+		t.Fatalf("first Get = %v %v, err %v", found1, vals1, err)
+	}
+	found2, vals2, _, err := c.Get([]uint64{3, 2})
+	if err != nil || found2[0] || !found2[1] || vals2[1] != 20 {
+		t.Fatalf("second Get = %v %v, err %v", found2, vals2, err)
+	}
+	if &found1[0] != &found2[0] || &vals1[0] != &vals2[0] {
+		t.Fatal("second Get decoded into fresh slices")
+	}
+	if found1[0] || !found1[1] || vals1[1] != 20 {
+		t.Errorf("first Get's slices read %v %v after the second Get, want its results", found1, vals1)
 	}
 }
 

@@ -12,10 +12,23 @@ import stm "privstm"
 // The extents still live in the STM heap and MUST be returned to it:
 // call Retire (or retire each node yourself) when done, or the words leak
 // until process exit.
+//
+// A PrivateList is returned by value, so the hand-off allocates nothing,
+// but it owns its chain and must not be copied: a copy would let the same
+// nodes be retired twice. go vet's copylocks check rejects copies (see
+// noCopy); hold it in the variable the call returned into.
 type PrivateList struct {
+	_     noCopy      // first, so the zero-size field adds no padding
 	head  stm.Private // first node, its extent one node; empty once retired
 	Count int         // number of nodes in the chain
 }
+
+// noCopy makes go vet -copylocks reject copies of the struct embedding it
+// (the sync package's idiom). It is zero-size and its methods do nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Each walks the chain, calling fn with each node until fn returns false.
 // The next pointer is word 0 of every node; Follow ignores its mark bit (a
@@ -83,9 +96,9 @@ func (p *PrivateList) Retire(th *stm.Thread) {
 // traversals are not covered by the engine's privatization fence, and one
 // could still hold pre-snapshot pointers into the chain. See
 // CORRECTNESS.md §15.
-func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (*PrivateList, error) {
+func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (PrivateList, error) {
 	if !m.s.Algorithm().Safe() {
-		return nil, ErrNotPrivatizationSafe
+		return PrivateList{}, ErrNotPrivatizationSafe
 	}
 	var count int
 	head, err := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
@@ -103,10 +116,10 @@ func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (*PrivateList, error) {
 		return head, mapNodeWords
 	})
 	if err != nil {
-		return nil, err
+		return PrivateList{}, err
 	}
 	th.WeakQuiesce()
-	return &PrivateList{head: head, Count: count}, nil
+	return PrivateList{head: head, Count: count}, nil
 }
 
 // DrainPrivate detaches the queue's entire chain and returns it for
@@ -115,9 +128,9 @@ func (m *Map) PrivateSnapshot(th *stm.Thread, b int) (*PrivateList, error) {
 // count commit-exact and keeps doomed walks finite. The same post-commit
 // weak-reader quiescence as PrivateSnapshot applies before the chain is
 // handed out.
-func (q *Queue) DrainPrivate(th *stm.Thread) (*PrivateList, error) {
+func (q *Queue) DrainPrivate(th *stm.Thread) (PrivateList, error) {
 	if !q.s.Algorithm().Safe() {
-		return nil, ErrNotPrivatizationSafe
+		return PrivateList{}, ErrNotPrivatizationSafe
 	}
 	var count int
 	head, err := th.Privatize(func(tx *stm.Tx) (stm.Addr, int) {
@@ -134,8 +147,8 @@ func (q *Queue) DrainPrivate(th *stm.Thread) (*PrivateList, error) {
 		return head, queueNodeWords
 	})
 	if err != nil {
-		return nil, err
+		return PrivateList{}, err
 	}
 	th.WeakQuiesce()
-	return &PrivateList{head: head, Count: count}, nil
+	return PrivateList{head: head, Count: count}, nil
 }

@@ -262,12 +262,63 @@ func TestPrivateSnapshot(t *testing.T) {
 	})
 }
 
-// TestPrivateListSize: the escape hatch allocates one PrivateList per
-// call, so its size class is kv_privatize's allocation volume; it stays at
-// 32 bytes (a three-word stm.Private and the count).
+// TestPrivateListSize: the escape hatch returns a PrivateList by value, so
+// every hand-off copies it out of the call; it stays at 32 bytes (a
+// three-word stm.Private and the count, the noCopy marker taking no room).
 func TestPrivateListSize(t *testing.T) {
 	if got := unsafe.Sizeof(PrivateList{}); got > 32 {
 		t.Errorf("PrivateList is %d bytes, want at most 32", got)
+	}
+}
+
+// TestPrivateHandoutsAllocate0 pins the Figure 1 hand-off at zero Go
+// allocations in steady state: refill a bucket (or the queue), privatize
+// it, walk it uninstrumented and retire the nodes. The PrivateList stays on
+// the caller's stack and the nodes go back to the STM heap's reclaimer.
+func TestPrivateHandoutsAllocate0(t *testing.T) {
+	s := newSTM(t, stm.PVRStore)
+	th := s.MustNewThread()
+	m, _ := NewMap(s, 1, 8) // one bucket: a snapshot takes every key
+	q, _ := NewQueue(s)
+	fill := func(tx *stm.Tx) {
+		for k := stm.Word(0); k < 8; k++ {
+			m.Put(tx, k, k+1)
+			q.Push(tx, k)
+		}
+	}
+	var walked int
+	countKV := func(k, v stm.Word) bool { walked++; return v == k+1 }
+	countV := func(stm.Word) bool { walked++; return true }
+	cycle := func() {
+		if err := th.Atomic(fill); err != nil {
+			t.Fatal(err)
+		}
+		walked = 0
+		pl, err := m.PrivateSnapshot(th, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.EachKV(countKV)
+		if walked != pl.Count || walked != 8 {
+			t.Fatalf("map walk visited %d of %d nodes, want 8", walked, pl.Count)
+		}
+		pl.Retire(th)
+		walked = 0
+		ql, err := q.DrainPrivate(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ql.EachValue(countV)
+		if walked != ql.Count || walked != 8 {
+			t.Fatalf("queue walk visited %d of %d nodes, want 8", walked, ql.Count)
+		}
+		ql.Retire(th)
+	}
+	for i := 0; i < 1000; i++ { // warm up: logs, limbo lists, reclaimer batches
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("hand-off cycle: %v allocations, want 0", n)
 	}
 }
 

@@ -281,8 +281,7 @@ func TestFollowWalkAllocatesNothing(t *testing.T) {
 }
 
 // TestPrivateIsThreeWords: a handle holds 32-bit addresses, so it is three
-// words and tds.PrivateList (a handle and a count) stays in the 32-byte
-// size class; New refuses a heap its addresses cannot reach.
+// words, and New refuses a heap its addresses cannot reach.
 func TestPrivateIsThreeWords(t *testing.T) {
 	if got := unsafe.Sizeof(Private{}); got != 24 {
 		t.Errorf("Private is %d bytes, want 24", got)

@@ -275,8 +275,8 @@ func (s *STM) MustAlloc(n int) Addr { return s.rt.Heap.MustAlloc(n) }
 // using it once it has published the extent again or retired it.
 //
 // Addresses and sizes are held in 32 bits (New caps the heap at 2^32
-// words), so a handle is three words and a struct embedding one with a
-// counter (tds.PrivateList) stays in the 32-byte size class.
+// words), so a handle is three words: copied by value on every Follow, and
+// returned by value inside tds.PrivateList.
 type Private struct {
 	h     *heap.Heap
 	base  uint32
