@@ -32,8 +32,7 @@ func Dial(addr, tenant string) (*Client, string, error) {
 		return nil, "", err
 	}
 	c := &Client{conn: conn, r: bufio.NewReader(conn)}
-	c.opFrame(OpHello)
-	c.req = append(append(c.req, byte(len(tenant))), tenant...)
+	c.req = append(append(c.req, 0, 0, 0, 0, OpHello, byte(len(tenant))), tenant...)
 	st, body, err := c.roundTrip()
 	if err != nil {
 		conn.Close()
@@ -51,16 +50,15 @@ func Dial(addr, tenant string) (*Client, string, error) {
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// opFrame starts a request in c.req: room for the frame length, the opcode,
-// and the words.
-func (c *Client) opFrame(op byte, words ...uint64) {
-	c.req = append(c.req[:0], 0, 0, 0, 0, op)
-	c.words(words)
-}
-
-// words appends vals to the request.
-func (c *Client) words(vals []uint64) {
-	for _, v := range vals {
+// opFrame builds a request in c.req: room for the frame length, the opcode,
+// the head word (a count or the op's one argument) and the body words. The
+// buffer grows at most once per call, to the frame's exact size.
+func (c *Client) opFrame(op byte, head uint64, body []uint64) {
+	if n := frameHeader + 1 + 8 + 8*len(body); cap(c.req) < n {
+		c.req = make([]byte, 0, n)
+	}
+	c.req = AppendU64(append(c.req[:0], 0, 0, 0, 0, op), head)
+	for _, v := range body {
 		c.req = AppendU64(c.req, v)
 	}
 }
@@ -88,8 +86,7 @@ func (c *Client) roundTrip() (byte, []byte, error) {
 // keys[i], vals[i] its value. Both slices are valid until the next call on
 // this Client.
 func (c *Client) Get(keys []uint64) (found []bool, vals []uint64, status byte, err error) {
-	c.opFrame(OpGet, uint64(len(keys)))
-	c.words(keys)
+	c.opFrame(OpGet, uint64(len(keys)), keys)
 	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, nil, st, err
@@ -115,8 +112,7 @@ func (c *Client) Put(pairs []uint64) (byte, error) {
 	if len(pairs)%2 != 0 {
 		return 0, fmt.Errorf("server: Put with odd pair slice")
 	}
-	c.opFrame(OpPut, uint64(len(pairs)/2))
-	c.words(pairs)
+	c.opFrame(OpPut, uint64(len(pairs)/2), pairs)
 	st, _, err := c.roundTrip()
 	return st, err
 }
@@ -126,8 +122,7 @@ func (c *Client) CAS(triples []uint64) (swapped bool, status byte, err error) {
 	if len(triples)%3 != 0 {
 		return false, 0, fmt.Errorf("server: CAS with non-triple slice")
 	}
-	c.opFrame(OpCAS, uint64(len(triples)/3))
-	c.words(triples)
+	c.opFrame(OpCAS, uint64(len(triples)/3), triples)
 	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return false, st, err
@@ -141,8 +136,7 @@ func (c *Client) CAS(triples []uint64) (swapped bool, status byte, err error) {
 // keys[i] was present. The slice is valid until the next call on this
 // Client.
 func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) {
-	c.opFrame(OpDelete, uint64(len(keys)))
-	c.words(keys)
+	c.opFrame(OpDelete, uint64(len(keys)), keys)
 	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, st, err
@@ -166,7 +160,7 @@ func (c *Client) Delete(keys []uint64) (existed []bool, status byte, err error) 
 // (key,value) pairs — removed from the map — returned. The slice is valid
 // until the next call on this Client.
 func (c *Client) Snapshot(b uint64) (pairs []uint64, status byte, err error) {
-	c.opFrame(OpSnapshot, b)
+	c.opFrame(OpSnapshot, b, nil)
 	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, st, err
@@ -181,8 +175,7 @@ func (c *Client) Snapshot(b uint64) (pairs []uint64, status byte, err error) {
 
 // Push enqueues vals in one transaction.
 func (c *Client) Push(vals []uint64) (byte, error) {
-	c.opFrame(OpPush, uint64(len(vals)))
-	c.words(vals)
+	c.opFrame(OpPush, uint64(len(vals)), vals)
 	st, _, err := c.roundTrip()
 	return st, err
 }
@@ -190,7 +183,7 @@ func (c *Client) Push(vals []uint64) (byte, error) {
 // Pop dequeues up to n values in one transaction. The slice is valid until
 // the next call on this Client.
 func (c *Client) Pop(n uint64) (vals []uint64, status byte, err error) {
-	c.opFrame(OpPop, n)
+	c.opFrame(OpPop, n, nil)
 	st, body, err := c.roundTrip()
 	if err != nil || st != StatusOK {
 		return nil, st, err
@@ -220,7 +213,7 @@ func (c *Client) decodeVals(r *wireReader, n uint64) (vals []uint64, ok bool) {
 
 // Stats fetches the server's counter snapshot as raw JSON.
 func (c *Client) Stats() ([]byte, error) {
-	c.opFrame(OpStats)
+	c.req = append(c.req[:0], 0, 0, 0, 0, OpStats)
 	st, body, err := c.roundTrip()
 	if err != nil {
 		return nil, err

@@ -41,6 +41,20 @@ func frameOf(payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// poolState reports the buffers srv's pool has out on loan and the bytes
+// its stashes keep.
+func poolState(srv *Server) (lent, kept int) {
+	p := &srv.bufs
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c := range p.stash {
+		for _, b := range p.stash[c][:p.n[c]] {
+			kept += cap(b)
+		}
+	}
+	return p.lent, kept
+}
+
 // newIdle is a server that is never given a listener: tests drive respond
 // directly. Cleanup asserts the drain every test ends with.
 func newIdle(t testing.TB, opts ...Option) *Server {
@@ -268,6 +282,138 @@ func TestRetainedBuffersBounded(t *testing.T) {
 	}
 }
 
+// TestPoolSharedByWideExchanges: connections that run maximal PUT, GET and
+// CAS at the same time, each on its own keys, must each read exactly their
+// own responses; a buffer lent to two exchanges at once, or put back twice,
+// would mix them. Beside them, the maximal GETs of a tenant with a 1 ns
+// deadline abort after borrowing their buffers, and maximal frames one word
+// short are refused after borrowing theirs. Once every connection has
+// closed, every buffer is back and the pool keeps no more than poolBound.
+func TestPoolSharedByWideExchanges(t *testing.T) {
+	const conns, rounds = 3, 3
+	srv, addr := startServer(t, WithWorkers(2), WithTenantQuota("late", Quota{TxnDeadline: time.Nanosecond}))
+	var wg sync.WaitGroup
+	for id := uint64(1); id <= conns; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := wideExchanges(addr, id, rounds); err != nil {
+				t.Errorf("connection %d: %v", id, err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c, _, err := Dial(addr, "late")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		keys := make([]uint64, maxOpKeys)
+		for r := 0; r < rounds; r++ {
+			if _, _, st, err := c.Get(keys); err != nil || st != StatusDeadline {
+				t.Errorf("late GET: status %d err %v, want StatusDeadline", st, err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		var resp []byte
+		for r := 0; r < rounds; r++ {
+			for group, op := range []byte{OpGet, OpPut, OpCAS} {
+				short := keysPayload(op, maxOpKeys, group+1)
+				if resp, err = exchangeFrame(conn, short[:len(short)-8], resp); err != nil ||
+					!bytes.Equal(resp, []byte{StatusBadRequest}) {
+					t.Errorf("short frame: response %x err %v", resp, err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Conns != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open", srv.Stats().Conns)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	lent, kept := poolState(srv)
+	if lent != 0 || kept == 0 || kept > poolBound {
+		t.Fatalf("pool after the exchanges: %d buffers lent, %d bytes kept, want 0 and 1..%d", lent, kept, poolBound)
+	}
+}
+
+// exchangeFrame sends payload as one frame on conn and reads the response
+// payload into resp.
+func exchangeFrame(conn net.Conn, payload, resp []byte) ([]byte, error) {
+	if _, err := conn.Write(frameOf(payload)); err != nil {
+		return nil, err
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	return readFrameInto(conn, resp)
+}
+
+// wideExchanges runs rounds of maximal PUT, GET, CAS and GET on the keys
+// id<<32 + j, whose value in round r is id<<48 + r<<32 + j, and checks each
+// response byte for byte.
+func wideExchanges(addr string, id uint64, rounds int) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	var resp []byte
+	exchange := func(name string, req []uint64, op byte, want []byte) error {
+		if resp, err = exchangeFrame(conn, opPayload(op, req...), resp); err != nil {
+			return fmt.Errorf("%s: %v", name, err)
+		}
+		if !bytes.Equal(resp, want) {
+			i := 0
+			for i < min(len(resp), len(want)) && resp[i] == want[i] {
+				i++
+			}
+			return fmt.Errorf("%s: %d-byte response differs from the %d bytes expected at byte %d", name, len(resp), len(want), i)
+		}
+		return nil
+	}
+	key := func(j int) uint64 { return id<<32 + uint64(j) }
+	val := func(r, j int) uint64 { return id<<48 + uint64(r)<<32 + uint64(j) }
+	for r := 0; r < 2*rounds; r += 2 {
+		put, get, cas := []uint64{maxOpKeys}, []uint64{maxOpKeys}, []uint64{maxOpKeys}
+		found, swapped := []uint64{maxOpKeys}, []uint64{maxOpKeys}
+		for j := range maxOpKeys {
+			put = append(put, key(j), val(r, j))
+			get = append(get, key(j))
+			cas = append(cas, key(j), val(r, j), val(r+1, j))
+			found = append(found, 1, val(r, j))
+			swapped = append(swapped, 1, val(r+1, j))
+		}
+		if err := exchange("PUT", put, OpPut, []byte{StatusOK}); err != nil {
+			return err
+		}
+		if err := exchange("GET", get, OpGet, opPayload(StatusOK, found...)); err != nil {
+			return err
+		}
+		if err := exchange("CAS", cas, OpCAS, opPayload(StatusOK, 1)); err != nil {
+			return err
+		}
+		if err := exchange("GET after CAS", get, OpGet, opPayload(StatusOK, swapped...)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestKilledConnectionsLeakNoLease: connections that vanish mid-request —
 // after a whole frame, after half of one, with and without a reset — must
 // each give their thread back. A leaked lease would hang the Shutdown in
@@ -327,45 +473,61 @@ func TestKilledConnectionsLeakNoLease(t *testing.T) {
 	if n := len(srv.threads); n != srv.Workers() {
 		t.Fatalf("%d of %d threads in the pool after the killed connections drained", n, srv.Workers())
 	}
+	if lent, _ := poolState(srv); lent != 0 {
+		t.Fatalf("%d buffers still lent after the killed connections drained", lent)
+	}
 }
 
 // TestRequestPathAllocatesNothing pins the steady-state server side of a
-// request — read the frame, decode, lease, execute, encode — at zero
-// allocations. The cases run in order on a one-bucket map: SNAP and POP
-// first take what PUT4 and PUSH4 left, then run on an empty bucket and
-// queue.
+// request — read the frame, decode, lease, execute, encode, give borrowed
+// buffers back — at zero allocations, for 4-key requests and for maxOpKeys
+// ones, whose request or response is larger than retainBytes. The 4-key
+// cases run in order on a one-bucket map: SNAP and POP first take what PUT4
+// and PUSH4 left, then run on an empty bucket and queue. The wide cases run
+// on the default 1024 buckets, which keep their chains short.
 func TestRequestPathAllocatesNothing(t *testing.T) {
-	srv := newIdle(t, WithWorkers(1), WithBuckets(1, 8))
+	narrow := newIdle(t, WithWorkers(1), WithBuckets(1, 8))
+	wide := newIdle(t, WithWorkers(1))
 	for _, tc := range []struct {
 		name    string
+		srv     *Server
 		payload []byte
 	}{
-		{"GET4", keysPayload(OpGet, 4, 1)},
-		{"PUT4", keysPayload(OpPut, 4, 2)},
-		{"CAS4", keysPayload(OpCAS, 4, 3)},
-		{"SNAP", opPayload(OpSnapshot, 0)},
-		{"DEL4", keysPayload(OpDelete, 4, 1)},
-		{"PUSH4", keysPayload(OpPush, 4, 1)},
-		{"POP4", opPayload(OpPop, 4)},
+		{"GET4", narrow, keysPayload(OpGet, 4, 1)},
+		{"PUT4", narrow, keysPayload(OpPut, 4, 2)},
+		{"CAS4", narrow, keysPayload(OpCAS, 4, 3)},
+		{"SNAP", narrow, opPayload(OpSnapshot, 0)},
+		{"DEL4", narrow, keysPayload(OpDelete, 4, 1)},
+		{"PUSH4", narrow, keysPayload(OpPush, 4, 1)},
+		{"POP4", narrow, opPayload(OpPop, 4)},
+		{"GETmax", wide, keysPayload(OpGet, maxOpKeys, 1)},
+		{"PUTmax", wide, keysPayload(OpPut, maxOpKeys, 2)},
+		{"CASmax", wide, keysPayload(OpCAS, maxOpKeys, 3)},
+		{"DELmax", wide, keysPayload(OpDelete, maxOpKeys, 1)},
+		{"PUSHmax", wide, keysPayload(OpPush, maxOpKeys, 1)},
+		{"POPmax", wide, opPayload(OpPop, maxOpKeys)},
 	} {
 		frame := frameOf(tc.payload)
 		rd := bytes.NewReader(frame)
-		var c connState
-		c.ten = srv.tenantFor("")
-		n := testing.AllocsPerRun(200, func() {
+		c := connState{ten: tc.srv.tenantFor("")}
+		var st byte
+		runs := 200
+		if tc.srv == wide {
+			runs = 20 // each PUSHmax leaves maxOpKeys values queued
+		}
+		n := testing.AllocsPerRun(runs, func() {
 			rd.Reset(frame)
-			in, err := readFrameInto(rd, c.in)
-			if err != nil {
+			if err := c.read(rd, &tc.srv.bufs); err != nil {
 				t.Fatal(err)
 			}
-			c.in = in
-			srv.respond(&c, in)
-			c.trim()
+			tc.srv.respond(&c, c.in)
+			st = c.out[frameHeader]
+			c.release(&tc.srv.bufs)
 		})
 		if n != 0 {
 			t.Errorf("%s: %v allocations per request, want 0", tc.name, n)
 		}
-		if st := c.out[frameHeader]; st != StatusOK {
+		if st != StatusOK {
 			t.Errorf("%s: status %d", tc.name, st)
 		}
 	}
@@ -383,7 +545,22 @@ func TestRoundTripAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	_, wideAddr := startServer(t, WithWorkers(1))
+	wc, _, err := Dial(wideAddr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
 	keys, pairs := []uint64{1, 2, 3, 4}, []uint64{1, 10, 2, 20, 3, 30, 4, 40}
+	// The shapes of serve_mixed's preload and closing scan: 1024-pair PUTs
+	// (a 16 KiB request) and 512-key GETs (an 8 KiB response).
+	widePairs, wideKeys := make([]uint64, 2*1024), make([]uint64, 512)
+	for i := range widePairs {
+		widePairs[i] = uint64(i)
+	}
+	for i := range wideKeys {
+		wideKeys[i] = uint64(2 * i)
+	}
 	put := func() {
 		if st, err := c.Put(pairs); err != nil || st != StatusOK {
 			t.Fatalf("Put: status %d err %v", st, err)
@@ -417,6 +594,17 @@ func TestRoundTripAllocations(t *testing.T) {
 			}
 			if got, st, err := c.Pop(4); err != nil || st != StatusOK || len(got) != 4 || got[3] != 4 {
 				t.Fatalf("Pop: %v status %d err %v", got, st, err)
+			}
+		}},
+		{"PUT1024", func() {
+			if st, err := wc.Put(widePairs); err != nil || st != StatusOK {
+				t.Fatalf("Put: status %d err %v", st, err)
+			}
+		}},
+		{"GET512", func() {
+			if found, vals, st, err := wc.Get(wideKeys); err != nil || st != StatusOK ||
+				len(found) != len(wideKeys) || !found[511] || vals[511] != 1023 {
+				t.Fatalf("Get: status %d err %v", st, err)
 			}
 		}},
 	} {
@@ -493,6 +681,11 @@ func FuzzExecute(f *testing.F) {
 		f.Add(op, keysPayload(0, 3, 2)[1:])
 		f.Add(op, keysPayload(0, 3, 3)[1:])
 		f.Add(op, keysPayload(0, maxOpKeys+1, 1)[1:])
+		// Bodies or responses above retainBytes: borrowed buffers.
+		f.Add(op, keysPayload(0, maxOpKeys, 1)[1:])
+		f.Add(op, keysPayload(0, maxOpKeys, 2)[1:])
+		f.Add(op, keysPayload(0, maxOpKeys, 3)[1:])
+		f.Add(op, opPayload(0, maxOpKeys)[1:])
 		f.Add(op, opPayload(0, 1<<63)[1:])
 		f.Add(op, []byte("\x03abc"))
 	}
@@ -514,7 +707,10 @@ func FuzzExecute(f *testing.F) {
 			t.Fatalf("response to %x: header says %d, frame carries %d", payload, got, len(c.out)-frameHeader)
 		}
 		st := c.out[frameHeader]
-		c.trim()
+		c.release(&srv.bufs)
+		if lent, kept := poolState(srv); lent != 0 || kept > poolBound {
+			t.Fatalf("after %x: %d buffers lent, %d bytes kept (bound %d)", payload, lent, kept, poolBound)
+		}
 		return st
 	}
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {

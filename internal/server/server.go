@@ -11,9 +11,10 @@
 // uninstrumented and retires its nodes on the same thread. The threads come
 // from stm.STM.NewThread at New and are released with Thread.Close on drain —
 // the lifecycle path that returns registry slots and flushes per-thread
-// reclaim fronts. Each connection reuses one request buffer and one response
-// buffer, reads a frame through a buffered reader and writes a response with
-// a single Write.
+// reclaim fronts. Each connection reads a frame through a buffered reader
+// into a request buffer it keeps, builds the response in a response buffer
+// it keeps and writes it with a single Write; a request or response larger
+// than retainBytes borrows its buffer from a pool the connections share.
 //
 // Per-tenant quotas (read/write-set caps, transaction deadlines) are
 // enforced cooperatively inside transaction bodies via Tx.Cancel: a tenant
@@ -29,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -55,8 +57,9 @@ const (
 	// request arrives in one read; larger payloads bypass it.
 	connReadBuf = 2 << 10
 	// retainBytes bounds each buffer a connection keeps between requests;
-	// a larger one is dropped after the exchange that needed it, so idle
-	// connections do not pin the memory of their largest request.
+	// a larger one is borrowed from the server's bufPool for the exchange
+	// that needs it, so idle connections do not pin the memory of their
+	// largest request.
 	retainBytes = 4 << 10
 	// maxFreeTenants bounds the records kept for HELLO names that have no
 	// WithTenantQuota entry; later names share the overflow record.
@@ -83,6 +86,8 @@ type Server struct {
 	// of them when the server is idle. Receiving leases one, and blocked
 	// receivers are served first come, first served.
 	threads chan *stm.Thread
+
+	bufs bufPool // the buffers of exchanges larger than retainBytes
 
 	writeTimeout time.Duration // the constant; tests shorten it
 
@@ -113,29 +118,69 @@ type tenant struct {
 	quotaAborts atomic.Uint64
 }
 
-// connState is what one connection keeps between requests: its tenant and
-// the buffers every request reuses.
+// connState is what one connection keeps between requests: its tenant, and
+// one request and one response buffer of at most retainBytes each. An
+// exchange that needs more borrows from the server's pool and gives the
+// buffer back once its response is written.
 type connState struct {
-	ten  *tenant
-	in   []byte   // request payload
-	vals []uint64 // the request's decoded words
-	out  []byte   // response frame: length, status, body
+	ten    *tenant
+	inBuf  []byte // the kept request buffer
+	outBuf []byte // the kept response buffer
+	in     []byte // this request's payload: in inBuf or a borrowed buffer
+	out    []byte // this response's frame: in outBuf or a borrowed buffer
+}
+
+// buffer returns an empty buffer with room for n bytes: *kept, grown if it
+// is too small, when n is at most retainBytes, and one borrowed from p when
+// n is more.
+func buffer(p *bufPool, kept *[]byte, n int) []byte {
+	if n > retainBytes {
+		return p.get(n)
+	}
+	if cap(*kept) < n {
+		*kept = make([]byte, 0, max(n, min(2*cap(*kept), retainBytes)))
+	}
+	return (*kept)[:0]
+}
+
+// read reads one request payload into c.in. The length prefix is staged in
+// the kept buffer, which read allocates only on the connection's first
+// request.
+func (c *connState) read(r io.Reader, p *bufPool) error {
+	if cap(c.inBuf) < frameHeader {
+		c.inBuf = make([]byte, 0, frameHeader)
+	}
+	n, err := readFrameLen(r, c.inBuf)
+	if err != nil {
+		return err
+	}
+	c.in = buffer(p, &c.inBuf, n)[:n]
+	_, err = io.ReadFull(r, c.in)
+	return err
+}
+
+// reserve starts the response in c.out, with room for a body of size bytes
+// behind the frame header and an OK status, and returns it. A request
+// reserves once its body's size is known, before its transaction runs, so
+// building the body never grows the buffer.
+func (c *connState) reserve(p *bufPool, size int) []byte {
+	c.out = append(buffer(p, &c.outBuf, respBody+size), 0, 0, 0, 0, StatusOK)
+	return c.out
 }
 
 // fail makes the response a bare status.
 func (c *connState) fail(status byte) { c.out = append(c.out[:frameHeader], status) }
 
-// trim drops the buffers that grew past retainBytes.
-func (c *connState) trim() {
+// release ends the exchange once its response is written: borrowed
+// buffers go back to p, and c keeps no reference to them.
+func (c *connState) release(p *bufPool) {
 	if cap(c.in) > retainBytes {
-		c.in = nil
-	}
-	if cap(c.vals)*8 > retainBytes {
-		c.vals = nil
+		p.put(c.in)
 	}
 	if cap(c.out) > retainBytes {
-		c.out = nil
+		p.put(c.out)
 	}
+	c.in, c.out = nil, nil
 }
 
 // New assembles a server and registers its STM threads (network listening
@@ -273,7 +318,9 @@ func (srv *Server) tenantFor(name string) *tenant {
 }
 
 func (srv *Server) handleConn(conn net.Conn) {
+	c := connState{ten: srv.tenantFor("")} // until HELLO names one
 	defer func() {
+		c.release(&srv.bufs)
 		srv.connMu.Lock()
 		delete(srv.conns, conn)
 		srv.connMu.Unlock()
@@ -281,11 +328,9 @@ func (srv *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		srv.connWg.Done()
 	}()
-	c := connState{ten: srv.tenantFor("")} // until HELLO names one
 	br := bufio.NewReaderSize(conn, connReadBuf)
 	for {
-		var err error
-		if c.in, err = readFrameInto(br, c.in); err != nil {
+		if err := c.read(br, &srv.bufs); err != nil {
 			// Read errors include the deadline pokes Shutdown uses to
 			// unblock idle connections — either way the conversation is
 			// over.
@@ -298,7 +343,7 @@ func (srv *Server) handleConn(conn net.Conn) {
 		if _, err := conn.Write(c.out); err != nil {
 			return
 		}
-		c.trim()
+		c.release(&srv.bufs)
 		if srv.draining.Load() {
 			return
 		}
@@ -307,7 +352,7 @@ func (srv *Server) handleConn(conn net.Conn) {
 
 // respond builds the response frame for one request payload in c.out.
 func (srv *Server) respond(c *connState, payload []byte) {
-	c.out = append(c.out[:0], 0, 0, 0, 0, StatusOK)
+	c.reserve(&srv.bufs, 0)
 	if len(payload) == 0 {
 		c.fail(StatusBadRequest)
 	} else {
@@ -335,7 +380,8 @@ func (srv *Server) hello(c *connState, body []byte) {
 		return
 	}
 	c.ten = srv.tenantFor(name)
-	out, err := AppendString(c.out, srv.cfg.algorithm.String())
+	alg := srv.cfg.algorithm.String()
+	out, err := AppendString(c.reserve(&srv.bufs, 1+len(alg)), alg)
 	if err != nil {
 		c.fail(StatusBadRequest)
 		return
@@ -394,7 +440,7 @@ func (srv *Server) statsResponse(c *connState) {
 		c.fail(StatusCancelled)
 		return
 	}
-	c.out = append(c.out, b...)
+	c.out = append(c.reserve(&srv.bufs, len(b)), b...)
 }
 
 // enforce applies the tenant's quota inside a transaction body. Pure by
@@ -435,9 +481,10 @@ func (srv *Server) finish(c *connState, err error, out []byte) {
 }
 
 // execute runs one transactional request on the leased thread th and leaves
-// the response in c.out. Transaction bodies append the response behind the
-// header and status respond laid down, and cut back to respBody first, so a
-// retried attempt starts from a clean buffer.
+// the response in c.out. Each op reserves its whole response before its
+// transaction runs; bodies append the response behind the header and status
+// and cut back to respBody first, so a retried attempt starts from a clean
+// buffer.
 func (srv *Server) execute(th *stm.Thread, c *connState, op byte, body []byte) {
 	q := c.ten.quota
 	if q.TxnDeadline > 0 {
@@ -445,18 +492,19 @@ func (srv *Server) execute(th *stm.Thread, c *connState, op byte, body []byte) {
 		defer th.SetTxnDeadline(time.Time{})
 	}
 	r := wireReader{b: body}
-	out := c.out
+	p := &srv.bufs
 	switch op {
 	case OpGet:
-		keys, ok := c.readKeys(&r, 1)
+		keys, ok := readKeys(&r, 1)
 		if !ok {
 			c.fail(StatusBadRequest)
 			return
 		}
+		out := c.reserve(p, 8+16*keys.len())
 		err := th.Atomic(func(tx *stm.Tx) {
-			out = AppendU64(out[:respBody], uint64(len(keys)))
-			for _, k := range keys {
-				v, found := srv.m.Get(tx, stm.Word(k))
+			out = AppendU64(out[:respBody], uint64(keys.len()))
+			for i := range keys.len() {
+				v, found := srv.m.Get(tx, stm.Word(keys.at(i)))
 				var f uint64
 				if found {
 					f = 1
@@ -467,52 +515,54 @@ func (srv *Server) execute(th *stm.Thread, c *connState, op byte, body []byte) {
 		})
 		srv.finish(c, err, out)
 	case OpPut:
-		pairs, ok := c.readKeys(&r, 2)
+		pairs, ok := readKeys(&r, 2)
 		if !ok {
 			c.fail(StatusBadRequest)
 			return
 		}
 		err := th.Atomic(func(tx *stm.Tx) {
-			for i := 0; i < len(pairs); i += 2 {
-				srv.m.Put(tx, stm.Word(pairs[i]), stm.Word(pairs[i+1]))
+			for i := 0; i < pairs.len(); i += 2 {
+				srv.m.Put(tx, stm.Word(pairs.at(i)), stm.Word(pairs.at(i+1)))
 				enforce(tx, q)
 			}
 		})
-		srv.finish(c, err, out)
+		srv.finish(c, err, c.out)
 	case OpCAS:
-		triples, ok := c.readKeys(&r, 3)
+		triples, ok := readKeys(&r, 3)
 		if !ok {
 			c.fail(StatusBadRequest)
 			return
 		}
+		out := c.reserve(p, 8)
 		var swapped uint64
 		err := th.Atomic(func(tx *stm.Tx) {
 			swapped = 1
-			for i := 0; i < len(triples); i += 3 {
-				v, found := srv.m.Get(tx, stm.Word(triples[i]))
+			for i := 0; i < triples.len(); i += 3 {
+				v, found := srv.m.Get(tx, stm.Word(triples.at(i)))
 				enforce(tx, q)
-				if !found || v != stm.Word(triples[i+1]) {
+				if !found || v != stm.Word(triples.at(i+1)) {
 					swapped = 0
 					return
 				}
 			}
-			for i := 0; i < len(triples); i += 3 {
-				srv.m.Put(tx, stm.Word(triples[i]), stm.Word(triples[i+2]))
+			for i := 0; i < triples.len(); i += 3 {
+				srv.m.Put(tx, stm.Word(triples.at(i)), stm.Word(triples.at(i+2)))
 				enforce(tx, q)
 			}
 		})
 		srv.finish(c, err, AppendU64(out, swapped))
 	case OpDelete:
-		keys, ok := c.readKeys(&r, 1)
+		keys, ok := readKeys(&r, 1)
 		if !ok {
 			c.fail(StatusBadRequest)
 			return
 		}
+		out := c.reserve(p, 8+8*keys.len())
 		err := th.Atomic(func(tx *stm.Tx) {
-			out = AppendU64(out[:respBody], uint64(len(keys)))
-			for _, k := range keys {
+			out = AppendU64(out[:respBody], uint64(keys.len()))
+			for i := range keys.len() {
 				var e uint64
-				if srv.m.Delete(tx, stm.Word(k)) {
+				if srv.m.Delete(tx, stm.Word(keys.at(i))) {
 					e = 1
 				}
 				out = AppendU64(out, e)
@@ -532,14 +582,14 @@ func (srv *Server) execute(th *stm.Thread, c *connState, op byte, body []byte) {
 				c.fail(StatusUnsupported)
 				return
 			}
-			srv.finish(c, err, out)
+			srv.finish(c, err, c.out)
 			return
 		}
 		// The privatizing transaction committed and weak readers are
 		// quiesced: walk the detached chain uninstrumented, then retire
 		// the nodes through the epoch reclaimer — all on the thread that
 		// privatized, which this request holds until it returns.
-		out = AppendU64(out, uint64(pl.Count))
+		out := AppendU64(c.reserve(p, 8+16*pl.Count), uint64(pl.Count))
 		pl.EachKV(func(k, v stm.Word) bool {
 			out = AppendU64(AppendU64(out, uint64(k)), uint64(v))
 			return true
@@ -548,59 +598,56 @@ func (srv *Server) execute(th *stm.Thread, c *connState, op byte, body []byte) {
 		srv.privatizeOps.Add(1)
 		srv.finish(c, nil, out)
 	case OpPush:
-		vals, ok := c.readKeys(&r, 1)
+		vals, ok := readKeys(&r, 1)
 		if !ok {
 			c.fail(StatusBadRequest)
 			return
 		}
 		err := th.Atomic(func(tx *stm.Tx) {
-			for _, v := range vals {
-				srv.q.Push(tx, stm.Word(v))
+			for i := range vals.len() {
+				srv.q.Push(tx, stm.Word(vals.at(i)))
 				enforce(tx, q)
 			}
 		})
-		srv.finish(c, err, out)
+		srv.finish(c, err, c.out)
 	case OpPop:
 		n, ok := r.u64()
 		if !ok || !r.empty() || n == 0 || n > maxOpKeys {
 			c.fail(StatusBadRequest)
 			return
 		}
-		popped := c.vals
+		out := c.reserve(p, 8+8*int(n))
 		err := th.Atomic(func(tx *stm.Tx) {
-			popped = popped[:0]
+			out = out[:respBody+8] // the count, written once the pops are done
 			for i := uint64(0); i < n; i++ {
 				v, found := srv.q.Pop(tx)
 				if !found {
 					break
 				}
-				popped = append(popped, uint64(v))
+				out = AppendU64(out, uint64(v))
 				enforce(tx, q)
 			}
+			binary.BigEndian.PutUint64(out[respBody:], uint64(len(out)-respBody-8)/8)
 		})
-		c.vals = popped
-		out = AppendU64(out, uint64(len(popped)))
-		for _, v := range popped {
-			out = AppendU64(out, v)
-		}
 		srv.finish(c, err, out)
 	}
 }
 
-// readKeys parses "count, count×group u64s" into c.vals, with the count
-// bounded by maxOpKeys and required to account for the body exactly.
-func (c *connState) readKeys(r *wireReader, group int) ([]uint64, bool) {
+// words is a request's keys, pairs or triples, read in place from the
+// request payload: word i is bytes 8i to 8i+8, big-endian.
+type words []byte
+
+func (w words) len() int        { return len(w) / 8 }
+func (w words) at(i int) uint64 { return binary.BigEndian.Uint64(w[8*i:]) }
+
+// readKeys parses "count, count×group u64s", with the count bounded by
+// maxOpKeys and required to account for the body exactly.
+func readKeys(r *wireReader, group int) (words, bool) {
 	n, ok := r.u64()
 	if !ok || n > maxOpKeys || uint64(len(r.b)) != n*uint64(group)*8 {
 		return nil, false
 	}
-	vals := c.vals[:0]
-	for !r.empty() {
-		v, _ := r.u64()
-		vals = append(vals, v)
-	}
-	c.vals = vals
-	return vals, true
+	return words(r.b), true
 }
 
 // Shutdown drains the server: stop accepting, unblock idle and stalled

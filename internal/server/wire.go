@@ -92,13 +92,9 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < frameHeader {
 		buf = make([]byte, frameHeader)
 	}
-	hdr := buf[:frameHeader]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	n, err := readFrameLen(r, buf)
+	if err != nil {
 		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	if n > MaxFrame {
-		return nil, errFrameTooLarge
 	}
 	if n > cap(buf) {
 		buf = make([]byte, n)
@@ -108,6 +104,20 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// readFrameLen reads a frame's length prefix, staged in the first
+// frameHeader bytes of buf's backing array, and checks it against MaxFrame.
+func readFrameLen(r io.Reader, buf []byte) (int, error) {
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > MaxFrame {
+		return 0, errFrameTooLarge
+	}
+	return n, nil
 }
 
 // WriteFrame writes payload as one length-prefixed frame.
