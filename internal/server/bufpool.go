@@ -6,16 +6,23 @@ import (
 )
 
 const (
-	// poolClasses is the number of buffer sizes the pool keeps: powers of
-	// two from 2×retainBytes (8 KiB) to 128 KiB, which holds the widest
-	// request (a maxOpKeys CAS, 96 KiB) and every response but a large
-	// SNAPSHOT's (a maxOpKeys GET is 64 KiB).
+	// poolClasses is the number of buffer sizes the pool keeps: a power of
+	// two from 2×retainBytes (8 KiB) to 128 KiB, plus classSlack. The
+	// largest holds the widest request (a maxOpKeys CAS, 96 KiB) and every
+	// response but a large SNAPSHOT's (a maxOpKeys GET, 64 KiB + 13 bytes,
+	// fills the 64 KiB class).
 	poolClasses = 5
+	// classSlack is the room each class keeps above its power of two for
+	// the bytes around a power-of-two count of words: at most 13, a frame
+	// header, a status and a count. Without it each such payload, like the
+	// 8201-byte PUT of 512 pairs, would take the next class up, twice its
+	// size.
+	classSlack = 16
 	// poolStash is how many free buffers the pool keeps of each class.
 	poolStash = 4
 	// poolBound is the most the pool retains: a full stash of every class,
-	// 992 KiB.
-	poolBound = poolStash * (retainBytes<<(poolClasses+1) - retainBytes<<1)
+	// just over 992 KiB.
+	poolBound = poolStash * (retainBytes<<(poolClasses+1) - retainBytes<<1 + poolClasses*classSlack)
 )
 
 // bufPool lends the request and response buffers larger than retainBytes,
@@ -35,8 +42,8 @@ type bufPool struct {
 // class is the smallest class that holds n bytes (n > retainBytes), and
 // classBytes that class's buffer size; a class of poolClasses or more is
 // larger than the pool keeps.
-func class(n int) int      { return bits.Len(uint(n-1)) - bits.Len(retainBytes) }
-func classBytes(c int) int { return retainBytes << (c + 1) }
+func class(n int) int      { return max(0, bits.Len(uint(n-classSlack-1))-bits.Len(retainBytes)) }
+func classBytes(c int) int { return retainBytes<<(c+1) + classSlack }
 
 // get lends an empty buffer with room for n > retainBytes bytes.
 func (p *bufPool) get(n int) []byte {

@@ -55,6 +55,37 @@ func poolState(srv *Server) (lent, kept int) {
 	return p.lent, kept
 }
 
+// TestPoolClasses pins the class of the payloads around a power-of-two
+// count of words: each fills its class instead of taking the next one up.
+func TestPoolClasses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		class int
+	}{
+		{"just over retainBytes", retainBytes + 1, 0},
+		{"GET request of 512 keys", 1 + 8 + 8*512, 0},
+		{"PUT request of 512 pairs", 1 + 8 + 16*512, 0},
+		{"GET response of 512 keys", respBody + 8 + 16*512, 0},
+		{"PUT request of 1024 pairs", 1 + 8 + 16*1024, 1},
+		{"DELETE response of maxOpKeys", respBody + 8 + 8*maxOpKeys, 2},
+		{"GET response of maxOpKeys", respBody + 8 + 16*maxOpKeys, 3},
+		{"CAS request of maxOpKeys", 1 + 8 + 24*maxOpKeys, 4},
+		{"largest class", classBytes(poolClasses - 1), poolClasses - 1},
+		{"past the largest class", classBytes(poolClasses-1) + 1, poolClasses},
+	} {
+		if c := class(tc.n); c != tc.class {
+			t.Errorf("%s: %d bytes in class %d, want %d", tc.name, tc.n, c, tc.class)
+		}
+	}
+	for n := retainBytes + 1; n <= classBytes(poolClasses-1); n++ {
+		c := class(n)
+		if classBytes(c) < n || c > 0 && classBytes(c-1) >= n {
+			t.Fatalf("%d bytes in class %d of %d bytes, not the smallest that holds it", n, c, classBytes(c))
+		}
+	}
+}
+
 // newIdle is a server that is never given a listener: tests drive respond
 // directly. Cleanup asserts the drain every test ends with.
 func newIdle(t testing.TB, opts ...Option) *Server {
@@ -552,11 +583,16 @@ func TestRoundTripAllocations(t *testing.T) {
 	}
 	defer wc.Close()
 	keys, pairs := []uint64{1, 2, 3, 4}, []uint64{1, 10, 2, 20, 3, 30, 4, 40}
-	// The shapes of serve_mixed's preload and closing scan: 1024-pair PUTs
-	// (a 16 KiB request) and 512-key GETs (an 8 KiB response).
-	widePairs, wideKeys := make([]uint64, 2*1024), make([]uint64, 512)
+	// serve_mixed's preload PUTs 512 pairs at a time (an 8201-byte request
+	// payload) and its closing scan GETs 512 keys (a 4105-byte request and
+	// an 8205-byte response frame): each fills the 8 KiB class. A 1024-pair
+	// PUT (16393 bytes) fills the 16 KiB class.
+	preload, widePairs, wideKeys := make([]uint64, 2*512), make([]uint64, 2*1024), make([]uint64, 512)
 	for i := range widePairs {
 		widePairs[i] = uint64(i)
+	}
+	for i := range preload {
+		preload[i] = uint64(len(widePairs) + i)
 	}
 	for i := range wideKeys {
 		wideKeys[i] = uint64(2 * i)
@@ -596,7 +632,12 @@ func TestRoundTripAllocations(t *testing.T) {
 				t.Fatalf("Pop: %v status %d err %v", got, st, err)
 			}
 		}},
-		{"PUT1024", func() {
+		{"PUT512pairs", func() {
+			if st, err := wc.Put(preload); err != nil || st != StatusOK {
+				t.Fatalf("Put: status %d err %v", st, err)
+			}
+		}},
+		{"PUT1024pairs", func() {
 			if st, err := wc.Put(widePairs); err != nil || st != StatusOK {
 				t.Fatalf("Put: status %d err %v", st, err)
 			}
