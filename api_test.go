@@ -272,10 +272,6 @@ func TestDirectAndAtomicAccess(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.AtomicStore(a, 6)
-	if s.AtomicLoad(a) != 6 {
-		t.Error("AtomicLoad/Store round trip failed")
-	}
 }
 
 // TestWriteSkew documents the single-lock-atomicity guarantee: unlike

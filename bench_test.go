@@ -6,7 +6,8 @@
 // percent-writers-fenced and percent-visible-reads-skipped metrics for
 // pvrBase vs pvrCAS (Figure 4); BenchmarkSingleThreadOverhead reproduces
 // §V's single-thread comparison. Structure sizes default to a scaled-down
-// CI configuration; `go run ./cmd/stmbench -scale 1` runs paper scale.
+// CI configuration; `go run ./cmd/stmbench -fig all -scale 1` runs paper
+// scale.
 //
 // Sub-benchmark names are the paper's curve labels, so
 // `go test -bench 'Fig3a/pvrStore'` measures one curve of one panel.
@@ -336,58 +337,4 @@ func BenchmarkPrivatizedVsInstrumented(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSandboxCheckpoint prices the sandbox's checkpoints on pvrCAS
-// against the unchecked operation each replaces: LoadPriv (validate the
-// read set, bounds-check, plain load) against an instrumented Load, and
-// Div against a plain division. Each transaction first reads `reads` words
-// (the read set LoadPriv validates, O(reads)) and then runs up to 1024
-// operations, so begin and commit are spread thin and ns/op is per
-// operation. The divisor is nonzero, the common case: Div validates only
-// on a zero divisor.
-func BenchmarkSandboxCheckpoint(b *testing.B) {
-	const batch = 1024
-	s := stm.MustNew(stm.Config{Algorithm: stm.PVRCAS, HeapWords: 1 << 12, MaxThreads: 2})
-	base := s.MustAlloc(65)
-	mustQuiescent(b, s, func(h stm.Private) {
-		for i := stm.Addr(0); i < 65; i++ {
-			h.Store(base+i, stm.Word(i+3))
-		}
-	})
-	target := base + 64
-	th := s.MustNewThread()
-	ops := []struct {
-		name string
-		op   func(tx *stm.Tx, n, d stm.Word) stm.Word
-	}{
-		{"Load", func(tx *stm.Tx, _, _ stm.Word) stm.Word { return tx.Load(target) }},
-		{"LoadPriv", func(tx *stm.Tx, _, _ stm.Word) stm.Word { return tx.LoadPriv(target) }},
-		{"Div", func(tx *stm.Tx, n, d stm.Word) stm.Word { return tx.Div(n, d) }},
-		{"plain-div", func(_ *stm.Tx, n, d stm.Word) stm.Word { return n / d }},
-	}
-	for _, reads := range []int{1, 64} {
-		for _, o := range ops {
-			b.Run(fmt.Sprintf("%s/reads=%d", o.name, reads), func(b *testing.B) {
-				var sink stm.Word
-				for done := 0; done < b.N; done += batch {
-					n := min(batch, b.N-done)
-					_ = th.Atomic(func(tx *stm.Tx) {
-						var acc stm.Word
-						for i := 0; i < reads; i++ {
-							acc += tx.Load(base + stm.Addr(i))
-						}
-						d := tx.Load(base)
-						for j := 0; j < n; j++ {
-							acc += o.op(tx, acc+stm.Word(j), d)
-						}
-						sink = acc
-					})
-				}
-				if sink == 0 {
-					b.Fatal("bad sum")
-				}
-			})
-		}
-	}
 }

@@ -36,10 +36,11 @@ func (v *flagValues) modes(set map[string]bool) []string {
 
 // localOnlyWithRemote lists flags that configure the in-process harness or
 // engines and therefore cannot apply to a -remote run (the server was
-// configured when stmd started).
+// configured when stmd started). The profiles sample this process, which
+// under -remote only drives the network, so they are local-only too.
 var localOnlyWithRemote = []string{
 	"fig", "threads", "txns", "scale", "reps", "algos", "mix", "maxattempts",
-	"csv",
+	"csv", "cpuprofile", "memprofile", "mutexprofile",
 }
 
 // remoteOnly lists flags meaningful only with -remote.

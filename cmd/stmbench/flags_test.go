@@ -70,6 +70,12 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{fig: "3a"}, "-batch"},
 		{"remote with mix", set("remote", "mix"),
 			flagValues{remote: ":7077"}, "-mix"},
+		{"remote with cpuprofile", set("remote", "cpuprofile"),
+			flagValues{remote: ":7077"}, "-cpuprofile"},
+		{"remote with memprofile", set("remote", "memprofile"),
+			flagValues{remote: ":7077"}, "-memprofile"},
+		{"remote with mutexprofile", set("remote", "mutexprofile"),
+			flagValues{remote: ":7077"}, "-mutexprofile"},
 		{"stray positional argument", set("fig"),
 			flagValues{fig: "3a", args: []string{"old.json"}}, "old.json"},
 	}

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,8 +43,8 @@ func TestFaultDelayedCleanupDetectedByStallWatchdog(t *testing.T) {
 	head := s.MustAlloc(1)
 	n1 := s.MustAlloc(1)
 	n2 := s.MustAlloc(1)
-	s.AtomicStore(n1, 41)
-	s.AtomicStore(n2, 42)
+	s.rt.Heap.AtomicStore(n1, 41)
+	s.rt.Heap.AtomicStore(n2, 42)
 
 	victim := s.MustNewThread()
 	rival := s.MustNewThread()
@@ -114,13 +115,13 @@ func TestFaultDelayedCleanupDetectedByStallWatchdog(t *testing.T) {
 		t.Fatalf("victim err %v, rival err %v", victimErr, rivalErr)
 	}
 	// The victim's retry (second attempt) committed its writes.
-	if got := s.AtomicLoad(n1); got != 51 {
+	if got := s.rt.Heap.AtomicLoad(n1); got != 51 {
 		t.Errorf("n1 = %d, want 51", got)
 	}
-	if got := s.AtomicLoad(n2); got != 52 {
+	if got := s.rt.Heap.AtomicLoad(n2); got != 52 {
 		t.Errorf("n2 = %d, want 52", got)
 	}
-	if got := s.AtomicLoad(head); got != 7 {
+	if got := s.rt.Heap.AtomicLoad(head); got != 7 {
 		t.Errorf("head = %d, want 7", got)
 	}
 	if agg := s.Stats(); agg.FenceStalls < 1 {
@@ -221,7 +222,7 @@ func TestFaultDoomedReaderSandboxed(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := s.MustAlloc(1)
-	s.AtomicStore(a, 7)
+	s.rt.Heap.AtomicStore(a, 7)
 	reader := s.MustNewThread()
 	writer := s.MustNewThread()
 
@@ -455,8 +456,8 @@ func TestFaultParkedReaderBlocksReclaim(t *testing.T) {
 	head := s.MustAlloc(1)
 	x := s.MustAlloc(1)
 	node := s.MustAlloc(nodeWords)
-	s.AtomicStore(node, 77)
-	s.AtomicStore(head, Word(node))
+	s.rt.Heap.AtomicStore(node, 77)
+	s.rt.Heap.AtomicStore(head, Word(node))
 
 	reader := s.MustNewThread()
 	writer := s.MustNewThread()
@@ -597,10 +598,10 @@ func TestFaultRetireDuringRollback(t *testing.T) {
 		t.Fatal(victimErr)
 	}
 	// The retry (second attempt) committed.
-	if got := s.AtomicLoad(n1); got != 51 {
+	if got := s.rt.Heap.AtomicLoad(n1); got != 51 {
 		t.Errorf("n1 = %d, want 51", got)
 	}
-	if got := s.AtomicLoad(n2); got != 52 {
+	if got := s.rt.Heap.AtomicLoad(n2); got != 52 {
 		t.Errorf("n2 = %d, want 52", got)
 	}
 
@@ -707,10 +708,102 @@ func TestFaultCollectDuringFence(t *testing.T) {
 	}
 }
 
-// TestSandboxCheckpointsAllocate0 pins the cost of the sandbox checkpoints
-// (core.Thread.ValidateBeforeUse): a transaction crossing both of them —
-// LoadPriv's validate+bounds check and Div's zero-divisor gate — allocates
-// nothing per attempt, and each LoadPriv is counted in SandboxValidations.
+// TestFaultWildAddressSandboxed pins the sandbox checkpoint on every read
+// (core.Thread.CheckAddr): a doomed attempt that loads through a stale
+// pointer holding an out-of-heap address validates, fails and retries
+// instead of faulting, while a consistent transaction that loads a wild
+// address panics with "stm: wild heap address" after rollback, and the
+// thread's next transaction commits.
+func TestFaultWildAddressSandboxed(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wild := Addr(1 << 40)
+	ptr, data := s.MustAlloc(1), s.MustAlloc(1)
+	s.rt.Heap.AtomicStore(ptr, Word(wild))
+	s.rt.Heap.AtomicStore(data, 21)
+	reader := s.MustNewThread()
+	writer := s.MustNewThread()
+
+	readerIn := make(chan struct{})
+	resume := make(chan struct{})
+	// As in TestFaultDoomedReaderSandboxed: the reader resumes only once
+	// the writer's repair of ptr has committed, so its first attempt is
+	// provably doomed when it dereferences the wild value it read.
+	var releaseOnce sync.Once
+	failpoint.Set(failpoint.CommitBeforeFence, func(string) {
+		releaseOnce.Do(func() { close(resume) })
+	})
+
+	var writerErr error
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		<-readerIn
+		writerErr = writer.Atomic(func(tx *Tx) { tx.StoreAddr(ptr, data) })
+	}()
+
+	attempts := 0
+	var firstOnce sync.Once
+	readerErr := reader.Atomic(func(tx *Tx) {
+		attempts++
+		p := tx.LoadAddr(ptr)
+		firstOnce.Do(func() {
+			close(readerIn)
+			<-resume
+		})
+		if v := tx.Load(p); v != 21 {
+			t.Errorf("retry read %d through %d, want 21 through %d", v, p, data)
+		}
+	})
+	if readerErr != nil {
+		t.Fatalf("sandboxed reader returned %v", readerErr)
+	}
+	if attempts != 2 {
+		t.Errorf("body ran %d times, want 2 (doomed attempt + clean retry)", attempts)
+	}
+	if got := reader.Stats().SandboxValidations; got != 1 {
+		t.Errorf("SandboxValidations = %d, want 1 (the doomed attempt's wild load)", got)
+	}
+	select {
+	case <-writerDone:
+	case <-time.After(faultWait):
+		t.Fatal("writer never finished")
+	}
+	if writerErr != nil {
+		t.Fatal(writerErr)
+	}
+
+	// A consistent transaction's wild address is an application bug: it
+	// propagates after rollback.
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "stm: wild heap address") {
+				t.Errorf("recover: got %q, want the wild heap address panic", msg)
+			}
+		}()
+		_ = reader.Atomic(func(tx *Tx) {
+			tx.Store(data, 99)
+			_ = tx.Load(wild)
+		})
+	}()
+	if err := reader.Atomic(func(tx *Tx) { tx.Store(ptr, tx.Load(data)+1) }); err != nil {
+		t.Fatalf("transaction after the wild-address panic returned %v", err)
+	}
+	closeAll(t, reader, writer)
+	if got := peek(t, s, ptr); got != 22 {
+		t.Errorf("ptr = %d, want 22 (data rolled back to 21, then incremented)", got)
+	}
+}
+
+// TestSandboxCheckpointsAllocate0 pins the cost of the sandbox checkpoint
+// on the read path (core.Thread.CheckAddr): a transaction loading through
+// a transactionally-read pointer allocates nothing per attempt, and an
+// in-range address never reaches the validating slow path, so
+// SandboxValidations stays zero.
 func TestSandboxCheckpointsAllocate0(t *testing.T) {
 	s, err := New(Config{Algorithm: PVRStore, HeapWords: 1 << 12, OrecCount: 1 << 8})
 	if err != nil {
@@ -718,29 +811,26 @@ func TestSandboxCheckpointsAllocate0(t *testing.T) {
 	}
 	ptr := s.MustAlloc(1)
 	data := s.MustAlloc(1)
-	s.AtomicStore(data, 21)
-	s.AtomicStore(ptr, Word(data))
+	s.rt.Heap.AtomicStore(data, 21)
+	s.rt.Heap.AtomicStore(ptr, Word(data))
 	th := s.MustNewThread()
 	body := func(tx *Tx) {
-		d := tx.LoadAddr(ptr)
-		if v := tx.Div(tx.LoadPriv(d), 3); v != 7 {
-			t.Errorf("sandboxed compute = %d, want 7", v)
+		if v := tx.Load(tx.LoadAddr(ptr)); v != 21 {
+			t.Errorf("load through pointer = %d, want 21", v)
 		}
 	}
 
 	if err := th.Atomic(body); err != nil { // warm up logs
 		t.Fatal(err)
 	}
-	const runs = 200
-	if n := testing.AllocsPerRun(runs, func() {
+	if n := testing.AllocsPerRun(200, func() {
 		if err := th.Atomic(body); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Errorf("sandboxed transaction allocates %.1f per txn, want 0", n)
 	}
-	// AllocsPerRun adds one warm-up call to the runs it measures.
-	if got, want := s.Stats().SandboxValidations, uint64(1+runs+1); got != want {
-		t.Errorf("SandboxValidations = %d, want %d (one per LoadPriv)", got, want)
+	if got := s.Stats().SandboxValidations; got != 0 {
+		t.Errorf("SandboxValidations = %d, want 0 (no address left the heap)", got)
 	}
 }

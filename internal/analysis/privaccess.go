@@ -12,8 +12,7 @@
 //     not directly and not through a wrapper in any package. An
 //     uninstrumented access inside a transaction bypasses orec conflict
 //     detection entirely, so neither the fence nor validation can order
-//     it. (Tx.LoadPriv is the one uninstrumented read allowed in a body:
-//     it validates the read set first; CORRECTNESS.md §12.)
+//     it.
 //
 //  3. Retire flow (intraprocedural, position-ordered): an extent handed to
 //     a Retire method belongs to the epoch-based reclaimer (internal/

@@ -178,7 +178,7 @@ func callsMatching(info *types.Info, node ast.Node, direct func(*types.Func) boo
 // is a bound check — `for i := 0; i < int(s.hi.Load()); i++` is a scan
 // whose extent happens to be atomic — while equality tests and boolean
 // negations are polls: the loop is waiting for the value to become
-// something (`for !stop.Load()`, internal/priv's driver loops).
+// something (`for !done.Load()`, the yieldsite fixture's poll loops).
 func condPollReads(info *types.Info, cond ast.Expr, mayRead map[*types.Func]Edge) bool {
 	if e, ok := unparen(cond).(*ast.BinaryExpr); ok {
 		switch e.Op {

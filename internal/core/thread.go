@@ -250,29 +250,6 @@ func (t *Thread) ValidateReads() bool {
 	return true
 }
 
-// ValidateBeforeUse is the sandbox checkpoint of the Machens
-// validate-before-dangerous-operation discipline (PAPERS.md, "Sandboxing
-// for Software Transactional Memory with Deferred Updates"): call it
-// immediately before an operation whose *inputs* derive from
-// transactionally-read data and whose failure mode is worse than a wrong
-// value — a division whose divisor could be a torn zero, an indirect load
-// through a txn-read pointer that could now be reclaimed or poisoned. A
-// doomed transaction fails the validation and aborts (retries) here,
-// before the dangerous operation executes; a consistent transaction pays
-// one O(R) read-set pass and proceeds.
-//
-// The full ValidateReads pass is required — a cheap commit-signal "has any
-// writer committed?" test is NOT a sound substitute for the in-place
-// (undo-log) engines, whose rivals invalidate a read set by acquiring
-// orecs and writing in place without moving the clock or the ordering
-// counters.
-func (t *Thread) ValidateBeforeUse() {
-	t.Stats.SandboxValidations++
-	if !t.ValidateReads() {
-		t.ConflictAbort()
-	}
-}
-
 // CheckAddr sandbox-checks a heap address that is about to be
 // dereferenced. In-range addresses pass with one comparison. An
 // out-of-range address means the value it was computed from was torn: the
@@ -286,8 +263,20 @@ func (t *Thread) CheckAddr(a heap.Addr) {
 	}
 }
 
+// wildAddr is the sandbox checkpoint of the Machens
+// validate-before-dangerous-operation discipline (PAPERS.md, "Sandboxing
+// for Software Transactional Memory with Deferred Updates"): a doomed
+// transaction fails the validation and retries before the wild access
+// executes. The full ValidateReads pass is required — a cheap
+// commit-signal "has any writer committed?" test is NOT a sound substitute
+// for the in-place (undo-log) engines, whose rivals invalidate a read set
+// by acquiring orecs and writing in place without moving the clock or the
+// ordering counters.
 func (t *Thread) wildAddr(a heap.Addr) {
-	t.ValidateBeforeUse()
+	t.Stats.SandboxValidations++
+	if !t.ValidateReads() {
+		t.ConflictAbort()
+	}
 	panic(fmt.Sprintf("stm: wild heap address %d (heap cap %d words) in a consistent transaction", a, t.RT.Heap.Size()))
 }
 

@@ -244,7 +244,7 @@ func (h *Heap) MustAlloc(n int) Addr {
 func (h *Heap) InUse() int { return int(h.next.Load()) }
 
 // Contains reports whether a addresses a word inside the heap. The sandbox
-// checkpoints (core.Thread.CheckAddr) use it to pre-validate addresses
+// checkpoint (core.Thread.CheckAddr) uses it to pre-validate addresses
 // computed from transactionally-read data before indexing the word array.
 func (h *Heap) Contains(a Addr) bool { return uint64(a) < uint64(len(h.words)) }
 

@@ -346,14 +346,6 @@ func (s *STM) Quiescent(fn func(Private)) error {
 	return nil
 }
 
-// AtomicLoad reads a word with atomic semantics outside any transaction.
-// Tests and checkers that deliberately race (e.g. against the TL2
-// baseline) use it to keep Go's race detector out of the experiment.
-func (s *STM) AtomicLoad(a Addr) Word { return s.rt.Heap.AtomicLoad(a) }
-
-// AtomicStore writes a word with atomic semantics outside any transaction.
-func (s *STM) AtomicStore(a Addr, w Word) { s.rt.Heap.AtomicStore(a, w) }
-
 // Stats aggregates the execution counters of every registered thread plus
 // those of threads already released through Close, so totals survive worker
 // churn. Safe to call after workers finish (per-thread counters are
@@ -588,33 +580,6 @@ func (tx *Tx) LoadAddr(a Addr) Addr { return Addr(tx.Load(a)) }
 
 // StoreAddr writes a heap address into a word.
 func (tx *Tx) StoreAddr(a Addr, p Addr) { tx.Store(a, Word(p)) }
-
-// Div returns n/d with the sandbox's validate-before-dangerous-use
-// discipline: when the divisor is zero the transaction validates its read
-// set first, so a doomed attempt — whose zero came from torn state —
-// aborts and retries instead of faulting, while a consistent transaction
-// propagates the genuine division-by-zero panic. Nonzero divisors pay one
-// compare (the standard sandboxing fast path: only the value that can
-// fault triggers validation).
-func (tx *Tx) Div(n, d Word) Word {
-	if d == 0 {
-		tx.th.t.ValidateBeforeUse()
-	}
-	return n / d
-}
-
-// LoadPriv performs a sandboxed *uninstrumented* load through a, an
-// address obtained from transactionally-read data (e.g. a node pointer the
-// transaction is about to privatize and traverse without instrumentation).
-// The sandbox validates the read set first — a doomed attempt retries here
-// instead of consuming reclaimed or poisoned memory — and bounds-checks
-// the address; only then is the plain load issued.
-func (tx *Tx) LoadPriv(a Addr) Word {
-	t := tx.th.t
-	t.ValidateBeforeUse()
-	t.CheckAddr(a)
-	return tx.th.s.rt.Heap.Load(a)
-}
 
 // Retry aborts the transaction and re-executes it from the start.
 func (tx *Tx) Retry() { tx.th.t.ConflictAbort() }
